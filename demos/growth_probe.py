@@ -15,9 +15,10 @@ certificate either way.
 
 import numpy as np
 
-from regpart import (build_ambient, build_singular_structure,
-                     build_v_subspace, check_equivalences, derive_fields,
-                     generate_noncommuting_example, t_pi2_probe, TestFunction)
+from regpart import (assemble_regular, build_ambient, build_singular_structure,
+                     build_v_subspace, check_equivalences, compute_operators,
+                     derive_fields, generate_noncommuting_example, t_pi2_probe,
+                     TestFunction)
 
 LAMBDAS = (5.0, 10.0, 20.0, 40.0, 80.0)
 
@@ -60,7 +61,11 @@ print("verdicts from the equivalence checker on the coupled model:")
 structure = build_singular_structure(q_field, derived)
 funcs = [TestFunction.bump(grid, [0.5, 0.5], [0.4, 0.4]),
          TestFunction.bump(grid, [0.3, 0.6], [0.25, 0.3])]
-diag = check_equivalences(coeffs, derived, structure, funcs, xi=(0.0, 1.0))
+reg = assemble_regular(coeffs, derived, structure)
+vs = build_v_subspace(build_ambient(coeffs, derived), coeffs, derived,
+                      q_field, funcs)
+diag = check_equivalences(vs, compute_operators(vs), reg, structure, funcs,
+                          xi=(0.0, 1.0))
 print("   commutator max |QZ - ZQ| = %.3f" % diag.commutator_max)
 for name, verdict in diag.verdicts.items():
     print("   %-24s %-5s (%s)"

@@ -233,6 +233,7 @@ def build_v_subspace(ambient, coeffs, derived, q_field, funcs,
     same_cell = sc[:, None] == sc[None, :]
 
     cuf, cwf = np.conj(uf), np.conj(wf)
+    izsv = sv + 1j * np.einsum("pkl,pl->pk", z[sc], sv)
     gram_a = np.zeros((nb, nb), dtype=complex)
     gram_t = np.zeros((nb, nb), dtype=complex)
 
@@ -258,12 +259,11 @@ def build_v_subspace(ambient, coeffs, derived, q_field, funcs,
         gram_a[len(funcs):, :len(funcs)] = vol * sf_a
         gram_a[:len(funcs), len(funcs):] = vol * adjoint(sf_a)
 
-        izwf_at = (wf + 1j * np.einsum("ckl,jcl->jck", z, wf))[:, sc, :]
+        izwf_at = izwf[:, sc, :]
         sf_t = (np.einsum("jpk,pk->pj", izwf_at, csv)
                 + np.einsum("jp,pk,pk->pj", uf_at, y_f[sc], csv))
         gram_t[len(funcs):, :len(funcs)] = vol * sf_t
 
-        izsv = sv + 1j * np.einsum("pkl,pl->pk", z[sc], sv)
         fs_t = (np.einsum("pk,ipk->ip", izsv, np.conj(wf_at))
                 + np.einsum("pk,pk,ip->ip", sv, np.conj(x_f[sc]),
                             np.conj(uf_at)))
@@ -272,7 +272,6 @@ def build_v_subspace(ambient, coeffs, derived, q_field, funcs,
     if m:
         ss_a = np.einsum("qk,pk->pq", sv, csv) * same_cell
         gram_a[len(funcs):, len(funcs):] = vol * ss_a
-        izsv = sv + 1j * np.einsum("pkl,pl->pk", z[sc], sv)
         ss_t = np.einsum("qk,pk->pq", izsv, csv) * same_cell
         gram_t[len(funcs):, len(funcs):] = vol * ss_t
 

@@ -26,16 +26,15 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .completion import (ProbeReport, build_ambient, build_v_subspace,
-                         compute_operators, hprime_from_coords,
+from .completion import (ProbeReport, compute_operators, hprime_from_coords,
                          oracle_regular_part, t_pi2_probe)
 from .errors import DegenerateBasis, ResolutionTooCoarse, ValidationError
 from .grid import GridSpec, TestFunction
 from .model import CoefficientSet, eval_form, form_gram
 from .pointwise import (SectorParams, frobenius, herm_part, imag_part,
                         pencil_tangent, pinv_sqrt)
-from .regularize import (assemble_regular, assemble_regular_commuting,
-                         commutator_norms, indicator_projection)
+from .regularize import (assemble_regular_commuting, commutator_norms,
+                         indicator_projection, pure_second_order_parts)
 
 __all__ = [
     "DiagnosticsReport",
@@ -91,9 +90,9 @@ class DiagnosticsReport:
     commutator_max: float
     qz_iq_asqrt_max: float
     realpart: RealPartReport
-    slope_probe: ProbeReport | None
-    as_vertex: VertexReport | None
-    aps_vertex: VertexReport | None
+    slope_probe: ProbeReport
+    as_vertex: VertexReport
+    aps_vertex: VertexReport
     regular_tangent: float
     verdicts: dict
 
@@ -116,7 +115,7 @@ def _relative_field_gap(reg_a, reg_b):
 def _kernel_image_residual(vs, ops, funcs):
     """Compare ``T pi2 Phi(u)`` against its closed pointwise form
     ``(0, -u QZQ(X+Y)/2 + i u Q(X-Y)/2)`` for each supplied function."""
-    if vs.n_singular == 0 or not funcs:
+    if vs.n_singular == 0:
         return 0.0
     vol = vs.ambient.grid.cell_volume
     q, z = vs.q_field, vs.derived.Z_field
@@ -171,6 +170,21 @@ def regular_sector_tangent(reg, rank_eps=1e-12):
     return float(np.max(np.abs(np.linalg.eigvalsh(herm_part(zr)))))
 
 
+def oracle_pairs(reg_set, funcs, vs, ops):
+    """The regular part on every pair of embedded functions, two ways:
+    ``formula[i, j] = eval_form(reg_set, u_i, u_j)`` from the assembled
+    fields and ``oracle[i, j] = oracle_regular_part(ops, vs, i, j)`` from
+    the Gram-matrix construction."""
+    n = len(funcs)
+    formula = np.empty((n, n), dtype=complex)
+    oracle = np.empty((n, n), dtype=complex)
+    for i, fi in enumerate(funcs):
+        for j, fj in enumerate(funcs):
+            formula[i, j] = eval_form(reg_set, fi, fj).value
+            oracle[i, j] = oracle_regular_part(ops, vs, i, j)
+    return formula, oracle
+
+
 def check_realpart_commutation(coeffs, derived, s, vs=None, reg=None,
                                funcs=None):
     """Pointwise criterion for ``Re`` and regularization to commute:
@@ -184,95 +198,79 @@ def check_realpart_commutation(coeffs, derived, s, vs=None, reg=None,
     is reported.
     """
     q, z = s.Q_field, derived.Z_field
-    comm = float(np.max(commutator_norms(s, derived))) if s.Q_field.size \
-        else 0.0
+    comm = float(np.max(commutator_norms(s, derived)))
     qx = np.einsum("nkl,nl->nk", q, derived.X_field)
     qy = np.einsum("nkl,nl->nk", q, derived.Y_field)
     lhs = qx + 1j * np.einsum("nkl,nl->nk", z, qx)
     rhs = qy - 1j * np.einsum("nkl,nl->nk", z, qy)
-    xy_res = float(np.max(np.linalg.norm(lhs - rhs, axis=-1))) if q.size \
-        else 0.0
+    xy_res = float(np.max(np.linalg.norm(lhs - rhs, axis=-1)))
     ok = comm <= COMMUTE_TOL and xy_res <= COMMUTE_TOL
 
     oracle_gap = None
     if vs is not None and reg is not None and funcs:
-        funcs = list(funcs)[:vs.n_funcs]
-        ops_h = compute_operators(vs, real_part=True)
-        reg_set = reg.regular_set(coeffs.theta, coeffs.K_bound)
-        gap = 0.0
-        for i, fi in enumerate(funcs):
-            for j, fj in enumerate(funcs):
-                formula = 0.5 * (eval_form(reg_set, fi, fj).value
-                                 + np.conj(eval_form(reg_set, fj, fi).value))
-                oracle = oracle_regular_part(ops_h, vs, i, j)
-                gap = max(gap, abs(formula - oracle))
-        oracle_gap = gap
+        formula, oracle = oracle_pairs(
+            reg.regular_set(coeffs.theta, coeffs.K_bound),
+            list(funcs)[:vs.n_funcs], vs,
+            compute_operators(vs, real_part=True))
+        oracle_gap = float(np.max(np.abs(
+            0.5 * (formula + np.conj(formula.T)) - oracle)))
     return RealPartReport(ok=ok, commutator_residual=comm,
                           xy_residual=xy_res, oracle_max_diff=oracle_gap)
 
 
-def check_equivalences(coeffs, derived, s, funcs, tau=None, xi=None,
-                       lambdas=PROBE_LAMBDAS, gamma0=0.0):
+def check_equivalences(vs, ops, reg, s, funcs, tau=None, xi=None,
+                       lambdas=PROBE_LAMBDAS):
     """Decide the five-way equivalence on one model and report residuals.
 
-    ``funcs`` is the embedded family used for the subspace, the kernel-image
-    check and the vertex searches; ``tau``/``xi`` drive the growth probe
-    (defaulting to the first function and the all-ones direction).
+    ``vs`` is the oracle's subspace built on the non-empty family ``funcs``,
+    ``ops`` its operators, ``reg`` the assembled regular part and ``s`` the
+    singular structure; the coefficients and derived fields are read off
+    ``vs``.  ``funcs`` also drives the kernel-image check and the vertex
+    searches; ``tau``/``xi`` drive the growth probe (defaulting to the first
+    function and the all-ones direction).
     """
+    coeffs, derived = vs.coeffs, vs.derived
     funcs = list(funcs)
-    ambient = build_ambient(coeffs, derived, gamma0=gamma0)
-    vs = build_v_subspace(ambient, coeffs, derived, s.Q_field, funcs)
-    ops = compute_operators(vs)
 
-    comm = float(np.max(commutator_norms(s, derived)))
     p = s.P_field
     qzpa = np.matmul(np.matmul(s.Q_field, derived.Z_field),
                      np.matmul(p, derived.Asqrt_field))
     qz_iq = float(np.max(frobenius(qzpa)))
 
-    reg = assemble_regular(coeffs, derived, s)
     reg_c = assemble_regular_commuting(coeffs, derived, s, tol=np.inf)
     field_gap = _relative_field_gap(reg, reg_c)
     kernel_res = _kernel_image_residual(vs, ops, funcs)
 
-    if tau is None and funcs:
+    if tau is None:
         tau = funcs[0]
     if xi is None:
         xi = np.ones(coeffs.dim) / np.sqrt(coeffs.dim)
-    probe = t_pi2_probe(vs, tau, xi, lambdas) if tau is not None else None
+    probe = t_pi2_probe(vs, tau, xi, lambdas)
 
     realpart = check_realpart_commutation(coeffs, derived, s, vs=vs,
                                           reg=reg, funcs=funcs)
+    comm = realpart.commutator_residual
 
-    as_vertex = aps_vertex = None
-    if funcs:
-        as_vertex = singular_vertex(
-            reg.singular_set(coeffs.theta, coeffs.K_bound), funcs)
-        from .regularize import pure_second_order_parts
-        pure = pure_second_order_parts(coeffs, derived, s)
-        aps_vertex = singular_vertex(
-            pure.singular_set(coeffs.theta, coeffs.K_bound), funcs)
+    as_vertex = singular_vertex(
+        reg.singular_set(coeffs.theta, coeffs.K_bound), funcs)
+    pure = pure_second_order_parts(coeffs, derived, s)
+    aps_vertex = singular_vertex(
+        pure.singular_set(coeffs.theta, coeffs.K_bound), funcs)
 
-    probe_positive = (probe is not None and not probe.skipped
-                      and probe.slope > PROBE_POSITIVE)
-    commuting = comm <= COMMUTE_TOL
+    probe_positive = not probe.skipped and probe.slope > PROBE_POSITIVE
+    sectorial = {
+        "value": not probe_positive,
+        "mode": "certified-false" if probe_positive else "consistent-true",
+        "residual": probe.slope}
     verdicts = {
-        "commuting": {"value": commuting, "mode": "certified",
+        "commuting": {"value": comm <= COMMUTE_TOL, "mode": "certified",
                       "residual": comm},
         "simplified_formula": {"value": field_gap <= FIELD_TOL,
                                "mode": "certified", "residual": field_gap},
         "kernel_image_formula": {"value": kernel_res <= FIELD_TOL,
                                  "mode": "certified", "residual": kernel_res},
-        "singular_sectorial": {
-            "value": not probe_positive,
-            "mode": "certified-false" if probe_positive
-            else "consistent-true",
-            "residual": 0.0 if probe is None else probe.slope},
-        "pure_singular_sectorial": {
-            "value": not probe_positive,
-            "mode": "certified-false" if probe_positive
-            else "consistent-true",
-            "residual": 0.0 if probe is None else probe.slope},
+        "singular_sectorial": sectorial,
+        "pure_singular_sectorial": dict(sectorial),
     }
     return DiagnosticsReport(
         commutator_max=comm, qz_iq_asqrt_max=qz_iq, realpart=realpart,

@@ -194,6 +194,11 @@ class TestFunction:
             raise GridMismatch("center must have %d components" % grid.dim)
         if width.shape == (1,):
             width = np.repeat(width, grid.dim)
+        if width.shape != (grid.dim,):
+            raise GridMismatch("width must have 1 or %d components" % grid.dim)
+        if not np.all(np.isfinite(width) & (width != 0.0)):
+            raise ValidationError("bump width must be finite and nonzero on "
+                                  "every axis, got %s" % width.tolist())
         vals = np.ones(grid.node_shape)
         for ax, nodes in enumerate(grid.axis_nodes()):
             s = (nodes - center[ax]) / width[ax]
@@ -254,10 +259,3 @@ class TestFunction:
 
     def norm(self):
         return float(np.sqrt(self.norm_sq()))
-
-
-def require_same_grid(grid, *objects):
-    """Raise :class:`GridMismatch` unless every object carries this grid."""
-    for obj in objects:
-        if obj.grid != grid:
-            raise GridMismatch("objects live on different grids")

@@ -32,7 +32,7 @@ from .errors import (DegenerateBasis, DominationViolation, GridMismatch,
 from .grid import GridSpec, TestFunction
 from .pointwise import (DEFAULT_RANK_EPS, PSD_TOL, SectorParams, adjoint,
                         frobenius, herm_part, imag_part, pencil_tangent,
-                        pinv_sqrt, psd_sqrt)
+                        pinv_sqrt, psd_sqrt, sector_pencils)
 
 __all__ = [
     "CoefficientSet",
@@ -126,12 +126,9 @@ class CoefficientSet:
         if not (np.isfinite(self.K_bound) and self.K_bound > 0):
             raise ValidationError("K_bound must be a positive real")
 
-        a = herm_part(self.C_field)
-        im = imag_part(self.C_field)
-        t = float(np.tan(self.theta))
+        pencils, mins = sector_pencils(self.C_field, self.theta)
+        a = pencils[0]
         scale = np.maximum(1.0, frobenius(self.C_field))
-        pencils = (a, t * a + im, t * a - im)
-        mins = np.stack([np.linalg.eigvalsh(p)[..., 0] for p in pencils])
         bad = mins < -psd_tol * scale[None, :]
         if np.any(bad):
             which, cell = np.unravel_index(

@@ -249,7 +249,8 @@ def expand_function_spec(spec, grid):
                            where + ".flat")
         if flat.shape != (2,):
             raise ParseError(where + ".flat: expected [lo, hi]")
-        amp = spec.get("amplitude", 1.0)
+        amp = _number(spec, "amplitude", where) if "amplitude" in spec \
+            else 1.0
         return name, TestFunction.plateau_1d(grid, flat[0], flat[1],
                                              amplitude=amp)
     if kind == "bump":
@@ -257,7 +258,8 @@ def expand_function_spec(spec, grid):
                              where + ".center")
         width = _real_array(_get(spec, "width", list, where), 1,
                             where + ".width")
-        amp = spec.get("amplitude", 1.0)
+        amp = _number(spec, "amplitude", where) if "amplitude" in spec \
+            else 1.0
         return name, TestFunction.bump(grid, center, width, amplitude=amp)
     if kind == "plane_wave":
         lam = _number(spec, "lambda", where)

@@ -2,7 +2,9 @@
 
 ``compute_report`` takes a loaded model through derivation, splitting,
 identity checks, the abstract cross-check and diagnostics, and returns the
-report document.  ``run_verification`` drives the randomized suites.
+report document; it and ``oracle_crosscheck`` build the split and the
+oracle's V subspace once, in one shared prelude, and hand both to every
+check.  ``run_verification`` drives the randomized suites.
 ``cantor_model_doc`` emits the canonical worked-example model file, and
 ``run_probe`` exposes the plane-wave growth probe on a loaded model.
 """
@@ -10,12 +12,13 @@ report document.  ``run_verification`` drives the randomized suites.
 import numpy as np
 
 from .completion import (build_ambient, build_v_subspace, compute_operators,
-                         hprime_from_coords, oracle_regular_part,
-                         pi1_multiplication, t_multiplication, t_pi2_probe)
+                         hprime_from_coords, pi1_multiplication,
+                         t_multiplication, t_pi2_probe)
 from .diagnostics import (PROBE_LAMBDAS, check_equivalences,
-                          generate_cantor_example, svc_intervals)
-from .errors import DegenerateBasis, ValidationError
-from .model import derive_fields, estimate_vertex_angle, eval_form
+                          generate_cantor_example, oracle_pairs,
+                          svc_intervals)
+from .errors import ValidationError
+from .model import derive_fields, estimate_vertex_angle
 from .modelio import (SCHEMA_VERSION, complex_pair, complex_to_json,
                       grid_to_doc, make_model_doc, q_indicator_spec)
 from .randomized import random_oracle_case, random_qz_draws
@@ -52,8 +55,6 @@ def _finite_or_none(x):
 
 
 def _vertex_doc(vr):
-    if vr is None:
-        return None
     return {
         "gamma": float(vr.params.gamma),
         "theta": float(vr.params.theta),
@@ -63,8 +64,6 @@ def _vertex_doc(vr):
 
 
 def _probe_doc(p):
-    if p is None:
-        return None
     return {
         "lambdas": [float(l) for l in p.lambdas],
         "ratios": [float(r) for r in p.ratios],
@@ -116,52 +115,58 @@ def _field_doc(c_field, b_field, d_field, c0_field):
 # compute
 
 
+def _prelude(coeffs, q_field, funcs, gamma0=0.0):
+    """Build each artifact of the split and its cross-check once: returns
+    ``(derived, structure, reg, vs, ops)``, with the oracle's V subspace on
+    ``funcs`` and its operators ``None`` when there are no functions."""
+    derived = derive_fields(coeffs)
+    structure = build_singular_structure(q_field, derived)
+    reg = assemble_regular(coeffs, derived, structure)
+    if not funcs:
+        return derived, structure, reg, None, None
+    ambient = build_ambient(coeffs, derived, gamma0=gamma0)
+    vs = build_v_subspace(ambient, coeffs, derived, q_field, funcs)
+    return derived, structure, reg, vs, compute_operators(vs)
+
+
 def compute_report(model, gamma0=0.0, lambdas=PROBE_LAMBDAS, seed=0):
     """Full pipeline on one loaded model; returns the report document."""
     coeffs = model.coeffs
-    derived = derive_fields(coeffs)
-    structure = build_singular_structure(model.q_field, derived)
-    reg = assemble_regular(coeffs, derived, structure)
+    names = list(model.funcs.keys())
+    funcs = list(model.funcs.values())
+    derived, structure, reg, vs, ops = _prelude(coeffs, model.q_field,
+                                                funcs, gamma0)
     identity = identity_suite(structure, derived)
 
     warnings = []
-    names = list(model.funcs.keys())
-    funcs = list(model.funcs.values())
-
     oracle_table = []
     diag_doc = None
     vertex_doc = {"form": None, "singular": None, "pure_singular": None}
     if funcs:
-        diag = check_equivalences(coeffs, derived, structure, funcs,
-                                  lambdas=lambdas, gamma0=gamma0)
+        diag = check_equivalences(vs, ops, reg, structure, funcs,
+                                  lambdas=lambdas)
         diag_doc = _diag_doc(diag)
         vertex_doc["singular"] = _vertex_doc(diag.as_vertex)
         vertex_doc["pure_singular"] = _vertex_doc(diag.aps_vertex)
-        try:
-            params = estimate_vertex_angle(coeffs, funcs)
-            vertex_doc["form"] = {
-                "gamma": float(params.gamma),
-                "theta": float(params.theta),
-                "tan_theta": float(np.tan(params.theta)),
-            }
-        except DegenerateBasis as exc:
-            warnings.append("vertex estimate skipped: %s" % exc)
+        params = estimate_vertex_angle(coeffs, funcs)
+        vertex_doc["form"] = {
+            "gamma": float(params.gamma),
+            "theta": float(params.theta),
+            "tan_theta": float(np.tan(params.theta)),
+        }
 
-        ambient = build_ambient(coeffs, derived, gamma0=gamma0)
-        vs = build_v_subspace(ambient, coeffs, derived, model.q_field, funcs)
-        ops = compute_operators(vs)
-        reg_set = reg.regular_set(coeffs.theta, coeffs.K_bound)
+        formula, oracle = oracle_pairs(
+            reg.regular_set(coeffs.theta, coeffs.K_bound), funcs, vs, ops)
         for i, name_u in enumerate(names):
             for j, name_v in enumerate(names):
-                formula = eval_form(reg_set, funcs[i], funcs[j]).value
-                oracle = oracle_regular_part(ops, vs, i, j)
-                abs_err = abs(formula - oracle)
+                f, o = complex(formula[i, j]), complex(oracle[i, j])
+                abs_err = abs(f - o)
                 oracle_table.append({
                     "pair": [name_u, name_v],
-                    "formula": complex_pair(formula),
-                    "oracle": complex_pair(oracle),
+                    "formula": complex_pair(f),
+                    "oracle": complex_pair(o),
                     "abs_err": float(abs_err),
-                    "rel_err": float(abs_err / (1.0 + abs(formula))),
+                    "rel_err": float(abs_err / (1.0 + abs(f))),
                 })
     else:
         warnings.append("function list empty; oracle comparison and "
@@ -198,21 +203,18 @@ def multiplication_residuals(vs, ops):
         return float(np.sqrt(vol * (np.sum(np.abs(u) ** 2)
                                     + np.sum(np.abs(w) ** 2))))
 
-    worst_pi1 = worst_t = 0.0
+    worst = [0.0, 0.0]
     for k in range(vs.dim):
         e = np.zeros(vs.dim, dtype=complex)
         e[k] = 1.0
         u, w = hprime_from_coords(vs, e)
-        for mat, formula, tag in ((ops.pi1, pi1_multiplication, "pi1"),
-                                  (ops.T, t_multiplication, "T")):
+        for slot, (mat, formula) in enumerate(((ops.pi1, pi1_multiplication),
+                                               (ops.T, t_multiplication))):
             cu, cw = hprime_from_coords(vs, mat[:, k])
             eu, ew = formula(vs, u, w)
             res = pair_norm(cu - eu, cw - ew) / max(1.0, pair_norm(eu, ew))
-            if tag == "pi1":
-                worst_pi1 = max(worst_pi1, res)
-            else:
-                worst_t = max(worst_t, res)
-    return worst_pi1, worst_t
+            worst[slot] = max(worst[slot], res)
+    return tuple(worst)
 
 
 def oracle_crosscheck(case, gamma0=0.0):
@@ -222,19 +224,11 @@ def oracle_crosscheck(case, gamma0=0.0):
     ``pi1``/``T`` multiplication residuals.
     """
     coeffs = case.coeffs
-    derived = derive_fields(coeffs)
-    structure = build_singular_structure(case.q_field, derived)
-    reg = assemble_regular(coeffs, derived, structure)
-    ambient = build_ambient(coeffs, derived, gamma0=gamma0)
-    vs = build_v_subspace(ambient, coeffs, derived, case.q_field, case.funcs)
-    ops = compute_operators(vs)
-    reg_set = reg.regular_set(coeffs.theta, coeffs.K_bound)
-    worst = 0.0
-    for i, fi in enumerate(case.funcs):
-        for j, fj in enumerate(case.funcs):
-            formula = eval_form(reg_set, fi, fj).value
-            oracle = oracle_regular_part(ops, vs, i, j)
-            worst = max(worst, abs(formula - oracle) / (1.0 + abs(formula)))
+    _, _, reg, vs, ops = _prelude(coeffs, case.q_field, case.funcs, gamma0)
+    formula, oracle = oracle_pairs(
+        reg.regular_set(coeffs.theta, coeffs.K_bound), case.funcs, vs, ops)
+    worst = max(abs(f - o) / (1.0 + abs(f)) for f, o
+                in zip(formula.ravel().tolist(), oracle.ravel().tolist()))
     pi1_res, t_res = multiplication_residuals(vs, ops)
     return {"oracle_rel": worst, "pi1_res": pi1_res, "t_res": t_res}
 
@@ -267,28 +261,25 @@ def run_verification(seed=0, trials=1000, dims=(1, 2, 3), emit=print):
              % (IDENTITY_TOL, seed))
 
     n_models = max(1, trials // 20)
-    worst_oracle = worst_pi1 = worst_t = 0.0
+    limits = {"oracle_rel": ORACLE_RTOL, "pi1_res": MULT_TOL,
+              "t_res": MULT_TOL}
+    worst_model = dict.fromkeys(limits, 0.0)
     bad_seed = None
     for _ in range(n_models):
         model_seed = int(rng.integers(2 ** 32))
         case = random_oracle_case(np.random.default_rng(model_seed))
         result = oracle_crosscheck(case)
-        if result["oracle_rel"] > worst_oracle:
-            worst_oracle = result["oracle_rel"]
-            if worst_oracle > ORACLE_RTOL:
-                bad_seed = model_seed
-        if result["pi1_res"] > worst_pi1:
-            worst_pi1 = result["pi1_res"]
-            if worst_pi1 > MULT_TOL:
-                bad_seed = model_seed
-        if result["t_res"] > worst_t:
-            worst_t = result["t_res"]
-            if worst_t > MULT_TOL:
-                bad_seed = model_seed
-    summary.update(oracle_worst=worst_oracle, pi1_worst=worst_pi1,
-                   t_worst=worst_t, models=n_models)
+        for key, limit in limits.items():
+            if result[key] > worst_model[key]:
+                worst_model[key] = result[key]
+                if result[key] > limit:
+                    bad_seed = model_seed
+    summary.update(oracle_worst=worst_model["oracle_rel"],
+                   pi1_worst=worst_model["pi1_res"],
+                   t_worst=worst_model["t_res"], models=n_models)
     emit("oracle agreement over %d models: worst rel err %.3e "
-         "(pi1 %.3e, T %.3e)" % (n_models, worst_oracle, worst_pi1, worst_t))
+         "(pi1 %.3e, T %.3e)" % (n_models, summary["oracle_worst"],
+                                 summary["pi1_worst"], summary["t_worst"]))
     if bad_seed is not None:
         summary["code"] = 1
         emit("FAIL oracle/operator threshold breached "

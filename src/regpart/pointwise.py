@@ -163,19 +163,20 @@ class ProjectionCheck:
     idempotent_residual: float
 
 
-def is_projection(q, tol=PSD_TOL):
-    """Check that a single matrix is an orthogonal projection.
+def projection_residuals(q):
+    """Hermitian and idempotence residuals of each matrix of a stack, in
+    Frobenius norm relative to ``max(1, ||Q||_F)``."""
+    scale = np.maximum(1.0, frobenius(q))
+    return (frobenius(q - adjoint(q)) / scale,
+            frobenius(np.matmul(q, q) - q) / scale)
 
-    Returns a :class:`ProjectionCheck` with the Hermitian and idempotence
-    residuals measured in Frobenius norm relative to ``max(1, ||Q||_F)``.
-    """
-    q = np.asarray(q, dtype=complex)
-    scale = max(1.0, float(frobenius(q)))
-    res_h = float(frobenius(q - adjoint(q))) / scale
-    res_i = float(frobenius(q @ q - q)) / scale
-    return ProjectionCheck(ok=(res_h <= tol and res_i <= tol),
-                           hermitian_residual=res_h,
-                           idempotent_residual=res_i)
+
+def is_projection(q, tol=PSD_TOL):
+    """:func:`projection_residuals` of a single matrix, with the verdict."""
+    res_h, res_i = projection_residuals(np.asarray(q, dtype=complex))
+    return ProjectionCheck(ok=bool(res_h <= tol and res_i <= tol),
+                           hermitian_residual=float(res_h),
+                           idempotent_residual=float(res_i))
 
 
 @dataclass(frozen=True)
@@ -207,36 +208,37 @@ class SectorCheck:
     min_eigs: tuple[float, float, float]
 
 
-def sector_check(c, theta, psd_tol=PSD_TOL):
-    """Decide whether the quadratic map ``xi -> xi* C xi`` lands in the closed
-    sector of half-angle ``theta`` at the origin.
+def sector_pencils(c, theta):
+    """Sector condition of a stack ``C`` as three pencils: ``xi* C xi`` lies
+    in the closed sector of half-angle ``theta`` exactly when ``A = herm(C)``
+    and ``tan(theta) A +/- imag(C)`` are psd.  Returns the pencils and their
+    smallest eigenvalues, shape ``(3,) + c.shape[:-2]``."""
+    a = herm_part(c)
+    b = imag_part(c)
+    t = float(np.tan(theta))
+    pencils = (a, t * a + b, t * a - b)
+    return pencils, np.stack([np.linalg.eigvalsh(p)[..., 0]
+                              for p in pencils])
 
-    Matrix-pencil form of the condition: with ``A`` the Hermitian part of
-    ``C`` and ``B`` its Hermitian-imaginary part, ``A`` must be psd and both
-    ``tan(theta) * A + B`` and ``tan(theta) * A - B`` must be psd.  On failure
-    the eigenvector of the most negative pencil eigenvalue is returned as a
-    witness direction.
+
+def sector_check(c, theta, psd_tol=PSD_TOL):
+    """Decide whether the quadratic map ``xi -> xi* C xi`` of a single matrix
+    lands in the closed sector of half-angle ``theta`` at the origin (see
+    :func:`sector_pencils`).  On failure the eigenvector of the most
+    negative pencil eigenvalue is returned as a witness direction.
     """
     c = np.asarray(c, dtype=complex)
     if c.ndim != 2:
         raise ValueError("sector_check operates on a single matrix")
     if not (0.0 <= theta < np.pi / 2):
         raise ValidationError("theta must lie in [0, pi/2)")
-    a = herm_part(c)
-    b = imag_part(c)
-    t = float(np.tan(theta))
+    pencils, mins = sector_pencils(c, theta)
     tol = psd_tol * max(1.0, float(frobenius(c)))
-
-    mins = []
-    worst = (0.0, None)
-    for mat in (a, t * a + b, t * a - b):
-        w, u = np.linalg.eigh(mat)
-        mins.append(float(w[0]))
-        if w[0] < worst[0]:
-            worst = (float(w[0]), u[:, 0].copy())
-    ok = all(m >= -tol for m in mins)
-    witness = None if ok else worst[1]
-    return SectorCheck(ok=ok, witness=witness, min_eigs=tuple(mins))
+    ok = bool(np.all(mins >= -tol))
+    witness = None if ok else \
+        np.linalg.eigh(pencils[int(np.argmin(mins))])[1][:, 0]
+    return SectorCheck(ok=ok, witness=witness,
+                       min_eigs=tuple(float(m) for m in mins))
 
 
 def _psd_within(m, tol):

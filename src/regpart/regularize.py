@@ -24,13 +24,13 @@ times the identity, and the orthogonal projection onto per-cell spanning
 vectors — but any per-cell family of orthogonal projections is accepted.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import GridMismatch, NotCommuting, ProjectionInvalid, SolveFailure
 from .model import CoefficientSet
-from .pointwise import adjoint, frobenius, herm_part
+from .pointwise import adjoint, frobenius, herm_part, projection_residuals
 
 __all__ = [
     "SingularStructure",
@@ -66,6 +66,15 @@ class SingularStructure:
     P_field: np.ndarray
 
 
+def _resolvent(q, z):
+    """``(I + iQZQ, (I + iQZQ)^{-1} Q)`` per cell."""
+    lhs = _eye_like(q) + 1j * herm_part(np.matmul(np.matmul(q, z), q))
+    try:
+        return lhs, np.linalg.solve(lhs, q)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - cannot occur
+        raise SolveFailure("per-cell resolvent solve failed: %s" % exc)
+
+
 def build_singular_structure(q_field, derived, tol=STRUCTURE_TOL):
     """Validate ``Q`` per cell and solve for ``W = Q (I+iQZQ)^{-1} Q``.
 
@@ -85,9 +94,7 @@ def build_singular_structure(q_field, derived, tol=STRUCTURE_TOL):
     if q.shape != (n, d, d):
         raise GridMismatch("Q_field must have shape (%d, %d, %d)" % (n, d, d))
 
-    scale = np.maximum(1.0, frobenius(q))
-    res_h = frobenius(q - adjoint(q)) / scale
-    res_i = frobenius(np.matmul(q, q) - q) / scale
+    res_h, res_i = projection_residuals(q)
     bad = (res_h > tol) | (res_i > tol)
     if np.any(bad):
         cell = int(np.argmax(np.maximum(res_h, res_i)))
@@ -97,12 +104,7 @@ def build_singular_structure(q_field, derived, tol=STRUCTURE_TOL):
             % (cell, float(res_h[cell]), float(res_i[cell])), cell=cell)
 
     z = derived.Z_field
-    qzq = herm_part(np.matmul(np.matmul(q, z), q))
-    lhs = _eye_like(q) + 1j * qzq
-    try:
-        wtilde = np.linalg.solve(lhs, q)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - cannot occur
-        raise SolveFailure("per-cell resolvent solve failed: %s" % exc)
+    lhs, wtilde = _resolvent(q, z)
     w = np.matmul(q, wtilde)
 
     solve_res = float(np.max(frobenius(np.matmul(lhs, wtilde) - q)))
@@ -149,8 +151,7 @@ def identity_residuals(q_field, z_field):
     """
     q = np.asarray(q_field, dtype=complex)
     z = np.asarray(z_field, dtype=complex)
-    lhs = _eye_like(q) + 1j * herm_part(np.matmul(np.matmul(q, z), q))
-    w = np.matmul(q, np.linalg.solve(lhs, q))
+    w = np.matmul(q, _resolvent(q, z)[1])
     return _identity_report(q, w, _eye_like(q) - q, z)
 
 
@@ -336,8 +337,8 @@ def pure_second_order_parts(coeffs, derived, s):
         d_field=np.zeros_like(coeffs.d_field),
         c0_field=np.zeros_like(coeffs.c0_field),
         theta=coeffs.theta, K_bound=coeffs.K_bound)
-    from .model import derive_fields
-    derived_pure = derive_fields(pure)
+    derived_pure = replace(derived, X_field=np.zeros_like(derived.X_field),
+                           Y_field=np.zeros_like(derived.Y_field))
     return assemble_regular(pure, derived_pure, s)
 
 

@@ -20,7 +20,7 @@ from regpart.diagnostics import (COMMUTE_TOL, check_equivalences,
 from regpart.errors import DegenerateBasis, KernelMismatch
 from regpart.grid import TestFunction
 from regpart.model import derive_fields, estimate_vertex_angle, eval_form
-from regpart.pipeline import oracle_crosscheck
+from regpart.pipeline import _prelude, oracle_crosscheck
 from regpart.pointwise import herm_part
 from regpart.randomized import (commuting_projection_field,
                                 random_coefficients, random_grid,
@@ -221,10 +221,8 @@ def test_equivalence_verdicts_consistent():
     inconsistent = 0
     for flag in flags:
         case = random_oracle_case(rng, commuting=flag)
-        derived = derive_fields(case.coeffs)
-        s = build_singular_structure(case.q_field, derived)
-        report = check_equivalences(case.coeffs, derived, s, case.funcs,
-                                    xi=case.xi)
+        _, s, reg, vs, ops = _prelude(case.coeffs, case.q_field, case.funcs)
+        report = check_equivalences(vs, ops, reg, s, case.funcs, xi=case.xi)
         v = {k: d["value"] for k, d in report.verdicts.items()}
         graph_ok = (v["commuting"] == v["simplified_formula"]
                     == v["kernel_image_formula"]

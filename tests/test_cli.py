@@ -1,16 +1,19 @@
 """Command-line flows, exit codes and report documents."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from regpart.cli import main
-from regpart.modelio import (dumps_canonical, load_doc, q_matrix_spec,
-                             write_doc)
-from regpart.pipeline import IDENTITY_TOL, ORACLE_RTOL, cantor_model_doc
+from regpart.modelio import (LoadedModel, dumps_canonical, load_doc,
+                             q_matrix_spec, write_doc)
+from regpart.pipeline import (IDENTITY_TOL, ORACLE_RTOL, cantor_model_doc,
+                              compute_report)
 
 
 @pytest.fixture
@@ -111,6 +114,18 @@ def test_compute_rejects_sector_violation(cantor_file, tmp_path, capsys):
     assert "validation error:" in err and "cell 5" in err
 
 
+@pytest.mark.parametrize("key, value, code", [
+    ("amplitude", "2", 3), ("amplitude", [2.0], 3), ("width", [0.0], 2)])
+def test_compute_rejects_bad_function_spec(key, value, code, tmp_path,
+                                           capsys):
+    doc = cantor_model_doc(2)
+    doc["functions"][1][key] = value
+    bad = tmp_path / "badf.json"
+    write_doc(bad, doc)
+    assert main(["compute", "--model", str(bad)]) == code
+    assert key in capsys.readouterr().err
+
+
 def test_compute_empty_function_list(tmp_path, rng):
     from regpart.randomized import (random_coefficients, random_grid,
                                     random_projection_field)
@@ -183,6 +198,50 @@ def test_console_script_installed(tmp_path):
                            capture_output=True, text=True)
     assert probe.returncode == 0, probe.stderr
     assert json.loads(probe.stdout)["kind"] == "probe"
+
+
+def test_compute_builds_each_artifact_once(cantor3, monkeypatch):
+    """One compute builds the V space once and solves its operators twice:
+    for the form and for its real part."""
+    counts = {}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    modules = [m for n, m in sys.modules.items()
+               if n == "regpart" or n.startswith("regpart.")]
+    for owner, name in (("completion", "build_ambient"),
+                        ("completion", "build_v_subspace"),
+                        ("completion", "compute_operators"),
+                        ("model", "derive_fields"),
+                        ("regularize", "assemble_regular")):
+        original = getattr(sys.modules["regpart." + owner], name)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    coeffs = cantor3["coeffs"]
+    compute_report(LoadedModel(grid=coeffs.grid, coeffs=coeffs,
+                               q_field=cantor3["q_field"],
+                               funcs=cantor3["funcs"]))
+    assert counts == {"build_ambient": 1, "build_v_subspace": 1,
+                      "compute_operators": 2, "derive_fields": 1,
+                      "assemble_regular": 2}
+
+
+def test_module_entry_point(tmp_path):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    model = tmp_path / "m.json"
+    run = subprocess.run([sys.executable, "-m", "regpart", "example",
+                          "cantor", "--stage", "1", "--out", str(model)],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert load_doc(model)["grid"]["cells_per_axis"] == [24]
 
 
 def test_dumps_canonical_used_for_reports(cantor_file, tmp_path):

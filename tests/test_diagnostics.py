@@ -17,6 +17,7 @@ from regpart.errors import (DegenerateBasis, ResolutionTooCoarse,
                             ValidationError)
 from regpart.grid import GridSpec
 from regpart.model import CoefficientSet, derive_fields
+from regpart.pipeline import _prelude
 from regpart.randomized import random_node_functions, random_oracle_case
 from regpart.regularize import build_singular_structure
 
@@ -155,10 +156,8 @@ def test_realpart_pointwise_criterion():
 
 
 def run_diagnostics(case, **kw):
-    derived = derive_fields(case.coeffs)
-    s = build_singular_structure(case.q_field, derived)
-    return check_equivalences(case.coeffs, derived, s, case.funcs,
-                              xi=case.xi, **kw)
+    _, s, reg, vs, ops = _prelude(case.coeffs, case.q_field, case.funcs)
+    return check_equivalences(vs, ops, reg, s, case.funcs, xi=case.xi, **kw)
 
 
 VERDICT_KEYS = ("commuting", "simplified_formula", "kernel_image_formula",
@@ -210,11 +209,9 @@ def test_regular_tangent_below_vertical(rng):
 
 
 def test_cantor_diagnostics(cantor3):
-    coeffs = cantor3["coeffs"]
-    derived = cantor3["derived"]
-    s = cantor3["structure"]
     funcs = list(cantor3["funcs"].values())
-    report = check_equivalences(coeffs, derived, s, funcs)
+    _, s, reg, vs, ops = _prelude(cantor3["coeffs"], cantor3["q_field"], funcs)
+    report = check_equivalences(vs, ops, reg, s, funcs)
 
     # indicator coefficients have Z = 0: everything commutes
     assert report.commutator_max == 0.0

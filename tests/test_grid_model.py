@@ -1,5 +1,7 @@
 """Grids, test functions, coefficient validation and derived fields."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -79,6 +81,18 @@ def test_bump_support_and_positivity():
     assert_allclose(u.cell_values[outside], 0, atol=1e-15)
     with pytest.raises(GridMismatch):
         TestFunction.bump(g, center=[0.5], width=[0.2, 0.2])
+
+
+@pytest.mark.parametrize("width", [[0.0], [0.2, 0.0], [np.inf, 0.2],
+                                   [np.nan]])
+def test_bump_rejects_degenerate_width(width):
+    g = unit_grid(2, (10, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="bump width"):
+            TestFunction.bump(g, center=[0.5, 0.5], width=width)
+    with pytest.raises(GridMismatch):
+        TestFunction.bump(g, center=[0.5, 0.5], width=[0.2, 0.2, 0.2])
 
 
 def test_plateau_values():

@@ -180,6 +180,13 @@ def test_function_spec_errors():
              "xi": [1.0, 0.0],
              "tau": {"kind": "bump", "center": [0.5], "width": [0.2]}},
             grid)  # xi has too many components
+    for amp in ("2", [2.0], True):
+        for spec in ({"name": "x", "kind": "bump", "center": [0.5],
+                      "width": [0.2], "amplitude": amp},
+                     {"name": "x", "kind": "plateau", "flat": [0.2, 0.8],
+                      "amplitude": amp}):
+            with pytest.raises(ParseError, match="amplitude"):
+                expand_function_spec(spec, grid)
 
 
 # -- whole documents --------------------------------------------------------
