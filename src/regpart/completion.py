@@ -9,15 +9,36 @@ a finite subspace
 
 and compute the regular part abstractly as ``atilde(Pi Phi(u), Pi Phi(v))``
 where ``Pi`` is built from Gram-matrix solves only — no coefficient formula
-enters.  All operators here (``pi1``, ``pi2``, ``T``, ``T11``, ``Pi``) are
-matrices in the ``V``-basis coordinates.
+enters.  Everything is exact linear algebra on quadrature sums, so agreement
+with the assembled coefficients is a genuine algebraic identity, not a
+discretization limit.  The one finite-dimensional concession: ``V`` is a
+declared span, not a completion; the multiplication-operator structure of
+the projections is preserved because the second summand carries the full
+per-cell range of ``Q``.
 
-Everything is exact linear algebra on quadrature sums, so agreement with the
-assembled coefficients is a genuine algebraic identity, not a discretization
-limit.  The one finite-dimensional concession: ``V`` is a declared span, not
-a completion; the multiplication-operator structure of the projections is
-preserved because the second summand carries the full per-cell range of
-``Q``.
+Block structure.  The V basis is the ``n_f`` embedded functions (block
+``F``) followed by the ``m`` singular vectors ``(0, s_p)`` (block ``J``),
+where the ``s_p`` of one cell are orthonormal and occupy consecutive rows.
+A singular vector lives in one cell, so every ``J x J`` block of a Gram
+matrix is block-diagonal by cell: one ``r_c x r_c`` block per singular
+cell, ``r_c <= d`` the rank of ``Q`` there.  A Gram matrix is therefore
+held as :class:`GramBlocks` — the small ``F x F`` block, the ``F x J`` and
+``J x F`` blocks and the per-cell blocks, stacked by rank — and every solve
+against ``J x J`` is a batched ``np.linalg.solve`` over the cells of one
+rank.  The operators keep only their ``J x F`` blocks; their ``J``
+columns are structural (``pi1[:, J] = E_J``, ``pi2[:, J] = Pi[:, J] = 0``,
+``T[J, J] = T11``).  Cost and memory are linear in the number of singular
+cells.  The dense ``dim x dim`` matrices remain available as read-only
+views (``VSubspace.gram_a``, ``AbstractOperators.Pi`` ...) for inspection;
+nothing in the pipeline reads them.
+
+Condition gate.  The ambient Gram is ``[[A, B*], [B, vol I_m]]``: its
+``J x J`` block is ``vol`` times the identity because the per-cell singular
+vectors are orthonormal.  With the reduced QR factorization ``B = Q_B R``
+(``k = min(m, n_f)`` columns), the unitary ``diag(I, [Q_B, Q_perp])``
+compresses it to ``[[A, R*], [R, vol I_k]]`` plus ``m - k`` copies of the
+eigenvalue ``vol``, so its extreme eigenvalues come from a
+``(n_f + k)``-sized Hermitian eigenproblem.
 
 Vectors of ``H'`` are represented as pairs ``(u, w)`` of arrays with shapes
 ``(n_cells,)`` and ``(n_cells, d)``.
@@ -28,12 +49,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBasis, KernelMismatch, ProjectionInvalid
-from .grid import TestFunction
 from .model import asqrt_gradient
-from .pointwise import adjoint, frobenius, herm_part, imag_part
+from .pointwise import adjoint, herm_part, imag_part
 
 __all__ = [
     "AmbientSpace",
+    "GramBlocks",
     "VSubspace",
     "AbstractOperators",
     "ProbeReport",
@@ -43,6 +64,7 @@ __all__ = [
     "oracle_regular_part",
     "phi_vector",
     "hprime_from_coords",
+    "singular_field",
     "pi1_multiplication",
     "t_multiplication",
     "t_pi2_probe",
@@ -89,10 +111,13 @@ def _ambient_min_eig(ws, vxy_norm_sq):
     """Smallest eigenvalue of ``[[ws, 1/2 v*], [1/2 v, I]]`` per cell.
 
     Off the span of ``v`` the block contributes eigenvalue 1; on it the
-    2x2 reduction ``[[ws, |v|/2], [|v|/2, 1]]`` has smallest root
-    ``((ws+1) - sqrt((ws-1)^2 + |v|^2)) / 2``.
+    2x2 reduction ``[[ws, |v|/2], [|v|/2, 1]]`` has roots with product
+    ``ws - |v|^2/4`` and larger root
+    ``((ws+1) + sqrt((ws-1)^2 + |v|^2)) / 2 >= 1``.  The smaller root is
+    their quotient, which keeps it accurate when ``ws`` is large.
     """
-    small = 0.5 * ((ws + 1.0) - np.sqrt((ws - 1.0) ** 2 + vxy_norm_sq))
+    large = 0.5 * ((ws + 1.0) + np.sqrt((ws - 1.0) ** 2 + vxy_norm_sq))
+    small = (ws - 0.25 * vxy_norm_sq) / large
     return np.minimum(small, 1.0)
 
 
@@ -121,16 +146,83 @@ def build_ambient(coeffs, derived, gamma0=0.0, margin=AMBIENT_MARGIN):
                         weight_scalar=1.0 - gamma + re_c0, weight_vec=vxy)
 
 
+# -- per-cell blocks ---------------------------------------------------------
+
+
+def _cell_groups(cells):
+    """Rows of each singular cell, grouped by the cell's rank.
+
+    ``cells`` lists the cell of every singular vector, with the rows of one
+    cell consecutive.  Returns one ``(g, r)`` index array per rank ``r``
+    that occurs: row ``i`` holds the ``r`` rows of the ``i``-th such cell.
+    """
+    start = np.flatnonzero(np.diff(cells, prepend=-1))
+    count = np.diff(start, append=cells.size)
+    return tuple(start[count == r][:, None] + np.arange(r)
+                 for r in sorted(set(count.tolist())))
+
+
+def _cell_apply(groups, blocks, rhs, op=np.linalg.solve):
+    """``op(block, rhs rows)`` cell by cell for a block-diagonal ``J x J``
+    operator given by its per-rank block stacks; ``rhs`` is ``(m, k)``."""
+    out = np.empty(rhs.shape, dtype=complex)
+    for rows, blk in zip(groups, blocks):
+        out[rows] = op(blk, rhs[rows])
+    return out
+
+
+def _cell_dense(groups, blocks, m):
+    """The ``m x m`` block-diagonal matrix of per-cell blocks."""
+    out = np.zeros((m, m), dtype=complex)
+    for rows, blk in zip(groups, blocks):
+        out[rows[:, :, None], rows[:, None, :]] = blk
+    return out
+
+
+@dataclass(frozen=True)
+class GramBlocks:
+    """A V-basis Gram matrix held by its blocks.
+
+    ``ff`` is ``n_f x n_f``, ``fj`` is ``n_f x m``, ``jf`` is ``m x n_f``
+    and ``cc`` holds the per-cell blocks of the block-diagonal ``J x J``
+    part, one ``(g, r, r)`` stack per rank group of the subspace.
+    """
+
+    ff: np.ndarray
+    fj: np.ndarray
+    jf: np.ndarray
+    cc: tuple
+
+    def herm(self):
+        """Blocks of the Hermitian part ``(G + G*) / 2``."""
+        return GramBlocks(ff=herm_part(self.ff),
+                          fj=0.5 * (self.fj + adjoint(self.jf)),
+                          jf=0.5 * (self.jf + adjoint(self.fj)),
+                          cc=tuple(herm_part(b) for b in self.cc))
+
+    def dense(self, groups):
+        """The full ``(n_f + m) x (n_f + m)`` matrix."""
+        nf, m = self.fj.shape
+        out = np.zeros((nf + m, nf + m), dtype=complex)
+        out[:nf, :nf] = self.ff
+        out[:nf, nf:] = self.fj
+        out[nf:, :nf] = self.jf
+        out[nf:, nf:] = _cell_dense(groups, self.cc, m)
+        return out
+
+
 @dataclass
 class VSubspace:
     """Finite subspace of H' carrying the construction.
 
     Basis order: the ``n_funcs`` embedded functions ``Phi(u_i)`` first, then
     ``n_singular`` vectors ``(0, s_j)`` where the ``s_j`` are per-cell
-    orthonormal spanning vectors of ``range(Q)``.  ``gram_a`` is the
-    ambient-inner-product Gram matrix, ``gram_form`` the (non-Hermitian)
+    orthonormal spanning vectors of ``range(Q)``, grouped into ``groups``
+    by the rank of their cell.  ``ambient_blocks`` is the
+    ambient-inner-product Gram matrix, ``form_blocks`` the (non-Hermitian)
     Gram matrix of the extended form; both use the convention
     ``G[i, j] = form(e_j, e_i)`` so coordinates contract as ``eta* G xi``.
+    ``cond`` is the ambient Gram's condition number.
     """
 
     ambient: AmbientSpace
@@ -141,8 +233,9 @@ class VSubspace:
     func_grads: np.ndarray
     singular_cells: np.ndarray
     singular_vecs: np.ndarray
-    gram_a: np.ndarray
-    gram_form: np.ndarray
+    groups: tuple
+    ambient_blocks: GramBlocks
+    form_blocks: GramBlocks
     cond: float
 
     @property
@@ -161,6 +254,16 @@ class VSubspace:
     def v1_slice(self):
         return slice(self.n_funcs, self.dim)
 
+    @property
+    def gram_a(self):
+        """Dense ambient Gram matrix (a view for inspection)."""
+        return self.ambient_blocks.dense(self.groups)
+
+    @property
+    def gram_form(self):
+        """Dense form Gram matrix (a view for inspection)."""
+        return self.form_blocks.dense(self.groups)
+
 
 def phi_vector(derived, func):
     """``Phi(u) = (u, A^{1/2} grad u)`` as an H'-pair of per-cell arrays."""
@@ -170,8 +273,9 @@ def phi_vector(derived, func):
 def _singular_basis(q_field, rank_tol=1e-8):
     """Per-cell orthonormal vectors spanning ``range(Q)``.
 
-    Returns ``(cells, vecs)`` with one row per spanning vector; eigenvalues
-    of the projection are near 0 or 1, so the split is unambiguous.
+    Returns ``(cells, vecs)`` with one row per spanning vector, the rows of
+    one cell consecutive; eigenvalues of the projection are near 0 or 1, so
+    the split is unambiguous.
     """
     w, u = np.linalg.eigh(herm_part(np.asarray(q_field, dtype=complex)))
     if np.any((w > rank_tol) & (w < 1.0 - rank_tol)):
@@ -184,9 +288,35 @@ def _singular_basis(q_field, rank_tol=1e-8):
     return cells, np.ascontiguousarray(vecs)
 
 
+def _require_finite(*arrays):
+    """Raise :class:`DegenerateBasis` naming the first function whose slice
+    along axis 0 of an array holds a non-finite entry; the earliest array
+    that has one decides."""
+    for arr in arrays:
+        if not np.isfinite(arr).all():
+            bad = ~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
+            raise DegenerateBasis("function %d: non-finite embedding or "
+                                  "Gram entry" % int(np.argmax(bad)))
+
+
+def _gram_extremes(a, vol):
+    """Smallest and largest eigenvalue of the ambient Gram ``a`` from its
+    compression ``[[A, R*], [R, vol I_k]]`` (see the module docstring)."""
+    r = np.linalg.qr(a.jf, mode="r")
+    nf, k = a.ff.shape[0], r.shape[0]
+    small = vol * np.eye(nf + k, dtype=complex)
+    small[:nf, :nf] = a.ff
+    small[nf:, :nf] = r
+    small[:nf, nf:] = adjoint(r)
+    ew = np.linalg.eigvalsh(small)
+    if a.jf.shape[0] > k:
+        ew = np.append(ew, vol)
+    return float(np.min(ew)), float(np.max(ew))
+
+
 def build_v_subspace(ambient, coeffs, derived, q_field, funcs,
                      cond_cap=GRAM_COND_CAP, kernel_tol=1e-10):
-    """Assemble the V-basis and its two Gram matrices.
+    """Assemble the V-basis and the blocks of its two Gram matrices.
 
     Raises
     ------
@@ -195,8 +325,9 @@ def build_v_subspace(ambient, coeffs, derived, q_field, funcs,
         a nonzero gradient part — the function family cannot represent the
         embedding kernel faithfully and must be re-picked.
     DegenerateBasis
-        The ambient Gram matrix of the basis is numerically singular
-        (dependent functions, or condition number beyond ``cond_cap``).
+        An embedded function or a Gram entry is not finite, or the ambient
+        Gram matrix of the basis is numerically singular (dependent
+        functions, or condition number beyond ``cond_cap``).
     """
     vol = ambient.grid.cell_volume
     n, d = derived.n_cells, derived.dim
@@ -205,6 +336,37 @@ def build_v_subspace(ambient, coeffs, derived, q_field, funcs,
     wf = np.zeros((len(funcs), n, d), dtype=complex)
     for i, f in enumerate(funcs):
         uf[i], wf[i] = phi_vector(derived, f)
+    sc, sv = _singular_basis(q_field)
+    csv = np.conj(sv)
+    groups = _cell_groups(sc)
+    vxy = ambient.weight_vec
+    ws = ambient.weight_scalar
+    z = derived.Z_field
+    x_f, y_f = derived.X_field, derived.Y_field
+
+    cuf, cwf = np.conj(uf), np.conj(wf)
+    izsv = sv + 1j * np.einsum("pkl,pl->pk", z[sc], sv)
+    izwf = wf + 1j * np.einsum("ckl,jcl->jck", z, wf)
+    wf_at, izwf_at, uf_at = wf[:, sc, :], izwf[:, sc, :], uf[:, sc]
+
+    ff_a = vol * (np.einsum("jck,ick->ij", wf, cwf)
+                  + 0.5 * np.einsum("jck,ic,ck->ij", wf, cuf, np.conj(vxy))
+                  + 0.5 * np.einsum("jc,ck,ick->ij", uf, vxy, cwf)
+                  + np.einsum("c,jc,ic->ij", ws, uf, cuf))
+    sf_a = vol * (np.einsum("jpk,pk->pj", wf_at, csv)
+                  + 0.5 * np.einsum("jp,pk,pk->pj", uf_at, vxy[sc], csv))
+    ff_t = vol * (np.einsum("jck,ick->ij", izwf, cwf)
+                  + np.einsum("jck,ic,ck->ij", wf, cuf, np.conj(x_f))
+                  + np.einsum("jc,ck,ick->ij", uf, y_f, cwf)
+                  + np.einsum("c,jc,ic->ij", coeffs.c0_field, uf, cuf))
+    sf_t = vol * (np.einsum("jpk,pk->pj", izwf_at, csv)
+                  + np.einsum("jp,pk,pk->pj", uf_at, y_f[sc], csv))
+    fs_t = vol * (np.einsum("pk,ipk->ip", izsv, np.conj(wf_at))
+                  + np.einsum("pk,pk,ip->ip", sv, np.conj(x_f[sc]),
+                              np.conj(uf_at)))
+    # a function's own Gram diagonal names it; the full blocks come last
+    _require_finite(np.diagonal(ff_a), np.diagonal(ff_t), sf_a.T, sf_t.T,
+                    fs_t, ff_a, ff_t)
 
     if funcs:
         mh = vol * np.einsum("jc,ic->ij", uf, np.conj(uf))
@@ -222,143 +384,148 @@ def build_v_subspace(ambient, coeffs, derived, q_field, funcs,
                     "but carries gradient mass %.3e; re-pick the family"
                     % grad_mass)
 
-    sc, sv = _singular_basis(q_field)
-    csv = np.conj(sv)
-    m = sc.shape[0]
-    nb = len(funcs) + m
-    vxy = ambient.weight_vec
-    ws = ambient.weight_scalar
-    z = derived.Z_field
-    x_f, y_f = derived.X_field, derived.Y_field
-    same_cell = sc[:, None] == sc[None, :]
+    a = GramBlocks(
+        ff=herm_part(ff_a), fj=adjoint(sf_a), jf=sf_a,
+        cc=tuple(herm_part(vol * np.einsum("gqk,gpk->gpq", sv[rows],
+                                           csv[rows]))
+                 for rows in groups))
+    form = GramBlocks(
+        ff=ff_t, fj=fs_t, jf=sf_t,
+        cc=tuple(vol * np.einsum("gqk,gpk->gpq", izsv[rows], csv[rows])
+                 for rows in groups))
 
-    cuf, cwf = np.conj(uf), np.conj(wf)
-    izsv = sv + 1j * np.einsum("pkl,pl->pk", z[sc], sv)
-    gram_a = np.zeros((nb, nb), dtype=complex)
-    gram_t = np.zeros((nb, nb), dtype=complex)
-
-    if funcs:
-        ff_a = (np.einsum("jck,ick->ij", wf, cwf)
-                + 0.5 * np.einsum("jck,ic,ck->ij", wf, cuf, np.conj(vxy))
-                + 0.5 * np.einsum("jc,ck,ick->ij", uf, vxy, cwf)
-                + np.einsum("c,jc,ic->ij", ws, uf, cuf))
-        gram_a[:len(funcs), :len(funcs)] = vol * ff_a
-
-        izwf = wf + 1j * np.einsum("ckl,jcl->jck", z, wf)
-        ff_t = (np.einsum("jck,ick->ij", izwf, cwf)
-                + np.einsum("jck,ic,ck->ij", wf, cuf, np.conj(x_f))
-                + np.einsum("jc,ck,ick->ij", uf, y_f, cwf)
-                + np.einsum("c,jc,ic->ij", coeffs.c0_field, uf, cuf))
-        gram_t[:len(funcs), :len(funcs)] = vol * ff_t
-
-    if m and funcs:
-        wf_at = wf[:, sc, :]
-        uf_at = uf[:, sc]
-        sf_a = (np.einsum("jpk,pk->pj", wf_at, csv)
-                + 0.5 * np.einsum("jp,pk,pk->pj", uf_at, vxy[sc], csv))
-        gram_a[len(funcs):, :len(funcs)] = vol * sf_a
-        gram_a[:len(funcs), len(funcs):] = vol * adjoint(sf_a)
-
-        izwf_at = izwf[:, sc, :]
-        sf_t = (np.einsum("jpk,pk->pj", izwf_at, csv)
-                + np.einsum("jp,pk,pk->pj", uf_at, y_f[sc], csv))
-        gram_t[len(funcs):, :len(funcs)] = vol * sf_t
-
-        fs_t = (np.einsum("pk,ipk->ip", izsv, np.conj(wf_at))
-                + np.einsum("pk,pk,ip->ip", sv, np.conj(x_f[sc]),
-                            np.conj(uf_at)))
-        gram_t[:len(funcs), len(funcs):] = vol * fs_t
-
-    if m:
-        ss_a = np.einsum("qk,pk->pq", sv, csv) * same_cell
-        gram_a[len(funcs):, len(funcs):] = vol * ss_a
-        ss_t = np.einsum("qk,pk->pq", izsv, csv) * same_cell
-        gram_t[len(funcs):, len(funcs):] = vol * ss_t
-
-    gram_a = herm_part(gram_a)
-    ew = np.linalg.eigvalsh(gram_a) if nb else np.array([1.0])
-    if nb and (ew[0] <= 0 or ew[-1] / ew[0] > cond_cap):
-        raise DegenerateBasis(
-            "V-basis Gram matrix is numerically singular "
-            "(eigenvalue range [%.3e, %.3e])" % (float(ew[0]), float(ew[-1])))
-    cond = float(ew[-1] / ew[0]) if nb else 1.0
+    cond = 1.0
+    if len(funcs) + sc.shape[0]:
+        lo, hi = _gram_extremes(a, vol)
+        if lo <= 0 or hi / lo > cond_cap:
+            raise DegenerateBasis(
+                "V-basis Gram matrix is numerically singular "
+                "(eigenvalue range [%.3e, %.3e])" % (lo, hi))
+        cond = hi / lo
 
     return VSubspace(ambient=ambient, coeffs=coeffs, derived=derived,
                      q_field=np.asarray(q_field, dtype=complex),
                      func_values=uf, func_grads=wf, singular_cells=sc,
-                     singular_vecs=sv, gram_a=gram_a, gram_form=gram_t,
-                     cond=cond)
+                     singular_vecs=sv, groups=groups, ambient_blocks=a,
+                     form_blocks=form, cond=cond)
 
 
 @dataclass
 class AbstractOperators:
-    """Gram-solve operators in V-basis coordinates."""
+    """Gram-solve operators in V-basis coordinates, held by their nonzero
+    ``J x F`` blocks and the per-cell blocks of ``T11``.
 
-    pi1: np.ndarray
-    pi2: np.ndarray
-    T: np.ndarray
-    T11: np.ndarray
-    Pi: np.ndarray
-    real_part: bool
+    ``form`` is the Gram the operators were solved on (its Hermitian part
+    when ``real_part``); ``tpi2_jf`` is the ``J x F`` block of ``T pi2``,
+    the only nonzero block of that product.  The dense matrices ``pi1``,
+    ``pi2``, ``T``, ``T11`` and ``Pi`` are views for inspection.
+    """
+
+    groups: tuple
+    form: GramBlocks
+    pi1_jf: np.ndarray
+    t_jf: np.ndarray
+    t11_cells: tuple
+    tpi2_jf: np.ndarray
+    pi_jf: np.ndarray
+
+    def _dense(self, jf, jj=None, ff=None):
+        m, nf = jf.shape
+        out = np.zeros((nf + m, nf + m), dtype=complex)
+        out[nf:, :nf] = jf
+        if jj is not None:
+            out[nf:, nf:] = jj
+        if ff is not None:
+            out[:nf, :nf] = ff
+        return out
+
+    @property
+    def pi1(self):
+        return self._dense(self.pi1_jf, jj=np.eye(self.pi1_jf.shape[0]))
+
+    @property
+    def pi2(self):
+        return np.eye(sum(self.pi1_jf.shape)) - self.pi1
+
+    @property
+    def T(self):
+        return self._dense(self.t_jf, jj=self.T11)
+
+    @property
+    def T11(self):
+        return _cell_dense(self.groups, self.t11_cells, self.t_jf.shape[0])
+
+    @property
+    def Pi(self):
+        return self._dense(self.pi_jf, ff=np.eye(self.pi_jf.shape[1]))
 
 
 def compute_operators(vs, real_part=False):
     """Solve for the projection onto the embedding kernel, the imaginary
     part's representing operator, and the correction operator ``Pi``.
 
-    With ``J`` the singular-coordinate block: ``pi1 = E solve(Ga[J,J],
-    Ga[J,:])`` are the ambient normal equations onto ``V1``; ``T = E
-    solve(Hh[J,J], Him[J,:])`` represents the form's imaginary part against
-    its real part on ``V1``; and
+    With ``J`` the singular-coordinate block and ``F`` the function block,
+    every solve is per cell: ``pi1[J,F] = solve(Ga[J,J], Ga[J,F])`` are the
+    ambient normal equations onto ``V1``; ``T[J,F] = solve(Hh[J,J],
+    Him[J,F])`` and ``T11 = solve(Hh[J,J], Him[J,J])`` represent the
+    form's imaginary part against its real part on ``V1``; and
 
-        ``Pi = pi2 - i E (I + i T11)^{-1} T[J,:] pi2``.
+        ``Pi[J,F] = -pi1[J,F] - i (I + i T11)^{-1} (T[J,F] - T11 pi1[J,F])``
+
+    with ``Pi[F,F] = I``, which is ``Pi = pi2 - i E (I + i T11)^{-1} T[J,:]
+    pi2`` restricted to the function columns.  The ``J`` columns are
+    structural: ``pi1[:,J] = E_J`` and ``pi2[:,J] = Pi[:,J] = 0``.
 
     With ``real_part`` the same construction runs on the Hermitian part of
     the form Gram; its imaginary part vanishes, so ``T = 0`` and
     ``Pi = pi2``.
     """
-    nb, j0 = vs.dim, vs.n_funcs
-    jj = vs.v1_slice
-    form = herm_part(vs.gram_form) if real_part else vs.gram_form
-    hh = herm_part(form)
-    him = imag_part(form)
-
-    eye = np.eye(nb, dtype=complex)
-    m = vs.n_singular
-    if m == 0:
-        zero = np.zeros((nb, nb), dtype=complex)
-        return AbstractOperators(pi1=zero, pi2=eye, T=zero.copy(),
-                                 T11=np.zeros((0, 0), dtype=complex),
-                                 Pi=eye.copy(), real_part=real_part)
-
-    pi1 = np.zeros((nb, nb), dtype=complex)
-    pi1[jj, :] = np.linalg.solve(vs.gram_a[jj, jj], vs.gram_a[jj, :])
-    pi2 = eye - pi1
-
-    t_coords = np.linalg.solve(hh[jj, jj], him[jj, :])
-    t_full = np.zeros((nb, nb), dtype=complex)
-    t_full[jj, :] = t_coords
-    t11 = t_coords[:, jj]
-
-    corr = np.linalg.solve(np.eye(m, dtype=complex) + 1j * t11,
-                           t_coords @ pi2)
-    pi_op = pi2.astype(complex).copy()
-    pi_op[jj, :] -= 1j * corr
-    return AbstractOperators(pi1=pi1, pi2=pi2, T=t_full, T11=t11,
-                             Pi=pi_op, real_part=real_part)
+    groups = vs.groups
+    form = vs.form_blocks.herm() if real_part else vs.form_blocks
+    hh_cc = tuple(herm_part(b) for b in form.cc)
+    pi1_jf = _cell_apply(groups, vs.ambient_blocks.cc, vs.ambient_blocks.jf)
+    t_jf = _cell_apply(groups, hh_cc, (form.jf - adjoint(form.fj)) / 2j)
+    t11 = tuple(np.linalg.solve(h, imag_part(b))
+                for h, b in zip(hh_cc, form.cc))
+    tpi2_jf = t_jf - _cell_apply(groups, t11, pi1_jf, op=np.matmul)
+    shifted = tuple(np.eye(t.shape[-1]) + 1j * t for t in t11)
+    pi_jf = -pi1_jf - 1j * _cell_apply(groups, shifted, tpi2_jf)
+    return AbstractOperators(groups=groups, form=form, pi1_jf=pi1_jf,
+                             t_jf=t_jf, t11_cells=t11, tpi2_jf=tpi2_jf,
+                             pi_jf=pi_jf)
 
 
-def oracle_regular_part(ops, vs, u_idx, v_idx):
-    """Regular part of the form on an embedded function pair, evaluated
-    abstractly: ``form(Pi Phi(u), Pi Phi(v))`` in basis coordinates."""
+def oracle_regular_part(ops, vs, u_idx=None, v_idx=None):
+    """Regular part of the form on embedded function pairs, evaluated
+    abstractly: the table ``oracle[i, j] = form(Pi Phi(u_i), Pi Phi(u_j))``
+    over all pairs, or its one entry at ``(u_idx, v_idx)``.
+
+    In blocks, ``Pi[:,F]* G Pi[:,F] = G_FF + G_FJ Pi_JF + Pi_JF* G_JF +
+    sum_c Pi_cF* G_cc Pi_cF``; the table is its transpose.
+    """
     for idx in (u_idx, v_idx):
-        if not (0 <= idx < vs.n_funcs):
+        if idx is not None and not (0 <= idx < vs.n_funcs):
             raise IndexError("function index %d out of range [0, %d)"
                              % (idx, vs.n_funcs))
-    form = herm_part(vs.gram_form) if ops.real_part else vs.gram_form
-    xu = ops.Pi[:, u_idx]
-    xv = ops.Pi[:, v_idx]
-    return complex(np.conj(xv) @ form @ xu)
+    g, p = ops.form, ops.pi_jf
+    gram = g.ff + g.fj @ p + adjoint(p) @ g.jf
+    for rows, blk in zip(ops.groups, g.cc):
+        gram = gram + np.einsum("gpi,gpq,gqj->ij", np.conj(p[rows]), blk,
+                                p[rows])
+    table = gram.T
+    if u_idx is None:
+        return table
+    return complex(table[u_idx, v_idx])
+
+
+def singular_field(vs, coef):
+    """Gradient parts ``sum_p coef[p, k] (0, s_p)``: a ``(k, n, d)`` stack
+    from the ``(m, k)`` singular coordinates ``coef``."""
+    out = np.zeros((vs.derived.n_cells, coef.shape[1], vs.derived.dim),
+                   dtype=complex)
+    np.add.at(out, vs.singular_cells,
+              coef[:, :, None] * vs.singular_vecs[:, None, :])
+    return out.transpose(1, 0, 2)
 
 
 def hprime_from_coords(vs, coords):
@@ -366,60 +533,32 @@ def hprime_from_coords(vs, coords):
     coords = np.asarray(coords, dtype=complex)
     nf = vs.n_funcs
     u = np.einsum("j,jc->c", coords[:nf], vs.func_values)
-    w = np.einsum("j,jck->ck", coords[:nf], vs.func_grads)
-    if vs.n_singular:
-        np.add.at(w, vs.singular_cells,
-                  coords[nf:, None] * vs.singular_vecs)
+    w = (np.einsum("j,jck->ck", coords[:nf], vs.func_grads)
+         + singular_field(vs, coords[nf:, None])[0])
     return u, w
 
 
-def pi1_multiplication(vs, u, w):
+def pi1_multiplication(vs, u, w, cells=slice(None)):
     """Pointwise form of the kernel projection:
-    ``pi1(u, w) = (0, Q w + u Q (X+Y) / 2)``."""
-    qw = np.einsum("nkl,nl->nk", vs.q_field, w)
-    qv = np.einsum("nkl,nl->nk", vs.q_field, vs.ambient.weight_vec)
-    return np.zeros_like(u), qw + 0.5 * u[:, None] * qv
+    ``pi1(u, w) = (0, Q w + u Q (X+Y) / 2)``.
+
+    The fields are read at ``cells`` (all cells by default), and ``u``,
+    ``w`` may carry leading batch axes."""
+    q = vs.q_field[cells]
+    qw = (q @ w[..., None])[..., 0]
+    qv = (q @ vs.ambient.weight_vec[cells][..., None])[..., 0]
+    return np.zeros_like(u), qw + 0.5 * u[..., None] * qv
 
 
-def t_multiplication(vs, u, w):
+def t_multiplication(vs, u, w, cells=slice(None)):
     """Pointwise form of the representing operator:
-    ``T(u, w) = (0, Q Z w + (i/2) u Q (X-Y))``."""
-    qzw = np.einsum("nkl,nl->nk", vs.q_field,
-                    np.einsum("nkl,nl->nk", vs.derived.Z_field, w))
-    qxy = np.einsum("nkl,nl->nk", vs.q_field,
-                    vs.derived.X_field - vs.derived.Y_field)
-    return np.zeros_like(u), qzw + 0.5j * u[:, None] * qxy
-
-
-def _pair_ambient_singular(vs, u, w):
-    """``<x, s_j>_a`` for every singular basis vector, cell-locally."""
-    vol = vs.ambient.grid.cell_volume
-    sc, csv = vs.singular_cells, np.conj(vs.singular_vecs)
-    t1 = np.einsum("pk,pk->p", w[sc], csv)
-    t2 = 0.5 * u[sc] * np.einsum("pk,pk->p", vs.ambient.weight_vec[sc], csv)
-    return vol * (t1 + t2)
-
-
-def _form_x_singular(vs, u, w):
-    """``atilde(x, s_j)`` per singular vector (only the gradient-slot and
-    Y-terms survive since ``s_j`` has zero H-part)."""
-    vol = vs.ambient.grid.cell_volume
-    sc, csv = vs.singular_cells, np.conj(vs.singular_vecs)
-    izw = w + 1j * np.einsum("nkl,nl->nk", vs.derived.Z_field, w)
-    t1 = np.einsum("pk,pk->p", izw[sc], csv)
-    t2 = u[sc] * np.einsum("pk,pk->p", vs.derived.Y_field[sc], csv)
-    return vol * (t1 + t2)
-
-
-def _form_singular_x(vs, u, w):
-    """``atilde(s_j, x)`` per singular vector."""
-    vol = vs.ambient.grid.cell_volume
-    sc, sv = vs.singular_cells, vs.singular_vecs
-    izsv = sv + 1j * np.einsum("pkl,pl->pk", vs.derived.Z_field[sc], sv)
-    t1 = np.einsum("pk,pk->p", izsv, np.conj(w[sc]))
-    t2 = (np.einsum("pk,pk->p", sv, np.conj(vs.derived.X_field[sc]))
-          * np.conj(u[sc]))
-    return vol * (t1 + t2)
+    ``T(u, w) = (0, Q Z w + (i/2) u Q (X-Y))``, with ``cells`` and batch
+    axes as in :func:`pi1_multiplication`."""
+    q, z = vs.q_field[cells], vs.derived.Z_field[cells]
+    qzw = (q @ (z @ w[..., None]))[..., 0]
+    xmy = (vs.derived.X_field - vs.derived.Y_field)[cells]
+    qxy = (q @ xmy[..., None])[..., 0]
+    return np.zeros_like(u), qzw + 0.5j * u[..., None] * qxy
 
 
 @dataclass(frozen=True)
@@ -441,16 +580,15 @@ def t_pi2_probe(vs, tau, xi, lambdas):
 
     For each ``lambda``, the modulated function is embedded, projected off
     the kernel (ambient Gram solve), pushed through ``T`` (real-part Gram
-    solve), and its squared form-norm is recorded.  Since modulation leaves
-    the plain function norm ``||tau||`` invariant, growth of these values
-    is exactly growth of ``T pi2`` relative to the function size.  The
-    fitted ``lambda^2`` slope is compared against the direct quadrature of
+    solve), and its squared form-norm is recorded; all three steps are
+    per-cell.  Since modulation leaves the plain function norm ``||tau||``
+    invariant, growth of these values is exactly growth of ``T pi2``
+    relative to the function size.  The fitted ``lambda^2`` slope is
+    compared against the direct quadrature of
     ``int |Q Z (I-Q) A^{1/2} (tau xi)|^2`` — the quantity the growth
     isolates in the large-``lambda`` limit.  A zero slope within tolerance
     is the signature of the commuting (sectorial-singular-part) case.
     """
-    vol = vs.ambient.grid.cell_volume
-    jj = vs.v1_slice
     norm_sq = tau.norm_sq()
     lambdas = tuple(float(l) for l in lambdas)
     if norm_sq <= 0.0 or vs.n_singular == 0 or len(lambdas) < 2:
@@ -460,20 +598,36 @@ def t_pi2_probe(vs, tau, xi, lambdas):
                            rel_error=float("nan"),
                            skipped=norm_sq <= 0.0 or len(lambdas) < 2)
 
-    gram_jj = vs.gram_a[jj, jj]
-    hh_jj = herm_part(vs.gram_form)[jj, jj]
-    ratios = []
-    for lam in lambdas:
-        u_lam = tau.modulated(lam, xi)
-        u, w = phi_vector(vs.derived, u_lam)
-        c1 = np.linalg.solve(gram_jj, _pair_ambient_singular(vs, u, w))
-        w2 = w.copy()
-        np.add.at(w2, vs.singular_cells, -c1[:, None] * vs.singular_vecs)
-        a_xs = _form_x_singular(vs, u, w2)
-        a_sx = _form_singular_x(vs, u, w2)
-        tc = np.linalg.solve(hh_jj, (a_xs - np.conj(a_sx)) / 2j)
-        t_norm_sq = float(np.real(np.conj(tc) @ hh_jj @ tc))
-        ratios.append(t_norm_sq)
+    vol = vs.ambient.grid.cell_volume
+    groups, sc, sv = vs.groups, vs.singular_cells, vs.singular_vecs
+    csv = np.conj(sv)
+    z, x_f, y_f = (f[sc] for f in (vs.derived.Z_field, vs.derived.X_field,
+                                   vs.derived.Y_field))
+    # every modulated function at the singular rows: u (m, L), w (m, L, d)
+    embedded = [phi_vector(vs.derived, tau.modulated(lam, xi))
+                for lam in lambdas]
+    u = np.stack([e[0][sc] for e in embedded], axis=1)
+    w = np.stack([e[1][sc] for e in embedded], axis=1)
+
+    # <x, s_p>_a, solved cell by cell, gives pi1 x; subtract it
+    pair = vol * (np.einsum("plk,pk->pl", w, csv) + 0.5 * u * np.einsum(
+        "pk,pk->p", vs.ambient.weight_vec[sc], csv)[:, None])
+    c1 = _cell_apply(groups, vs.ambient_blocks.cc, pair)
+    w2 = w - singular_field(vs, c1)[:, sc].transpose(1, 0, 2)
+    # atilde(pi2 x, s_p) and atilde(s_p, pi2 x); only the gradient slot
+    # and the X/Y terms survive, since s_p has no H part
+    a_xs = vol * (np.einsum("plk,pk->pl",
+                            w2 + 1j * np.einsum("pkj,plj->plk", z, w2), csv)
+                  + u * np.einsum("pk,pk->p", y_f, csv)[:, None])
+    izsv = sv + 1j * np.einsum("pkj,pj->pk", z, sv)
+    a_sx = vol * (np.einsum("pk,plk->pl", izsv, np.conj(w2))
+                  + np.einsum("pk,pk->p", sv, np.conj(x_f))[:, None]
+                  * np.conj(u))
+    hh_cc = tuple(herm_part(b) for b in vs.form_blocks.cc)
+    tc = _cell_apply(groups, hh_cc, (a_xs - np.conj(a_sx)) / 2j)
+    ratios = [float(r) for r in np.real(sum(
+        np.einsum("gpl,gpq,gql->l", np.conj(tc[rows]), blk, tc[rows])
+        for rows, blk in zip(groups, hh_cc)))]
 
     design = np.stack([np.ones(len(lambdas)),
                        np.asarray(lambdas) ** 2], axis=1)

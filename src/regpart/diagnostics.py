@@ -26,8 +26,8 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .completion import (ProbeReport, compute_operators, hprime_from_coords,
-                         oracle_regular_part, t_pi2_probe)
+from .completion import (ProbeReport, compute_operators, oracle_regular_part,
+                         singular_field, t_pi2_probe)
 from .errors import DegenerateBasis, ResolutionTooCoarse, ValidationError
 from .grid import GridSpec, TestFunction
 from .model import CoefficientSet, eval_form, form_gram
@@ -112,9 +112,9 @@ def _relative_field_gap(reg_a, reg_b):
     return max(gaps)
 
 
-def _kernel_image_residual(vs, ops, funcs):
+def _kernel_image_residual(vs, ops):
     """Compare ``T pi2 Phi(u)`` against its closed pointwise form
-    ``(0, -u QZQ(X+Y)/2 + i u Q(X-Y)/2)`` for each supplied function."""
+    ``(0, -u QZQ(X+Y)/2 + i u Q(X-Y)/2)`` for each embedded function."""
     if vs.n_singular == 0:
         return 0.0
     vol = vs.ambient.grid.cell_volume
@@ -122,17 +122,13 @@ def _kernel_image_residual(vs, ops, funcs):
     qzq = np.matmul(np.matmul(q, z), q)
     xy_sum = vs.derived.X_field + vs.derived.Y_field
     xy_diff = vs.derived.X_field - vs.derived.Y_field
-    tpi2 = ops.T @ ops.pi2
-    worst = 0.0
-    for i, f in enumerate(funcs):
-        _, w_num = hprime_from_coords(vs, tpi2[:, i])
-        u = f.cell_values
-        w_exp = (-0.5 * u[:, None] * np.einsum("nkl,nl->nk", qzq, xy_sum)
-                 + 0.5j * u[:, None] * np.einsum("nkl,nl->nk", q, xy_diff))
-        res = np.sqrt(vol * float(np.sum(np.abs(w_num - w_exp) ** 2)))
-        scale = max(1.0, np.sqrt(vol * float(np.sum(np.abs(w_exp) ** 2))))
-        worst = max(worst, res / scale)
-    return worst
+    w_num = singular_field(vs, ops.tpi2_jf)
+    u = vs.func_values[:, :, None]
+    w_exp = (-0.5 * u * np.einsum("nkl,nl->nk", qzq, xy_sum)
+             + 0.5j * u * np.einsum("nkl,nl->nk", q, xy_diff))
+    res = np.sqrt(vol * np.sum(np.abs(w_num - w_exp) ** 2, axis=(1, 2)))
+    scale = np.sqrt(vol * np.sum(np.abs(w_exp) ** 2, axis=(1, 2)))
+    return float(np.max(res / np.maximum(1.0, scale)))
 
 
 def singular_vertex(coeffs_s, basis, tol=1e-9):
@@ -173,16 +169,14 @@ def regular_sector_tangent(reg, rank_eps=1e-12):
 def oracle_pairs(reg_set, funcs, vs, ops):
     """The regular part on every pair of embedded functions, two ways:
     ``formula[i, j] = eval_form(reg_set, u_i, u_j)`` from the assembled
-    fields and ``oracle[i, j] = oracle_regular_part(ops, vs, i, j)`` from
-    the Gram-matrix construction."""
+    fields and the table ``oracle = oracle_regular_part(ops, vs)`` from the
+    Gram-matrix construction."""
     n = len(funcs)
     formula = np.empty((n, n), dtype=complex)
-    oracle = np.empty((n, n), dtype=complex)
     for i, fi in enumerate(funcs):
         for j, fj in enumerate(funcs):
             formula[i, j] = eval_form(reg_set, fi, fj).value
-            oracle[i, j] = oracle_regular_part(ops, vs, i, j)
-    return formula, oracle
+    return formula, oracle_regular_part(ops, vs)
 
 
 def check_realpart_commutation(coeffs, derived, s, vs=None, reg=None,
@@ -239,7 +233,7 @@ def check_equivalences(vs, ops, reg, s, funcs, tau=None, xi=None,
 
     reg_c = assemble_regular_commuting(coeffs, derived, s, tol=np.inf)
     field_gap = _relative_field_gap(reg, reg_c)
-    kernel_res = _kernel_image_residual(vs, ops, funcs)
+    kernel_res = _kernel_image_residual(vs, ops)
 
     if tau is None:
         tau = funcs[0]

@@ -12,8 +12,8 @@ check.  ``run_verification`` drives the randomized suites.
 import numpy as np
 
 from .completion import (build_ambient, build_v_subspace, compute_operators,
-                         hprime_from_coords, pi1_multiplication,
-                         t_multiplication, t_pi2_probe)
+                         pi1_multiplication, singular_field, t_multiplication,
+                         t_pi2_probe)
 from .diagnostics import (PROBE_LAMBDAS, check_equivalences,
                           generate_cantor_example, oracle_pairs,
                           svc_intervals)
@@ -196,25 +196,43 @@ def compute_report(model, gamma0=0.0, lambdas=PROBE_LAMBDAS, seed=0):
 
 def multiplication_residuals(vs, ops):
     """Worst distance of computed ``pi1``/``T`` columns from their pointwise
-    multiplication formulas, over every basis vector of the subspace."""
+    multiplication formulas, over every basis vector of the subspace.
+
+    The embedded functions are checked as one batch over the grid.  A
+    singular vector ``(0, s_p)``, its ``pi1`` image ``(0, s_p)`` and its
+    ``T`` image ``(0, sum_q T11[q, p] s_q)`` all live in its cell ``c_p``,
+    so those are checked as one-cell pairs, batched over ``p``."""
     vol = vs.ambient.grid.cell_volume
 
     def pair_norm(u, w):
-        return float(np.sqrt(vol * (np.sum(np.abs(u) ** 2)
-                                    + np.sum(np.abs(w) ** 2))))
+        return np.sqrt(vol * (np.sum(np.abs(u) ** 2, axis=-1)
+                              + np.sum(np.abs(w) ** 2, axis=(-2, -1))))
 
-    worst = [0.0, 0.0]
-    for k in range(vs.dim):
-        e = np.zeros(vs.dim, dtype=complex)
-        e[k] = 1.0
-        u, w = hprime_from_coords(vs, e)
-        for slot, (mat, formula) in enumerate(((ops.pi1, pi1_multiplication),
-                                               (ops.T, t_multiplication))):
-            cu, cw = hprime_from_coords(vs, mat[:, k])
-            eu, ew = formula(vs, u, w)
-            res = pair_norm(cu - eu, cw - ew) / max(1.0, pair_norm(eu, ew))
-            worst[slot] = max(worst[slot], res)
-    return tuple(worst)
+    def worst(formula, x, cells, image):
+        eu, ew = formula(vs, *x, cells)
+        res = pair_norm(image[0] - eu, image[1] - ew) / np.maximum(
+            1.0, pair_norm(eu, ew))
+        return float(np.max(res, initial=0.0))
+
+    sv = vs.singular_vecs
+    funcs = (vs.func_values, vs.func_grads)
+    sing = (np.zeros((vs.n_singular, 1), dtype=complex), sv[:, None, :])
+    cells = vs.singular_cells[:, None]
+    t11_sv = np.empty_like(sv)
+    for rows, blk in zip(vs.groups, ops.t11_cells):
+        t11_sv[rows] = np.einsum("gqp,gqk->gpk", blk, sv[rows])
+
+    def func_image(jf):
+        return np.zeros_like(vs.func_values), singular_field(vs, jf)
+
+    pi1_res = max(worst(pi1_multiplication, funcs, slice(None),
+                        func_image(ops.pi1_jf)),
+                  worst(pi1_multiplication, sing, cells, sing))
+    t_res = max(worst(t_multiplication, funcs, slice(None),
+                      func_image(ops.t_jf)),
+                worst(t_multiplication, sing, cells,
+                      (sing[0], t11_sv[:, None, :])))
+    return pi1_res, t_res
 
 
 def oracle_crosscheck(case, gamma0=0.0):

@@ -138,6 +138,22 @@ def test_compute_rejects_bad_function_spec(key, value, code, tmp_path,
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["compute", "probe"])
+@pytest.mark.parametrize("lam", [1e200, 1e308])
+def test_non_finite_embedding_exits_2(command, lam, tmp_path, capsys):
+    """A plane wave so fast that its gradient (or its Gram entries)
+    overflows is a degenerate basis, not a crash."""
+    doc = cantor_model_doc(2)
+    doc["functions"].insert(1, {
+        "name": "wave", "kind": "plane_wave", "lambda": lam, "xi": [1.0],
+        "tau": {"kind": "bump", "center": [0.5], "width": [0.45]}})
+    path = tmp_path / "wave.json"
+    write_doc(path, doc)
+    assert main([command, "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error: function 1: non-finite" in err
+
+
 def test_compute_empty_function_list(tmp_path, rng):
     from regpart.randomized import (random_coefficients, random_grid,
                                     random_projection_field)

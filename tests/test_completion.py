@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from regpart.completion import (AMBIENT_MARGIN, build_ambient,
+from regpart.completion import (AMBIENT_MARGIN, _ambient_min_eig,
+                                build_ambient,
                                 build_v_subspace, compute_operators,
                                 hprime_from_coords, oracle_regular_part,
                                 phi_vector, t_pi2_probe)
@@ -84,6 +85,20 @@ def test_ambient_blocks_positive_definite(rng):
             block[1:, 1:] = np.eye(d)
             low = float(np.linalg.eigvalsh(block)[0])
             assert low >= AMBIENT_MARGIN - 1e-12
+
+
+def test_ambient_min_eig_without_cancellation():
+    """The small root stays accurate when the scalar weight dwarfs 1."""
+    ws = np.array([1e16, 1e20, 3.0])
+    v_sq = np.array([1.0, 4e19, 0.0])
+    assert_allclose(_ambient_min_eig(ws, v_sq), [1.0, 0.9, 1.0], rtol=1e-12)
+    for w, vv in zip(ws, v_sq):
+        # exact 2x2 reduction [[ws, |v|/2], [|v|/2, 1]], scaled to O(1)
+        block = np.array([[w, 0.5 * np.sqrt(vv)], [0.5 * np.sqrt(vv), 1.0]])
+        det = w - 0.25 * vv
+        large = float(np.linalg.eigvalsh(block)[-1])
+        assert_allclose(_ambient_min_eig(np.array([w]), np.array([vv])),
+                        min(det / large, 1.0), rtol=1e-12)
 
 
 def test_ambient_inner_is_an_inner_product(rng):
