@@ -46,18 +46,16 @@ for commuting in (True, False):
 
     print("   pair   closed form               oracle                    "
           "|diff|")
-    worst = 0.0
-    for i in range(len(case.funcs)):
-        for j in range(len(case.funcs)):
-            formula = eval_form(reg_set, case.funcs[i], case.funcs[j]).value
-            oracle = oracle_regular_part(ops, vs, i, j)
-            diff = abs(formula - oracle)
-            worst = max(worst, diff / (1.0 + abs(formula)))
-            if i <= 1 and j <= 1:
-                print("   (%d,%d)  %+.6f%+.6fi   %+.6f%+.6fi   %.1e"
-                      % (i, j, formula.real, formula.imag,
-                         oracle.real, oracle.imag, diff))
-    print("   worst relative error over all pairs: %.3e" % worst)
+    formula = eval_form(reg_set, case.funcs, case.funcs).value
+    oracle = oracle_regular_part(ops, vs)
+    diff = np.abs(formula - oracle)
+    for i in range(2):
+        for j in range(2):
+            print("   (%d,%d)  %+.6f%+.6fi   %+.6f%+.6fi   %.1e"
+                  % (i, j, formula[i, j].real, formula[i, j].imag,
+                     oracle[i, j].real, oracle[i, j].imag, diff[i, j]))
+    print("   worst relative error over all pairs: %.3e"
+          % np.max(diff / (1.0 + np.abs(formula))))
 
     pi1_res, t_res = multiplication_residuals(vs, ops)
     print("   pi1 multiplication-formula residual: %.3e" % pi1_res)

@@ -49,7 +49,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBasis, KernelMismatch, ProjectionInvalid
-from .model import asqrt_gradient
 from .pointwise import adjoint, herm_part, imag_part
 
 __all__ = [
@@ -267,7 +266,8 @@ class VSubspace:
 
 def phi_vector(derived, func):
     """``Phi(u) = (u, A^{1/2} grad u)`` as an H'-pair of per-cell arrays."""
-    return func.cell_values.copy(), asqrt_gradient(derived, func)
+    return func.cell_values.copy(), np.einsum(
+        "nkl,nl->nk", derived.Asqrt_field, func.cell_gradient)
 
 
 def _singular_basis(q_field, rank_tol=1e-8):
@@ -344,26 +344,29 @@ def build_v_subspace(ambient, coeffs, derived, q_field, funcs,
     z = derived.Z_field
     x_f, y_f = derived.X_field, derived.Y_field
 
-    cuf, cwf = np.conj(uf), np.conj(wf)
-    izsv = sv + 1j * np.einsum("pkl,pl->pk", z[sc], sv)
-    izwf = wf + 1j * np.einsum("ckl,jcl->jck", z, wf)
-    wf_at, izwf_at, uf_at = wf[:, sc, :], izwf[:, sc, :], uf[:, sc]
+    # an overflowing function leaves non-finite entries for the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        cuf, cwf = np.conj(uf), np.conj(wf)
+        izsv = sv + 1j * np.einsum("pkl,pl->pk", z[sc], sv)
+        izwf = wf + 1j * np.einsum("ckl,jcl->jck", z, wf)
+        wf_at, izwf_at, uf_at = wf[:, sc, :], izwf[:, sc, :], uf[:, sc]
 
-    ff_a = vol * (np.einsum("jck,ick->ij", wf, cwf)
-                  + 0.5 * np.einsum("jck,ic,ck->ij", wf, cuf, np.conj(vxy))
-                  + 0.5 * np.einsum("jc,ck,ick->ij", uf, vxy, cwf)
-                  + np.einsum("c,jc,ic->ij", ws, uf, cuf))
-    sf_a = vol * (np.einsum("jpk,pk->pj", wf_at, csv)
-                  + 0.5 * np.einsum("jp,pk,pk->pj", uf_at, vxy[sc], csv))
-    ff_t = vol * (np.einsum("jck,ick->ij", izwf, cwf)
-                  + np.einsum("jck,ic,ck->ij", wf, cuf, np.conj(x_f))
-                  + np.einsum("jc,ck,ick->ij", uf, y_f, cwf)
-                  + np.einsum("c,jc,ic->ij", coeffs.c0_field, uf, cuf))
-    sf_t = vol * (np.einsum("jpk,pk->pj", izwf_at, csv)
-                  + np.einsum("jp,pk,pk->pj", uf_at, y_f[sc], csv))
-    fs_t = vol * (np.einsum("pk,ipk->ip", izsv, np.conj(wf_at))
-                  + np.einsum("pk,pk,ip->ip", sv, np.conj(x_f[sc]),
-                              np.conj(uf_at)))
+        ff_a = vol * (np.einsum("jck,ick->ij", wf, cwf)
+                      + 0.5 * np.einsum("jck,ic,ck->ij", wf, cuf,
+                                        np.conj(vxy))
+                      + 0.5 * np.einsum("jc,ck,ick->ij", uf, vxy, cwf)
+                      + np.einsum("c,jc,ic->ij", ws, uf, cuf))
+        sf_a = vol * (np.einsum("jpk,pk->pj", wf_at, csv)
+                      + 0.5 * np.einsum("jp,pk,pk->pj", uf_at, vxy[sc], csv))
+        ff_t = vol * (np.einsum("jck,ick->ij", izwf, cwf)
+                      + np.einsum("jck,ic,ck->ij", wf, cuf, np.conj(x_f))
+                      + np.einsum("jc,ck,ick->ij", uf, y_f, cwf)
+                      + np.einsum("c,jc,ic->ij", coeffs.c0_field, uf, cuf))
+        sf_t = vol * (np.einsum("jpk,pk->pj", izwf_at, csv)
+                      + np.einsum("jp,pk,pk->pj", uf_at, y_f[sc], csv))
+        fs_t = vol * (np.einsum("pk,ipk->ip", izsv, np.conj(wf_at))
+                      + np.einsum("pk,pk,ip->ip", sv, np.conj(x_f[sc]),
+                                  np.conj(uf_at)))
     # a function's own Gram diagonal names it; the full blocks come last
     _require_finite(np.diagonal(ff_a), np.diagonal(ff_t), sf_a.T, sf_t.T,
                     fs_t, ff_a, ff_t)

@@ -24,17 +24,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .completion import (ProbeReport, compute_operators, oracle_regular_part,
                          singular_field, t_pi2_probe)
-from .errors import DegenerateBasis, ResolutionTooCoarse, ValidationError
+from .errors import ResolutionTooCoarse, ValidationError
 from .grid import GridSpec, TestFunction
-from .model import CoefficientSet, eval_form, form_gram
-from .pointwise import (SectorParams, frobenius, herm_part, imag_part,
-                        pencil_tangent, pinv_sqrt)
+from .model import CoefficientSet, eval_form, vertex_search
+from .pointwise import SectorParams, frobenius, herm_part, imag_part, pinv_sqrt
 from .regularize import (assemble_regular_commuting, commutator_norms,
-                         indicator_projection, pure_second_order_parts)
+                         indicator_projection, interval_mask,
+                         pure_second_order_parts)
 
 __all__ = [
     "DiagnosticsReport",
@@ -131,30 +130,11 @@ def _kernel_image_residual(vs, ops):
     return float(np.max(res / np.maximum(1.0, scale)))
 
 
-def singular_vertex(coeffs_s, basis, tol=1e-9):
-    """Vertex and half-angle of a (possibly non-sectorial) coefficient set
-    over a basis span.
-
-    Unlike the model-level estimator this never rejects a wide form: if the
-    angle bisection hits its cap the report comes back uncertified with the
-    cap angle.  The witness is the generalized eigenvector attaining the
-    vertex.
-    """
-    if not basis:
-        raise DegenerateBasis("need at least one basis function")
-    bmat, mmat = form_gram(coeffs_s, basis)
-    mh = herm_part(mmat)
-    mw = np.linalg.eigvalsh(mh)
-    if mw[0] <= 0 or mw[-1] / mw[0] > 1e12:
-        raise DegenerateBasis("basis Gram matrix is numerically singular")
-    re_b, im_b = herm_part(bmat), imag_part(bmat)
-    w, v = scipy.linalg.eigh(re_b, mh)
-    gamma = float(w[0])
-    witness = v[:, 0].copy()
-    t, certified = pencil_tangent(re_b - gamma * mh, im_b, tol=tol)
-    return VertexReport(params=SectorParams(theta=float(np.arctan(t)),
-                                            gamma=gamma),
-                        witness=witness, certified=certified)
+def singular_vertex(coeffs_s, basis):
+    """Vertex, half-angle and witness of a (possibly non-sectorial)
+    coefficient set over a basis span, from
+    :func:`~regpart.model.vertex_search`."""
+    return VertexReport(*vertex_search(coeffs_s, basis))
 
 
 def regular_sector_tangent(reg, rank_eps=1e-12):
@@ -171,12 +151,8 @@ def oracle_pairs(reg_set, funcs, vs, ops):
     ``formula[i, j] = eval_form(reg_set, u_i, u_j)`` from the assembled
     fields and the table ``oracle = oracle_regular_part(ops, vs)`` from the
     Gram-matrix construction."""
-    n = len(funcs)
-    formula = np.empty((n, n), dtype=complex)
-    for i, fi in enumerate(funcs):
-        for j, fj in enumerate(funcs):
-            formula[i, j] = eval_form(reg_set, fi, fj).value
-    return formula, oracle_regular_part(ops, vs)
+    return (eval_form(reg_set, funcs, funcs).value,
+            oracle_regular_part(ops, vs))
 
 
 def check_realpart_commutation(coeffs, derived, s, vs=None, reg=None,
@@ -326,11 +302,7 @@ def cantor_mask(stage, grid):
         raise ResolutionTooCoarse(
             "need a multiple of 2*4^stage = %d cells per unit for exact "
             "alignment, got %d" % (2 * 4 ** int(stage), cpu))
-    centers = grid.cell_centers()[:, 0]
-    mask = np.zeros(grid.n_cells, dtype=bool)
-    for lo, hi in svc_intervals(stage):
-        mask |= (centers > float(lo)) & (centers < float(hi))
-    return mask
+    return interval_mask(grid, svc_intervals(stage))
 
 
 def generate_cantor_example(stage, grid=None, m=2, include_c0=True,

@@ -17,9 +17,10 @@ first-order fields contract bilinearly against their own slot's gradient.
 ``C``: it returns ``A``, its psd square root, the pseudo-inverse square root
 ``g``, and the bounded fields ``Z`` (Hermitian, ``A^{1/2}(I+iZ)A^{1/2} = C``),
 ``X`` (``A^{1/2} X = conj(b)``) and ``Y`` (``A^{1/2} Y = d``).  These exist
-precisely because the model passes its sector and domination validation;
-``eval_form_factored`` rewrites the form through them and must agree with
-``eval_form`` to rounding.
+precisely because the model passes its sector and domination validation.
+
+``eval_form`` evaluates the form on a pair of test functions or on every
+pair of two function families; ``form_gram`` and the vertex search use it.
 """
 
 from dataclasses import dataclass
@@ -40,10 +41,14 @@ __all__ = [
     "FormValue",
     "derive_fields",
     "eval_form",
-    "eval_form_factored",
     "estimate_vertex_angle",
+    "form_gram",
     "h_inner",
+    "vertex_search",
 ]
+
+#: Condition-number cap on the L2 Gram matrix of a vertex-search basis.
+VERTEX_COND_CAP = 1e12
 
 #: Relative tolerance on the reconstruction residuals checked by
 #: :func:`derive_fields`.
@@ -238,7 +243,10 @@ def derive_fields(coeffs, rank_eps=DEFAULT_RANK_EPS, rtol=DERIVE_RTOL):
 
 @dataclass(frozen=True)
 class FormValue:
-    """A form evaluation split into its four quadrature contributions."""
+    """A form evaluation split into its four quadrature contributions.
+
+    The parts are complex scalars for one pair of functions, and
+    ``(len(u), len(v))`` arrays for two function families."""
 
     second_order: complex
     first_order_b: complex
@@ -256,59 +264,40 @@ class FormValue:
                 self.first_order_d, self.zeroth_order)
 
 
-def _check_grids(grid, u, v):
-    if u.grid != grid or v.grid != grid:
+def _stack(grid, funcs):
+    """Cell values ``(k, n)`` and gradients ``(k, n, d)`` of a function
+    family on ``grid``; one function is a family of one."""
+    if isinstance(funcs, TestFunction):
+        funcs = [funcs]
+    if any(f.grid != grid for f in funcs):
         raise GridMismatch("test functions must live on the model's grid")
+    return (np.stack([f.cell_values for f in funcs]),
+            np.stack([f.cell_gradient for f in funcs]))
 
 
 def eval_form(coeffs, u, v):
-    """Evaluate the form on a pair of test functions by midpoint quadrature.
+    """Evaluate the form by midpoint quadrature.
 
-    Returns a :class:`FormValue`; the conjugation sits on the ``v`` slot
-    throughout, as described in the module docstring.
+    ``u`` and ``v`` are two test functions, or two sequences of them.  Two
+    functions give a :class:`FormValue` of complex scalars; two sequences
+    give one of ``(len(u), len(v))`` arrays with ``[i, j] = a(u_i, v_j)``.
+    The conjugation sits on the ``v`` slot throughout, as described in the
+    module docstring.
     """
-    _check_grids(coeffs.grid, u, v)
+    single = isinstance(u, TestFunction) and isinstance(v, TestFunction)
     vol = coeffs.grid.cell_volume
-    gu, gv = u.cell_gradient, v.cell_gradient
-    uc, vc = u.cell_values, np.conj(v.cell_values)
+    uc, gu = _stack(coeffs.grid, u)
+    vc, gv = map(np.conj, _stack(coeffs.grid, v))
 
-    cgu = np.einsum("nkl,nl->nk", coeffs.C_field, gu)
-    second = vol * complex(np.sum(np.einsum("nk,nk->n", cgu, np.conj(gv))))
-    first_b = vol * complex(np.sum(
-        np.einsum("nk,nk->n", coeffs.b_field, gu) * vc))
-    first_d = vol * complex(np.sum(
-        uc * np.einsum("nk,nk->n", coeffs.d_field, np.conj(gv))))
-    zeroth = vol * complex(np.sum(coeffs.c0_field * uc * vc))
-    return FormValue(second, first_b, first_d, zeroth)
-
-
-def asqrt_gradient(derived, u):
-    """Per-cell ``A^{1/2} @ grad(u)``, shape ``(n_cells, dim)``."""
-    return np.einsum("nkl,nl->nk", derived.Asqrt_field, u.cell_gradient)
-
-
-def eval_form_factored(derived, c0_field, u, v):
-    """Evaluate the form through the factored fields.
-
-    Computes ``<(I+iZ) w_u, w_v> + <w_u, v X> + <u Y, w_v> + <c0 u, v>``
-    with ``w = A^{1/2} grad`` per cell, conjugation on the second slot.
-    For fields produced by :func:`derive_fields` this equals
-    :func:`eval_form` up to rounding.
-    """
-    _check_grids(derived.grid, u, v)
-    vol = derived.grid.cell_volume
-    wu = asqrt_gradient(derived, u)
-    wv = asqrt_gradient(derived, v)
-    uc, vc = u.cell_values, np.conj(v.cell_values)
-
-    zwu = wu + 1j * np.einsum("nkl,nl->nk", derived.Z_field, wu)
-    second = vol * complex(np.sum(np.einsum("nk,nk->n", zwu, np.conj(wv))))
-    first_b = vol * complex(np.sum(
-        np.einsum("nk,nk->n", wu, np.conj(derived.X_field)) * vc))
-    first_d = vol * complex(np.sum(
-        uc * np.einsum("nk,nk->n", derived.Y_field, np.conj(wv))))
-    zeroth = vol * complex(np.sum(np.asarray(c0_field) * uc * vc))
-    return FormValue(second, first_b, first_d, zeroth)
+    cgu = np.einsum("nkl,inl->ink", coeffs.C_field, gu)
+    second = vol * (cgu.reshape(len(uc), -1) @ gv.reshape(len(vc), -1).T)
+    first_b = vol * (np.einsum("nk,ink->in", coeffs.b_field, gu) @ vc.T)
+    first_d = vol * (uc @ np.einsum("nk,jnk->jn", coeffs.d_field, gv).T)
+    zeroth = vol * ((coeffs.c0_field * uc) @ vc.T)
+    parts = (second, first_b, first_d, zeroth)
+    if single:
+        parts = tuple(complex(p[0, 0]) for p in parts)
+    return FormValue(*parts)
 
 
 def h_inner(u, v):
@@ -319,54 +308,49 @@ def h_inner(u, v):
         np.sum(u.cell_values * np.conj(v.cell_values)))
 
 
-def form_gram(coeffs, basis, evaluator=None):
+def form_gram(coeffs, basis):
     """Gram matrices of the form and the L2 inner product on a basis.
 
     Returns ``(B, M)`` with ``B[i, j] = a(u_j, u_i)`` and
     ``M[i, j] = <u_j, u_i>``, so that coordinate vectors contract as
     ``a(u, u) = c* B c``.
     """
-    m = len(basis)
-    evaluator = evaluator or (lambda x, y: eval_form(coeffs, x, y).value)
-    bmat = np.empty((m, m), dtype=complex)
-    mmat = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            bmat[i, j] = evaluator(basis[j], basis[i])
-            mmat[i, j] = h_inner(basis[j], basis[i])
-    return bmat, mmat
+    bmat = eval_form(coeffs, basis, basis).value.T
+    vals, _ = _stack(coeffs.grid, basis)
+    return bmat, coeffs.grid.cell_volume * (np.conj(vals) @ vals.T)
 
 
-def estimate_vertex_angle(coeffs, basis, tol=1e-9, cond_cap=1e12):
-    """Estimate a vertex and half-angle of the form over a basis span.
+def vertex_search(coeffs, basis):
+    """Vertex, half-angle and witness of the form over a basis span.
 
-    Assembles the Gram matrices of the form and the L2 inner product on the
-    basis, takes ``gamma`` as the smallest generalized eigenvalue of
-    ``(Re B, M)``, and finds the smallest ``t >= 0`` with
-    ``t (Re B - gamma M) +/- Im B`` both psd by bisection.  The result is a
-    certificate over the basis span only: the true vertex can be lower and
-    the true angle wider on functions outside the span.
+    ``gamma`` is the smallest generalized eigenvalue of ``(Re B, M)`` on the
+    basis Gram matrices of :func:`form_gram`, the witness its eigenvector,
+    and the tangent :func:`~regpart.pointwise.pencil_tangent` of
+    ``(Re B - gamma M, Im B)``; a form wider than any finite tangent comes
+    back uncertified at the cap.  This certifies the span only: the true
+    vertex can be lower and the angle wider outside it.
 
-    Raises :class:`DegenerateBasis` when the L2 Gram matrix is numerically
-    singular.
+    Returns ``(SectorParams, witness, certified)``; raises
+    :class:`DegenerateBasis` on an empty or numerically dependent basis.
     """
     if not basis:
         raise DegenerateBasis("need at least one basis function")
     bmat, mmat = form_gram(coeffs, basis)
-
-    mw = np.linalg.eigvalsh(herm_part(mmat))
-    if mw[0] <= 0 or mw[-1] / mw[0] > cond_cap:
+    mh = herm_part(mmat)
+    mw = np.linalg.eigvalsh(mh)
+    if mw[0] <= 0 or mw[-1] / mw[0] > VERTEX_COND_CAP:
         raise DegenerateBasis(
             "basis Gram matrix is numerically singular "
             "(eigenvalue range [%.3e, %.3e])" % (float(mw[0]), float(mw[-1])))
-
     re_b = herm_part(bmat)
-    im_b = imag_part(bmat)
-    gamma = float(scipy.linalg.eigh(re_b, herm_part(mmat),
-                                    eigvals_only=True)[0])
-    t, _ = pencil_tangent(re_b - gamma * herm_part(mmat), im_b, tol=tol)
-    # When the vertex minimizer still carries imaginary mass no finite
-    # tangent dominates it; the bisection then returns its cap and the
-    # angle degrades gracefully towards pi/2, which keeps the estimate
-    # total (sampled vectors land inside the sector almost surely).
-    return SectorParams(theta=float(np.arctan(t)), gamma=gamma)
+    w, vecs = scipy.linalg.eigh(re_b, mh)
+    gamma = float(w[0])
+    t, certified = pencil_tangent(re_b - gamma * mh, imag_part(bmat))
+    return (SectorParams(theta=float(np.arctan(t)), gamma=gamma),
+            vecs[:, 0].copy(), certified)
+
+
+def estimate_vertex_angle(coeffs, basis):
+    """The :class:`SectorParams` of :func:`vertex_search` over a basis
+    span."""
+    return vertex_search(coeffs, basis)[0]

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .grid import GridSpec, TestFunction
 from .model import CoefficientSet
-from .regularize import indicator_projection
+from .regularize import indicator_projection, interval_mask
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -216,11 +216,7 @@ def expand_q_spec(spec, grid):
         intervals = _real_array(spec["set"], 2, "Q.set")
         if intervals.size and intervals.shape[1] != 2:
             raise ParseError("Q.set: expected a list of [a, b] intervals")
-        centers = grid.cell_centers()[:, 0]
-        mask = np.zeros(grid.n_cells, dtype=bool)
-        for a, b in intervals:
-            mask |= (centers > a) & (centers < b)
-        return indicator_projection(grid, mask)
+        return indicator_projection(grid, interval_mask(grid, intervals))
     raise ParseError("Q: expected key 'matrix' or 'set'")
 
 

@@ -115,7 +115,7 @@ def _field_doc(c_field, b_field, d_field, c0_field):
 # compute
 
 
-def _prelude(coeffs, q_field, funcs, gamma0=0.0):
+def _prelude(coeffs, q_field, funcs):
     """Build each artifact of the split and its cross-check once: returns
     ``(derived, structure, reg, vs, ops)``, with the oracle's V subspace on
     ``funcs`` and its operators ``None`` when there are no functions."""
@@ -124,18 +124,18 @@ def _prelude(coeffs, q_field, funcs, gamma0=0.0):
     reg = assemble_regular(coeffs, derived, structure)
     if not funcs:
         return derived, structure, reg, None, None
-    ambient = build_ambient(coeffs, derived, gamma0=gamma0)
+    ambient = build_ambient(coeffs, derived)
     vs = build_v_subspace(ambient, coeffs, derived, q_field, funcs)
     return derived, structure, reg, vs, compute_operators(vs)
 
 
-def compute_report(model, gamma0=0.0, lambdas=PROBE_LAMBDAS, seed=0):
+def compute_report(model, lambdas=PROBE_LAMBDAS, seed=0):
     """Full pipeline on one loaded model; returns the report document."""
     coeffs = model.coeffs
     names = list(model.funcs.keys())
     funcs = list(model.funcs.values())
     derived, structure, reg, vs, ops = _prelude(coeffs, model.q_field,
-                                                funcs, gamma0)
+                                                funcs)
     identity = identity_suite(structure, derived)
 
     warnings = []
@@ -235,18 +235,17 @@ def multiplication_residuals(vs, ops):
     return pi1_res, t_res
 
 
-def oracle_crosscheck(case, gamma0=0.0):
+def oracle_crosscheck(case):
     """Compare assembled and abstract regular parts on one random case.
 
     Returns a dict with the worst relative pair error and the worst
     ``pi1``/``T`` multiplication residuals.
     """
     coeffs = case.coeffs
-    _, _, reg, vs, ops = _prelude(coeffs, case.q_field, case.funcs, gamma0)
+    _, _, reg, vs, ops = _prelude(coeffs, case.q_field, case.funcs)
     formula, oracle = oracle_pairs(
         reg.regular_set(coeffs.theta, coeffs.K_bound), case.funcs, vs, ops)
-    worst = max(abs(f - o) / (1.0 + abs(f)) for f, o
-                in zip(formula.ravel().tolist(), oracle.ravel().tolist()))
+    worst = float(np.max(np.abs(formula - oracle) / (1.0 + np.abs(formula))))
     pi1_res, t_res = multiplication_residuals(vs, ops)
     return {"oracle_rel": worst, "pi1_res": pi1_res, "t_res": t_res}
 
@@ -309,8 +308,7 @@ def run_verification(seed=0, trials=1000, dims=(1, 2, 3), emit=print):
 # probe and worked example
 
 
-def run_probe(model, lambdas=PROBE_LAMBDAS, tau_name=None, xi=None,
-              gamma0=0.0):
+def run_probe(model, lambdas=PROBE_LAMBDAS, tau_name=None, xi=None):
     """Growth probe on a loaded model; returns the probe document."""
     if not model.funcs:
         raise ValidationError("the probe needs at least one model function")
@@ -323,7 +321,7 @@ def run_probe(model, lambdas=PROBE_LAMBDAS, tau_name=None, xi=None,
         xi = np.ones(model.grid.dim) / np.sqrt(model.grid.dim)
     coeffs = model.coeffs
     derived = derive_fields(coeffs)
-    ambient = build_ambient(coeffs, derived, gamma0=gamma0)
+    ambient = build_ambient(coeffs, derived)
     vs = build_v_subspace(ambient, coeffs, derived, model.q_field,
                           list(model.funcs.values()))
     report = t_pi2_probe(vs, tau, np.asarray(xi, dtype=float), lambdas)

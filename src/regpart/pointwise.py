@@ -241,51 +241,33 @@ def sector_check(c, theta, psd_tol=PSD_TOL):
                        min_eigs=tuple(float(m) for m in mins))
 
 
-def _psd_within(m, tol):
-    return float(np.linalg.eigvalsh(m)[..., 0].min()) >= -tol
-
-
-def pencil_tangent(re_m, im_m, tol=1e-9, psd_tol=PSD_TOL, t_cap=1e12):
+def pencil_tangent(re_m, im_m, psd_tol=PSD_TOL, t_cap=1e12):
     """Smallest ``t >= 0`` such that ``t * re_m + im_m`` and ``t * re_m -
-    im_m`` are both psd (within tolerance), found by bisection.
+    im_m`` are both psd, in closed form.
 
-    Parameters
-    ----------
-    re_m, im_m : ndarray, shape (d, d)
-        Hermitian matrices; ``re_m`` is expected psd up to noise.
-    tol : float
-        Bisection stops when the bracket width drops below
-        ``tol * max(1, hi)``.
-    t_cap : float
-        Growth cap; if even ``t_cap`` fails the search gives up.
+    ``re_m = U diag(w) U*`` (expected psd up to noise) is split by the rank
+    rule (``w > DEFAULT_RANK_EPS * w_max``) into range and kernel.  If
+    ``im_m`` couples into the kernel by more than the slack
+    ``psd_tol * scale``, no ``t`` exists; otherwise ``t`` is the spectral
+    radius of ``diag(w)^{-1/2} U* im_m U diag(w)^{-1/2}`` on the range.
+    Deciding the kernel by the rank rule, not by a psd test at a slack,
+    keeps the verdict stable under rounding of ``re_m``.  An ``im_m`` within
+    the slack of zero gives ``t = 0``.
 
-    Returns
-    -------
-    (t, certified) : tuple[float, bool]
-        ``certified`` is False when no ``t <= t_cap`` works, in which case
-        ``t == t_cap`` is returned.
+    Returns ``(t, certified)``; ``certified`` is False, with
+    ``t == t_cap``, when no ``t <= t_cap`` works.
     """
     re_m = herm_part(np.asarray(re_m, dtype=complex))
     im_m = herm_part(np.asarray(im_m, dtype=complex))
-    scale = max(1.0, float(frobenius(re_m)), float(frobenius(im_m)))
-    slack = psd_tol * scale
-
-    def good(t):
-        return (_psd_within(t * re_m + im_m, slack)
-                and _psd_within(t * re_m - im_m, slack))
-
-    if good(0.0):
+    slack = psd_tol * max(1.0, float(frobenius(re_m)),
+                          float(frobenius(im_m)))
+    if float(np.max(np.abs(np.linalg.eigvalsh(im_m)))) <= slack:
         return 0.0, True
-    hi = 1.0
-    while not good(hi):
-        hi *= 2.0
-        if hi > t_cap:
-            return t_cap, False
-    lo = 0.0 if hi == 1.0 else hi / 2.0
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if good(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi, True
+    w, u = np.linalg.eigh(re_m)
+    live = w > DEFAULT_RANK_EPS * max(float(w[-1]), 0.0)
+    if float(frobenius(im_m @ u[:, ~live])) > slack:
+        return t_cap, False
+    scaled = u[:, live] / np.sqrt(w[live])
+    t = float(np.max(np.abs(np.linalg.eigvalsh(adjoint(scaled) @ im_m
+                                               @ scaled))))
+    return (t, True) if t <= t_cap else (t_cap, False)

@@ -250,7 +250,7 @@ def random_oracle_case(rng, dim=None, commuting=None, max_funcs=8,
                 # lambda-probe slope exactly the quadratured reference.
                 center = np.full(d, 0.5)
                 funcs[0] = TestFunction.bump(grid, center, np.full(d, 0.4))
-            ambient = build_ambient(coeffs, derived, gamma0=0.0)
+            ambient = build_ambient(coeffs, derived)
             build_v_subspace(ambient, coeffs, derived, q, funcs)
         except (DegenerateBasis, KernelMismatch):
             continue

@@ -42,6 +42,7 @@ __all__ = [
     "assemble_regular_commuting",
     "pure_second_order_parts",
     "indicator_projection",
+    "interval_mask",
     "projection_from_spanning",
     "commutator_norms",
 ]
@@ -356,31 +357,29 @@ def indicator_projection(grid, mask, dim=None):
     return q
 
 
+def interval_mask(grid, intervals):
+    """Boolean per-cell indicator of a 1-D grid's cells whose centers lie
+    strictly inside one of the ``(lo, hi)`` intervals."""
+    centers = grid.cell_centers()[:, 0]
+    mask = np.zeros(grid.n_cells, dtype=bool)
+    for lo, hi in intervals:
+        mask |= (centers > float(lo)) & (centers < float(hi))
+    return mask
+
+
 def projection_from_spanning(vectors, tol=1e-10):
     """Orthogonal projections onto per-cell spans.
 
     ``vectors`` has shape ``(n_cells, d, r)``: up to ``r`` spanning columns
-    per cell, possibly dependent or zero.  Columns are orthonormalized by
-    modified Gram-Schmidt with one re-orthogonalization pass; columns whose
-    remainder is below ``tol`` times the original scale are dropped, so rank
-    deficiency is handled silently.
+    per cell, possibly dependent or zero.  One batched SVD gives each
+    cell's left singular vectors; those whose singular value is below
+    ``tol * max(1, max |v_c|)`` are dropped, so rank deficiency is handled
+    silently.
     """
     vectors = np.asarray(vectors, dtype=complex)
     if vectors.ndim != 3:
         raise ValueError("vectors must have shape (n_cells, d, r)")
-    n, d, r = vectors.shape
-    q = np.zeros((n, d, d), dtype=complex)
-    for c in range(n):
-        basis = []
-        scale = max(1.0, float(np.max(np.abs(vectors[c])) ))
-        for j in range(r):
-            v = vectors[c, :, j].copy()
-            for _ in range(2):  # MGS + re-orthogonalization
-                for e in basis:
-                    v = v - np.vdot(e, v) * e
-            norm = np.linalg.norm(v)
-            if norm > tol * scale:
-                basis.append(v / norm)
-        for e in basis:
-            q[c] += np.outer(e, np.conj(e))
-    return q
+    u, sv, _ = np.linalg.svd(vectors, full_matrices=False)
+    scale = np.maximum(1.0, np.max(np.abs(vectors), axis=(1, 2)))
+    keep = sv > tol * scale[:, None]
+    return np.einsum("nik,nk,njk->nij", u, keep, np.conj(u))

@@ -140,6 +140,7 @@ def test_compute_rejects_bad_function_spec(key, value, code, tmp_path,
 
 @pytest.mark.parametrize("command", ["compute", "probe"])
 @pytest.mark.parametrize("lam", [1e200, 1e308])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_embedding_exits_2(command, lam, tmp_path, capsys):
     """A plane wave so fast that its gradient (or its Gram entries)
     overflows is a degenerate basis, not a crash."""
@@ -253,7 +254,9 @@ def test_console_script_installed(tmp_path):
 
 def test_compute_builds_each_artifact_once(cantor3, monkeypatch):
     """One compute builds the V space once and solves its operators twice:
-    for the form and for its real part."""
+    for the form and for its real part.  It evaluates the form five times,
+    each on a whole function family: the two oracle tables and the three
+    vertex searches."""
     counts = {}
 
     def counted(name, func):
@@ -268,6 +271,7 @@ def test_compute_builds_each_artifact_once(cantor3, monkeypatch):
                         ("completion", "build_v_subspace"),
                         ("completion", "compute_operators"),
                         ("model", "derive_fields"),
+                        ("model", "eval_form"),
                         ("regularize", "assemble_regular")):
         original = getattr(sys.modules["regpart." + owner], name)
         for module in modules:
@@ -279,7 +283,7 @@ def test_compute_builds_each_artifact_once(cantor3, monkeypatch):
                                funcs=cantor3["funcs"]))
     assert counts == {"build_ambient": 1, "build_v_subspace": 1,
                       "compute_operators": 2, "derive_fields": 1,
-                      "assemble_regular": 2}
+                      "eval_form": 5, "assemble_regular": 2}
 
 
 def test_module_entry_point(tmp_path):

@@ -9,9 +9,10 @@ from numpy.testing import assert_allclose
 from regpart.errors import (DominationViolation, GridMismatch,
                             SectorViolation, ValidationError)
 from regpart.grid import GridSpec, TestFunction
+from regpart.completion import build_ambient, build_v_subspace
 from regpart.model import (CoefficientSet, derive_fields,
-                           estimate_vertex_angle, eval_form,
-                           eval_form_factored, form_gram, h_inner)
+                           estimate_vertex_angle, eval_form, form_gram,
+                           h_inner)
 from regpart.pointwise import adjoint, herm_part
 from regpart.randomized import (random_coefficients, random_grid,
                                 random_node_functions)
@@ -251,17 +252,35 @@ def test_eval_form_sesquilinear(rng):
 
 
 def test_eval_form_matches_factored(rng):
-    """Direct coefficient evaluation vs the pulled-through-A^{1/2} form."""
+    """Direct coefficient evaluation vs the pulled-through-A^{1/2} form:
+    at ``Q = 0`` the ``F x F`` block of the V build's form Gram is the
+    factored form, transposed."""
     for k in range(6):
         coeffs = random_coefficients(rng, random_grid(rng, 1 + k % 3))
         derived = derive_fields(coeffs)
         u, v = random_node_functions(rng, coeffs.grid, 2)
-        direct = eval_form(coeffs, u, v)
-        fact = eval_form_factored(derived, coeffs.c0_field, u, v)
-        assert_allclose(fact.value, direct.value,
-                        rtol=1e-10, atol=1e-10 * (1 + abs(direct.value)))
-        for a, b in zip(direct.parts, fact.parts):
-            assert_allclose(b, a, rtol=1e-9, atol=1e-10 * (1 + abs(a)))
+        q = np.zeros_like(coeffs.C_field)
+        vs = build_v_subspace(build_ambient(coeffs, derived), coeffs,
+                              derived, q, [u, v])
+        direct = eval_form(coeffs, [u, v], [u, v]).value
+        fact = vs.form_blocks.ff.T
+        assert_allclose(fact, direct, rtol=1e-10,
+                        atol=1e-10 * (1 + np.min(np.abs(direct))))
+
+
+def test_eval_form_batches_pairs(rng):
+    """Two families give the matrix of every pair, part by part."""
+    coeffs = random_coefficients(rng, random_grid(rng, 2))
+    us = random_node_functions(rng, coeffs.grid, 3)
+    vs = random_node_functions(rng, coeffs.grid, 2)
+    batch = eval_form(coeffs, us, vs)
+    assert batch.value.shape == (3, 2)
+    for i, u in enumerate(us):
+        for j, v in enumerate(vs):
+            pair = eval_form(coeffs, u, v)
+            assert isinstance(pair.value, complex)
+            for a, b in zip(pair.parts, batch.parts):
+                assert_allclose(b[i, j], a, rtol=1e-12, atol=1e-14)
 
 
 def test_eval_form_grid_mismatch(rng):

@@ -129,6 +129,14 @@ def test_pencil_tangent_known_value():
     assert_allclose(t, 0.7, rtol=1e-6)
 
 
+@pytest.mark.parametrize("eps", [1e-16, 0.0, -1e-16])
+def test_pencil_tangent_kernel_coupling_is_rounding_stable(eps):
+    """Imaginary coupling into a numerical kernel of the real part has no
+    finite tangent, whatever the sign of the rounding in that kernel."""
+    im_m = np.array([[0.0, 0.5], [0.5, 0.0]])
+    assert pencil_tangent(np.diag([1.0, eps]), im_m) == (1e12, False)
+
+
 def test_pencil_tangent_degenerate_direction():
     """Imaginary mass outside range(A) can never be dominated."""
     re_m = np.diag([1.0, 0.0])
