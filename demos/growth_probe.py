@@ -17,8 +17,8 @@ import numpy as np
 
 from regpart import (assemble_regular, build_ambient, build_singular_structure,
                      build_v_subspace, check_equivalences, compute_operators,
-                     derive_fields, generate_noncommuting_example, t_pi2_probe,
-                     TestFunction)
+                     derive_fields, eval_form, generate_noncommuting_example,
+                     t_pi2_probe, TestFunction)
 
 LAMBDAS = (5.0, 10.0, 20.0, 40.0, 80.0)
 
@@ -28,7 +28,7 @@ def probe_model(label, coeffs, q_field, xi):
     ambient = build_ambient(coeffs, derived)
     tau = TestFunction.bump(coeffs.grid, [0.5, 0.5], [0.4, 0.4])
     vs = build_v_subspace(ambient, coeffs, derived, q_field, [tau])
-    report = t_pi2_probe(vs, tau, xi, LAMBDAS)
+    report = t_pi2_probe(vs, compute_operators(vs), tau, xi, LAMBDAS)
     print("== %s ==" % label)
     print("   lambda      ||T pi2 tau_lambda||^2 / lambda^2-fit input")
     for lam, ratio in zip(LAMBDAS, report.ratios):
@@ -64,8 +64,10 @@ funcs = [TestFunction.bump(grid, [0.5, 0.5], [0.4, 0.4]),
 reg = assemble_regular(coeffs, derived, structure)
 vs = build_v_subspace(build_ambient(coeffs, derived), coeffs, derived,
                       q_field, funcs)
+formula = eval_form(reg.regular_set(coeffs.theta, coeffs.K_bound), funcs,
+                    funcs).value
 diag = check_equivalences(vs, compute_operators(vs), reg, structure, funcs,
-                          xi=(0.0, 1.0))
+                          formula, xi=(0.0, 1.0))
 print("   commutator max |QZ - ZQ| = %.3f" % diag.commutator_max)
 for name, verdict in diag.verdicts.items():
     print("   %-24s %-5s (%s)"

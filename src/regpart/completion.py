@@ -28,9 +28,19 @@ against ``J x J`` is a batched ``np.linalg.solve`` over the cells of one
 rank.  The operators keep only their ``J x F`` blocks; their ``J``
 columns are structural (``pi1[:, J] = E_J``, ``pi2[:, J] = Pi[:, J] = 0``,
 ``T[J, J] = T11``).  Cost and memory are linear in the number of singular
-cells.  The dense ``dim x dim`` matrices remain available as read-only
-views (``VSubspace.gram_a``, ``AbstractOperators.Pi`` ...) for inspection;
-nothing in the pipeline reads them.
+cells.  ``VSubspace.gram_a`` and ``gram_form`` assemble the dense
+``dim x dim`` matrices for inspection; nothing in the pipeline reads them.
+
+One Gram, one kernel.  The form Gram is the only Gram assembled.  The
+ambient product is the form's real part shifted by its vertex, so the
+ambient Gram is the form Gram's Hermitian part plus ``(1 - gamma) M`` on
+``F x F``, with ``M`` the L2 Gram of the function values.  The form's
+``J x F`` and ``F x J`` blocks are its singular rows ``a(x, s_p)`` and
+``a(s_p, x)`` for the embedded family ``x``; the same rows for any other
+family (the growth probe's plane waves) give its ``pi1``, ``T`` and
+``T pi2`` coordinates through one per-cell solve against the Hermitian
+``J x J`` blocks, since ``s_p`` has no ``H`` part and the ambient pairing
+with it is the Hermitian part of the rows.
 
 Condition gate.  The ambient Gram is ``[[A, B*], [B, vol I_m]]``: its
 ``J x J`` block is ``vol`` times the identity because the per-cell singular
@@ -44,11 +54,13 @@ Vectors of ``H'`` are represented as pairs ``(u, w)`` of arrays with shapes
 ``(n_cells,)`` and ``(n_cells, d)``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateBasis, KernelMismatch, ProjectionInvalid
+from .grid import TestFunction
+from .model import _stack
 from .pointwise import adjoint, herm_part, imag_part
 
 __all__ = [
@@ -170,14 +182,6 @@ def _cell_apply(groups, blocks, rhs, op=np.linalg.solve):
     return out
 
 
-def _cell_dense(groups, blocks, m):
-    """The ``m x m`` block-diagonal matrix of per-cell blocks."""
-    out = np.zeros((m, m), dtype=complex)
-    for rows, blk in zip(groups, blocks):
-        out[rows[:, :, None], rows[:, None, :]] = blk
-    return out
-
-
 @dataclass(frozen=True)
 class GramBlocks:
     """A V-basis Gram matrix held by its blocks.
@@ -206,7 +210,8 @@ class GramBlocks:
         out[:nf, :nf] = self.ff
         out[:nf, nf:] = self.fj
         out[nf:, :nf] = self.jf
-        out[nf:, nf:] = _cell_dense(groups, self.cc, m)
+        for rows, blk in zip(groups, self.cc):
+            out[nf + rows[:, :, None], nf + rows[:, None, :]] = blk
         return out
 
 
@@ -217,10 +222,11 @@ class VSubspace:
     Basis order: the ``n_funcs`` embedded functions ``Phi(u_i)`` first, then
     ``n_singular`` vectors ``(0, s_j)`` where the ``s_j`` are per-cell
     orthonormal spanning vectors of ``range(Q)``, grouped into ``groups``
-    by the rank of their cell.  ``ambient_blocks`` is the
-    ambient-inner-product Gram matrix, ``form_blocks`` the (non-Hermitian)
-    Gram matrix of the extended form; both use the convention
-    ``G[i, j] = form(e_j, e_i)`` so coordinates contract as ``eta* G xi``.
+    by the rank of their cell.  ``form_blocks`` is the (non-Hermitian)
+    Gram matrix of the extended form and ``ambient_blocks`` the
+    ambient-inner-product Gram matrix derived from it; both use the
+    convention ``G[i, j] = form(e_j, e_i)`` so coordinates contract as
+    ``eta* G xi``.
     ``cond`` is the ambient Gram's condition number.
     """
 
@@ -264,10 +270,13 @@ class VSubspace:
         return self.form_blocks.dense(self.groups)
 
 
-def phi_vector(derived, func):
-    """``Phi(u) = (u, A^{1/2} grad u)`` as an H'-pair of per-cell arrays."""
-    return func.cell_values.copy(), np.einsum(
-        "nkl,nl->nk", derived.Asqrt_field, func.cell_gradient)
+def phi_vector(derived, funcs):
+    """``Phi(u) = (u, A^{1/2} grad u)`` as an H'-pair of per-cell arrays,
+    for one test function or, stacked along a leading axis, for each
+    function of a sequence (which may be empty)."""
+    u, g = _stack(derived.grid, funcs)
+    w = np.einsum("nkl,jnl->jnk", derived.Asqrt_field, g)
+    return (u[0], w[0]) if isinstance(funcs, TestFunction) else (u, w)
 
 
 def _singular_basis(q_field, rank_tol=1e-8):
@@ -303,15 +312,31 @@ def _gram_extremes(a, vol):
     """Smallest and largest eigenvalue of the ambient Gram ``a`` from its
     compression ``[[A, R*], [R, vol I_k]]`` (see the module docstring)."""
     r = np.linalg.qr(a.jf, mode="r")
-    nf, k = a.ff.shape[0], r.shape[0]
-    small = vol * np.eye(nf + k, dtype=complex)
-    small[:nf, :nf] = a.ff
-    small[nf:, :nf] = r
-    small[:nf, nf:] = adjoint(r)
-    ew = np.linalg.eigvalsh(small)
+    k = r.shape[0]
+    ew = np.linalg.eigvalsh(np.block([[a.ff, adjoint(r)],
+                                      [r, vol * np.eye(k)]]))
     if a.jf.shape[0] > k:
         ew = np.append(ew, vol)
     return float(np.min(ew)), float(np.max(ew))
+
+
+def _singular_rows(derived, sc, sv, u, w):
+    """The form's singular rows ``a(x_j, s_p)`` and ``a(s_p, x_j)``, each
+    ``(m, k)``, of a family ``x_j = (u_j, w_j)`` stacked as ``(k, n)`` and
+    ``(k, n, d)``.  ``s_p`` has no ``H`` part, so only the gradient slot and
+    the ``X``/``Y`` terms survive, read at the cell of ``s_p``:
+    ``a(x, s) = <(I+iZ) w + u Y, s>`` and ``a(s, x) = conj <(I-iZ) w + u X,
+    s>``, with ``Z`` Hermitian."""
+    vol = derived.grid.cell_volume
+    csv = np.conj(sv)
+    u, w = u[:, sc].T, w[:, sc]
+    izw = 1j * np.einsum("pkl,jpl->jpk", derived.Z_field[sc], w)
+
+    def row(g, v):
+        return vol * (np.einsum("jpk,pk->pj", g, csv)
+                      + u * np.einsum("pk,pk->p", v[sc], csv)[:, None])
+    return (row(w + izw, derived.Y_field),
+            np.conj(row(w - izw, derived.X_field)))
 
 
 def build_v_subspace(ambient, coeffs, derived, q_field, funcs,
@@ -330,75 +355,46 @@ def build_v_subspace(ambient, coeffs, derived, q_field, funcs,
         functions, or condition number beyond ``cond_cap``).
     """
     vol = ambient.grid.cell_volume
-    n, d = derived.n_cells, derived.dim
-    funcs = list(funcs)
-    uf = np.zeros((len(funcs), n), dtype=complex)
-    wf = np.zeros((len(funcs), n, d), dtype=complex)
-    for i, f in enumerate(funcs):
-        uf[i], wf[i] = phi_vector(derived, f)
     sc, sv = _singular_basis(q_field)
-    csv = np.conj(sv)
     groups = _cell_groups(sc)
-    vxy = ambient.weight_vec
-    ws = ambient.weight_scalar
-    z = derived.Z_field
-    x_f, y_f = derived.X_field, derived.Y_field
+    izsv = sv + 1j * np.einsum("pkl,pl->pk", derived.Z_field[sc], sv)
 
     # an overflowing function leaves non-finite entries for the check below
     with np.errstate(over="ignore", invalid="ignore"):
+        uf, wf = phi_vector(derived, funcs)
         cuf, cwf = np.conj(uf), np.conj(wf)
-        izsv = sv + 1j * np.einsum("pkl,pl->pk", z[sc], sv)
-        izwf = wf + 1j * np.einsum("ckl,jcl->jck", z, wf)
-        wf_at, izwf_at, uf_at = wf[:, sc, :], izwf[:, sc, :], uf[:, sc]
-
-        ff_a = vol * (np.einsum("jck,ick->ij", wf, cwf)
-                      + 0.5 * np.einsum("jck,ic,ck->ij", wf, cuf,
-                                        np.conj(vxy))
-                      + 0.5 * np.einsum("jc,ck,ick->ij", uf, vxy, cwf)
-                      + np.einsum("c,jc,ic->ij", ws, uf, cuf))
-        sf_a = vol * (np.einsum("jpk,pk->pj", wf_at, csv)
-                      + 0.5 * np.einsum("jp,pk,pk->pj", uf_at, vxy[sc], csv))
-        ff_t = vol * (np.einsum("jck,ick->ij", izwf, cwf)
-                      + np.einsum("jck,ic,ck->ij", wf, cuf, np.conj(x_f))
-                      + np.einsum("jc,ck,ick->ij", uf, y_f, cwf)
-                      + np.einsum("c,jc,ic->ij", coeffs.c0_field, uf, cuf))
-        sf_t = vol * (np.einsum("jpk,pk->pj", izwf_at, csv)
-                      + np.einsum("jp,pk,pk->pj", uf_at, y_f[sc], csv))
-        fs_t = vol * (np.einsum("pk,ipk->ip", izsv, np.conj(wf_at))
-                      + np.einsum("pk,pk,ip->ip", sv, np.conj(x_f[sc]),
-                                  np.conj(uf_at)))
+        izwf = wf + 1j * np.einsum("ckl,jcl->jck", derived.Z_field, wf)
+        ff = vol * (np.einsum("jck,ick->ij", izwf, cwf)
+                    + np.einsum("jck,ic,ck->ij", wf, cuf,
+                                np.conj(derived.X_field))
+                    + np.einsum("jc,ck,ick->ij", uf, derived.Y_field, cwf)
+                    + np.einsum("c,jc,ic->ij", coeffs.c0_field, uf, cuf))
+        a_xs, a_sx = _singular_rows(derived, sc, sv, uf, wf)
+        mass = herm_part(vol * (cuf @ uf.T))
     # a function's own Gram diagonal names it; the full blocks come last
-    _require_finite(np.diagonal(ff_a), np.diagonal(ff_t), sf_a.T, sf_t.T,
-                    fs_t, ff_a, ff_t)
+    _require_finite(np.diagonal(ff), np.diagonal(mass), a_xs.T, a_sx.T, ff)
 
-    if funcs:
-        mh = vol * np.einsum("jc,ic->ij", uf, np.conj(uf))
-        hw, hv = np.linalg.eigh(herm_part(mh))
-        top = max(float(hw[-1]), 1e-300)
-        for k in range(hw.size):
-            if hw[k] > 1e-12 * top:
-                continue
-            c = hv[:, k]
-            grad_mass = vol * float(np.sum(np.abs(
-                np.einsum("j,jck->ck", c, wf)) ** 2))
-            if grad_mass > kernel_tol:
-                raise KernelMismatch(
-                    "a combination of the supplied functions vanishes in H "
-                    "but carries gradient mass %.3e; re-pick the family"
-                    % grad_mass)
+    # null directions of the L2 Gram must carry no gradient mass
+    hw, hv = np.linalg.eigh(mass)
+    null = hv[:, hw <= 1e-12 * max(float(np.max(hw, initial=0.0)), 1e-300)]
+    grad_mass = vol * np.sum(np.abs(np.einsum("jq,jck->qck", null, wf)) ** 2,
+                             axis=(1, 2))
+    if np.any(grad_mass > kernel_tol):
+        raise KernelMismatch(
+            "a combination of the supplied functions vanishes in H "
+            "but carries gradient mass %.3e; re-pick the family"
+            % grad_mass[np.argmax(grad_mass > kernel_tol)])
 
-    a = GramBlocks(
-        ff=herm_part(ff_a), fj=adjoint(sf_a), jf=sf_a,
-        cc=tuple(herm_part(vol * np.einsum("gqk,gpk->gpq", sv[rows],
-                                           csv[rows]))
-                 for rows in groups))
     form = GramBlocks(
-        ff=ff_t, fj=fs_t, jf=sf_t,
-        cc=tuple(vol * np.einsum("gqk,gpk->gpq", izsv[rows], csv[rows])
+        ff=ff, fj=a_sx.T, jf=a_xs,
+        cc=tuple(vol * np.einsum("gqk,gpk->gpq", izsv[rows],
+                                 np.conj(sv[rows]))
                  for rows in groups))
+    # <x, y>_a = Re atilde(x, y) + (1 - gamma) <u1, u2>
+    a = replace(form.herm(), ff=herm_part(ff) + (1.0 - ambient.gamma) * mass)
 
     cond = 1.0
-    if len(funcs) + sc.shape[0]:
+    if uf.shape[0] + sc.shape[0]:
         lo, hi = _gram_extremes(a, vol)
         if lo <= 0 or hi / lo > cond_cap:
             raise DegenerateBasis(
@@ -420,8 +416,7 @@ class AbstractOperators:
 
     ``form`` is the Gram the operators were solved on (its Hermitian part
     when ``real_part``); ``tpi2_jf`` is the ``J x F`` block of ``T pi2``,
-    the only nonzero block of that product.  The dense matrices ``pi1``,
-    ``pi2``, ``T``, ``T11`` and ``Pi`` are views for inspection.
+    the only nonzero block of that product.
     """
 
     groups: tuple
@@ -432,46 +427,36 @@ class AbstractOperators:
     tpi2_jf: np.ndarray
     pi_jf: np.ndarray
 
-    def _dense(self, jf, jj=None, ff=None):
-        m, nf = jf.shape
-        out = np.zeros((nf + m, nf + m), dtype=complex)
-        out[nf:, :nf] = jf
-        if jj is not None:
-            out[nf:, nf:] = jj
-        if ff is not None:
-            out[:nf, :nf] = ff
-        return out
 
-    @property
-    def pi1(self):
-        return self._dense(self.pi1_jf, jj=np.eye(self.pi1_jf.shape[0]))
+def _kernel_coords(vs, t11_cells, a_xs, a_sx):
+    """Singular coordinates ``(pi1 x, T x, T pi2 x)``, each ``(m, k)``, of a
+    family from its singular rows (:func:`_singular_rows`).
 
-    @property
-    def pi2(self):
-        return np.eye(sum(self.pi1_jf.shape)) - self.pi1
-
-    @property
-    def T(self):
-        return self._dense(self.t_jf, jj=self.T11)
-
-    @property
-    def T11(self):
-        return _cell_dense(self.groups, self.t11_cells, self.t_jf.shape[0])
-
-    @property
-    def Pi(self):
-        return self._dense(self.pi_jf, ff=np.eye(self.pi_jf.shape[1]))
+    ``s_p`` has no ``H`` part, so the ambient pairing ``<x, s_p>_a`` is the
+    Hermitian part of the rows, and the ambient ``J x J`` blocks are those
+    of the form's Hermitian part: ``pi1`` and ``T`` are one stacked per-cell
+    solve against them, of the Hermitian and the skew-Hermitian part of the
+    rows.  ``T pi2 = T - T11 pi1``.
+    """
+    k = a_xs.shape[1]
+    rows = np.concatenate([a_xs + np.conj(a_sx), (a_xs - np.conj(a_sx)) / 1j],
+                          axis=1)
+    sol = 0.5 * _cell_apply(vs.groups, vs.ambient_blocks.cc, rows)
+    pi1, t = sol[:, :k], sol[:, k:]
+    return pi1, t, t - _cell_apply(vs.groups, t11_cells, pi1, op=np.matmul)
 
 
 def compute_operators(vs, real_part=False):
     """Solve for the projection onto the embedding kernel, the imaginary
     part's representing operator, and the correction operator ``Pi``.
 
-    With ``J`` the singular-coordinate block and ``F`` the function block,
-    every solve is per cell: ``pi1[J,F] = solve(Ga[J,J], Ga[J,F])`` are the
-    ambient normal equations onto ``V1``; ``T[J,F] = solve(Hh[J,J],
-    Him[J,F])`` and ``T11 = solve(Hh[J,J], Him[J,J])`` represent the
-    form's imaginary part against its real part on ``V1``; and
+    With ``J`` the singular-coordinate block, ``F`` the function block and
+    ``Hh`` the Hermitian part of the form Gram, every solve is per cell:
+    ``pi1[J,F] = solve(Hh[J,J], Hh[J,F])`` are the ambient normal equations
+    onto ``V1`` (the ambient Gram agrees with ``Hh`` on ``J`` rows);
+    ``T[J,F] = solve(Hh[J,J], Him[J,F])`` and ``T11 = solve(Hh[J,J],
+    Him[J,J])`` represent the form's imaginary part against its real part
+    on ``V1``; and
 
         ``Pi[J,F] = -pi1[J,F] - i (I + i T11)^{-1} (T[J,F] - T11 pi1[J,F])``
 
@@ -483,17 +468,13 @@ def compute_operators(vs, real_part=False):
     the form Gram; its imaginary part vanishes, so ``T = 0`` and
     ``Pi = pi2``.
     """
-    groups = vs.groups
     form = vs.form_blocks.herm() if real_part else vs.form_blocks
-    hh_cc = tuple(herm_part(b) for b in form.cc)
-    pi1_jf = _cell_apply(groups, vs.ambient_blocks.cc, vs.ambient_blocks.jf)
-    t_jf = _cell_apply(groups, hh_cc, (form.jf - adjoint(form.fj)) / 2j)
     t11 = tuple(np.linalg.solve(h, imag_part(b))
-                for h, b in zip(hh_cc, form.cc))
-    tpi2_jf = t_jf - _cell_apply(groups, t11, pi1_jf, op=np.matmul)
+                for h, b in zip(vs.ambient_blocks.cc, form.cc))
+    pi1_jf, t_jf, tpi2_jf = _kernel_coords(vs, t11, form.jf, form.fj.T)
     shifted = tuple(np.eye(t.shape[-1]) + 1j * t for t in t11)
-    pi_jf = -pi1_jf - 1j * _cell_apply(groups, shifted, tpi2_jf)
-    return AbstractOperators(groups=groups, form=form, pi1_jf=pi1_jf,
+    pi_jf = -pi1_jf - 1j * _cell_apply(vs.groups, shifted, tpi2_jf)
+    return AbstractOperators(groups=vs.groups, form=form, pi1_jf=pi1_jf,
                              t_jf=t_jf, t11_cells=t11, tpi2_jf=tpi2_jf,
                              pi_jf=pi_jf)
 
@@ -577,20 +558,23 @@ class ProbeReport:
     skipped: bool
 
 
-def t_pi2_probe(vs, tau, xi, lambdas):
+def t_pi2_probe(vs, ops, tau, xi, lambdas):
     """Modulate ``tau`` by plane waves and fit the quadratic growth of the
     kernel-directed imaginary content.
 
-    For each ``lambda``, the modulated function is embedded, projected off
-    the kernel (ambient Gram solve), pushed through ``T`` (real-part Gram
-    solve), and its squared form-norm is recorded; all three steps are
-    per-cell.  Since modulation leaves the plain function norm ``||tau||``
+    The modulated functions are embedded as one family, and the operators
+    ``ops = compute_operators(vs)`` map each to ``T pi2 Phi(u_lambda)``,
+    whose squared real-part norm is recorded; all of it is per cell.
+    Since modulation leaves the plain function norm ``||tau||``
     invariant, growth of these values is exactly growth of ``T pi2``
     relative to the function size.  The fitted ``lambda^2`` slope is
     compared against the direct quadrature of
     ``int |Q Z (I-Q) A^{1/2} (tau xi)|^2`` — the quantity the growth
     isolates in the large-``lambda`` limit.  A zero slope within tolerance
     is the signature of the commuting (sectorial-singular-part) case.
+
+    Raises :class:`DegenerateBasis` naming the first ``lambda`` whose ratio
+    or square is not finite.
     """
     norm_sq = tau.norm_sq()
     lambdas = tuple(float(l) for l in lambdas)
@@ -601,47 +585,30 @@ def t_pi2_probe(vs, tau, xi, lambdas):
                            rel_error=float("nan"),
                            skipped=norm_sq <= 0.0 or len(lambdas) < 2)
 
-    vol = vs.ambient.grid.cell_volume
-    groups, sc, sv = vs.groups, vs.singular_cells, vs.singular_vecs
-    csv = np.conj(sv)
-    z, x_f, y_f = (f[sc] for f in (vs.derived.Z_field, vs.derived.X_field,
-                                   vs.derived.Y_field))
-    # every modulated function at the singular rows: u (m, L), w (m, L, d)
-    embedded = [phi_vector(vs.derived, tau.modulated(lam, xi))
-                for lam in lambdas]
-    u = np.stack([e[0][sc] for e in embedded], axis=1)
-    w = np.stack([e[1][sc] for e in embedded], axis=1)
+    # an overflowing wave leaves non-finite ratios for the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, w = phi_vector(vs.derived, [tau.modulated(lam, xi)
+                                       for lam in lambdas])
+        tc = _kernel_coords(vs, ops.t11_cells, *_singular_rows(
+            vs.derived, vs.singular_cells, vs.singular_vecs, u, w))[2]
+        ratios = np.real(sum(
+            np.einsum("gpl,gpq,gql->l", np.conj(tc[rows]), blk, tc[rows])
+            for rows, blk in zip(vs.groups, vs.ambient_blocks.cc)))
+        lam_sq = np.asarray(lambdas) ** 2
+    bad = ~(np.isfinite(ratios) & np.isfinite(lam_sq))
+    if np.any(bad):
+        raise DegenerateBasis("probe frequency %r: ratio or lambda^2 is not "
+                              "finite" % lambdas[int(np.argmax(bad))])
 
-    # <x, s_p>_a, solved cell by cell, gives pi1 x; subtract it
-    pair = vol * (np.einsum("plk,pk->pl", w, csv) + 0.5 * u * np.einsum(
-        "pk,pk->p", vs.ambient.weight_vec[sc], csv)[:, None])
-    c1 = _cell_apply(groups, vs.ambient_blocks.cc, pair)
-    w2 = w - singular_field(vs, c1)[:, sc].transpose(1, 0, 2)
-    # atilde(pi2 x, s_p) and atilde(s_p, pi2 x); only the gradient slot
-    # and the X/Y terms survive, since s_p has no H part
-    a_xs = vol * (np.einsum("plk,pk->pl",
-                            w2 + 1j * np.einsum("pkj,plj->plk", z, w2), csv)
-                  + u * np.einsum("pk,pk->p", y_f, csv)[:, None])
-    izsv = sv + 1j * np.einsum("pkj,pj->pk", z, sv)
-    a_sx = vol * (np.einsum("pk,plk->pl", izsv, np.conj(w2))
-                  + np.einsum("pk,pk->p", sv, np.conj(x_f))[:, None]
-                  * np.conj(u))
-    hh_cc = tuple(herm_part(b) for b in vs.form_blocks.cc)
-    tc = _cell_apply(groups, hh_cc, (a_xs - np.conj(a_sx)) / 2j)
-    ratios = [float(r) for r in np.real(sum(
-        np.einsum("gpl,gpq,gql->l", np.conj(tc[rows]), blk, tc[rows])
-        for rows, blk in zip(groups, hh_cc)))]
-
-    design = np.stack([np.ones(len(lambdas)),
-                       np.asarray(lambdas) ** 2], axis=1)
-    sol, *_ = np.linalg.lstsq(design, np.asarray(ratios), rcond=None)
+    design = np.stack([np.ones(len(lambdas)), lam_sq], axis=1)
+    sol, *_ = np.linalg.lstsq(design, ratios, rcond=None)
     intercept, slope = float(sol[0]), float(sol[1])
     reference = _probe_reference(vs, tau, xi)
     # Floor the denominator so a vanishing reference (commuting case, slope
     # and reference both ~0) reads as a small error instead of an overflow.
     rel_error = abs(slope - reference) / max(reference, 1e-12)
-    return ProbeReport(lambdas=lambdas, ratios=tuple(ratios), slope=slope,
-                       intercept=intercept, reference=reference,
+    return ProbeReport(lambdas=lambdas, ratios=tuple(ratios.tolist()),
+                       slope=slope, intercept=intercept, reference=reference,
                        rel_error=rel_error, skipped=False)
 
 

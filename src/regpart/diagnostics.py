@@ -155,17 +155,16 @@ def oracle_pairs(reg_set, funcs, vs, ops):
             oracle_regular_part(ops, vs))
 
 
-def check_realpart_commutation(coeffs, derived, s, vs=None, reg=None,
-                               funcs=None):
+def check_realpart_commutation(coeffs, derived, s, vs=None, formula=None):
     """Pointwise criterion for ``Re`` and regularization to commute:
     ``QZ = ZQ`` and ``(I+iZ) Q X = (I-iZ) Q Y`` per cell.
 
-    When a built subspace, an assembled regular part and the embedded
-    function family are supplied, the verdict is backed by values: the real
-    part of the assembled regular form is compared against the abstract
-    regular part of the form's real part (same construction run on the
-    Hermitian form Gram) over all function pairs; the maximum absolute gap
-    is reported.
+    When a built subspace and the assembled regular part's table
+    ``formula[i, j] = a_reg(u_i, u_j)`` over its function family are
+    supplied, the verdict is backed by values: the real part of the
+    table is compared against the abstract regular part of the form's real
+    part (same construction run on the Hermitian form Gram) over all
+    function pairs; the maximum absolute gap is reported.
     """
     q, z = s.Q_field, derived.Z_field
     comm = float(np.max(commutator_norms(s, derived)))
@@ -177,23 +176,22 @@ def check_realpart_commutation(coeffs, derived, s, vs=None, reg=None,
     ok = comm <= COMMUTE_TOL and xy_res <= COMMUTE_TOL
 
     oracle_gap = None
-    if vs is not None and reg is not None and funcs:
-        formula, oracle = oracle_pairs(
-            reg.regular_set(coeffs.theta, coeffs.K_bound),
-            list(funcs)[:vs.n_funcs], vs,
-            compute_operators(vs, real_part=True))
+    if vs is not None and formula is not None:
+        oracle = oracle_regular_part(compute_operators(vs, real_part=True),
+                                     vs)
         oracle_gap = float(np.max(np.abs(
             0.5 * (formula + np.conj(formula.T)) - oracle)))
     return RealPartReport(ok=ok, commutator_residual=comm,
                           xy_residual=xy_res, oracle_max_diff=oracle_gap)
 
 
-def check_equivalences(vs, ops, reg, s, funcs, tau=None, xi=None,
+def check_equivalences(vs, ops, reg, s, funcs, formula, tau=None, xi=None,
                        lambdas=PROBE_LAMBDAS):
     """Decide the five-way equivalence on one model and report residuals.
 
     ``vs`` is the oracle's subspace built on the non-empty family ``funcs``,
-    ``ops`` its operators, ``reg`` the assembled regular part and ``s`` the
+    ``ops`` its operators, ``reg`` the assembled regular part, ``formula``
+    its table ``eval_form(reg_set, funcs, funcs).value`` and ``s`` the
     singular structure; the coefficients and derived fields are read off
     ``vs``.  ``funcs`` also drives the kernel-image check and the vertex
     searches; ``tau``/``xi`` drive the growth probe (defaulting to the first
@@ -215,10 +213,10 @@ def check_equivalences(vs, ops, reg, s, funcs, tau=None, xi=None,
         tau = funcs[0]
     if xi is None:
         xi = np.ones(coeffs.dim) / np.sqrt(coeffs.dim)
-    probe = t_pi2_probe(vs, tau, xi, lambdas)
+    probe = t_pi2_probe(vs, ops, tau, xi, lambdas)
 
     realpart = check_realpart_commutation(coeffs, derived, s, vs=vs,
-                                          reg=reg, funcs=funcs)
+                                          formula=formula)
     comm = realpart.commutator_residual
 
     as_vertex = singular_vertex(

@@ -266,13 +266,15 @@ class FormValue:
 
 def _stack(grid, funcs):
     """Cell values ``(k, n)`` and gradients ``(k, n, d)`` of a function
-    family on ``grid``; one function is a family of one."""
-    if isinstance(funcs, TestFunction):
-        funcs = [funcs]
+    family on ``grid``; one function is a family of one, and an empty
+    family has ``k = 0``."""
+    funcs = [funcs] if isinstance(funcs, TestFunction) else list(funcs)
     if any(f.grid != grid for f in funcs):
         raise GridMismatch("test functions must live on the model's grid")
-    return (np.stack([f.cell_values for f in funcs]),
-            np.stack([f.cell_gradient for f in funcs]))
+    vals = np.array([f.cell_values for f in funcs], dtype=complex)
+    grads = np.array([f.cell_gradient for f in funcs], dtype=complex)
+    return (vals.reshape(-1, grid.n_cells),
+            grads.reshape(-1, grid.n_cells, grid.dim))
 
 
 def eval_form(coeffs, u, v):
@@ -282,12 +284,12 @@ def eval_form(coeffs, u, v):
     functions give a :class:`FormValue` of complex scalars; two sequences
     give one of ``(len(u), len(v))`` arrays with ``[i, j] = a(u_i, v_j)``.
     The conjugation sits on the ``v`` slot throughout, as described in the
-    module docstring.
+    module docstring.  When ``v is u`` the family is stacked once.
     """
     single = isinstance(u, TestFunction) and isinstance(v, TestFunction)
     vol = coeffs.grid.cell_volume
     uc, gu = _stack(coeffs.grid, u)
-    vc, gv = map(np.conj, _stack(coeffs.grid, v))
+    vc, gv = map(np.conj, (uc, gu) if v is u else _stack(coeffs.grid, v))
 
     cgu = np.einsum("nkl,inl->ink", coeffs.C_field, gu)
     second = vol * (cgu.reshape(len(uc), -1) @ gv.reshape(len(vc), -1).T)

@@ -143,7 +143,9 @@ def compute_report(model, lambdas=PROBE_LAMBDAS, seed=0):
     diag_doc = None
     vertex_doc = {"form": None, "singular": None, "pure_singular": None}
     if funcs:
-        diag = check_equivalences(vs, ops, reg, structure, funcs,
+        formula, oracle = oracle_pairs(
+            reg.regular_set(coeffs.theta, coeffs.K_bound), funcs, vs, ops)
+        diag = check_equivalences(vs, ops, reg, structure, funcs, formula,
                                   lambdas=lambdas)
         diag_doc = _diag_doc(diag)
         vertex_doc["singular"] = _vertex_doc(diag.as_vertex)
@@ -155,8 +157,6 @@ def compute_report(model, lambdas=PROBE_LAMBDAS, seed=0):
             "tan_theta": float(np.tan(params.theta)),
         }
 
-        formula, oracle = oracle_pairs(
-            reg.regular_set(coeffs.theta, coeffs.K_bound), funcs, vs, ops)
         for i, name_u in enumerate(names):
             for j, name_v in enumerate(names):
                 f, o = complex(formula[i, j]), complex(oracle[i, j])
@@ -324,7 +324,8 @@ def run_probe(model, lambdas=PROBE_LAMBDAS, tau_name=None, xi=None):
     ambient = build_ambient(coeffs, derived)
     vs = build_v_subspace(ambient, coeffs, derived, model.q_field,
                           list(model.funcs.values()))
-    report = t_pi2_probe(vs, tau, np.asarray(xi, dtype=float), lambdas)
+    report = t_pi2_probe(vs, compute_operators(vs), tau,
+                         np.asarray(xi, dtype=float), lambdas)
     doc = _probe_doc(report)
     doc.update({
         "schema_version": SCHEMA_VERSION,

@@ -76,6 +76,17 @@ def _resolvent(q, z):
         raise SolveFailure("per-cell resolvent solve failed: %s" % exc)
 
 
+def _kernel_relations(q, w, z):
+    """Residuals of the two relations that define ``W`` given ``Q``, ``Z``:
+    ``WZQ = i(W - Q)`` and ``2 W*W = W* + W``."""
+    return {
+        "resolvent_commutation":
+            np.matmul(np.matmul(w, z), q) - 1j * (w - q),
+        "double_contraction":
+            2.0 * np.matmul(adjoint(w), w) - (adjoint(w) + w),
+    }
+
+
 def build_singular_structure(q_field, derived, tol=STRUCTURE_TOL):
     """Validate ``Q`` per cell and solve for ``W = Q (I+iQZQ)^{-1} Q``.
 
@@ -108,12 +119,8 @@ def build_singular_structure(q_field, derived, tol=STRUCTURE_TOL):
     lhs, wtilde = _resolvent(q, z)
     w = np.matmul(q, wtilde)
 
-    solve_res = float(np.max(frobenius(np.matmul(lhs, wtilde) - q)))
-    rc = float(np.max(frobenius(
-        np.matmul(np.matmul(w, z), q) - 1j * (w - q))))
-    dc = float(np.max(frobenius(
-        2.0 * np.matmul(adjoint(w), w) - (adjoint(w) + w))))
-    worst = max(solve_res, rc, dc)
+    worst = max(float(np.max(frobenius(r))) for r in (
+        np.matmul(lhs, wtilde) - q, *_kernel_relations(q, w, z).values()))
     if worst > max(tol, 1e-12 * float(np.max(frobenius(lhs)))) * 10:
         raise SolveFailure(
             "resolvent kernel residuals out of budget (%.3e)" % worst)
@@ -163,10 +170,7 @@ def _identity_report(q, w, p, z):
     iwsz = eye + 1j * np.matmul(adjoint(w), z)
 
     exprs = {
-        "resolvent_commutation":
-            np.matmul(np.matmul(w, z), q) - 1j * (w - q),
-        "double_contraction":
-            2.0 * np.matmul(adjoint(w), w) - (adjoint(w) + w),
+        **_kernel_relations(q, w, z),
         "mixed_first_order":
             np.matmul(np.matmul(q, np.matmul(iz, miwz)), p),
         "second_order_reduction":

@@ -6,6 +6,8 @@ the algebra went cell-local.  Cost is cubic in the number of singular
 vectors, so it is only for small models in the tests.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from regpart.completion import (GRAM_COND_CAP, _singular_basis,
@@ -128,3 +130,26 @@ def dense_probe_ratios(vs, gram_a, gram_form, tau, xi, lambdas):
         tc = np.linalg.solve(hh_jj, (a_xs - np.conj(a_sx)) / 2j)
         ratios.append(float(np.real(np.conj(tc) @ hh_jj @ tc)))
     return np.asarray(ratios)
+
+
+def dense_ops(vs, ops):
+    """The operators' dense ``dim x dim`` matrices ``pi1``, ``pi2``, ``T``,
+    ``Pi`` and the ``m x m`` block ``T11``, scattered from their blocks."""
+    nf, m = vs.n_funcs, vs.n_singular
+    t11 = np.zeros((m, m), dtype=complex)
+    for rows, blk in zip(vs.groups, ops.t11_cells):
+        t11[rows[:, :, None], rows[:, None, :]] = blk
+
+    def scatter(jf, jj=None, ff=None):
+        out = np.zeros((nf + m, nf + m), dtype=complex)
+        out[nf:, :nf] = jf
+        if jj is not None:
+            out[nf:, nf:] = jj
+        if ff is not None:
+            out[:nf, :nf] = ff
+        return out
+
+    pi1 = scatter(ops.pi1_jf, jj=np.eye(m))
+    return SimpleNamespace(pi1=pi1, pi2=np.eye(nf + m) - pi1, T11=t11,
+                           T=scatter(ops.t_jf, jj=t11),
+                           Pi=scatter(ops.pi_jf, ff=np.eye(nf)))

@@ -222,7 +222,11 @@ def test_equivalence_verdicts_consistent():
     for flag in flags:
         case = random_oracle_case(rng, commuting=flag)
         _, s, reg, vs, ops = _prelude(case.coeffs, case.q_field, case.funcs)
-        report = check_equivalences(vs, ops, reg, s, case.funcs, xi=case.xi)
+        formula = eval_form(reg.regular_set(case.coeffs.theta,
+                                            case.coeffs.K_bound),
+                            case.funcs, case.funcs).value
+        report = check_equivalences(vs, ops, reg, s, case.funcs, formula,
+                                    xi=case.xi)
         v = {k: d["value"] for k, d in report.verdicts.items()}
         graph_ok = (v["commuting"] == v["simplified_formula"]
                     == v["kernel_image_formula"]
@@ -244,7 +248,8 @@ def test_probe_slope_matches_quadrature():
     ambient = build_ambient(coeffs, derived)
     tau = TestFunction.bump(coeffs.grid, [0.5, 0.5], [0.4, 0.4])
     vs = build_v_subspace(ambient, coeffs, derived, q, [tau])
-    report = t_pi2_probe(vs, tau, (0.0, 1.0), (10.0, 20.0, 40.0, 80.0))
+    report = t_pi2_probe(vs, compute_operators(vs), tau, (0.0, 1.0),
+                         (10.0, 20.0, 40.0, 80.0))
     # independent quadrature of the reference density
     expected = 0.25 * coeffs.grid.cell_volume * float(
         np.sum(np.abs(tau.cell_values) ** 2))

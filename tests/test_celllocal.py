@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dense_reference import (dense_gate_rejects, dense_grams,
-                             dense_kernel_image, dense_operators,
+                             dense_kernel_image, dense_operators, dense_ops,
                              dense_oracle_table, dense_probe_ratios)
 from regpart.completion import (build_ambient, build_v_subspace,
                                 compute_operators, oracle_regular_part,
@@ -69,12 +69,14 @@ def test_cell_local_matches_dense_reference(case):
                                                      real_part=real_part)
         assert rel_gap(oracle_regular_part(ops, vs), dense_oracle_table(
             gram_form, pi_op, nf, real_part=real_part)) <= DENSE_RTOL
-        assert rel_gap(ops.Pi[:, :nf], pi_op[:, :nf]) <= DENSE_RTOL
+        assert rel_gap(dense_ops(vs, ops).Pi[:, :nf],
+                       pi_op[:, :nf]) <= DENSE_RTOL
         if not real_part:
             assert rel_gap(singular_field(vs, ops.tpi2_jf),
                            dense_kernel_image(vs, t_full, pi2)) <= DENSE_RTOL
 
-    ratios = t_pi2_probe(vs, tau, xi, PROBE_LAMBDAS).ratios
+    ratios = t_pi2_probe(vs, compute_operators(vs), tau, xi,
+                         PROBE_LAMBDAS).ratios
     ref = dense_probe_ratios(vs, gram_a, gram_form, tau, xi, PROBE_LAMBDAS)
     assert_allclose(ratios, ref, rtol=DENSE_RTOL, atol=0)
 

@@ -179,6 +179,21 @@ def test_lambda_list_argument_errors(cantor_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["compute", "probe"])
+@pytest.mark.parametrize("lambdas", ["5,inf", "5,nan", "1e200,1e300"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_probe_frequency_exits_2(command, lambdas, cantor_file,
+                                             capsys):
+    """A frequency whose ratio or square is not finite is named as a
+    degenerate probe, not a least-squares crash."""
+    assert main([command, "--model", str(cantor_file),
+                 "--lambda-list", lambdas]) == 2
+    err = capsys.readouterr().err
+    bad = {"5,inf": "inf", "5,nan": "nan", "1e200,1e300": "1e+200"}[lambdas]
+    assert "validation error: probe frequency %s:" % bad in err
+    assert "Traceback" not in err
+
+
 def test_verify_passes(capsys):
     assert main(["verify", "--trials", "40", "--seed", "3"]) == 0
     out = capsys.readouterr().out
@@ -254,8 +269,9 @@ def test_console_script_installed(tmp_path):
 
 def test_compute_builds_each_artifact_once(cantor3, monkeypatch):
     """One compute builds the V space once and solves its operators twice:
-    for the form and for its real part.  It evaluates the form five times,
-    each on a whole function family: the two oracle tables and the three
+    for the form and for its real part.  It evaluates the form four times,
+    each on a whole function family: the regular part's pair table, which
+    the oracle comparison and the real-part check share, and the three
     vertex searches."""
     counts = {}
 
@@ -283,7 +299,7 @@ def test_compute_builds_each_artifact_once(cantor3, monkeypatch):
                                funcs=cantor3["funcs"]))
     assert counts == {"build_ambient": 1, "build_v_subspace": 1,
                       "compute_operators": 2, "derive_fields": 1,
-                      "eval_form": 5, "assemble_regular": 2}
+                      "eval_form": 4, "assemble_regular": 2}
 
 
 def test_module_entry_point(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dense_reference import dense_ops
 from regpart.completion import (AMBIENT_MARGIN, _ambient_min_eig,
                                 build_ambient,
                                 build_v_subspace, compute_operators,
@@ -177,7 +178,7 @@ def test_singular_block_is_scaled_identity(rng):
 
 def test_kernel_projection_normal_equations(rng):
     _, _, _, _, _, vs = random_setup(rng, 2)
-    ops = compute_operators(vs)
+    ops = dense_ops(vs, compute_operators(vs))
     jj = vs.v1_slice
     scale = float(np.max(np.abs(vs.gram_a)))
     # pi2 x is a-orthogonal to every singular basis vector
@@ -188,7 +189,7 @@ def test_kernel_projection_normal_equations(rng):
 
 def test_t_defining_relation(rng):
     _, _, _, _, _, vs = random_setup(rng, 2)
-    ops = compute_operators(vs)
+    ops = dense_ops(vs, compute_operators(vs))
     jj = vs.v1_slice
     hh = herm_part(vs.gram_form)
     him = imag_part(vs.gram_form)
@@ -202,7 +203,7 @@ def test_correction_operator_equation(rng):
     """Pi = pi2 - i (I + iT11)^{-1} T pi2 row-block, checked via its
     defining linear system."""
     _, _, _, _, _, vs = random_setup(rng, 3)
-    ops = compute_operators(vs)
+    ops = dense_ops(vs, compute_operators(vs))
     jj = vs.v1_slice
     lhs = (np.eye(vs.n_singular) + 1j * ops.T11) @ (ops.pi2 - ops.Pi)[jj, :]
     rhs = 1j * (ops.T @ ops.pi2)[jj, :]
@@ -254,8 +255,9 @@ def test_oracle_explicit_pair(rng):
 def test_real_part_operators(rng):
     _, _, _, _, funcs, vs = random_setup(rng, 2)
     ops_h = compute_operators(vs, real_part=True)
-    assert np.max(np.abs(ops_h.T)) < 1e-12
-    assert_allclose(ops_h.Pi, ops_h.pi2, atol=1e-12)
+    dense = dense_ops(vs, ops_h)
+    assert np.max(np.abs(dense.T)) < 1e-12
+    assert_allclose(dense.Pi, dense.pi2, atol=1e-12)
     # the Hermitian form's regular part is Hermitian in its arguments
     g01 = oracle_regular_part(ops_h, vs, 0, 1)
     g10 = oracle_regular_part(ops_h, vs, 1, 0)
@@ -300,12 +302,28 @@ def test_no_singular_directions(rng):
     vs = build_v_subspace(ambient, coeffs, derived, q, [f])
     assert vs.dim == 1 and vs.n_singular == 0
     ops = compute_operators(vs)
-    assert_allclose(ops.Pi, np.eye(1), atol=0)
-    assert np.max(np.abs(ops.pi1)) == 0.0
+    dense = dense_ops(vs, ops)
+    assert_allclose(dense.Pi, np.eye(1), atol=0)
+    assert np.max(np.abs(dense.pi1)) == 0.0
     # with no singular directions the whole form is its own regular part
     oracle = oracle_regular_part(ops, vs, 0, 0)
     assert_allclose(oracle, eval_form(coeffs, f, f).value,
                     rtol=1e-10, atol=1e-12)
+
+
+def test_empty_family_builds(cantor3):
+    """With no functions V is the singular block alone: the ambient Gram
+    is ``vol`` times the identity and its condition number is one."""
+    coeffs, derived = cantor3["coeffs"], cantor3["derived"]
+    vs = build_v_subspace(build_ambient(coeffs, derived), coeffs, derived,
+                          cantor3["q_field"], [])
+    assert (vs.n_funcs, vs.dim) == (0, 72)
+    assert vs.func_values.shape == (0, coeffs.n_cells)
+    assert vs.cond == 1.0
+    assert_allclose(vs.gram_a, coeffs.grid.cell_volume * np.eye(72),
+                    atol=1e-13)
+    ops = compute_operators(vs)
+    assert ops.pi1_jf.shape == ops.pi_jf.shape == (72, 0)
 
 
 def test_cantor_singular_count(cantor3):
@@ -332,7 +350,8 @@ def test_probe_constant_noncommuting_model():
     ambient = build_ambient(coeffs, derived)
     tau = TestFunction.bump(coeffs.grid, [0.5, 0.5], [0.4, 0.4])
     vs = build_v_subspace(ambient, coeffs, derived, q, [tau])
-    report = t_pi2_probe(vs, tau, (0.0, 1.0), (5.0, 10.0, 20.0, 40.0))
+    ops = compute_operators(vs)
+    report = t_pi2_probe(vs, ops, tau, (0.0, 1.0), (5.0, 10.0, 20.0, 40.0))
     assert not report.skipped
     # |Q Z (I-Q) A^{1/2} xi| = coupling for xi along the second axis
     expected_ref = 0.25 * coeffs.grid.cell_volume * float(
@@ -353,7 +372,8 @@ def test_probe_commuting_is_flat():
     n = coeffs.n_cells
     q_full = np.broadcast_to(np.eye(2), (n, 2, 2)).astype(complex).copy()
     vs = build_v_subspace(ambient, coeffs, derived, q_full, [tau])
-    report = t_pi2_probe(vs, tau, (0.0, 1.0), (5.0, 10.0, 20.0, 40.0))
+    ops = compute_operators(vs)
+    report = t_pi2_probe(vs, ops, tau, (0.0, 1.0), (5.0, 10.0, 20.0, 40.0))
     assert report.reference == 0.0
     assert abs(report.slope) < 1e-12
     assert report.rel_error < 1e-8
@@ -365,17 +385,19 @@ def test_probe_skip_semantics():
     ambient = build_ambient(coeffs, derived)
     tau = TestFunction.bump(coeffs.grid, [0.5, 0.5], [0.4, 0.4])
     vs = build_v_subspace(ambient, coeffs, derived, q, [tau])
+    ops = compute_operators(vs)
 
-    single = t_pi2_probe(vs, tau, (0.0, 1.0), (10.0,))
+    single = t_pi2_probe(vs, ops, tau, (0.0, 1.0), (10.0,))
     assert single.skipped and single.ratios == ()
 
-    zero = t_pi2_probe(vs, TestFunction.zero(coeffs.grid), (0.0, 1.0),
-                       (5.0, 10.0))
+    zero = t_pi2_probe(vs, ops, TestFunction.zero(coeffs.grid),
+                       (0.0, 1.0), (5.0, 10.0))
     assert zero.skipped
 
     q0 = np.zeros((coeffs.n_cells, 2, 2), dtype=complex)
     vs0 = build_v_subspace(ambient, coeffs, derived, q0, [tau])
-    empty = t_pi2_probe(vs0, tau, (0.0, 1.0), (5.0, 10.0))
+    empty = t_pi2_probe(vs0, compute_operators(vs0), tau, (0.0, 1.0),
+                        (5.0, 10.0))
     assert not empty.skipped
     assert empty.ratios == ()
     assert math.isnan(empty.rel_error)

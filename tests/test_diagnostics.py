@@ -16,7 +16,7 @@ from regpart.diagnostics import (COMMUTE_TOL, PROBE_POSITIVE, cantor_mask,
 from regpart.errors import (DegenerateBasis, ResolutionTooCoarse,
                             ValidationError)
 from regpart.grid import GridSpec
-from regpart.model import CoefficientSet, derive_fields
+from regpart.model import CoefficientSet, derive_fields, eval_form
 from regpart.pipeline import _prelude
 from regpart.randomized import random_node_functions, random_oracle_case
 from regpart.regularize import build_singular_structure
@@ -155,9 +155,17 @@ def test_realpart_pointwise_criterion():
 # -- five-way equivalence ---------------------------------------------------
 
 
+def regular_table(coeffs, reg, funcs):
+    """The assembled regular part on every pair of ``funcs``."""
+    return eval_form(reg.regular_set(coeffs.theta, coeffs.K_bound), funcs,
+                     funcs).value
+
+
 def run_diagnostics(case, **kw):
     _, s, reg, vs, ops = _prelude(case.coeffs, case.q_field, case.funcs)
-    return check_equivalences(vs, ops, reg, s, case.funcs, xi=case.xi, **kw)
+    return check_equivalences(vs, ops, reg, s, case.funcs,
+                              regular_table(case.coeffs, reg, case.funcs),
+                              xi=case.xi, **kw)
 
 
 VERDICT_KEYS = ("commuting", "simplified_formula", "kernel_image_formula",
@@ -211,7 +219,8 @@ def test_regular_tangent_below_vertical(rng):
 def test_cantor_diagnostics(cantor3):
     funcs = list(cantor3["funcs"].values())
     _, s, reg, vs, ops = _prelude(cantor3["coeffs"], cantor3["q_field"], funcs)
-    report = check_equivalences(vs, ops, reg, s, funcs)
+    report = check_equivalences(vs, ops, reg, s, funcs,
+                                regular_table(cantor3["coeffs"], reg, funcs))
 
     # indicator coefficients have Z = 0: everything commutes
     assert report.commutator_max == 0.0
