@@ -6,6 +6,7 @@ message names the offending cell where known), 3 parse failure.
 """
 
 import argparse
+import math
 import sys
 
 from .diagnostics import PROBE_LAMBDAS
@@ -20,11 +21,16 @@ __all__ = ["build_parser", "main"]
 def _parse_lambda_list(text):
     if text is None:
         return PROBE_LAMBDAS
+    parts = [part.strip() for part in text.split(",") if part.strip()]
     try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
+        values = tuple(float(part) for part in parts)
     except ValueError:
         raise ParseError("--lambda-list expects comma-separated numbers, "
                          "got %r" % text) from None
+    for part, value in zip(parts, values):
+        if not math.isfinite(value):
+            raise ValidationError("probe frequency %r: --lambda-list entry "
+                                  "%r is not finite" % (value, part))
     if len(values) < 2:
         raise ValidationError("--lambda-list needs at least two values")
     return values

@@ -33,7 +33,7 @@ from .errors import (DegenerateBasis, DominationViolation, GridMismatch,
 from .grid import GridSpec, TestFunction
 from .pointwise import (DEFAULT_RANK_EPS, PSD_TOL, SectorParams, adjoint,
                         frobenius, herm_part, imag_part, pencil_tangent,
-                        pinv_sqrt, psd_sqrt, sector_pencils)
+                        psd_roots, sector_pencils)
 
 __all__ = [
     "CoefficientSet",
@@ -188,7 +188,8 @@ class DerivedFields:
 def derive_fields(coeffs, rank_eps=DEFAULT_RANK_EPS, rtol=DERIVE_RTOL):
     """Factor a validated :class:`CoefficientSet` through ``A = herm(C)``.
 
-    Per cell: ``A``, ``Asqrt = psd_sqrt(A)``, ``g = pinv_sqrt(A)``, then
+    Per cell: ``A``, then ``Asqrt = psd_sqrt(A)`` and ``g = pinv_sqrt(A)``
+    from one eigendecomposition (:func:`~regpart.pointwise.psd_roots`), then
 
     * ``Z = g @ imag_part(C) @ g`` (re-Hermitized),
     * ``X = g @ conj(b)``, ``Y = g @ d``.
@@ -205,8 +206,7 @@ def derive_fields(coeffs, rank_eps=DEFAULT_RANK_EPS, rtol=DERIVE_RTOL):
     """
     n, d = coeffs.n_cells, coeffs.dim
     a = herm_part(coeffs.C_field)
-    asqrt = psd_sqrt(a, rank_eps=rank_eps)
-    g = pinv_sqrt(a, rank_eps=rank_eps)
+    asqrt, g = psd_roots(a, rank_eps=rank_eps)
     im = imag_part(coeffs.C_field)
     z = herm_part(np.einsum("nij,njk,nkl->nil", g, im, g))
     bbar = np.conj(coeffs.b_field)

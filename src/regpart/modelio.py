@@ -15,11 +15,18 @@ newline.  Re-encoding a parsed canonical file reproduces it byte for
 byte; the ``Q`` and ``functions`` sub-documents are passed through
 verbatim while the numeric payload is re-encoded from the arrays.
 
+A document may carry complex ndarrays as leaves, as the reports do for
+their coefficient fields.  :func:`dumps_canonical` writes such a leaf as
+the nested ``[re, im]`` lists that :func:`complex_to_json` would give,
+byte for byte, without building those lists: every distinct float is
+formatted once and the array's text is filled in one step.
+
 Structural problems (bad JSON, missing keys, wrong shapes) raise
 :class:`ParseError`; semantic problems (sector violations, bad grids)
 surface as :class:`ValidationError` subclasses from the model layer.
 """
 
+import gc
 import json
 from dataclasses import dataclass, field
 
@@ -121,14 +128,72 @@ def _number(doc, key, what):
 # canonical serialization
 
 
-def dumps_canonical(doc):
-    """Canonical JSON text: sorted keys, tight separators, newline end."""
+def _non_finite(reason="Out of range float values are not JSON compliant"):
+    return ValidationError("non-finite value in document: %s" % reason)
+
+
+def _array_text(arr):
+    """``json.dumps(complex_to_json(arr))`` with tight separators, written
+    from the array: each distinct float bit pattern is formatted once with
+    ``float.__repr__`` (so ``-0.0`` and ``0.0`` stay apart) and one ``%``
+    fill puts them into the nested-list template of the array's shape."""
+    a = np.asarray(arr, dtype=complex, order="C")
+    flat = a.reshape(-1).view(float)
+    if not np.all(np.isfinite(flat)):
+        raise _non_finite()
+    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+    words = np.array(list(map(float.__repr__, bits.view(float).tolist())),
+                     dtype=object)
+    template = "[%s,%s]"
+    for size in reversed(a.shape):
+        template = "[" + ",".join([template] * size) + "]"
+    return template % tuple(words[inverse])
+
+
+def _encode(doc, marker):
+    """Canonical ``json`` text of ``doc`` with each ndarray leaf written as
+    the string ``marker``; returns the text and the arrays in text order."""
+    arrays = []
+
+    def stash(obj):
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            return marker
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(obj).__name__)
+
     try:
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                          allow_nan=False) + "\n"
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False, default=stash)
     except ValueError as exc:
-        raise ValidationError("non-finite value in document: %s" % exc) \
-            from None
+        raise _non_finite(exc) from None
+    return text, arrays
+
+
+def dumps_canonical(doc):
+    """Canonical JSON text: sorted keys, tight separators, newline end.
+
+    ndarray leaves are written as complex arrays by :func:`_array_text`;
+    everything else goes through the ``json`` encoder, which sees a marker
+    string in place of each array.  The array texts are spliced in at the
+    markers.  A marker is a run of ``k`` NUL characters; when the text
+    holds more markers than there are arrays, a string of the document
+    collided with it, so ``k`` doubles and the document is encoded again.
+    """
+    k = 1
+    while True:
+        text, arrays = _encode(doc, "\0" * k)
+        if not arrays:
+            return text + "\n"
+        parts = text.split('"%s"' % ("\\u0000" * k))
+        if len(parts) == len(arrays) + 1:
+            break
+        k *= 2
+    out = [parts[0]]
+    for arr, part in zip(arrays, parts[1:]):
+        out += (_array_text(arr), part)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_doc(path, doc):
@@ -143,10 +208,19 @@ def _reject_constant(token):
 
 
 def loads_doc(text):
+    """Parse JSON text.  The cyclic garbage collector is paused while the
+    decoder runs: it builds only acyclic lists and dicts, hundreds of
+    thousands of them for a large model, and the collector's passes over
+    them would double the parse time."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON: %s" % exc) from None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def load_doc(path):

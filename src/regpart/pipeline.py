@@ -19,8 +19,8 @@ from .diagnostics import (PROBE_LAMBDAS, check_equivalences,
                           svc_intervals)
 from .errors import ValidationError
 from .model import derive_fields, estimate_vertex_angle
-from .modelio import (SCHEMA_VERSION, complex_pair, complex_to_json,
-                      grid_to_doc, make_model_doc, q_indicator_spec)
+from .modelio import (SCHEMA_VERSION, complex_pair, grid_to_doc,
+                      make_model_doc, q_indicator_spec)
 from .randomized import random_oracle_case, random_qz_draws
 from .regularize import (assemble_regular, build_singular_structure,
                          identity_residuals, identity_suite)
@@ -103,12 +103,9 @@ def _diag_doc(diag):
 
 
 def _field_doc(c_field, b_field, d_field, c0_field):
-    return {
-        "C": complex_to_json(c_field),
-        "b": complex_to_json(b_field),
-        "d": complex_to_json(d_field),
-        "c0": complex_to_json(c0_field),
-    }
+    """The four fields as complex ndarray leaves, which
+    :func:`~regpart.modelio.dumps_canonical` writes as ``[re, im]`` lists."""
+    return {"C": c_field, "b": b_field, "d": d_field, "c0": c0_field}
 
 
 # ---------------------------------------------------------------------------

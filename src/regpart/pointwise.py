@@ -33,6 +33,7 @@ __all__ = [
     "herm_eig",
     "psd_sqrt",
     "pinv_sqrt",
+    "psd_roots",
     "is_projection",
     "sector_check",
     "pencil_tangent",
@@ -132,6 +133,11 @@ def _assemble(u, w):
     return herm_part(m)
 
 
+def _inv_sqrt(w):
+    """``lam -> lam**-0.5`` on positive ``lam`` and ``0`` elsewhere."""
+    return np.where(w > 0.0, 1.0 / np.sqrt(np.where(w > 0.0, w, 1.0)), 0.0)
+
+
 def psd_sqrt(a, rank_eps=DEFAULT_RANK_EPS):
     """Unique positive-semidefinite square root of a psd matrix.
 
@@ -150,8 +156,14 @@ def pinv_sqrt(a, rank_eps=DEFAULT_RANK_EPS):
     numerical range of ``a``.
     """
     w, u = _clamped_psd_eig(np.asarray(a, dtype=complex), rank_eps, "pinv_sqrt input")
-    g = np.where(w > 0.0, 1.0 / np.sqrt(np.where(w > 0.0, w, 1.0)), 0.0)
-    return _assemble(u, g)
+    return _assemble(u, _inv_sqrt(w))
+
+
+def psd_roots(a, rank_eps=DEFAULT_RANK_EPS):
+    """``(psd_sqrt(a), pinv_sqrt(a))`` from one eigendecomposition of ``a``,
+    bitwise equal to the two separate calls."""
+    w, u = _clamped_psd_eig(np.asarray(a, dtype=complex), rank_eps, "psd_sqrt input")
+    return _assemble(u, np.sqrt(w)), _assemble(u, _inv_sqrt(w))
 
 
 @dataclass(frozen=True)

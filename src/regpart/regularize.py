@@ -18,6 +18,14 @@ where ``A, Z, X, Y`` come from :func:`regpart.model.derive_fields`.  A
 simplified variant applies when ``Q`` and ``Z`` commute, and an identity
 suite checks the algebraic relations that make the two agree.
 
+Only the cells of ``supp Q`` (where some entry of ``Q`` is nonzero) need
+any of this.  Elsewhere ``W = 0`` and ``P = I``, the regular part is the
+form itself, and the regular fields are copies of the input coefficients,
+so the singular fields there are exactly ``0``.  The solves, the assembly
+and the identity suite run on the ``supp Q`` cells only; the singular
+structure still carries full-grid ``Q``, ``W`` and ``P`` fields, and the
+identity suite's per-cell residuals are ``0.0`` off ``supp Q``.
+
 A note on ``Q``: it is caller-supplied data, not derived from the
 coefficients.  Helpers below build the two common shapes — an indicator set
 times the identity, and the orthogonal projection onto per-cell spanning
@@ -56,15 +64,29 @@ def _eye_like(field):
     return np.broadcast_to(np.eye(d), (n, d, d))
 
 
+def _support(q):
+    """Indices of the cells where some entry of ``Q`` is nonzero."""
+    return np.flatnonzero(np.any(q != 0, axis=(-2, -1)))
+
+
+def _scatter(values, cells, n):
+    """Full-grid array equal to ``values`` on ``cells`` and 0 elsewhere."""
+    out = np.zeros((n,) + values.shape[1:], dtype=values.dtype)
+    out[cells] = values
+    return out
+
+
 @dataclass
 class SingularStructure:
     """Projection field ``Q_field`` with its derived ``W_field`` and
-    ``P_field = I - Q_field``."""
+    ``P_field = I - Q_field`` on the full grid, and the indices ``support``
+    of the cells of ``supp Q``, the only cells where ``W != 0``."""
 
     grid: "object"
     Q_field: np.ndarray
     W_field: np.ndarray
     P_field: np.ndarray
+    support: np.ndarray
 
 
 def _resolvent(q, z):
@@ -93,7 +115,9 @@ def build_singular_structure(q_field, derived, tol=STRUCTURE_TOL):
     ``I + iQZQ`` has Hermitian ``QZQ``, so its eigenvalues ``1 + i*lam``
     have modulus at least one and the per-cell dense solve is always well
     posed; residual failures therefore indicate corrupted inputs and raise
-    :class:`SolveFailure` rather than a validation error.
+    :class:`SolveFailure` rather than a validation error.  Cells with
+    ``Q = 0`` are projections with ``W = 0``; only the others are checked
+    and solved.
 
     Raises
     ------
@@ -106,27 +130,32 @@ def build_singular_structure(q_field, derived, tol=STRUCTURE_TOL):
     if q.shape != (n, d, d):
         raise GridMismatch("Q_field must have shape (%d, %d, %d)" % (n, d, d))
 
-    res_h, res_i = projection_residuals(q)
+    cells = _support(q)
+    qs = q[cells]
+    res_h, res_i = projection_residuals(qs)
     bad = (res_h > tol) | (res_i > tol)
     if np.any(bad):
-        cell = int(np.argmax(np.maximum(res_h, res_i)))
+        k = int(np.argmax(np.maximum(res_h, res_i)))
+        cell = int(cells[k])
         raise ProjectionInvalid(
             "cell %d: Q is not an orthogonal projection "
             "(hermitian residual %.3e, idempotence residual %.3e)"
-            % (cell, float(res_h[cell]), float(res_i[cell])), cell=cell)
+            % (cell, float(res_h[k]), float(res_i[k])), cell=cell)
 
-    z = derived.Z_field
-    lhs, wtilde = _resolvent(q, z)
-    w = np.matmul(q, wtilde)
+    z = derived.Z_field[cells]
+    lhs, wtilde = _resolvent(qs, z)
+    ws = np.matmul(qs, wtilde)
 
-    worst = max(float(np.max(frobenius(r))) for r in (
-        np.matmul(lhs, wtilde) - q, *_kernel_relations(q, w, z).values()))
-    if worst > max(tol, 1e-12 * float(np.max(frobenius(lhs)))) * 10:
+    worst = max(float(np.max(frobenius(r), initial=0.0)) for r in (
+        np.matmul(lhs, wtilde) - qs, *_kernel_relations(qs, ws, z).values()))
+    scale = float(np.max(frobenius(lhs), initial=0.0))
+    if worst > max(tol, 1e-12 * scale) * 10:
         raise SolveFailure(
             "resolvent kernel residuals out of budget (%.3e)" % worst)
 
-    return SingularStructure(grid=derived.grid, Q_field=q, W_field=w,
-                             P_field=_eye_like(q) - q)
+    return SingularStructure(grid=derived.grid, Q_field=q,
+                             W_field=_scatter(ws, cells, n),
+                             P_field=_eye_like(q) - q, support=cells)
 
 
 @dataclass
@@ -135,6 +164,12 @@ class IdentityReport:
 
     residuals: dict
     per_cell: dict
+
+    @classmethod
+    def from_per_cell(cls, per_cell):
+        return cls(residuals={name: float(np.max(val, initial=0.0))
+                              for name, val in per_cell.items()},
+                   per_cell=per_cell)
 
     @property
     def max_residual(self):
@@ -146,9 +181,15 @@ def identity_suite(s, derived):
 
     All are exact consequences of ``W = Q(I+iQZQ)^{-1}Q`` with Hermitian
     ``Z`` and orthogonal-projection ``Q``; the suite measures how far
-    floating point lets them drift.
+    floating point lets them drift.  They hold exactly where ``Q = 0``, so
+    they are evaluated on ``supp Q`` and reported as ``0.0`` elsewhere.
     """
-    return _identity_report(s.Q_field, s.W_field, s.P_field, derived.Z_field)
+    cells = s.support
+    local = _identity_report(s.Q_field[cells], s.W_field[cells],
+                             s.P_field[cells], derived.Z_field[cells])
+    return IdentityReport.from_per_cell({
+        name: _scatter(val, cells, derived.n_cells)
+        for name, val in local.per_cell.items()})
 
 
 def identity_residuals(q_field, z_field):
@@ -186,9 +227,8 @@ def _identity_report(q, w, p, z):
         "zeroth_order_reduction":
             np.matmul(q, np.matmul(iz, w)) - q,
     }
-    per_cell = {name: frobenius(val) for name, val in exprs.items()}
-    residuals = {name: float(np.max(val)) for name, val in per_cell.items()}
-    return IdentityReport(residuals=residuals, per_cell=per_cell)
+    return IdentityReport.from_per_cell(
+        {name: frobenius(val) for name, val in exprs.items()})
 
 
 @dataclass
@@ -227,7 +267,16 @@ class RegularizedCoefficients:
                               K_bound=K_bound)
 
 
-def _package(coeffs, c_reg, b_reg, d_reg, c0_reg):
+def _package(coeffs, cells, c_reg, b_reg, d_reg, c0_reg):
+    """Regular fields that copy the input off ``cells`` and take the
+    assembled values on them, with their exact complements."""
+    fields = []
+    for full, local in ((coeffs.C_field, c_reg), (coeffs.b_field, b_reg),
+                        (coeffs.d_field, d_reg), (coeffs.c0_field, c0_reg)):
+        out = np.array(full, dtype=complex)
+        out[cells] = local
+        fields.append(out)
+    c_reg, b_reg, d_reg, c0_reg = fields
     return RegularizedCoefficients(
         grid=coeffs.grid, C_reg=c_reg, b_reg=b_reg, d_reg=d_reg,
         c0_reg=c0_reg,
@@ -250,17 +299,24 @@ def _first_order_fields(m_b, m_d, x, y):
     return b_reg, d_reg
 
 
-def assemble_regular(coeffs, derived, s):
-    """Assemble the regular-part coefficient fields from the full kernel.
-
-    See the module docstring for the per-cell formulas.  The output's
-    ``*_s`` fields are the exact complements.
-    """
+def _check_grids(coeffs, derived, s):
     if not (coeffs.grid == derived.grid == s.grid):
         raise GridMismatch("coefficients, derived fields and singular "
                            "structure must share one grid")
-    z, w, p = derived.Z_field, s.W_field, s.P_field
-    asqrt = derived.Asqrt_field
+
+
+def assemble_regular(coeffs, derived, s):
+    """Assemble the regular-part coefficient fields from the full kernel.
+
+    See the module docstring for the per-cell formulas, which run on
+    ``supp Q``; the other cells copy the input.  The output's ``*_s``
+    fields are the exact complements.
+    """
+    _check_grids(coeffs, derived, s)
+    cells = s.support
+    w, p, z, asqrt, x, y, c0 = (f[cells] for f in (
+        s.W_field, s.P_field, derived.Z_field, derived.Asqrt_field,
+        derived.X_field, derived.Y_field, coeffs.c0_field))
     eye = _eye_like(z)
 
     kernel = eye + 1j * z + np.matmul(np.matmul(z, w), z)
@@ -269,19 +325,19 @@ def assemble_regular(coeffs, derived, s):
 
     m_b = np.matmul(eye - 1j * np.matmul(w, z), pa)
     m_d = np.matmul(eye + 1j * np.matmul(adjoint(w), z), pa)
-    b_reg, d_reg = _first_order_fields(m_b, m_d, derived.X_field,
-                                       derived.Y_field)
+    b_reg, d_reg = _first_order_fields(m_b, m_d, x, y)
 
-    wy = np.einsum("nkl,nl->nk", w, derived.Y_field)
-    c0_reg = coeffs.c0_field - np.einsum("nk,nk->n",
-                                         np.conj(derived.X_field), wy)
-    return _package(coeffs, c_reg, b_reg, d_reg, c0_reg)
+    wy = np.einsum("nkl,nl->nk", w, y)
+    c0_reg = c0 - np.einsum("nk,nk->n", np.conj(x), wy)
+    return _package(coeffs, cells, c_reg, b_reg, d_reg, c0_reg)
 
 
 def commutator_norms(s, derived):
-    """Per-cell Frobenius norms of ``Q Z - Z Q``."""
-    q, z = s.Q_field, derived.Z_field
-    return frobenius(np.matmul(q, z) - np.matmul(z, q))
+    """Per-cell Frobenius norms of ``Q Z - Z Q`` (0 off ``supp Q``)."""
+    cells = s.support
+    q, z = s.Q_field[cells], derived.Z_field[cells]
+    return _scatter(frobenius(np.matmul(q, z) - np.matmul(z, q)), cells,
+                    derived.n_cells)
 
 
 def assemble_regular_commuting(coeffs, derived, s, tol=1e-9):
@@ -294,11 +350,10 @@ def assemble_regular_commuting(coeffs, derived, s, tol=1e-9):
     agrees with :func:`assemble_regular` cell by cell.
 
     Raises :class:`NotCommuting` when ``max_c ||QZ - ZQ||_F`` exceeds
-    ``tol`` relative to the cell scale.
+    ``tol`` relative to the cell scale.  Like :func:`assemble_regular`, it
+    works on ``supp Q`` and copies the input elsewhere.
     """
-    if not (coeffs.grid == derived.grid == s.grid):
-        raise GridMismatch("coefficients, derived fields and singular "
-                           "structure must share one grid")
+    _check_grids(coeffs, derived, s)
     comm = commutator_norms(s, derived)
     scale = np.maximum(1.0, frobenius(derived.Z_field))
     if np.any(comm > tol * scale):
@@ -307,24 +362,23 @@ def assemble_regular_commuting(coeffs, derived, s, tol=1e-9):
             "cell %d: ||QZ - ZQ||_F = %.3e exceeds the commuting tolerance"
             % (cell, float(comm[cell])))
 
-    q, p = s.Q_field, s.P_field
-    z = derived.Z_field
-    asqrt = derived.Asqrt_field
+    cells = s.support
+    q, p, z, asqrt, x, y, c0 = (f[cells] for f in (
+        s.Q_field, s.P_field, derived.Z_field, derived.Asqrt_field,
+        derived.X_field, derived.Y_field, coeffs.c0_field))
     eye = _eye_like(z)
 
     pa = np.matmul(p, asqrt)
     c_reg = np.matmul(np.matmul(adjoint(pa), eye + 1j * z), pa)
-    b_reg, d_reg = _first_order_fields(pa, pa, derived.X_field,
-                                       derived.Y_field)
+    b_reg, d_reg = _first_order_fields(pa, pa, x, y)
 
     try:
         resolvent_q = np.linalg.solve(eye + 1j * z, q)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise SolveFailure("(I + iZ) solve failed: %s" % exc)
-    qy = np.einsum("nkl,nl->nk", np.matmul(q, resolvent_q), derived.Y_field)
-    c0_reg = coeffs.c0_field - np.einsum("nk,nk->n",
-                                         np.conj(derived.X_field), qy)
-    return _package(coeffs, c_reg, b_reg, d_reg, c0_reg)
+    qy = np.einsum("nkl,nl->nk", np.matmul(q, resolvent_q), y)
+    c0_reg = c0 - np.einsum("nk,nk->n", np.conj(x), qy)
+    return _package(coeffs, cells, c_reg, b_reg, d_reg, c0_reg)
 
 
 def pure_second_order_parts(coeffs, derived, s):

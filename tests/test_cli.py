@@ -10,7 +10,7 @@ import pytest
 
 from regpart.cli import main
 from regpart.modelio import (LoadedModel, dumps_canonical, load_doc,
-                             q_matrix_spec, write_doc)
+                             q_indicator_spec, q_matrix_spec, write_doc)
 from regpart.pipeline import (IDENTITY_TOL, ORACLE_RTOL, cantor_model_doc,
                               compute_report)
 
@@ -192,6 +192,51 @@ def test_overflowing_probe_frequency_exits_2(command, lambdas, cantor_file,
     bad = {"5,inf": "inf", "5,nan": "nan", "1e200,1e300": "1e+200"}[lambdas]
     assert "validation error: probe frequency %s:" % bad in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["compute", "probe"])
+@pytest.mark.parametrize("lambdas, bad", [("5,inf", "inf"), ("5, nan", "nan"),
+                                          ("-inf,5", "-inf")])
+def test_non_finite_lambda_list_named(command, lambdas, bad, tmp_path,
+                                      capsys):
+    """On a model with ``Q = 0`` the probe is skipped; the option and its
+    bad entry are still named, where the list is parsed."""
+    doc = cantor_model_doc(1)
+    doc["Q"] = q_indicator_spec([(2.0, 3.0)])
+    path = tmp_path / "noq.json"
+    write_doc(path, doc)
+    assert main([command, "--model", str(path),
+                 "--lambda-list=" + lambdas]) == 2
+    err = capsys.readouterr().err
+    assert "--lambda-list entry '%s' is not finite" % bad in err
+
+
+def test_non_finite_array_leaf_exits_2(cantor_file, monkeypatch, capsys):
+    import regpart.cli
+    monkeypatch.setattr(regpart.cli, "compute_report",
+                        lambda *a, **k: {"C": np.array([1.0, np.nan])})
+    assert main(["compute", "--model", str(cantor_file)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error: non-finite value in document" in err
+
+
+def test_compute_with_nul_function_names(tmp_path):
+    """Function names made of NUL characters survive into the report."""
+    doc = cantor_model_doc(2)
+    names = ["\0", "x\0"]
+    doc["functions"] = [dict(spec, name=name) for spec, name
+                        in zip(doc["functions"], names)]
+    path, out = tmp_path / "nul.json", tmp_path / "report.json"
+    write_doc(path, doc)
+    assert main(["compute", "--model", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert [row["pair"] for row in report["oracle_table"]] == \
+        [[u, v] for u in names for v in names]
+    n = report["grid"]["cells_per_axis"][0]
+    for block in ("regular", "singular"):
+        assert np.shape(report[block]["C"]) == (n, 1, 1, 2)
+        assert np.shape(report[block]["b"]) == (n, 1, 2)
+        assert np.shape(report[block]["c0"]) == (n, 2)
 
 
 def test_verify_passes(capsys):

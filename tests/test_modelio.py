@@ -1,9 +1,14 @@
 """Model-file codec: canonical text, schema errors, byte-stable round trips."""
 
+import gc
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from regpart.diagnostics import cantor_mask, default_cantor_grid, svc_intervals
@@ -55,6 +60,91 @@ def test_dumps_canonical_deterministic():
     assert dumps_canonical({"b": 1, "a": 2}) == '{"a":2,"b":1}\n'
     with pytest.raises(ValidationError):
         dumps_canonical({"x": float("nan")})
+
+
+#: Floats whose text is easy to get wrong: signed zeros, subnormals, the
+#: switch points of ``repr`` between fixed and exponent notation, the
+#: largest float.
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1e-05, 1e-04, 1e16, 1e15, 0.1, -1.5, sys.float_info.max,
+               -sys.float_info.max)
+
+
+def _complex_arrays(shape):
+    parts = st.one_of(st.sampled_from(EDGE_FLOATS),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    return arrays(np.float64, shape + (2,), elements=parts).map(
+        lambda a: a.view(complex)[..., 0])
+
+
+_shapes = st.one_of(
+    st.just((0,)),
+    st.tuples(st.integers(1, 6)),
+    st.tuples(st.integers(1, 5), st.integers(1, 3)),
+    st.integers(1, 3).flatmap(lambda d: st.tuples(st.integers(1, 4),
+                                                  st.just(d), st.just(d))))
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          derandomize=True)
+@given(_shapes.flatmap(_complex_arrays))
+def test_array_leaf_matches_nested_lists(arr):
+    """An ndarray leaf is written exactly as its ``[re, im]`` lists."""
+    assert dumps_canonical({"x": arr}) == \
+        dumps_canonical({"x": complex_to_json(arr)})
+
+
+def test_array_leaf_edge_floats_and_zero_rank():
+    arr = np.empty(len(EDGE_FLOATS), dtype=complex)
+    arr.real, arr.imag = EDGE_FLOATS, EDGE_FLOATS[::-1]
+    text = dumps_canonical({"x": arr, "y": arr[1, ...]})
+    assert text == dumps_canonical({"x": complex_to_json(arr),
+                                    "y": complex_to_json(arr[1])})
+    assert text.count("-0.0") == 3 and text.count("5e-324") == 4
+
+
+def test_array_leaves_beside_marker_like_strings(rng):
+    """Document strings made of NUL characters, as keys or values, next to
+    and inside the arrays' containers, do not disturb the splice."""
+    arr = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    for names in (["\0"], ["\0", "x\0"], ["\0\0", '"\0'], ["\0" * 5]):
+        doc = {name: [arr, name, {name: arr[0]}] for name in names}
+        doc["\0"] = "\0"
+        plain = {name: [complex_to_json(arr), name,
+                        {name: complex_to_json(arr[0])}] for name in names}
+        plain["\0"] = "\0"
+        text = dumps_canonical(doc)
+        assert text == dumps_canonical(plain)
+        assert json.loads(text) == json.loads(dumps_canonical(plain))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_array_leaf_non_finite_rejected(bad):
+    arr = np.zeros(4, dtype=complex)
+    arr[2] = complex(0.0, bad)
+    with pytest.raises(ValidationError,
+                       match="non-finite value in document"):
+        dumps_canonical({"x": arr})
+
+
+def test_dumps_canonical_rejects_other_objects():
+    with pytest.raises(TypeError):
+        dumps_canonical({"x": object()})
+
+
+@pytest.mark.parametrize("start_enabled", [True, False])
+@pytest.mark.parametrize("text", ['{"a": [[1.0, 2.0]]}', "{not json"])
+def test_loads_doc_restores_gc_state(start_enabled, text):
+    was = gc.isenabled()
+    try:
+        (gc.enable if start_enabled else gc.disable)()
+        try:
+            loads_doc(text)
+        except ParseError:
+            pass
+        assert gc.isenabled() is start_enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_loads_doc_rejects_bad_text():

@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 from regpart.errors import NotHermitian, NotPSD, ValidationError
 from regpart.pointwise import (SectorParams, adjoint, herm_eig, herm_part,
                                imag_part, is_projection, pencil_tangent,
-                               pinv_sqrt, psd_sqrt, sector_check)
+                               pinv_sqrt, psd_roots, psd_sqrt,
+                               sector_check)
 
 
 def random_psd(rng, d, n=1, rank=None):
@@ -51,6 +52,14 @@ def test_pinv_sqrt_gives_range_projection(rng):
         assert_allclose(np.matmul(proj, a), a, atol=1e-10 * np.max(np.abs(a)))
         # and agrees with A^{1/2} g = g A^{1/2}
         assert_allclose(np.matmul(psd_sqrt(a), g), proj, atol=1e-10)
+
+
+def test_psd_roots_is_both_roots_bitwise(rng):
+    for rank in (1, 3, 4):
+        a = random_psd(rng, 4, n=6, rank=rank)
+        root, inv_root = psd_roots(a)
+        assert np.array_equal(root, psd_sqrt(a))
+        assert np.array_equal(inv_root, pinv_sqrt(a))
 
 
 def test_psd_sqrt_rejects_indefinite():

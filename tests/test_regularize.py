@@ -273,3 +273,81 @@ def test_projection_from_spanning_dependent_columns(rng):
     q = projection_from_spanning(vecs)
     ranks = np.linalg.matrix_rank(q, tol=1e-8)
     assert np.all(ranks == 1)
+
+
+# -- cells off supp Q ---------------------------------------------------------
+
+
+def _field2d_case(rng, cells=24):
+    """A 2-D random model whose ``Q`` lives on a central square only, the
+    shape of the ``field2d`` benchmark model."""
+    from regpart.grid import GridSpec
+    grid = GridSpec(dim=2, box=((0.0, 1.0), (0.0, 1.0)),
+                    cells_per_axis=(cells, cells))
+    coeffs = random_coefficients(rng, grid)
+    derived = derive_fields(coeffs)
+    q = commuting_projection_field(rng, derived)
+    q[~np.all(np.abs(grid.cell_centers() - 0.5) < 0.2, axis=1)] = 0.0
+    return coeffs, derived, q
+
+
+def _oracle_case(rng):
+    """A random oracle case (mixed ranks of ``Q``) with ``Q`` zeroed on a
+    random third of the cells."""
+    from regpart.randomized import random_oracle_case
+    case = random_oracle_case(rng)
+    q = np.array(case.q_field)
+    q[rng.random(len(q)) < 1 / 3] = 0.0
+    return case.coeffs, derive_fields(case.coeffs), q
+
+
+def _off_support_cases():
+    rng = np.random.default_rng(4)
+    yield _field2d_case(rng)
+    yield _field2d_case(rng, cells=9)
+    for _ in range(12):
+        yield _oracle_case(rng)
+
+
+def test_split_is_exact_off_supp_q():
+    """Where ``Q = 0`` the regular part is the form itself: the regular
+    fields are the input bit for bit and the singular fields are 0."""
+    seen_rank = set()
+    for coeffs, derived, q in _off_support_cases():
+        s = build_singular_structure(q, derived)
+        off = ~np.any(q != 0, axis=(1, 2))
+        assert np.any(off) and np.any(~off)
+        seen_rank.update(np.linalg.matrix_rank(q[~off]).tolist())
+        splits = [assemble_regular(coeffs, derived, s)]
+        if np.max(commutator_norms(s, derived)) < 1e-9:
+            splits.append(assemble_regular_commuting(coeffs, derived, s))
+        for reg in splits:
+            for name in ("C", "b", "d", "c0"):
+                field = getattr(coeffs, name + "_field")
+                assert np.array_equal(getattr(reg, name + "_reg")[off],
+                                      field[off])
+                assert np.all(getattr(reg, name + "_s")[off] == 0.0)
+        pure = pure_second_order_parts(coeffs, derived, s)
+        assert np.array_equal(pure.C_reg[off], coeffs.C_field[off])
+        assert np.all(pure.C_s[off] == 0.0)
+        assert np.all(pure.b_reg[off] == 0.0)
+        assert np.all(s.W_field[off] == 0.0)
+        assert np.array_equal(s.support, np.flatnonzero(~off))
+    assert {1, 2} <= seen_rank
+
+
+def test_identity_suite_is_full_grid_suite():
+    """Restricting the suite to ``supp Q`` changes no residual: the full
+    grid suite is exactly 0 where ``Q = 0``."""
+    from regpart.regularize import _identity_report
+    for coeffs, derived, q in _off_support_cases():
+        s = build_singular_structure(q, derived)
+        report = identity_suite(s, derived)
+        full = _identity_report(s.Q_field, s.W_field, s.P_field,
+                                derived.Z_field)
+        assert report.residuals == full.residuals
+        off = ~np.any(q != 0, axis=(1, 2))
+        for name, val in report.per_cell.items():
+            assert val.shape == (coeffs.n_cells,)
+            assert np.all(val[off] == 0.0)
+            assert np.array_equal(val, full.per_cell[name])
