@@ -15,7 +15,7 @@ certificate either way.
 
 import numpy as np
 
-from regpart import (assemble_regular, build_ambient, build_singular_structure,
+from regpart import (assemble_regular, build_singular_structure,
                      build_v_subspace, check_equivalences, compute_operators,
                      derive_fields, eval_form, generate_noncommuting_example,
                      t_pi2_probe, TestFunction)
@@ -25,9 +25,8 @@ LAMBDAS = (5.0, 10.0, 20.0, 40.0, 80.0)
 
 def probe_model(label, coeffs, q_field, xi):
     derived = derive_fields(coeffs)
-    ambient = build_ambient(coeffs, derived)
     tau = TestFunction.bump(coeffs.grid, [0.5, 0.5], [0.4, 0.4])
-    vs = build_v_subspace(ambient, coeffs, derived, q_field, [tau])
+    vs = build_v_subspace(coeffs, derived, q_field, [tau])
     report = t_pi2_probe(vs, compute_operators(vs), tau, xi, LAMBDAS)
     print("== %s ==" % label)
     print("   lambda      ||T pi2 tau_lambda||^2 / lambda^2-fit input")
@@ -62,8 +61,7 @@ structure = build_singular_structure(q_field, derived)
 funcs = [TestFunction.bump(grid, [0.5, 0.5], [0.4, 0.4]),
          TestFunction.bump(grid, [0.3, 0.6], [0.25, 0.3])]
 reg = assemble_regular(coeffs, derived, structure)
-vs = build_v_subspace(build_ambient(coeffs, derived), coeffs, derived,
-                      q_field, funcs)
+vs = build_v_subspace(coeffs, derived, q_field, funcs)
 formula = eval_form(reg.regular_set(coeffs.theta, coeffs.K_bound), funcs,
                     funcs).value
 diag = check_equivalences(vs, compute_operators(vs), reg, structure, funcs,

@@ -17,7 +17,7 @@ strongest correctness evidence the package has.
 
 import numpy as np
 
-from regpart import (assemble_regular, build_ambient, build_singular_structure,
+from regpart import (assemble_regular, build_singular_structure,
                      build_v_subspace, compute_operators, derive_fields,
                      eval_form, oracle_regular_part)
 from regpart.pipeline import multiplication_residuals
@@ -37,12 +37,11 @@ for commuting in (True, False):
     reg = assemble_regular(coeffs, derived, structure)
     reg_set = reg.regular_set(coeffs.theta, coeffs.K_bound)
 
-    ambient = build_ambient(coeffs, derived)
-    vs = build_v_subspace(ambient, coeffs, derived, case.q_field, case.funcs)
+    vs = build_v_subspace(coeffs, derived, case.q_field, case.funcs)
     ops = compute_operators(vs)
     print("   ambient weight gamma = %.3f, subspace dim = %d "
           "(%d functions + %d singular directions)"
-          % (ambient.gamma, vs.dim, vs.n_funcs, vs.n_singular))
+          % (vs.gamma, vs.dim, vs.n_funcs, vs.n_singular))
 
     print("   pair   closed form               oracle                    "
           "|diff|")

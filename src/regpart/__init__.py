@@ -8,10 +8,9 @@ the leftover singular part, and cross-checks the closed-form assembly
 against an independent Gram-matrix construction of the same object.
 """
 
-from .completion import (AbstractOperators, AmbientSpace, ProbeReport,
-                         VSubspace, build_ambient, build_v_subspace,
-                         compute_operators, oracle_regular_part, phi_vector,
-                         t_pi2_probe)
+from .completion import (AbstractOperators, ProbeReport, VSubspace,
+                         build_ambient, build_v_subspace, compute_operators,
+                         oracle_regular_part, phi_vector, t_pi2_probe)
 from .diagnostics import (DiagnosticsReport, RealPartReport, VertexReport,
                           check_equivalences, check_realpart_commutation,
                           default_cantor_grid, generate_cantor_example,
@@ -23,14 +22,14 @@ from .errors import (DegenerateBasis, DominationViolation, GridMismatch,
                      SectorViolation, SolveFailure, ValidationError)
 from .grid import GridSpec, TestFunction
 from .model import (CoefficientSet, DerivedFields, FormValue, derive_fields,
-                    estimate_vertex_angle, eval_form, form_gram, h_inner)
+                    estimate_vertex_angle, eval_form, form_gram)
 from .modelio import (LoadedModel, doc_to_model, dumps_canonical, load_model,
                       model_to_doc, parse_model, write_doc)
 from .pipeline import (cantor_model_doc, compute_report, oracle_crosscheck,
                        run_probe, run_verification)
-from .pointwise import (SectorCheck, SectorParams, adjoint, herm_eig,
-                        herm_part, imag_part, is_projection, pencil_tangent,
-                        pinv_sqrt, psd_sqrt, sector_check)
+from .pointwise import (SectorParams, adjoint, herm_eig, herm_part,
+                        imag_part, pencil_tangent, pinv_sqrt,
+                        projection_residuals, psd_sqrt, sector_pencils)
 from .regularize import (IdentityReport, RegularizedCoefficients,
                          SingularStructure, assemble_regular,
                          assemble_regular_commuting, build_singular_structure,
@@ -41,7 +40,7 @@ from .regularize import (IdentityReport, RegularizedCoefficients,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbstractOperators", "AmbientSpace", "ProbeReport", "VSubspace",
+    "AbstractOperators", "ProbeReport", "VSubspace",
     "build_ambient", "build_v_subspace", "compute_operators",
     "oracle_regular_part", "phi_vector", "t_pi2_probe",
     "DiagnosticsReport", "RealPartReport", "VertexReport",
@@ -55,14 +54,14 @@ __all__ = [
     "SolveFailure", "ValidationError",
     "GridSpec", "TestFunction",
     "CoefficientSet", "DerivedFields", "FormValue", "derive_fields",
-    "estimate_vertex_angle", "eval_form", "form_gram", "h_inner",
+    "estimate_vertex_angle", "eval_form", "form_gram",
     "LoadedModel", "doc_to_model", "dumps_canonical", "load_model",
     "model_to_doc", "parse_model", "write_doc",
     "cantor_model_doc", "compute_report", "oracle_crosscheck", "run_probe",
     "run_verification",
-    "SectorCheck", "SectorParams", "adjoint", "herm_eig", "herm_part",
-    "imag_part", "is_projection", "pencil_tangent", "pinv_sqrt", "psd_sqrt",
-    "sector_check",
+    "SectorParams", "adjoint", "herm_eig", "herm_part", "imag_part",
+    "pencil_tangent", "pinv_sqrt", "projection_residuals", "psd_sqrt",
+    "sector_pencils",
     "IdentityReport", "RegularizedCoefficients", "SingularStructure",
     "assemble_regular", "assemble_regular_commuting",
     "build_singular_structure", "commutator_norms", "identity_residuals",

@@ -32,8 +32,10 @@ cells.  ``VSubspace.gram_a`` and ``gram_form`` assemble the dense
 ``dim x dim`` matrices for inspection; nothing in the pipeline reads them.
 
 One Gram, one kernel.  The form Gram is the only Gram assembled.  The
-ambient product is the form's real part shifted by its vertex, so the
-ambient Gram is the form Gram's Hermitian part plus ``(1 - gamma) M`` on
+ambient product is the form's real part shifted by its vertex, so one
+float describes it: the shift ``gamma`` that :func:`build_ambient` picks
+and :func:`build_v_subspace` stores as ``VSubspace.gamma``.  The ambient
+Gram is the form Gram's Hermitian part plus ``(1 - gamma) M`` on
 ``F x F``, with ``M`` the L2 Gram of the function values.  The form's
 ``J x F`` and ``F x J`` blocks are its singular rows ``a(x, s_p)`` and
 ``a(s_p, x)`` for the embedded family ``x``; the same rows for any other
@@ -64,7 +66,6 @@ from .model import _stack
 from .pointwise import adjoint, herm_part, imag_part
 
 __all__ = [
-    "AmbientSpace",
     "GramBlocks",
     "VSubspace",
     "AbstractOperators",
@@ -74,7 +75,6 @@ __all__ = [
     "compute_operators",
     "oracle_regular_part",
     "phi_vector",
-    "hprime_from_coords",
     "singular_field",
     "pi1_multiplication",
     "t_multiplication",
@@ -86,36 +86,6 @@ AMBIENT_MARGIN = 1e-6
 
 #: Condition-number cap on the V-basis Gram matrix.
 GRAM_COND_CAP = 1e10
-
-
-@dataclass
-class AmbientSpace:
-    """Weighted inner product on ``H' = H x H^d``.
-
-    ``<(u1,w1),(u2,w2)>_a = <w1,w2> + 1/2<w1, u2 vxy> + 1/2<u1 vxy, w2>
-    + <ws u1, u2>`` with per-cell weights ``ws = 1 - gamma + Re c0`` and
-    ``vxy = X + Y``; all brackets are volume-weighted sums conjugating the
-    second slot.  ``gamma`` is chosen so every per-cell block is positive
-    definite with margin, making this an inner product equivalent to the
-    plain product norm.
-    """
-
-    grid: "object"
-    gamma: float
-    weight_scalar: np.ndarray
-    weight_vec: np.ndarray
-
-    def inner(self, x, y):
-        """``<x, y>_a`` for H'-pairs ``x = (u1, w1)``, ``y = (u2, w2)``."""
-        u1, w1 = x
-        u2, w2 = y
-        vol = self.grid.cell_volume
-        vxy = self.weight_vec
-        t1 = np.sum(w1 * np.conj(w2))
-        t2 = 0.5 * np.sum(w1 * np.conj(u2[:, None] * vxy))
-        t3 = 0.5 * np.sum((u1[:, None] * vxy) * np.conj(w2))
-        t4 = np.sum(self.weight_scalar * u1 * np.conj(u2))
-        return vol * complex(t1 + t2 + t3 + t4)
 
 
 def _ambient_min_eig(ws, vxy_norm_sq):
@@ -132,29 +102,30 @@ def _ambient_min_eig(ws, vxy_norm_sq):
     return np.minimum(small, 1.0)
 
 
-def build_ambient(coeffs, derived, gamma0=0.0, margin=AMBIENT_MARGIN):
-    """Choose the vertex shift and build the ambient inner product.
+def build_ambient(coeffs, derived):
+    """The vertex shift ``gamma`` of the ambient inner product.
 
-    Starts from ``gamma = min(gamma0, min_c(1 + Re c0 - |X+Y|^2/4) - 1/2)``
-    and lowers it further (never raises) until every per-cell Gram block has
-    smallest eigenvalue at least ``margin``.  The returned inner product is
-    what makes the embedded picture positive; downstream results do not
-    depend on the particular ``gamma`` chosen.
+    The ambient product is the extended form's real part plus ``(1 - gamma)
+    <u1, u2>``; per cell it is ``[[ws, v*/2], [v/2, I]]`` with
+    ``ws = 1 - gamma + Re c0`` and ``v = X + Y``.  Starts from
+    ``gamma = min(0, min_c(1 + Re c0 - |X+Y|^2/4) - 1/2)`` and lowers it
+    further (never raises) until every such block has smallest eigenvalue
+    at least ``AMBIENT_MARGIN``, which makes the ambient product an inner
+    product equivalent to the plain product norm.  Downstream results do
+    not depend on the particular ``gamma`` chosen.
     """
     re_c0 = np.real(coeffs.c0_field)
     vxy = derived.X_field + derived.Y_field
     vxy_sq = np.sum(np.abs(vxy) ** 2, axis=-1)
-    gamma = float(min(gamma0,
+    gamma = float(min(0.0,
                       float(np.min(1.0 + re_c0 - 0.25 * vxy_sq)) - 0.5))
     for _ in range(200):
         ws = 1.0 - gamma + re_c0
-        if float(np.min(_ambient_min_eig(ws, vxy_sq))) >= margin:
-            break
+        if float(np.min(_ambient_min_eig(ws, vxy_sq))) >= AMBIENT_MARGIN:
+            return gamma
         gamma -= max(1.0, abs(gamma))
-    else:  # pragma: no cover - geometrically unreachable
-        raise DegenerateBasis("could not make the ambient product definite")
-    return AmbientSpace(grid=coeffs.grid, gamma=gamma,
-                        weight_scalar=1.0 - gamma + re_c0, weight_vec=vxy)
+    raise DegenerateBasis(  # pragma: no cover - geometrically unreachable
+        "could not make the ambient product definite")
 
 
 # -- per-cell blocks ---------------------------------------------------------
@@ -227,10 +198,12 @@ class VSubspace:
     ambient-inner-product Gram matrix derived from it; both use the
     convention ``G[i, j] = form(e_j, e_i)`` so coordinates contract as
     ``eta* G xi``.
-    ``cond`` is the ambient Gram's condition number.
+    ``gamma`` is the vertex shift of the ambient product
+    (:func:`build_ambient`) and ``cond`` the ambient Gram's condition
+    number.
     """
 
-    ambient: AmbientSpace
+    gamma: float
     coeffs: "object"
     derived: "object"
     q_field: np.ndarray
@@ -339,9 +312,10 @@ def _singular_rows(derived, sc, sv, u, w):
             np.conj(row(w - izw, derived.X_field)))
 
 
-def build_v_subspace(ambient, coeffs, derived, q_field, funcs,
+def build_v_subspace(coeffs, derived, q_field, funcs,
                      cond_cap=GRAM_COND_CAP, kernel_tol=1e-10):
-    """Assemble the V-basis and the blocks of its two Gram matrices.
+    """Assemble the V-basis and the blocks of its two Gram matrices, with
+    the ambient product's vertex shift from :func:`build_ambient`.
 
     Raises
     ------
@@ -354,7 +328,8 @@ def build_v_subspace(ambient, coeffs, derived, q_field, funcs,
         Gram matrix of the basis is numerically singular (dependent
         functions, or condition number beyond ``cond_cap``).
     """
-    vol = ambient.grid.cell_volume
+    gamma = build_ambient(coeffs, derived)
+    vol = coeffs.grid.cell_volume
     sc, sv = _singular_basis(q_field)
     groups = _cell_groups(sc)
     izsv = sv + 1j * np.einsum("pkl,pl->pk", derived.Z_field[sc], sv)
@@ -391,7 +366,7 @@ def build_v_subspace(ambient, coeffs, derived, q_field, funcs,
                                  np.conj(sv[rows]))
                  for rows in groups))
     # <x, y>_a = Re atilde(x, y) + (1 - gamma) <u1, u2>
-    a = replace(form.herm(), ff=herm_part(ff) + (1.0 - ambient.gamma) * mass)
+    a = replace(form.herm(), ff=herm_part(ff) + (1.0 - gamma) * mass)
 
     cond = 1.0
     if uf.shape[0] + sc.shape[0]:
@@ -402,7 +377,7 @@ def build_v_subspace(ambient, coeffs, derived, q_field, funcs,
                 "(eigenvalue range [%.3e, %.3e])" % (lo, hi))
         cond = hi / lo
 
-    return VSubspace(ambient=ambient, coeffs=coeffs, derived=derived,
+    return VSubspace(gamma=gamma, coeffs=coeffs, derived=derived,
                      q_field=np.asarray(q_field, dtype=complex),
                      func_values=uf, func_grads=wf, singular_cells=sc,
                      singular_vecs=sv, groups=groups, ambient_blocks=a,
@@ -479,27 +454,20 @@ def compute_operators(vs, real_part=False):
                              pi_jf=pi_jf)
 
 
-def oracle_regular_part(ops, vs, u_idx=None, v_idx=None):
+def oracle_regular_part(ops, vs):
     """Regular part of the form on embedded function pairs, evaluated
     abstractly: the table ``oracle[i, j] = form(Pi Phi(u_i), Pi Phi(u_j))``
-    over all pairs, or its one entry at ``(u_idx, v_idx)``.
+    over all pairs.
 
     In blocks, ``Pi[:,F]* G Pi[:,F] = G_FF + G_FJ Pi_JF + Pi_JF* G_JF +
     sum_c Pi_cF* G_cc Pi_cF``; the table is its transpose.
     """
-    for idx in (u_idx, v_idx):
-        if idx is not None and not (0 <= idx < vs.n_funcs):
-            raise IndexError("function index %d out of range [0, %d)"
-                             % (idx, vs.n_funcs))
     g, p = ops.form, ops.pi_jf
     gram = g.ff + g.fj @ p + adjoint(p) @ g.jf
     for rows, blk in zip(ops.groups, g.cc):
         gram = gram + np.einsum("gpi,gpq,gqj->ij", np.conj(p[rows]), blk,
                                 p[rows])
-    table = gram.T
-    if u_idx is None:
-        return table
-    return complex(table[u_idx, v_idx])
+    return gram.T
 
 
 def singular_field(vs, coef):
@@ -512,16 +480,6 @@ def singular_field(vs, coef):
     return out.transpose(1, 0, 2)
 
 
-def hprime_from_coords(vs, coords):
-    """Realize a coordinate vector as an H'-pair ``(u, w)``."""
-    coords = np.asarray(coords, dtype=complex)
-    nf = vs.n_funcs
-    u = np.einsum("j,jc->c", coords[:nf], vs.func_values)
-    w = (np.einsum("j,jck->ck", coords[:nf], vs.func_grads)
-         + singular_field(vs, coords[nf:, None])[0])
-    return u, w
-
-
 def pi1_multiplication(vs, u, w, cells=slice(None)):
     """Pointwise form of the kernel projection:
     ``pi1(u, w) = (0, Q w + u Q (X+Y) / 2)``.
@@ -530,7 +488,8 @@ def pi1_multiplication(vs, u, w, cells=slice(None)):
     ``w`` may carry leading batch axes."""
     q = vs.q_field[cells]
     qw = (q @ w[..., None])[..., 0]
-    qv = (q @ vs.ambient.weight_vec[cells][..., None])[..., 0]
+    xpy = (vs.derived.X_field + vs.derived.Y_field)[cells]
+    qv = (q @ xpy[..., None])[..., 0]
     return np.zeros_like(u), qw + 0.5 * u[..., None] * qv
 
 
@@ -614,7 +573,7 @@ def t_pi2_probe(vs, ops, tau, xi, lambdas):
 
 def _probe_reference(vs, tau, xi):
     """Direct quadrature of ``|Q Z (I-Q) A^{1/2} (tau xi)|^2``."""
-    vol = vs.ambient.grid.cell_volume
+    vol = vs.coeffs.grid.cell_volume
     d = vs.derived.dim
     xi = np.asarray(xi, dtype=float).reshape(d)
     q = vs.q_field

@@ -116,7 +116,7 @@ def _kernel_image_residual(vs, ops):
     ``(0, -u QZQ(X+Y)/2 + i u Q(X-Y)/2)`` for each embedded function."""
     if vs.n_singular == 0:
         return 0.0
-    vol = vs.ambient.grid.cell_volume
+    vol = vs.coeffs.grid.cell_volume
     q, z = vs.q_field, vs.derived.Z_field
     qzq = np.matmul(np.matmul(q, z), q)
     xy_sum = vs.derived.X_field + vs.derived.Y_field
@@ -137,13 +137,19 @@ def singular_vertex(coeffs_s, basis):
     return VertexReport(*vertex_search(coeffs_s, basis))
 
 
-def regular_sector_tangent(reg, rank_eps=1e-12):
+def regular_sector_tangent(reg, derived, s):
     """Largest per-cell sector tangent of the regular second-order field,
-    computed as the spectral norm of ``g(A') Im(C') g(A')``."""
-    a = herm_part(reg.C_reg)
-    g = pinv_sqrt(a, rank_eps=rank_eps)
-    zr = np.einsum("nij,njk,nkl->nil", g, imag_part(reg.C_reg), g)
-    return float(np.max(np.abs(np.linalg.eigvalsh(herm_part(zr)))))
+    computed as the spectral norm of ``g(A') Im(C') g(A')``.
+
+    Off ``supp Q`` the regular field is the input ``C``, whose ``g Im(C) g``
+    is the ``Z`` of ``derived``; the roots are taken on ``s.support`` only.
+    """
+    c = reg.C_reg[s.support]
+    g = pinv_sqrt(herm_part(c))
+    zr = herm_part(np.einsum("nij,njk,nkl->nil", g, imag_part(c), g))
+    z_off = np.delete(derived.Z_field, s.support, axis=0)
+    return float(max(np.max(np.abs(np.linalg.eigvalsh(zr)), initial=0.0),
+                     np.max(np.abs(np.linalg.eigvalsh(z_off)), initial=0.0)))
 
 
 def oracle_pairs(reg_set, funcs, vs, ops):
@@ -221,7 +227,7 @@ def check_equivalences(vs, ops, reg, s, funcs, formula, tau=None, xi=None,
 
     as_vertex = singular_vertex(
         reg.singular_set(coeffs.theta, coeffs.K_bound), funcs)
-    pure = pure_second_order_parts(coeffs, derived, s)
+    pure = pure_second_order_parts(reg)
     aps_vertex = singular_vertex(
         pure.singular_set(coeffs.theta, coeffs.K_bound), funcs)
 
@@ -243,7 +249,8 @@ def check_equivalences(vs, ops, reg, s, funcs, formula, tau=None, xi=None,
     return DiagnosticsReport(
         commutator_max=comm, qz_iq_asqrt_max=qz_iq, realpart=realpart,
         slope_probe=probe, as_vertex=as_vertex, aps_vertex=aps_vertex,
-        regular_tangent=regular_sector_tangent(reg), verdicts=verdicts)
+        regular_tangent=regular_sector_tangent(reg, derived, s),
+        verdicts=verdicts)
 
 
 # -- worked example ---------------------------------------------------------

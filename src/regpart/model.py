@@ -43,7 +43,6 @@ __all__ = [
     "eval_form",
     "estimate_vertex_angle",
     "form_gram",
-    "h_inner",
     "vertex_search",
 ]
 
@@ -300,14 +299,6 @@ def eval_form(coeffs, u, v):
     if single:
         parts = tuple(complex(p[0, 0]) for p in parts)
     return FormValue(*parts)
-
-
-def h_inner(u, v):
-    """Midpoint-rule L2 inner product ``<u, v>`` (conjugation on ``v``)."""
-    if u.grid != v.grid:
-        raise GridMismatch("test functions must live on one grid")
-    return u.grid.cell_volume * complex(
-        np.sum(u.cell_values * np.conj(v.cell_values)))
 
 
 def form_gram(coeffs, basis):

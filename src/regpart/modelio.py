@@ -287,8 +287,11 @@ def expand_q_spec(spec, grid):
             raise ParseError("Q indicator shorthand requires a 1-D grid")
         if spec.get("scale") != "identity":
             raise ParseError("Q.scale: only 'identity' is supported")
-        intervals = _real_array(spec["set"], 2, "Q.set")
-        if intervals.size and intervals.shape[1] != 2:
+        # [] is the empty set (Q = 0), as q_indicator_spec([]) writes it
+        raw = spec["set"]
+        intervals = np.empty((0, 2)) if isinstance(raw, list) and not raw \
+            else _real_array(raw, 2, "Q.set")
+        if intervals.shape[1] != 2:
             raise ParseError("Q.set: expected a list of [a, b] intervals")
         return indicator_projection(grid, interval_mask(grid, intervals))
     raise ParseError("Q: expected key 'matrix' or 'set'")

@@ -11,7 +11,7 @@ check.  ``run_verification`` drives the randomized suites.
 
 import numpy as np
 
-from .completion import (build_ambient, build_v_subspace, compute_operators,
+from .completion import (build_v_subspace, compute_operators,
                          pi1_multiplication, singular_field, t_multiplication,
                          t_pi2_probe)
 from .diagnostics import (PROBE_LAMBDAS, check_equivalences,
@@ -121,8 +121,7 @@ def _prelude(coeffs, q_field, funcs):
     reg = assemble_regular(coeffs, derived, structure)
     if not funcs:
         return derived, structure, reg, None, None
-    ambient = build_ambient(coeffs, derived)
-    vs = build_v_subspace(ambient, coeffs, derived, q_field, funcs)
+    vs = build_v_subspace(coeffs, derived, q_field, funcs)
     return derived, structure, reg, vs, compute_operators(vs)
 
 
@@ -199,7 +198,7 @@ def multiplication_residuals(vs, ops):
     singular vector ``(0, s_p)``, its ``pi1`` image ``(0, s_p)`` and its
     ``T`` image ``(0, sum_q T11[q, p] s_q)`` all live in its cell ``c_p``,
     so those are checked as one-cell pairs, batched over ``p``."""
-    vol = vs.ambient.grid.cell_volume
+    vol = vs.coeffs.grid.cell_volume
 
     def pair_norm(u, w):
         return np.sqrt(vol * (np.sum(np.abs(u) ** 2, axis=-1)
@@ -305,30 +304,24 @@ def run_verification(seed=0, trials=1000, dims=(1, 2, 3), emit=print):
 # probe and worked example
 
 
-def run_probe(model, lambdas=PROBE_LAMBDAS, tau_name=None, xi=None):
-    """Growth probe on a loaded model; returns the probe document."""
+def run_probe(model, lambdas=PROBE_LAMBDAS):
+    """Growth probe on a loaded model, modulating its first function along
+    the all-ones direction; returns the probe document."""
     if not model.funcs:
         raise ValidationError("the probe needs at least one model function")
-    if tau_name is None:
-        tau_name = next(iter(model.funcs))
-    if tau_name not in model.funcs:
-        raise ValidationError("unknown probe function '%s'" % tau_name)
-    tau = model.funcs[tau_name]
-    if xi is None:
-        xi = np.ones(model.grid.dim) / np.sqrt(model.grid.dim)
+    tau_name, tau = next(iter(model.funcs.items()))
+    xi = np.ones(model.grid.dim) / np.sqrt(model.grid.dim)
     coeffs = model.coeffs
     derived = derive_fields(coeffs)
-    ambient = build_ambient(coeffs, derived)
-    vs = build_v_subspace(ambient, coeffs, derived, model.q_field,
+    vs = build_v_subspace(coeffs, derived, model.q_field,
                           list(model.funcs.values()))
-    report = t_pi2_probe(vs, compute_operators(vs), tau,
-                         np.asarray(xi, dtype=float), lambdas)
+    report = t_pi2_probe(vs, compute_operators(vs), tau, xi, lambdas)
     doc = _probe_doc(report)
     doc.update({
         "schema_version": SCHEMA_VERSION,
         "kind": "probe",
         "tau": tau_name,
-        "xi": [float(x) for x in np.asarray(xi, dtype=float)],
+        "xi": [float(x) for x in xi],
     })
     return doc
 

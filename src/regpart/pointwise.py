@@ -24,8 +24,6 @@ from .errors import NotHermitian, NotPSD, ValidationError
 __all__ = [
     "DEFAULT_RANK_EPS",
     "SectorParams",
-    "ProjectionCheck",
-    "SectorCheck",
     "adjoint",
     "herm_part",
     "imag_part",
@@ -34,8 +32,8 @@ __all__ = [
     "psd_sqrt",
     "pinv_sqrt",
     "psd_roots",
-    "is_projection",
-    "sector_check",
+    "projection_residuals",
+    "sector_pencils",
     "pencil_tangent",
 ]
 
@@ -166,29 +164,12 @@ def psd_roots(a, rank_eps=DEFAULT_RANK_EPS):
     return _assemble(u, np.sqrt(w)), _assemble(u, _inv_sqrt(w))
 
 
-@dataclass(frozen=True)
-class ProjectionCheck:
-    """Outcome of an orthogonal-projection test."""
-
-    ok: bool
-    hermitian_residual: float
-    idempotent_residual: float
-
-
 def projection_residuals(q):
     """Hermitian and idempotence residuals of each matrix of a stack, in
     Frobenius norm relative to ``max(1, ||Q||_F)``."""
     scale = np.maximum(1.0, frobenius(q))
     return (frobenius(q - adjoint(q)) / scale,
             frobenius(np.matmul(q, q) - q) / scale)
-
-
-def is_projection(q, tol=PSD_TOL):
-    """:func:`projection_residuals` of a single matrix, with the verdict."""
-    res_h, res_i = projection_residuals(np.asarray(q, dtype=complex))
-    return ProjectionCheck(ok=bool(res_h <= tol and res_i <= tol),
-                           hermitian_residual=float(res_h),
-                           idempotent_residual=float(res_i))
 
 
 @dataclass(frozen=True)
@@ -210,16 +191,6 @@ class SectorParams:
         return float(np.tan(self.theta))
 
 
-@dataclass(frozen=True)
-class SectorCheck:
-    """Outcome of :func:`sector_check`; ``witness`` is a violating direction
-    when ``ok`` is false."""
-
-    ok: bool
-    witness: np.ndarray | None
-    min_eigs: tuple[float, float, float]
-
-
 def sector_pencils(c, theta):
     """Sector condition of a stack ``C`` as three pencils: ``xi* C xi`` lies
     in the closed sector of half-angle ``theta`` exactly when ``A = herm(C)``
@@ -231,26 +202,6 @@ def sector_pencils(c, theta):
     pencils = (a, t * a + b, t * a - b)
     return pencils, np.stack([np.linalg.eigvalsh(p)[..., 0]
                               for p in pencils])
-
-
-def sector_check(c, theta, psd_tol=PSD_TOL):
-    """Decide whether the quadratic map ``xi -> xi* C xi`` of a single matrix
-    lands in the closed sector of half-angle ``theta`` at the origin (see
-    :func:`sector_pencils`).  On failure the eigenvector of the most
-    negative pencil eigenvalue is returned as a witness direction.
-    """
-    c = np.asarray(c, dtype=complex)
-    if c.ndim != 2:
-        raise ValueError("sector_check operates on a single matrix")
-    if not (0.0 <= theta < np.pi / 2):
-        raise ValidationError("theta must lie in [0, pi/2)")
-    pencils, mins = sector_pencils(c, theta)
-    tol = psd_tol * max(1.0, float(frobenius(c)))
-    ok = bool(np.all(mins >= -tol))
-    witness = None if ok else \
-        np.linalg.eigh(pencils[int(np.argmin(mins))])[1][:, 0]
-    return SectorCheck(ok=ok, witness=witness,
-                       min_eigs=tuple(float(m) for m in mins))
 
 
 def pencil_tangent(re_m, im_m, psd_tol=PSD_TOL, t_cap=1e12):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .completion import build_ambient, build_v_subspace
+from .completion import build_v_subspace
 from .errors import DegenerateBasis, KernelMismatch
 from .grid import GridSpec, TestFunction
 from .model import CoefficientSet, derive_fields
@@ -250,8 +250,7 @@ def random_oracle_case(rng, dim=None, commuting=None, max_funcs=8,
                 # lambda-probe slope exactly the quadratured reference.
                 center = np.full(d, 0.5)
                 funcs[0] = TestFunction.bump(grid, center, np.full(d, 0.4))
-            ambient = build_ambient(coeffs, derived)
-            build_v_subspace(ambient, coeffs, derived, q, funcs)
+            build_v_subspace(coeffs, derived, q, funcs)
         except (DegenerateBasis, KernelMismatch):
             continue
         return OracleCase(coeffs=coeffs, q_field=q, funcs=funcs,

@@ -32,7 +32,7 @@ times the identity, and the orthogonal projection onto per-cell spanning
 vectors — but any per-cell family of orthogonal projections is accepted.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -381,24 +381,20 @@ def assemble_regular_commuting(coeffs, derived, s, tol=1e-9):
     return _package(coeffs, cells, c_reg, b_reg, d_reg, c0_reg)
 
 
-def pure_second_order_parts(coeffs, derived, s):
+def pure_second_order_parts(reg):
     """Regular/singular split of the second-order-only companion form.
 
-    Runs the assembly with the lower-order coefficients zeroed out (same
-    ``A``, ``Z`` and ``Q``).  The second-order regular field coincides with
-    the full model's, so the full regular part differs from the pure one by
-    lower-order terms only; tests confirm that difference pairs off exactly
-    against the assembled ``b_reg``/``d_reg``/``c0_reg`` fields.
+    The companion has the same ``C`` (so the same ``A``, ``Z`` and ``Q``)
+    and no lower-order coefficients.  Its second-order regular field is the
+    full model's, because the lower-order terms do not enter ``C_reg``, and
+    its lower-order fields are ``0``: it is ``reg``'s second-order split
+    with zero ``b``, ``d`` and ``c0`` fields.  The full regular part
+    therefore differs from the pure one by lower-order terms only.
     """
-    pure = CoefficientSet(
-        grid=coeffs.grid, C_field=coeffs.C_field,
-        b_field=np.zeros_like(coeffs.b_field),
-        d_field=np.zeros_like(coeffs.d_field),
-        c0_field=np.zeros_like(coeffs.c0_field),
-        theta=coeffs.theta, K_bound=coeffs.K_bound)
-    derived_pure = replace(derived, X_field=np.zeros_like(derived.X_field),
-                           Y_field=np.zeros_like(derived.Y_field))
-    return assemble_regular(pure, derived_pure, s)
+    zero = {name: np.zeros_like(getattr(reg, name)) for name in (
+        "b_reg", "d_reg", "c0_reg", "b_s", "d_s", "c0_s")}
+    return RegularizedCoefficients(grid=reg.grid, C_reg=reg.C_reg,
+                                   C_s=reg.C_s, **zero)
 
 
 # -- Q constructors --------------------------------------------------------

@@ -2,8 +2,10 @@
 
 The V basis's Gram matrices are assembled as full ``dim x dim`` arrays, and
 the operators come from dense ``m x m`` solves, exactly as written before
-the algebra went cell-local.  Cost is cubic in the number of singular
-vectors, so it is only for small models in the tests.
+the algebra went cell-local.  The ambient product is written out pairwise
+from its per-cell weights, and coordinate vectors are realized as H'-pairs.
+Cost is cubic in the number of singular vectors, so it is only for small
+models in the tests.
 """
 
 from types import SimpleNamespace
@@ -11,13 +13,44 @@ from types import SimpleNamespace
 import numpy as np
 
 from regpart.completion import (GRAM_COND_CAP, _singular_basis,
-                                hprime_from_coords, phi_vector)
+                                build_ambient, phi_vector, singular_field)
 from regpart.pointwise import adjoint, herm_part, imag_part
 
 
-def dense_grams(ambient, coeffs, derived, q_field, funcs):
+def ambient_weights(coeffs, derived, gamma):
+    """Per-cell weights ``(ws, vxy)`` of the ambient product with vertex
+    shift ``gamma``: ``ws = 1 - gamma + Re c0`` and ``vxy = X + Y``."""
+    return (1.0 - gamma + np.real(coeffs.c0_field),
+            derived.X_field + derived.Y_field)
+
+
+def ambient_inner(coeffs, derived, gamma, x, y):
+    """``<x, y>_a = <w1,w2> + 1/2<w1, u2 vxy> + 1/2<u1 vxy, w2>
+    + <ws u1, u2>`` for H'-pairs ``x = (u1, w1)``, ``y = (u2, w2)``; all
+    brackets are volume-weighted sums conjugating the second slot."""
+    u1, w1 = x
+    u2, w2 = y
+    ws, vxy = ambient_weights(coeffs, derived, gamma)
+    t1 = np.sum(w1 * np.conj(w2))
+    t2 = 0.5 * np.sum(w1 * np.conj(u2[:, None] * vxy))
+    t3 = 0.5 * np.sum((u1[:, None] * vxy) * np.conj(w2))
+    t4 = np.sum(ws * u1 * np.conj(u2))
+    return coeffs.grid.cell_volume * complex(t1 + t2 + t3 + t4)
+
+
+def hprime_from_coords(vs, coords):
+    """Realize a coordinate vector as an H'-pair ``(u, w)``."""
+    coords = np.asarray(coords, dtype=complex)
+    nf = vs.n_funcs
+    u = np.einsum("j,jc->c", coords[:nf], vs.func_values)
+    w = (np.einsum("j,jck->ck", coords[:nf], vs.func_grads)
+         + singular_field(vs, coords[nf:, None])[0])
+    return u, w
+
+
+def dense_grams(coeffs, derived, q_field, funcs):
     """``(gram_a, gram_form)`` as full matrices; ``gram_a`` is Hermitian."""
-    vol = ambient.grid.cell_volume
+    vol = coeffs.grid.cell_volume
     n, d = derived.n_cells, derived.dim
     nf = len(funcs)
     uf = np.zeros((nf, n), dtype=complex)
@@ -27,7 +60,7 @@ def dense_grams(ambient, coeffs, derived, q_field, funcs):
     sc, sv = _singular_basis(q_field)
     csv = np.conj(sv)
     nb = nf + sc.shape[0]
-    vxy, ws = ambient.weight_vec, ambient.weight_scalar
+    ws, vxy = ambient_weights(coeffs, derived, build_ambient(coeffs, derived))
     z, x_f, y_f = derived.Z_field, derived.X_field, derived.Y_field
     same_cell = sc[:, None] == sc[None, :]
     cuf, cwf = np.conj(uf), np.conj(wf)
@@ -107,7 +140,7 @@ def dense_probe_ratios(vs, gram_a, gram_form, tau, xi, lambdas):
     jj = vs.v1_slice
     gram_jj = gram_a[jj, jj]
     hh_jj = herm_part(gram_form)[jj, jj]
-    vol = vs.ambient.grid.cell_volume
+    vol = vs.coeffs.grid.cell_volume
     sc, sv = vs.singular_cells, vs.singular_vecs
     z, x_f, y_f = vs.derived.Z_field, vs.derived.X_field, vs.derived.Y_field
     ratios = []
@@ -115,7 +148,7 @@ def dense_probe_ratios(vs, gram_a, gram_form, tau, xi, lambdas):
         u, w = phi_vector(vs.derived, tau.modulated(lam, xi))
         pair = vol * (np.einsum("pk,pk->p", w[sc], np.conj(sv))
                       + 0.5 * u[sc] * np.einsum(
-                          "pk,pk->p", vs.ambient.weight_vec[sc],
+                          "pk,pk->p", (x_f + y_f)[sc],
                           np.conj(sv)))
         c1 = np.linalg.solve(gram_jj, pair)
         w2 = w.copy()

@@ -11,8 +11,8 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.testing import assert_allclose
 
-from regpart.completion import (build_ambient, build_v_subspace,
-                                compute_operators, oracle_regular_part)
+from regpart.completion import (build_v_subspace, compute_operators,
+                                oracle_regular_part)
 from regpart.diagnostics import (COMMUTE_TOL, check_equivalences,
                                  generate_cantor_example,
                                  generate_noncommuting_example, svc_measure,
@@ -70,9 +70,8 @@ def stage5_vs():
     if _STAGE5_VS is None:
         s5 = stage5()
         funcs = list(s5["funcs"].values())
-        ambient = build_ambient(s5["coeffs"], s5["derived"])
-        vs = build_v_subspace(ambient, s5["coeffs"], s5["derived"],
-                              s5["q_field"], funcs)
+        vs = build_v_subspace(s5["coeffs"], s5["derived"], s5["q_field"],
+                              funcs)
         _STAGE5_VS = {"vs": vs, "funcs": funcs,
                       "ops_h": compute_operators(vs, real_part=True)}
     return _STAGE5_VS
@@ -168,8 +167,8 @@ def test_stage5_realpart_does_not_commute():
     plateau = s5["funcs"]["plateau"]
     reg_set = reg.regular_set(coeffs.theta, coeffs.K_bound)
     lhs = eval_form(reg_set, plateau, plateau).value.real
-    oracle_h = oracle_regular_part(sv["ops_h"], sv["vs"], plateau_idx,
-                                   plateau_idx).real
+    oracle_h = oracle_regular_part(sv["ops_h"],
+                                   sv["vs"])[plateau_idx, plateau_idx].real
     rel = abs(lhs - 2.0 * oracle_h) / max(abs(lhs), 1e-300)
     ok = rel <= 1e-9
     check(4, ok, "Re of the regular part doubles the Hermitian-form oracle "
@@ -245,9 +244,8 @@ def test_equivalence_verdicts_consistent():
 def test_probe_slope_matches_quadrature():
     coeffs, q = generate_noncommuting_example(coupling=0.5)
     derived = derive_fields(coeffs)
-    ambient = build_ambient(coeffs, derived)
     tau = TestFunction.bump(coeffs.grid, [0.5, 0.5], [0.4, 0.4])
-    vs = build_v_subspace(ambient, coeffs, derived, q, [tau])
+    vs = build_v_subspace(coeffs, derived, q, [tau])
     report = t_pi2_probe(vs, compute_operators(vs), tau, (0.0, 1.0),
                          (10.0, 20.0, 40.0, 80.0))
     # independent quadrature of the reference density

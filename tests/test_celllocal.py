@@ -11,9 +11,9 @@ from numpy.testing import assert_allclose
 from dense_reference import (dense_gate_rejects, dense_grams,
                              dense_kernel_image, dense_operators, dense_ops,
                              dense_oracle_table, dense_probe_ratios)
-from regpart.completion import (build_ambient, build_v_subspace,
-                                compute_operators, oracle_regular_part,
-                                singular_field, t_pi2_probe)
+from regpart.completion import (build_v_subspace, compute_operators,
+                                oracle_regular_part, singular_field,
+                                t_pi2_probe)
 from regpart.diagnostics import PROBE_LAMBDAS, generate_cantor_example
 from regpart.errors import DegenerateBasis, KernelMismatch
 from regpart.grid import TestFunction
@@ -56,9 +56,8 @@ def reference_cases():
 def test_cell_local_matches_dense_reference(case):
     _, coeffs, q_field, funcs, tau, xi = case
     derived = derive_fields(coeffs)
-    ambient = build_ambient(coeffs, derived)
-    vs = build_v_subspace(ambient, coeffs, derived, q_field, funcs)
-    gram_a, gram_form = dense_grams(ambient, coeffs, derived, q_field, funcs)
+    vs = build_v_subspace(coeffs, derived, q_field, funcs)
+    gram_a, gram_form = dense_grams(coeffs, derived, q_field, funcs)
     nf = vs.n_funcs
     assert rel_gap(vs.gram_a, gram_a) <= DENSE_RTOL
     assert rel_gap(vs.gram_form, gram_form) <= DENSE_RTOL
@@ -108,15 +107,14 @@ def test_gate_decisions_match_dense_eigvalsh():
     decisions = []
     for coeffs, q, funcs in gate_sweep():
         derived = derive_fields(coeffs)
-        ambient = build_ambient(coeffs, derived)
         try:
-            vs = build_v_subspace(ambient, coeffs, derived, q, funcs)
+            vs = build_v_subspace(coeffs, derived, q, funcs)
             rejected = False
         except KernelMismatch:
             continue
         except DegenerateBasis:
             rejected = True
-        gram_a, _ = dense_grams(ambient, coeffs, derived, q, funcs)
+        gram_a, _ = dense_grams(coeffs, derived, q, funcs)
         assert rejected == dense_gate_rejects(gram_a)
         if not rejected:
             ew = np.linalg.eigvalsh(gram_a)
@@ -132,9 +130,7 @@ def test_multiplication_residuals_visit_every_basis_vector(rng):
     image of a singular vector is the vector itself by construction.)"""
     case = random_oracle_case(rng, dim=2, commuting=True)
     derived = derive_fields(case.coeffs)
-    ambient = build_ambient(case.coeffs, derived)
-    vs = build_v_subspace(ambient, case.coeffs, derived, case.q_field,
-                          case.funcs)
+    vs = build_v_subspace(case.coeffs, derived, case.q_field, case.funcs)
     ops = compute_operators(vs)
     assert max(multiplication_residuals(vs, ops)) < MULT_TOL
     nf = vs.n_funcs

@@ -171,6 +171,19 @@ def test_compute_empty_function_list(tmp_path, rng):
     assert any("function list empty" in w for w in report["warnings"])
 
 
+def test_compute_empty_indicator_set(tmp_path):
+    """A 1-D model whose singular set is empty, as the program writes it,
+    loads back and computes: the singular part is 0 everywhere."""
+    doc = cantor_model_doc(1)
+    doc["Q"] = q_indicator_spec([])
+    path = tmp_path / "empty-set.json"
+    write_doc(path, doc)
+    out = tmp_path / "report.json"
+    assert main(["compute", "--model", str(path), "--out", str(out)]) == 0
+    c_s = np.asarray(load_doc(out)["singular"]["C"], dtype=float)
+    assert c_s.size and np.all(c_s == 0.0)
+
+
 def test_lambda_list_argument_errors(cantor_file, capsys):
     assert main(["compute", "--model", str(cantor_file),
                  "--lambda-list", "abc"]) == 3
@@ -344,7 +357,7 @@ def test_compute_builds_each_artifact_once(cantor3, monkeypatch):
                                funcs=cantor3["funcs"]))
     assert counts == {"build_ambient": 1, "build_v_subspace": 1,
                       "compute_operators": 2, "derive_fields": 1,
-                      "eval_form": 4, "assemble_regular": 2}
+                      "eval_form": 4, "assemble_regular": 1}
 
 
 def test_module_entry_point(tmp_path):

@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dense_reference import dense_ops
+from dense_reference import (ambient_inner, ambient_weights, dense_ops,
+                             hprime_from_coords)
 from regpart.completion import (AMBIENT_MARGIN, _ambient_min_eig,
-                                build_ambient,
-                                build_v_subspace, compute_operators,
-                                hprime_from_coords, oracle_regular_part,
+                                build_ambient, build_v_subspace,
+                                compute_operators, oracle_regular_part,
                                 phi_vector, t_pi2_probe)
 from regpart.diagnostics import generate_noncommuting_example
 from regpart.errors import DegenerateBasis, KernelMismatch
 from regpart.grid import GridSpec, TestFunction
-from regpart.model import CoefficientSet, derive_fields, eval_form, h_inner
+from regpart.model import CoefficientSet, derive_fields, eval_form, form_gram
 from regpart.pipeline import MULT_TOL, ORACLE_RTOL, multiplication_residuals, \
     oracle_crosscheck
 from regpart.pointwise import adjoint, herm_part, imag_part
@@ -39,10 +39,9 @@ def random_setup(rng, dim, n_funcs=3):
     coeffs = random_coefficients(rng, random_grid(rng, dim))
     derived = derive_fields(coeffs)
     q = random_projection_field(rng, dim, coeffs.n_cells)
-    ambient = build_ambient(coeffs, derived)
     funcs = random_node_functions(rng, coeffs.grid, n_funcs)
-    vs = build_v_subspace(ambient, coeffs, derived, q, funcs)
-    return coeffs, derived, q, ambient, funcs, vs
+    vs = build_v_subspace(coeffs, derived, q, funcs)
+    return coeffs, derived, q, funcs, vs
 
 
 # -- ambient inner product --------------------------------------------------
@@ -50,39 +49,39 @@ def random_setup(rng, dim, n_funcs=3):
 
 def test_ambient_trivial_weights():
     coeffs, derived = constant_model()
-    ambient = build_ambient(coeffs, derived)
-    assert ambient.gamma == 0.0
-    assert_allclose(ambient.weight_scalar, 1.0, atol=0)
-    assert_allclose(ambient.weight_vec, 0.0, atol=0)
+    gamma = build_ambient(coeffs, derived)
+    assert gamma == 0.0
+    ws, vxy = ambient_weights(coeffs, derived, gamma)
+    assert_allclose(ws, 1.0, atol=0)
+    assert_allclose(vxy, 0.0, atol=0)
 
 
 def test_ambient_lowers_gamma_for_negative_zeroth_order():
     coeffs, derived = constant_model(c0=-5.0)
-    ambient = build_ambient(coeffs, derived)
+    gamma = build_ambient(coeffs, derived)
     # starting value min(0, 1 + (-5) - 0.5) already clears the margin
-    assert ambient.gamma == -4.5
-    assert_allclose(ambient.weight_scalar, 0.5, atol=0)
+    assert gamma == -4.5
+    assert_allclose(ambient_weights(coeffs, derived, gamma)[0], 0.5, atol=0)
 
 
-def test_ambient_respects_gamma0():
-    coeffs, derived = constant_model()
-    ambient = build_ambient(coeffs, derived, gamma0=-2.0)
-    assert ambient.gamma == -2.0
-    assert_allclose(ambient.weight_scalar, 3.0, atol=0)
+def test_v_subspace_stores_the_vertex_shift(rng):
+    coeffs, derived, _, _, vs = random_setup(rng, 2)
+    assert vs.gamma == build_ambient(coeffs, derived)
 
 
 def test_ambient_blocks_positive_definite(rng):
     for dim in (1, 2, 3):
         coeffs = random_coefficients(rng, random_grid(rng, dim))
         derived = derive_fields(coeffs)
-        ambient = build_ambient(coeffs, derived)
-        assert ambient.gamma <= 0.0
+        gamma = build_ambient(coeffs, derived)
+        assert gamma <= 0.0
+        ws, vxy = ambient_weights(coeffs, derived, gamma)
         d = dim
         for c in range(coeffs.n_cells):
             block = np.zeros((d + 1, d + 1), dtype=complex)
-            block[0, 0] = ambient.weight_scalar[c]
-            block[0, 1:] = 0.5 * np.conj(ambient.weight_vec[c])
-            block[1:, 0] = 0.5 * ambient.weight_vec[c]
+            block[0, 0] = ws[c]
+            block[0, 1:] = 0.5 * np.conj(vxy[c])
+            block[1:, 0] = 0.5 * vxy[c]
             block[1:, 1:] = np.eye(d)
             low = float(np.linalg.eigvalsh(block)[0])
             assert low >= AMBIENT_MARGIN - 1e-12
@@ -105,16 +104,20 @@ def test_ambient_min_eig_without_cancellation():
 def test_ambient_inner_is_an_inner_product(rng):
     coeffs = random_coefficients(rng, random_grid(rng, 2))
     derived = derive_fields(coeffs)
-    ambient = build_ambient(coeffs, derived)
+    gamma = build_ambient(coeffs, derived)
     n, d = coeffs.n_cells, coeffs.dim
+
+    def inner(x, y):
+        return ambient_inner(coeffs, derived, gamma, x, y)
+
     for _ in range(5):
         x = (rng.standard_normal(n) + 1j * rng.standard_normal(n),
              rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
         y = (rng.standard_normal(n) + 1j * rng.standard_normal(n),
              rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
-        sym_gap = ambient.inner(x, y) - np.conj(ambient.inner(y, x))
+        sym_gap = inner(x, y) - np.conj(inner(y, x))
         assert abs(sym_gap) < 1e-10
-        val = ambient.inner(x, x)
+        val = inner(x, x)
         mass = coeffs.grid.cell_volume * (np.sum(np.abs(x[0]) ** 2)
                                           + np.sum(np.abs(x[1]) ** 2))
         assert abs(val.imag) < 1e-10
@@ -134,11 +137,11 @@ def direct_extended_form(vs, x, y):
     t2 = np.sum(w1 * np.conj(vs.derived.X_field) * np.conj(u2)[:, None])
     t3 = np.sum(u1[:, None] * vs.derived.Y_field * np.conj(w2))
     t4 = np.sum(vs.coeffs.c0_field * u1 * np.conj(u2))
-    return vs.ambient.grid.cell_volume * complex(t1 + t2 + t3 + t4)
+    return vs.coeffs.grid.cell_volume * complex(t1 + t2 + t3 + t4)
 
 
 def test_gram_blocks_match_direct_form(rng):
-    _, _, _, ambient, _, vs = random_setup(rng, 2)
+    coeffs, derived, _, _, vs = random_setup(rng, 2)
     for _ in range(6):
         cx = rng.standard_normal(vs.dim) + 1j * rng.standard_normal(vs.dim)
         cy = rng.standard_normal(vs.dim) + 1j * rng.standard_normal(vs.dim)
@@ -148,26 +151,25 @@ def test_gram_blocks_match_direct_form(rng):
         assert_allclose(via_gram, direct_extended_form(vs, x, y),
                         rtol=1e-10, atol=1e-10)
         via_gram_a = complex(np.conj(cy) @ vs.gram_a @ cx)
-        assert_allclose(via_gram_a, ambient.inner(x, y),
+        assert_allclose(via_gram_a,
+                        ambient_inner(coeffs, derived, vs.gamma, x, y),
                         rtol=1e-10, atol=1e-10)
 
 
 def test_gram_a_is_shifted_hermitian_part(rng):
     """The ambient Gram equals the form Gram's Hermitian part plus the
     vertex shift times the plain L2 Gram of the embedded functions."""
-    coeffs, _, _, ambient, funcs, vs = random_setup(rng, 2)
+    coeffs, _, _, funcs, vs = random_setup(rng, 2)
     shift = np.zeros((vs.dim, vs.dim), dtype=complex)
-    for i, fi in enumerate(funcs):
-        for j, fj in enumerate(funcs):
-            shift[i, j] = h_inner(fj, fi)
-    expected = herm_part(vs.gram_form) + (1.0 - ambient.gamma) * shift
+    shift[:vs.n_funcs, :vs.n_funcs] = form_gram(coeffs, funcs)[1]
+    expected = herm_part(vs.gram_form) + (1.0 - vs.gamma) * shift
     assert_allclose(vs.gram_a, expected, atol=1e-11)
 
 
 def test_singular_block_is_scaled_identity(rng):
-    _, _, _, _, _, vs = random_setup(rng, 3)
+    _, _, _, _, vs = random_setup(rng, 3)
     jj = vs.v1_slice
-    vol = vs.ambient.grid.cell_volume
+    vol = vs.coeffs.grid.cell_volume
     eye = vol * np.eye(vs.n_singular)
     assert_allclose(vs.gram_a[jj, jj], eye, atol=1e-13)
     assert_allclose(herm_part(vs.gram_form)[jj, jj], eye, atol=1e-13)
@@ -177,7 +179,7 @@ def test_singular_block_is_scaled_identity(rng):
 
 
 def test_kernel_projection_normal_equations(rng):
-    _, _, _, _, _, vs = random_setup(rng, 2)
+    _, _, _, _, vs = random_setup(rng, 2)
     ops = dense_ops(vs, compute_operators(vs))
     jj = vs.v1_slice
     scale = float(np.max(np.abs(vs.gram_a)))
@@ -188,7 +190,7 @@ def test_kernel_projection_normal_equations(rng):
 
 
 def test_t_defining_relation(rng):
-    _, _, _, _, _, vs = random_setup(rng, 2)
+    _, _, _, _, vs = random_setup(rng, 2)
     ops = dense_ops(vs, compute_operators(vs))
     jj = vs.v1_slice
     hh = herm_part(vs.gram_form)
@@ -202,7 +204,7 @@ def test_t_defining_relation(rng):
 def test_correction_operator_equation(rng):
     """Pi = pi2 - i (I + iT11)^{-1} T pi2 row-block, checked via its
     defining linear system."""
-    _, _, _, _, _, vs = random_setup(rng, 3)
+    _, _, _, _, vs = random_setup(rng, 3)
     ops = dense_ops(vs, compute_operators(vs))
     jj = vs.v1_slice
     lhs = (np.eye(vs.n_singular) + 1j * ops.T11) @ (ops.pi2 - ops.Pi)[jj, :]
@@ -217,9 +219,7 @@ def test_operators_are_multiplications(rng):
         case = random_oracle_case(rng, dim=dim, commuting=commuting)
         coeffs = case.coeffs
         derived = derive_fields(coeffs)
-        ambient = build_ambient(coeffs, derived)
-        vs = build_v_subspace(ambient, coeffs, derived, case.q_field,
-                              case.funcs)
+        vs = build_v_subspace(coeffs, derived, case.q_field, case.funcs)
         pi1_res, t_res = multiplication_residuals(vs, compute_operators(vs))
         assert pi1_res < MULT_TOL
         assert t_res < MULT_TOL
@@ -242,33 +242,33 @@ def test_oracle_explicit_pair(rng):
     derived = derive_fields(coeffs)
     s = build_singular_structure(case.q_field, derived)
     reg = assemble_regular(coeffs, derived, s)
-    ambient = build_ambient(coeffs, derived)
-    vs = build_v_subspace(ambient, coeffs, derived, case.q_field, case.funcs)
+    vs = build_v_subspace(coeffs, derived, case.q_field, case.funcs)
     ops = compute_operators(vs)
     reg_set = reg.regular_set(coeffs.theta, coeffs.K_bound)
     u, v = case.funcs[0], case.funcs[-1]
     formula = eval_form(reg_set, u, v).value
-    oracle = oracle_regular_part(ops, vs, 0, len(case.funcs) - 1)
+    oracle = oracle_regular_part(ops, vs)[0, -1]
     assert abs(formula - oracle) <= ORACLE_RTOL * (1.0 + abs(formula))
 
 
 def test_real_part_operators(rng):
-    _, _, _, _, funcs, vs = random_setup(rng, 2)
+    _, _, _, _, vs = random_setup(rng, 2)
     ops_h = compute_operators(vs, real_part=True)
     dense = dense_ops(vs, ops_h)
     assert np.max(np.abs(dense.T)) < 1e-12
     assert_allclose(dense.Pi, dense.pi2, atol=1e-12)
     # the Hermitian form's regular part is Hermitian in its arguments
-    g01 = oracle_regular_part(ops_h, vs, 0, 1)
-    g10 = oracle_regular_part(ops_h, vs, 1, 0)
-    assert_allclose(g01, np.conj(g10), atol=1e-10)
+    table = oracle_regular_part(ops_h, vs)
+    assert_allclose(table, adjoint(table), atol=1e-10)
 
 
 def test_oracle_index_range(rng):
-    _, _, _, _, _, vs = random_setup(rng, 1)
-    ops = compute_operators(vs)
+    """The table holds exactly the embedded functions' pairs."""
+    _, _, _, _, vs = random_setup(rng, 1)
+    table = oracle_regular_part(compute_operators(vs), vs)
+    assert table.shape == (vs.n_funcs, vs.n_funcs)
     with pytest.raises(IndexError):
-        oracle_regular_part(ops, vs, 0, vs.n_funcs)
+        table[0, vs.n_funcs]
 
 
 # -- degeneracy guards ------------------------------------------------------
@@ -276,37 +276,34 @@ def test_oracle_index_range(rng):
 
 def test_kernel_mismatch_detected(rng):
     coeffs, derived = constant_model(cells=8)
-    ambient = build_ambient(coeffs, derived)
     f1 = random_node_functions(rng, coeffs.grid, 1)[0]
     f2 = TestFunction(grid=coeffs.grid, cell_values=f1.cell_values.copy(),
                       cell_gradient=f1.cell_gradient + 1.0)
     q = np.zeros((coeffs.n_cells, 1, 1), dtype=complex)
     with pytest.raises(KernelMismatch):
-        build_v_subspace(ambient, coeffs, derived, q, [f1, f2])
+        build_v_subspace(coeffs, derived, q, [f1, f2])
 
 
 def test_degenerate_basis_detected(rng):
     coeffs, derived = constant_model(cells=8)
-    ambient = build_ambient(coeffs, derived)
     f = random_node_functions(rng, coeffs.grid, 1)[0]
     q = np.zeros((coeffs.n_cells, 1, 1), dtype=complex)
     with pytest.raises(DegenerateBasis):
-        build_v_subspace(ambient, coeffs, derived, q, [f, f.scaled(2.0)])
+        build_v_subspace(coeffs, derived, q, [f, f.scaled(2.0)])
 
 
 def test_no_singular_directions(rng):
     coeffs, derived = constant_model(cells=8)
-    ambient = build_ambient(coeffs, derived)
     f = random_node_functions(rng, coeffs.grid, 1)[0]
     q = np.zeros((coeffs.n_cells, 1, 1), dtype=complex)
-    vs = build_v_subspace(ambient, coeffs, derived, q, [f])
+    vs = build_v_subspace(coeffs, derived, q, [f])
     assert vs.dim == 1 and vs.n_singular == 0
     ops = compute_operators(vs)
     dense = dense_ops(vs, ops)
     assert_allclose(dense.Pi, np.eye(1), atol=0)
     assert np.max(np.abs(dense.pi1)) == 0.0
     # with no singular directions the whole form is its own regular part
-    oracle = oracle_regular_part(ops, vs, 0, 0)
+    oracle = oracle_regular_part(ops, vs)[0, 0]
     assert_allclose(oracle, eval_form(coeffs, f, f).value,
                     rtol=1e-10, atol=1e-12)
 
@@ -315,8 +312,7 @@ def test_empty_family_builds(cantor3):
     """With no functions V is the singular block alone: the ambient Gram
     is ``vol`` times the identity and its condition number is one."""
     coeffs, derived = cantor3["coeffs"], cantor3["derived"]
-    vs = build_v_subspace(build_ambient(coeffs, derived), coeffs, derived,
-                          cantor3["q_field"], [])
+    vs = build_v_subspace(coeffs, derived, cantor3["q_field"], [])
     assert (vs.n_funcs, vs.dim) == (0, 72)
     assert vs.func_values.shape == (0, coeffs.n_cells)
     assert vs.cond == 1.0
@@ -331,8 +327,7 @@ def test_cantor_singular_count(cantor3):
     derived = cantor3["derived"]
     q_field = cantor3["q_field"]
     funcs = list(cantor3["funcs"].values())
-    ambient = build_ambient(coeffs, derived)
-    vs = build_v_subspace(ambient, coeffs, derived, q_field, funcs)
+    vs = build_v_subspace(coeffs, derived, q_field, funcs)
     mask = np.nonzero(q_field[:, 0, 0].real > 0.5)[0]
     # stage-3 removed-interval endpoints fall on cell boundaries, so the
     # kept measure 9/16 over the unit interval counts cells exactly
@@ -347,9 +342,8 @@ def test_cantor_singular_count(cantor3):
 def test_probe_constant_noncommuting_model():
     coeffs, q = generate_noncommuting_example(coupling=0.5)
     derived = derive_fields(coeffs)
-    ambient = build_ambient(coeffs, derived)
     tau = TestFunction.bump(coeffs.grid, [0.5, 0.5], [0.4, 0.4])
-    vs = build_v_subspace(ambient, coeffs, derived, q, [tau])
+    vs = build_v_subspace(coeffs, derived, q, [tau])
     ops = compute_operators(vs)
     report = t_pi2_probe(vs, ops, tau, (0.0, 1.0), (5.0, 10.0, 20.0, 40.0))
     assert not report.skipped
@@ -367,11 +361,10 @@ def test_probe_constant_noncommuting_model():
 def test_probe_commuting_is_flat():
     coeffs, _ = generate_noncommuting_example(coupling=0.5)
     derived = derive_fields(coeffs)
-    ambient = build_ambient(coeffs, derived)
     tau = TestFunction.bump(coeffs.grid, [0.5, 0.5], [0.4, 0.4])
     n = coeffs.n_cells
     q_full = np.broadcast_to(np.eye(2), (n, 2, 2)).astype(complex).copy()
-    vs = build_v_subspace(ambient, coeffs, derived, q_full, [tau])
+    vs = build_v_subspace(coeffs, derived, q_full, [tau])
     ops = compute_operators(vs)
     report = t_pi2_probe(vs, ops, tau, (0.0, 1.0), (5.0, 10.0, 20.0, 40.0))
     assert report.reference == 0.0
@@ -382,9 +375,8 @@ def test_probe_commuting_is_flat():
 def test_probe_skip_semantics():
     coeffs, q = generate_noncommuting_example(coupling=0.5)
     derived = derive_fields(coeffs)
-    ambient = build_ambient(coeffs, derived)
     tau = TestFunction.bump(coeffs.grid, [0.5, 0.5], [0.4, 0.4])
-    vs = build_v_subspace(ambient, coeffs, derived, q, [tau])
+    vs = build_v_subspace(coeffs, derived, q, [tau])
     ops = compute_operators(vs)
 
     single = t_pi2_probe(vs, ops, tau, (0.0, 1.0), (10.0,))
@@ -395,7 +387,7 @@ def test_probe_skip_semantics():
     assert zero.skipped
 
     q0 = np.zeros((coeffs.n_cells, 2, 2), dtype=complex)
-    vs0 = build_v_subspace(ambient, coeffs, derived, q0, [tau])
+    vs0 = build_v_subspace(coeffs, derived, q0, [tau])
     empty = t_pi2_probe(vs0, compute_operators(vs0), tau, (0.0, 1.0),
                         (5.0, 10.0))
     assert not empty.skipped

@@ -260,7 +260,7 @@ def test_cantor_regular_part_fields(cantor3):
     assert np.all(reg.d_reg == 0)
     mask = cantor_mask(3, coeffs.grid)
     assert_allclose(reg.c0_reg, 2.0 * mask.astype(complex), atol=0)
-    assert regular_sector_tangent(reg) == 0.0
+    assert regular_sector_tangent(reg, derived, s) == 0.0
 
 
 def test_cantor_plateau_values(cantor3):

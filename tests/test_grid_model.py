@@ -9,10 +9,9 @@ from numpy.testing import assert_allclose
 from regpart.errors import (DominationViolation, GridMismatch,
                             SectorViolation, ValidationError)
 from regpart.grid import GridSpec, TestFunction
-from regpart.completion import build_ambient, build_v_subspace
+from regpart.completion import build_v_subspace
 from regpart.model import (CoefficientSet, derive_fields,
-                           estimate_vertex_angle, eval_form, form_gram,
-                           h_inner)
+                           estimate_vertex_angle, eval_form, form_gram)
 from regpart.pointwise import adjoint, herm_part
 from regpart.randomized import (random_coefficients, random_grid,
                                 random_node_functions)
@@ -260,8 +259,7 @@ def test_eval_form_matches_factored(rng):
         derived = derive_fields(coeffs)
         u, v = random_node_functions(rng, coeffs.grid, 2)
         q = np.zeros_like(coeffs.C_field)
-        vs = build_v_subspace(build_ambient(coeffs, derived), coeffs,
-                              derived, q, [u, v])
+        vs = build_v_subspace(coeffs, derived, q, [u, v])
         direct = eval_form(coeffs, [u, v], [u, v]).value
         fact = vs.form_blocks.ff.T
         assert_allclose(fact, direct, rtol=1e-10,
@@ -304,7 +302,11 @@ def test_h_inner_and_gram_convention(rng):
                                        for ci, b in zip(c, basis)))
     assert_allclose(np.conj(c) @ bmat @ c, eval_form(coeffs, u, u).value,
                     rtol=1e-10, atol=1e-12)
-    assert_allclose(np.conj(c) @ mmat @ c, h_inner(u, u), rtol=1e-12)
+    # M[i, j] = <u_j, u_i>: the midpoint-rule L2 inner product
+    h_norm_sq = coeffs.grid.cell_volume * np.sum(np.abs(u.cell_values) ** 2)
+    assert_allclose(np.conj(c) @ mmat @ c, h_norm_sq, rtol=1e-12)
+    assert_allclose(mmat[0, 1], coeffs.grid.cell_volume * np.sum(
+        basis[1].cell_values * np.conj(basis[0].cell_values)), rtol=1e-12)
 
 
 def test_vertex_floor_on_basis(rng):
@@ -312,9 +314,10 @@ def test_vertex_floor_on_basis(rng):
     coeffs = random_coefficients(rng, random_grid(rng, 2))
     basis = random_node_functions(rng, coeffs.grid, 4)
     params = estimate_vertex_angle(coeffs, basis)
-    for u in basis:
+    mass = np.diagonal(form_gram(coeffs, basis)[1]).real
+    for u, m in zip(basis, mass):
         val = eval_form(coeffs, u, u).value
-        assert val.real - params.gamma * h_inner(u, u).real >= -1e-9
+        assert val.real - params.gamma * m >= -1e-9
 
 
 def test_vertex_angle_symmetric_form():

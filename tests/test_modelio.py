@@ -210,6 +210,19 @@ def test_q_spec_errors(rng):
         expand_q_spec(q_matrix_spec(np.zeros((3, 1, 1))), grid1)
     with pytest.raises(ParseError):
         expand_q_spec([], grid1)
+    for bad in ([1.0, 2.0], [[1.0, 2.0, 3.0]], [[]], [[1.0]], "x"):
+        with pytest.raises(ParseError):
+            expand_q_spec({"set": bad, "scale": "identity"}, grid1)
+
+
+def test_q_indicator_empty_set_is_zero():
+    """``q_indicator_spec([])`` writes ``"set": []``, which reads back as
+    ``Q = 0``."""
+    grid = GridSpec(dim=1, box=((0.0, 1.0),), cells_per_axis=(4,))
+    spec = q_indicator_spec([])
+    assert spec["set"] == []
+    q = expand_q_spec(spec, grid)
+    assert q.shape == (4, 1, 1) and not np.any(q)
 
 
 # -- function specs ---------------------------------------------------------

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from regpart.errors import NotHermitian, NotPSD, ValidationError
-from regpart.pointwise import (SectorParams, adjoint, herm_eig, herm_part,
-                               imag_part, is_projection, pencil_tangent,
-                               pinv_sqrt, psd_roots, psd_sqrt,
-                               sector_check)
+from regpart.errors import (NotHermitian, NotPSD, SectorViolation,
+                            ValidationError)
+from regpart.grid import GridSpec
+from regpart.model import CoefficientSet
+from regpart.pointwise import (PSD_TOL, SectorParams, adjoint, frobenius,
+                               herm_eig, herm_part, imag_part, pencil_tangent,
+                               pinv_sqrt, projection_residuals, psd_roots,
+                               psd_sqrt, sector_pencils)
 
 
 def random_psd(rng, d, n=1, rank=None):
@@ -84,12 +87,20 @@ def test_herm_eig_unitary_invariance(rng):
     assert_allclose(np.sort(w1[0]), np.sort(w2[0]), atol=1e-10)
 
 
+def in_sector(c, theta):
+    """Per-matrix verdict of the three sector pencils, with the slack
+    ``CoefficientSet.validate`` allows."""
+    _, mins = sector_pencils(c, theta)
+    return np.all(mins >= -PSD_TOL * np.maximum(1.0, frobenius(c)), axis=0)
+
+
 def test_is_projection():
     p = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    assert is_projection(p).ok
-    assert not is_projection(p + 0.01).ok
     skew = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)  # idempotent
-    assert not is_projection(skew).ok  # but not Hermitian
+    res_h, res_i = projection_residuals(np.stack([p, p + 0.01, skew]))
+    ok = (res_h <= PSD_TOL) & (res_i <= PSD_TOL)
+    assert ok.tolist() == [True, False, False]
+    assert res_i[2] == 0.0 and res_h[2] > PSD_TOL  # but not Hermitian
 
 
 def test_sector_check_accepts_and_refuses(rng):
@@ -102,11 +113,23 @@ def test_sector_check_accepts_and_refuses(rng):
     eye = np.eye(3)
     c = np.matmul(np.matmul(root, eye + 1j * z), root)
     theta = np.arctan(0.5) + 1e-9
-    for cell in c:
-        assert sector_check(cell, theta).ok
-    narrow = sector_check(c[0], np.arctan(0.1))
-    assert not narrow.ok
-    assert narrow.witness is not None
+    assert np.all(in_sector(c, theta))
+    assert not in_sector(c[0], np.arctan(0.1))
+
+    def coeffs(theta):
+        grid = GridSpec(dim=3, box=((0.0, 1.0),) * 3,
+                        cells_per_axis=(4, 1, 1))
+        zero = np.zeros((4, 3), dtype=complex)
+        return CoefficientSet(grid=grid, C_field=c, b_field=zero,
+                              d_field=zero, c0_field=np.zeros(4),
+                              theta=theta, K_bound=1.0)
+    coeffs(theta).validate()
+    with pytest.raises(SectorViolation) as err:
+        coeffs(np.arctan(0.1)).validate()
+    # the witness leaves the narrow sector
+    xi = err.value.witness
+    val = np.vdot(xi, c[err.value.cell] @ xi)
+    assert abs(val.imag) > 0.1 * val.real
 
 
 def test_sector_check_monotone_in_theta(rng):
@@ -115,7 +138,7 @@ def test_sector_check_monotone_in_theta(rng):
     m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     c = m @ m.conj().T + 0.3j * herm_part(rng.standard_normal((2, 2)))
     thetas = np.linspace(0.05, 1.5, 12)
-    passed = [sector_check(c, t).ok for t in thetas]
+    passed = [bool(in_sector(c, t)) for t in thetas]
     first = next((k for k, ok in enumerate(passed) if ok), len(thetas))
     assert all(passed[first:])
 

@@ -1,12 +1,16 @@
 """Singular structure, the kernel identities and the assembled splitting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from regpart.diagnostics import regular_sector_tangent
 from regpart.errors import GridMismatch, NotCommuting, ProjectionInvalid
-from regpart.model import derive_fields, eval_form
-from regpart.pointwise import adjoint, herm_part
+from regpart.model import CoefficientSet, derive_fields, eval_form
+from regpart.pointwise import (PSD_TOL, adjoint, frobenius, herm_part,
+                               imag_part, pinv_sqrt, sector_pencils)
 from regpart.randomized import (commuting_projection_field,
                                 random_coefficients, random_grid,
                                 random_node_functions,
@@ -140,15 +144,13 @@ def test_complement_fields_bitwise(rng):
 
 def test_regular_part_is_sectorial_pointwise(rng):
     """C_reg admits some sector angle below pi/2 on every cell."""
-    from regpart.diagnostics import regular_sector_tangent
-    from regpart.pointwise import sector_check
     coeffs, derived, s = make_case(rng, 3)
     reg = assemble_regular(coeffs, derived, s)
-    tangent = regular_sector_tangent(reg)
+    tangent = regular_sector_tangent(reg, derived, s)
     assert np.isfinite(tangent)
     theta = min(np.arctan(tangent) + 1e-6, np.pi / 2 - 1e-12)
-    for cell in range(0, coeffs.n_cells, 5):
-        assert sector_check(reg.C_reg[cell], theta).ok
+    _, mins = sector_pencils(reg.C_reg, theta)
+    assert np.all(mins >= -PSD_TOL * np.maximum(1.0, frobenius(reg.C_reg)))
 
 
 def test_trivial_projections():
@@ -198,7 +200,7 @@ def test_singular_part_decomposition(rng):
     Q-localized lower-order couplings plus the W-weighted zeroth term."""
     coeffs, derived, s = make_case(rng, 2, commuting=True)
     reg = assemble_regular(coeffs, derived, s)
-    pure = pure_second_order_parts(coeffs, derived, s)
+    pure = pure_second_order_parts(reg)
     u, v = random_node_functions(rng, coeffs.grid, 2)
     vol = coeffs.grid.cell_volume
 
@@ -220,14 +222,37 @@ def test_singular_part_decomposition(rng):
     assert_allclose(a_s, expected, rtol=1e-9, atol=1e-9 * (1 + abs(expected)))
 
 
+def _assemble_zeroed_companion(coeffs, derived, s):
+    """The companion form with the lower-order coefficients zeroed out
+    (same ``A``, ``Z`` and ``Q``), split by the full assembly."""
+    pure = CoefficientSet(
+        grid=coeffs.grid, C_field=coeffs.C_field,
+        b_field=np.zeros_like(coeffs.b_field),
+        d_field=np.zeros_like(coeffs.d_field),
+        c0_field=np.zeros_like(coeffs.c0_field),
+        theta=coeffs.theta, K_bound=coeffs.K_bound)
+    return assemble_regular(pure, replace(
+        derived, X_field=np.zeros_like(derived.X_field),
+        Y_field=np.zeros_like(derived.Y_field)), s)
+
+
 def test_pure_second_order_consistency(rng):
-    """Dropping lower-order data never changes the second-order split."""
-    coeffs, derived, s = make_case(rng, 2)
-    reg = assemble_regular(coeffs, derived, s)
-    pure = pure_second_order_parts(coeffs, derived, s)
-    assert_allclose(pure.C_reg, reg.C_reg, atol=1e-12)
-    assert_allclose(pure.b_reg, 0, atol=0)
-    assert_allclose(pure.c0_reg, 0, atol=0)
+    """Dropping lower-order data never changes the second-order split: the
+    companion read off the full split is the zeroed companion assembled on
+    its own, bit for bit; its lower-order regular fields are 0 (the
+    assembled ones may carry signed zeros)."""
+    for dim in (1, 2, 3):
+        coeffs, derived, s = make_case(rng, dim)
+        reg = assemble_regular(coeffs, derived, s)
+        pure = pure_second_order_parts(reg)
+        direct = _assemble_zeroed_companion(coeffs, derived, s)
+        for name in ("C_reg", "C_s", "b_s", "d_s", "c0_s"):
+            assert getattr(pure, name).tobytes() == \
+                getattr(direct, name).tobytes()
+        for name in ("b_reg", "d_reg", "c0_reg"):
+            assert np.array_equal(getattr(pure, name), getattr(direct, name))
+            assert not np.any(getattr(pure, name))
+        assert np.array_equal(pure.C_reg, reg.C_reg)
 
 
 def test_grid_mismatch_guard(rng):
@@ -327,13 +352,26 @@ def test_split_is_exact_off_supp_q():
                 assert np.array_equal(getattr(reg, name + "_reg")[off],
                                       field[off])
                 assert np.all(getattr(reg, name + "_s")[off] == 0.0)
-        pure = pure_second_order_parts(coeffs, derived, s)
+        pure = pure_second_order_parts(splits[0])
         assert np.array_equal(pure.C_reg[off], coeffs.C_field[off])
         assert np.all(pure.C_s[off] == 0.0)
         assert np.all(pure.b_reg[off] == 0.0)
         assert np.all(s.W_field[off] == 0.0)
         assert np.array_equal(s.support, np.flatnonzero(~off))
     assert {1, 2} <= seen_rank
+
+
+def test_regular_tangent_is_full_grid_expression():
+    """Reading ``Z`` off ``supp Q`` changes no bit of the regular sector
+    tangent: it equals the spectral norm of ``g(A') Im(C') g(A')`` taken
+    over every cell."""
+    for coeffs, derived, q in _off_support_cases():
+        s = build_singular_structure(q, derived)
+        reg = assemble_regular(coeffs, derived, s)
+        g = pinv_sqrt(herm_part(reg.C_reg))
+        zr = np.einsum("nij,njk,nkl->nil", g, imag_part(reg.C_reg), g)
+        full = float(np.max(np.abs(np.linalg.eigvalsh(herm_part(zr)))))
+        assert regular_sector_tangent(reg, derived, s) == full
 
 
 def test_identity_suite_is_full_grid_suite():
