@@ -64,6 +64,7 @@ from .errors import DegenerateBasis, KernelMismatch, ProjectionInvalid
 from .grid import TestFunction
 from .model import _stack
 from .pointwise import adjoint, herm_part, imag_part
+from .regularize import _support
 
 __all__ = [
     "GramBlocks",
@@ -517,6 +518,16 @@ class ProbeReport:
     skipped: bool
 
 
+def _qz_iq_asqrt(vs):
+    """``Q Z (I-Q) A^{1/2}`` per cell: computed on ``supp Q`` and ``0``
+    elsewhere, where the leading ``Q`` vanishes."""
+    q, cells = vs.q_field, _support(vs.q_field)
+    out = np.zeros_like(q)
+    out[cells] = q[cells] @ vs.derived.Z_field[cells] @ (
+        (np.eye(q.shape[-1]) - q[cells]) @ vs.derived.Asqrt_field[cells])
+    return out
+
+
 def t_pi2_probe(vs, ops, tau, xi, lambdas):
     """Modulate ``tau`` by plane waves and fit the quadratic growth of the
     kernel-directed imaginary content.
@@ -537,10 +548,13 @@ def t_pi2_probe(vs, ops, tau, xi, lambdas):
     """
     norm_sq = tau.norm_sq()
     lambdas = tuple(float(l) for l in lambdas)
+    vec = np.einsum("nkl,l->nk", _qz_iq_asqrt(vs),
+                    np.asarray(xi, dtype=float).reshape(vs.derived.dim))
+    reference = vs.coeffs.grid.cell_volume * float(np.sum(
+        np.abs(tau.cell_values) ** 2 * np.sum(np.abs(vec) ** 2, axis=-1)))
     if norm_sq <= 0.0 or vs.n_singular == 0 or len(lambdas) < 2:
         return ProbeReport(lambdas=lambdas, ratios=(), slope=0.0,
-                           intercept=0.0, reference=_probe_reference(
-                               vs, tau, xi),
+                           intercept=0.0, reference=reference,
                            rel_error=float("nan"),
                            skipped=norm_sq <= 0.0 or len(lambdas) < 2)
 
@@ -562,24 +576,9 @@ def t_pi2_probe(vs, ops, tau, xi, lambdas):
     design = np.stack([np.ones(len(lambdas)), lam_sq], axis=1)
     sol, *_ = np.linalg.lstsq(design, ratios, rcond=None)
     intercept, slope = float(sol[0]), float(sol[1])
-    reference = _probe_reference(vs, tau, xi)
     # Floor the denominator so a vanishing reference (commuting case, slope
     # and reference both ~0) reads as a small error instead of an overflow.
     rel_error = abs(slope - reference) / max(reference, 1e-12)
     return ProbeReport(lambdas=lambdas, ratios=tuple(ratios.tolist()),
                        slope=slope, intercept=intercept, reference=reference,
                        rel_error=rel_error, skipped=False)
-
-
-def _probe_reference(vs, tau, xi):
-    """Direct quadrature of ``|Q Z (I-Q) A^{1/2} (tau xi)|^2``."""
-    vol = vs.coeffs.grid.cell_volume
-    d = vs.derived.dim
-    xi = np.asarray(xi, dtype=float).reshape(d)
-    q = vs.q_field
-    z = vs.derived.Z_field
-    p = np.broadcast_to(np.eye(d), q.shape) - q
-    op = np.matmul(np.matmul(q, z), np.matmul(p, vs.derived.Asqrt_field))
-    vec = np.einsum("nkl,l->nk", op, xi)
-    dens = np.abs(tau.cell_values) ** 2 * np.sum(np.abs(vec) ** 2, axis=-1)
-    return vol * float(np.sum(dens))

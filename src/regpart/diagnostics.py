@@ -25,15 +25,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .completion import (ProbeReport, compute_operators, oracle_regular_part,
-                         singular_field, t_pi2_probe)
+from .completion import (ProbeReport, _qz_iq_asqrt, compute_operators,
+                         oracle_regular_part, singular_field, t_pi2_probe)
 from .errors import ResolutionTooCoarse, ValidationError
 from .grid import GridSpec, TestFunction
-from .model import CoefficientSet, eval_form, vertex_search
+from .model import CoefficientSet, eval_form, form_gram, vertex_search
 from .pointwise import SectorParams, frobenius, herm_part, imag_part, pinv_sqrt
 from .regularize import (assemble_regular_commuting, commutator_norms,
-                         indicator_projection, interval_mask,
-                         pure_second_order_parts)
+                         indicator_projection, interval_mask)
 
 __all__ = [
     "DiagnosticsReport",
@@ -90,6 +89,7 @@ class DiagnosticsReport:
     qz_iq_asqrt_max: float
     realpart: RealPartReport
     slope_probe: ProbeReport
+    form_vertex: VertexReport
     as_vertex: VertexReport
     aps_vertex: VertexReport
     regular_tangent: float
@@ -130,11 +130,11 @@ def _kernel_image_residual(vs, ops):
     return float(np.max(res / np.maximum(1.0, scale)))
 
 
-def singular_vertex(coeffs_s, basis):
-    """Vertex, half-angle and witness of a (possibly non-sectorial)
-    coefficient set over a basis span, from
+def singular_vertex(bmat, mmat):
+    """Vertex, half-angle and witness of a (possibly non-sectorial) form
+    over a basis span, from its Gram pair ``(B, M)`` by
     :func:`~regpart.model.vertex_search`."""
-    return VertexReport(*vertex_search(coeffs_s, basis))
+    return VertexReport(*vertex_search(bmat, mmat))
 
 
 def regular_sector_tangent(reg, derived, s):
@@ -199,17 +199,15 @@ def check_equivalences(vs, ops, reg, s, funcs, formula, tau=None, xi=None,
     ``ops`` its operators, ``reg`` the assembled regular part, ``formula``
     its table ``eval_form(reg_set, funcs, funcs).value`` and ``s`` the
     singular structure; the coefficients and derived fields are read off
-    ``vs``.  ``funcs`` also drives the kernel-image check and the vertex
-    searches; ``tau``/``xi`` drive the growth probe (defaulting to the first
-    function and the all-ones direction).
+    ``vs``.  ``funcs`` also drives the kernel-image check and the three
+    vertex searches, which share one ``form_gram`` and one ``eval_form`` on
+    the singular part: its ``second_order`` part is exactly the Gram of the
+    pure second-order companion (same ``C_s``, no lower-order terms).
+    ``tau``/``xi`` drive the growth probe (defaulting to the first function
+    and the all-ones direction).
     """
     coeffs, derived = vs.coeffs, vs.derived
     funcs = list(funcs)
-
-    p = s.P_field
-    qzpa = np.matmul(np.matmul(s.Q_field, derived.Z_field),
-                     np.matmul(p, derived.Asqrt_field))
-    qz_iq = float(np.max(frobenius(qzpa)))
 
     reg_c = assemble_regular_commuting(coeffs, derived, s, tol=np.inf)
     field_gap = _relative_field_gap(reg, reg_c)
@@ -224,12 +222,6 @@ def check_equivalences(vs, ops, reg, s, funcs, formula, tau=None, xi=None,
     realpart = check_realpart_commutation(coeffs, derived, s, vs=vs,
                                           formula=formula)
     comm = realpart.commutator_residual
-
-    as_vertex = singular_vertex(
-        reg.singular_set(coeffs.theta, coeffs.K_bound), funcs)
-    pure = pure_second_order_parts(reg)
-    aps_vertex = singular_vertex(
-        pure.singular_set(coeffs.theta, coeffs.K_bound), funcs)
 
     probe_positive = not probe.skipped and probe.slope > PROBE_POSITIVE
     sectorial = {
@@ -246,9 +238,15 @@ def check_equivalences(vs, ops, reg, s, funcs, formula, tau=None, xi=None,
         "singular_sectorial": sectorial,
         "pure_singular_sectorial": dict(sectorial),
     }
+    form_b, mass = form_gram(coeffs, funcs)
+    sing = eval_form(reg.singular_set(coeffs.theta, coeffs.K_bound), funcs,
+                     funcs)
     return DiagnosticsReport(
-        commutator_max=comm, qz_iq_asqrt_max=qz_iq, realpart=realpart,
-        slope_probe=probe, as_vertex=as_vertex, aps_vertex=aps_vertex,
+        commutator_max=comm, realpart=realpart, slope_probe=probe,
+        qz_iq_asqrt_max=float(np.max(frobenius(_qz_iq_asqrt(vs)))),
+        form_vertex=VertexReport(*vertex_search(form_b, mass)),
+        as_vertex=singular_vertex(sing.value.T, mass),
+        aps_vertex=singular_vertex(sing.second_order.T, mass),
         regular_tangent=regular_sector_tangent(reg, derived, s),
         verdicts=verdicts)
 

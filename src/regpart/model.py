@@ -19,8 +19,8 @@ first-order fields contract bilinearly against their own slot's gradient.
 ``X`` (``A^{1/2} X = conj(b)``) and ``Y`` (``A^{1/2} Y = d``).  These exist
 precisely because the model passes its sector and domination validation.
 
-``eval_form`` evaluates the form on a pair of test functions or on every
-pair of two function families; ``form_gram`` and the vertex search use it.
+``eval_form`` evaluates the form on two test functions or two function
+families; ``vertex_search`` reads the Gram pair ``(B, M)`` of ``form_gram``.
 """
 
 from dataclasses import dataclass
@@ -116,11 +116,11 @@ class CoefficientSet:
             direction.
         DominationViolation
             ``K_bound**2 * A - outer(conj(b), b)`` or
-            ``K_bound**2 * A - outer(d, conj(d))`` fails to be psd in some
-            cell.
+            ``K_bound**2 * A - outer(d, conj(d))`` fails to be psd, or
+            overflows, in some cell.
         ValidationError
-            Non-finite data, ``theta`` outside ``[0, pi/2)``, or
-            ``K_bound <= 0``.
+            Non-finite data, ``theta`` outside ``[0, pi/2)``,
+            ``K_bound <= 0``, or a ``K_bound`` whose square overflows.
         """
         for name in ("C_field", "b_field", "d_field", "c0_field"):
             if not np.all(np.isfinite(getattr(self, name))):
@@ -144,13 +144,26 @@ class CoefficientSet:
                                               float(mins[which, cell])),
                 cell=int(cell), witness=vecs[:, 0].copy())
 
-        ksq = self.K_bound ** 2
+        # a product, unlike ``**``, overflows to inf instead of raising
+        ksq = self.K_bound * self.K_bound
+        if not np.isfinite(ksq):
+            raise ValidationError("K_bound = %.3e: K_bound**2 overflows"
+                                  % self.K_bound)
         bbar = np.conj(self.b_field)
-        for name, rank1 in (
-                ("b_field", np.einsum("nk,nl->nkl", bbar, self.b_field)),
-                ("d_field", np.einsum("nk,nl->nkl",
-                                      self.d_field, np.conj(self.d_field)))):
-            pencil = ksq * a - rank1
+        # overflowing data leaves non-finite pencils for the check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            ka = ksq * a
+            pencils = {
+                "b_field": ka - np.einsum("nk,nl->nkl", bbar, self.b_field),
+                "d_field": ka - np.einsum("nk,nl->nkl", self.d_field,
+                                          np.conj(self.d_field))}
+        for name, pencil in pencils.items():
+            finite = np.isfinite(pencil).all(axis=(-2, -1))
+            if not np.all(finite):
+                cell = int(np.argmin(finite))
+                raise DominationViolation(
+                    "cell %d: K_bound**2 * A - outer(%s) overflows"
+                    % (cell, name), cell=cell)
             pmin = np.linalg.eigvalsh(pencil)[..., 0]
             pscale = np.maximum(1.0, frobenius(pencil))
             bad = pmin < -psd_tol * pscale
@@ -291,7 +304,8 @@ def eval_form(coeffs, u, v):
     vc, gv = map(np.conj, (uc, gu) if v is u else _stack(coeffs.grid, v))
 
     cgu = np.einsum("nkl,inl->ink", coeffs.C_field, gu)
-    second = vol * (cgu.reshape(len(uc), -1) @ gv.reshape(len(vc), -1).T)
+    nd = coeffs.n_cells * coeffs.dim
+    second = vol * (cgu.reshape(len(uc), nd) @ gv.reshape(len(vc), nd).T)
     first_b = vol * (np.einsum("nk,ink->in", coeffs.b_field, gu) @ vc.T)
     first_d = vol * (uc @ np.einsum("nk,jnk->jn", coeffs.d_field, gv).T)
     zeroth = vol * ((coeffs.c0_field * uc) @ vc.T)
@@ -313,11 +327,11 @@ def form_gram(coeffs, basis):
     return bmat, coeffs.grid.cell_volume * (np.conj(vals) @ vals.T)
 
 
-def vertex_search(coeffs, basis):
-    """Vertex, half-angle and witness of the form over a basis span.
+def vertex_search(bmat, mmat):
+    """Vertex, half-angle and witness of a form over a basis span.
 
     ``gamma`` is the smallest generalized eigenvalue of ``(Re B, M)`` on the
-    basis Gram matrices of :func:`form_gram`, the witness its eigenvector,
+    basis Gram pair of :func:`form_gram`, the witness its eigenvector,
     and the tangent :func:`~regpart.pointwise.pencil_tangent` of
     ``(Re B - gamma M, Im B)``; a form wider than any finite tangent comes
     back uncertified at the cap.  This certifies the span only: the true
@@ -326,9 +340,8 @@ def vertex_search(coeffs, basis):
     Returns ``(SectorParams, witness, certified)``; raises
     :class:`DegenerateBasis` on an empty or numerically dependent basis.
     """
-    if not basis:
+    if not len(mmat):
         raise DegenerateBasis("need at least one basis function")
-    bmat, mmat = form_gram(coeffs, basis)
     mh = herm_part(mmat)
     mw = np.linalg.eigvalsh(mh)
     if mw[0] <= 0 or mw[-1] / mw[0] > VERTEX_COND_CAP:
@@ -344,6 +357,6 @@ def vertex_search(coeffs, basis):
 
 
 def estimate_vertex_angle(coeffs, basis):
-    """The :class:`SectorParams` of :func:`vertex_search` over a basis
-    span."""
-    return vertex_search(coeffs, basis)[0]
+    """The :class:`SectorParams` of :func:`vertex_search` on the form Gram
+    of a basis."""
+    return vertex_search(*form_gram(coeffs, basis))[0]

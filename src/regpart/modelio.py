@@ -111,17 +111,16 @@ def _get(doc, key, kinds, what):
     if key not in doc:
         raise ParseError("%s: missing key '%s'" % (what, key))
     value = doc[key]
-    if kinds is not None and not isinstance(value, kinds):
+    # JSON true/false are Python ints too; no key takes a boolean
+    if kinds is not None and (not isinstance(value, kinds)
+                              or isinstance(value, bool)):
         raise ParseError("%s: key '%s' has type %s"
                          % (what, key, type(value).__name__))
     return value
 
 
 def _number(doc, key, what):
-    value = _get(doc, key, (int, float), what)
-    if isinstance(value, bool):
-        raise ParseError("%s: key '%s' must be a number" % (what, key))
-    return float(value)
+    return float(_get(doc, key, (int, float), what))
 
 
 # ---------------------------------------------------------------------------

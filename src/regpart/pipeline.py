@@ -18,7 +18,7 @@ from .diagnostics import (PROBE_LAMBDAS, check_equivalences,
                           generate_cantor_example, oracle_pairs,
                           svc_intervals)
 from .errors import ValidationError
-from .model import derive_fields, estimate_vertex_angle
+from .model import derive_fields
 from .modelio import (SCHEMA_VERSION, complex_pair, grid_to_doc,
                       make_model_doc, q_indicator_spec)
 from .randomized import random_oracle_case, random_qz_draws
@@ -54,13 +54,16 @@ def _finite_or_none(x):
     return x if np.isfinite(x) else None
 
 
-def _vertex_doc(vr):
+def _sector_doc(params):
     return {
-        "gamma": float(vr.params.gamma),
-        "theta": float(vr.params.theta),
-        "tan_theta": float(np.tan(vr.params.theta)),
-        "certified": bool(vr.certified),
+        "gamma": float(params.gamma),
+        "theta": float(params.theta),
+        "tan_theta": float(np.tan(params.theta)),
     }
+
+
+def _vertex_doc(vr):
+    return {**_sector_doc(vr.params), "certified": bool(vr.certified)}
 
 
 def _probe_doc(p):
@@ -144,14 +147,9 @@ def compute_report(model, lambdas=PROBE_LAMBDAS, seed=0):
         diag = check_equivalences(vs, ops, reg, structure, funcs, formula,
                                   lambdas=lambdas)
         diag_doc = _diag_doc(diag)
-        vertex_doc["singular"] = _vertex_doc(diag.as_vertex)
-        vertex_doc["pure_singular"] = _vertex_doc(diag.aps_vertex)
-        params = estimate_vertex_angle(coeffs, funcs)
-        vertex_doc["form"] = {
-            "gamma": float(params.gamma),
-            "theta": float(params.theta),
-            "tan_theta": float(np.tan(params.theta)),
-        }
+        vertex_doc = {"form": _sector_doc(diag.form_vertex.params),
+                      "singular": _vertex_doc(diag.as_vertex),
+                      "pure_singular": _vertex_doc(diag.aps_vertex)}
 
         for i, name_u in enumerate(names):
             for j, name_v in enumerate(names):

@@ -165,6 +165,14 @@ def dense_probe_ratios(vs, gram_a, gram_form, tau, xi, lambdas):
     return np.asarray(ratios)
 
 
+def dense_qz_iq_asqrt(q_field, derived):
+    """``Q Z (I-Q) A^{1/2}`` as one product over the full grid."""
+    q = np.asarray(q_field, dtype=complex)
+    p = np.broadcast_to(np.eye(derived.dim), q.shape) - q
+    return np.matmul(np.matmul(q, derived.Z_field),
+                     np.matmul(p, derived.Asqrt_field))
+
+
 def dense_ops(vs, ops):
     """The operators' dense ``dim x dim`` matrices ``pi1``, ``pi2``, ``T``,
     ``Pi`` and the ``m x m`` block ``T11``, scattered from their blocks."""

@@ -1,5 +1,7 @@
 """Command-line flows, exit codes and report documents."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -153,6 +155,80 @@ def test_non_finite_embedding_exits_2(command, lam, tmp_path, capsys):
     assert main([command, "--model", str(path)]) == 2
     err = capsys.readouterr().err
     assert "validation error: function 1: non-finite" in err
+
+
+@pytest.mark.parametrize("k_bound", [1.4e154, 1e200, 1e308])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_k_bound_exits_2(k_bound, tmp_path, capsys):
+    """A domination constant whose square overflows is refused by name."""
+    doc = cantor_model_doc(2)
+    doc["K_bound"] = k_bound
+    path = tmp_path / "k.json"
+    write_doc(path, doc)
+    assert main(["compute", "--model", str(path)]) == 2
+    assert "validation error: K_bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["b", "d"])
+@pytest.mark.parametrize("cell", [0, 50])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_first_order_entry_exits_2(field, cell, tmp_path,
+                                               capsys):
+    """A first-order entry whose outer product overflows fails the
+    domination check in its cell, off the set (``A = 0``, cell 0) and on
+    it (cell 50) alike."""
+    doc = cantor_model_doc(2)
+    doc["coefficients"][field][cell] = [[1e308, 0.0]]
+    path = tmp_path / "big.json"
+    write_doc(path, doc)
+    assert main(["compute", "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error: cell %d:" % cell in err
+    assert "outer(%s_field) overflows" % field in err
+
+
+def _leaf_paths(node, path=()):
+    """Paths to the leaves of a document: the values reached through
+    objects and lists of objects (a numeric array is one leaf)."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(node, list) and node and all(isinstance(v, dict)
+                                                 for v in node):
+        for idx, value in enumerate(node):
+            yield from _leaf_paths(value, path + (idx,))
+    else:
+        yield path
+
+
+MUTATIONS = (None, True, "x", 1e308, -1e308, 0, -1, [], {}, [[]], 2 ** 70)
+
+
+def test_mutated_model_exits_0_2_or_3(tmp_path):
+    """Every leaf of the worked-example model replaced by each value of a
+    fixed list: ``compute`` ends with exit code 0, 2 or 3, never a
+    traceback."""
+    base = json.loads(dumps_canonical(cantor_model_doc(2)))
+    path, out = tmp_path / "m.json", tmp_path / "r.json"
+    codes = {}
+    for leaf in _leaf_paths(base):
+        for value in MUTATIONS:
+            doc = json.loads(dumps_canonical(base))
+            node = doc
+            for key in leaf[:-1]:
+                node = node[key]
+            node[leaf[-1]] = value
+            write_doc(path, doc)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main(["compute", "--model", str(path),
+                                 "--out", str(out)])
+            except Exception as exc:  # a traceback; listed below
+                code = type(exc).__name__
+            codes[leaf, repr(value)] = code
+    assert len(codes) > 300
+    assert {k: c for k, c in codes.items() if c not in (0, 2, 3)} == {}
 
 
 def test_compute_empty_function_list(tmp_path, rng):
@@ -327,10 +403,13 @@ def test_console_script_installed(tmp_path):
 
 def test_compute_builds_each_artifact_once(cantor3, monkeypatch):
     """One compute builds the V space once and solves its operators twice:
-    for the form and for its real part.  It evaluates the form four times,
+    for the form and for its real part.  It evaluates the form three times,
     each on a whole function family: the regular part's pair table, which
-    the oracle comparison and the real-part check share, and the three
-    vertex searches."""
+    the oracle comparison and the real-part check share, the form's own
+    Gram (one ``form_gram``) and the singular part's Gram, whose second-order
+    part is the pure companion's.  The three vertex searches read those
+    Grams, so neither ``estimate_vertex_angle`` nor
+    ``pure_second_order_parts`` runs."""
     counts = {}
 
     def counted(name, func):
@@ -346,7 +425,10 @@ def test_compute_builds_each_artifact_once(cantor3, monkeypatch):
                         ("completion", "compute_operators"),
                         ("model", "derive_fields"),
                         ("model", "eval_form"),
-                        ("regularize", "assemble_regular")):
+                        ("model", "form_gram"),
+                        ("model", "estimate_vertex_angle"),
+                        ("regularize", "assemble_regular"),
+                        ("regularize", "pure_second_order_parts")):
         original = getattr(sys.modules["regpart." + owner], name)
         for module in modules:
             if getattr(module, name, None) is original:
@@ -357,7 +439,8 @@ def test_compute_builds_each_artifact_once(cantor3, monkeypatch):
                                funcs=cantor3["funcs"]))
     assert counts == {"build_ambient": 1, "build_v_subspace": 1,
                       "compute_operators": 2, "derive_fields": 1,
-                      "eval_form": 4, "assemble_regular": 1}
+                      "eval_form": 3, "form_gram": 1,
+                      "assemble_regular": 1}
 
 
 def test_module_entry_point(tmp_path):

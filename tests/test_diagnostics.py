@@ -16,10 +16,15 @@ from regpart.diagnostics import (COMMUTE_TOL, PROBE_POSITIVE, cantor_mask,
 from regpart.errors import (DegenerateBasis, ResolutionTooCoarse,
                             ValidationError)
 from regpart.grid import GridSpec
-from regpart.model import CoefficientSet, derive_fields, eval_form
+from regpart.completion import _qz_iq_asqrt
+from regpart.model import CoefficientSet, derive_fields, eval_form, form_gram
 from regpart.pipeline import _prelude
+from regpart.pointwise import frobenius
 from regpart.randomized import random_node_functions, random_oracle_case
-from regpart.regularize import build_singular_structure
+from regpart.regularize import (build_singular_structure,
+                                pure_second_order_parts)
+
+from dense_reference import dense_qz_iq_asqrt
 
 F = Fraction
 
@@ -117,7 +122,7 @@ def symmetric_model(cells=10):
 def test_singular_vertex_symmetric_form(rng):
     coeffs = symmetric_model()
     funcs = random_node_functions(rng, coeffs.grid, 3)
-    report = singular_vertex(coeffs, funcs)
+    report = singular_vertex(*form_gram(coeffs, funcs))
     assert report.certified
     assert report.params.theta == 0.0
     assert report.params.gamma > 0.0
@@ -128,9 +133,11 @@ def test_singular_vertex_degenerate_basis(rng):
     coeffs = symmetric_model()
     f = random_node_functions(rng, coeffs.grid, 1)[0]
     with pytest.raises(DegenerateBasis):
-        singular_vertex(coeffs, [])
+        singular_vertex(*form_gram(coeffs, []))
     with pytest.raises(DegenerateBasis):
-        singular_vertex(coeffs, [f, f.scaled(2.0)])
+        singular_vertex(np.zeros((0, 0)), np.zeros((0, 0)))
+    with pytest.raises(DegenerateBasis):
+        singular_vertex(*form_gram(coeffs, [f, f.scaled(2.0)]))
 
 
 # -- pointwise real-part criterion ------------------------------------------
@@ -204,6 +211,65 @@ def test_verdicts_move_together(rng):
         assert values["commuting"] == case.commuting
         if report.slope_probe.slope > PROBE_POSITIVE:
             assert report.commutator_max > 1e-6
+
+
+def model_cases(rng, cantor3):
+    """Cantor 3 and one random oracle model per dimension and class, each
+    as ``(coeffs, q_field, funcs)``."""
+    return [(cantor3["coeffs"], cantor3["q_field"],
+             list(cantor3["funcs"].values()))] + [
+        (c.coeffs, c.q_field, c.funcs) for c in (
+            random_oracle_case(rng, dim=dim, commuting=commuting)
+            for dim in (1, 2, 3) for commuting in (True, False))]
+
+
+def diagnose(coeffs, q, funcs):
+    """The split, the subspace and the diagnostics report of one model."""
+    _, s, reg, vs, ops = _prelude(coeffs, q, funcs)
+    return reg, vs, check_equivalences(vs, ops, reg, s, funcs,
+                                       regular_table(coeffs, reg, funcs))
+
+
+def _same_vertex(a, b):
+    return (a.params == b.params and a.certified == b.certified
+            and np.array_equal(a.witness, b.witness))
+
+
+def test_pure_vertex_is_the_companions_own(rng, cantor3):
+    """The pure-companion vertex read off the singular Gram's second-order
+    part is the one a search on the companion's own Gram finds, and the
+    form vertex is the one ``form_gram`` gives."""
+    for coeffs, q, funcs in model_cases(rng, cantor3):
+        reg, _, report = diagnose(coeffs, q, funcs)
+        pure = pure_second_order_parts(reg).singular_set(coeffs.theta,
+                                                         coeffs.K_bound)
+        sing = eval_form(reg.singular_set(coeffs.theta, coeffs.K_bound),
+                         funcs, funcs)
+        assert np.array_equal(sing.second_order.T, form_gram(pure, funcs)[0])
+        assert _same_vertex(report.aps_vertex,
+                            singular_vertex(*form_gram(pure, funcs)))
+        assert _same_vertex(report.form_vertex,
+                            singular_vertex(*form_gram(coeffs, funcs)))
+
+
+def test_coupling_field_matches_full_grid_formula(rng, cantor3):
+    """``Q Z (I-Q) A^{1/2}`` computed on ``supp Q`` equals the full-grid
+    product, zeros included, in the probe reference and the report's
+    maximum alike."""
+    coeffs, q = generate_noncommuting_example(coupling=0.5)
+    q[::3] = 0.0
+    partial = (coeffs, q, random_node_functions(rng, coeffs.grid, 3))
+    for coeffs, q, funcs in model_cases(rng, cantor3) + [partial]:
+        _, vs, report = diagnose(coeffs, q, funcs)
+        dense = dense_qz_iq_asqrt(q, vs.derived)
+        assert np.array_equal(_qz_iq_asqrt(vs), dense)
+        assert report.qz_iq_asqrt_max == float(np.max(frobenius(dense)))
+        xi = np.ones(coeffs.dim) / np.sqrt(coeffs.dim)
+        vec = np.einsum("nkl,l->nk", dense, xi)
+        reference = coeffs.grid.cell_volume * float(np.sum(
+            np.abs(funcs[0].cell_values) ** 2
+            * np.sum(np.abs(vec) ** 2, axis=-1)))
+        assert report.slope_probe.reference == reference
 
 
 def test_regular_tangent_below_vertical(rng):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from regpart.errors import (DominationViolation, GridMismatch,
-                            SectorViolation, ValidationError)
+from regpart.errors import (DegenerateBasis, DominationViolation,
+                            GridMismatch, SectorViolation, ValidationError)
 from regpart.grid import GridSpec, TestFunction
 from regpart.completion import build_v_subspace
 from regpart.model import (CoefficientSet, derive_fields,
@@ -318,6 +318,16 @@ def test_vertex_floor_on_basis(rng):
     for u, m in zip(basis, mass):
         val = eval_form(coeffs, u, u).value
         assert val.real - params.gamma * m >= -1e-9
+
+
+def test_empty_family_has_empty_grams(rng):
+    """An empty family gives 0 x 0 Gram matrices, and the vertex search
+    refuses them."""
+    coeffs = random_coefficients(rng, random_grid(rng, 2))
+    bmat, mmat = form_gram(coeffs, [])
+    assert bmat.shape == mmat.shape == (0, 0)
+    with pytest.raises(DegenerateBasis):
+        estimate_vertex_angle(coeffs, [])
 
 
 def test_vertex_angle_symmetric_form():

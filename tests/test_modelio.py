@@ -173,6 +173,9 @@ def test_grid_doc_errors():
         doc_to_grid(bad_box)
     with pytest.raises(ParseError):
         doc_to_grid(dict(good, cells_per_axis=[True]))
+    # JSON true is a Python int, but not a dimension
+    with pytest.raises(ParseError, match="dim"):
+        doc_to_grid(dict(good, dim=True))
     with pytest.raises(ParseError):
         doc_to_grid({"dim": 1, "box": [[0.0, 1.0]]})
 
@@ -359,6 +362,8 @@ def test_model_schema_errors(rng):
         doc_to_model(dup)
     with pytest.raises(ParseError):
         doc_to_model(dict(doc, K_bound=True))
+    with pytest.raises(ParseError, match="schema_version"):
+        doc_to_model(dict(doc, schema_version=True))
 
 
 def test_model_validation_gate(rng):
