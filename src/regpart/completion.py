@@ -31,12 +31,14 @@ columns are structural (``pi1[:, J] = E_J``, ``pi2[:, J] = Pi[:, J] = 0``,
 cells.  ``VSubspace.gram_a`` and ``gram_form`` assemble the dense
 ``dim x dim`` matrices for inspection; nothing in the pipeline reads them.
 
-One Gram, one kernel.  The form Gram is the only Gram assembled.  The
-ambient product is the form's real part shifted by its vertex, so one
-float describes it: the shift ``gamma`` that :func:`build_ambient` picks
-and :func:`build_v_subspace` stores as ``VSubspace.gamma``.  The ambient
-Gram is the form Gram's Hermitian part plus ``(1 - gamma) M`` on
-``F x F``, with ``M`` the L2 Gram of the function values.  The form's
+One Gram, one kernel.  The form Gram is the only Gram assembled.  Its
+``F x F`` block and the L2 Gram ``M`` of the function values come from
+one :func:`~regpart.model.form_gram` call on the family, and
+``VSubspace.mass`` keeps ``M``.  The ambient product is the form's real
+part shifted by its vertex, so one float describes it: the shift
+``gamma`` that :func:`build_ambient` picks and :func:`build_v_subspace`
+stores as ``VSubspace.gamma``.  The ambient Gram is the form Gram's
+Hermitian part plus ``(1 - gamma) herm(M)`` on ``F x F``.  The form's
 ``J x F`` and ``F x J`` blocks are its singular rows ``a(x, s_p)`` and
 ``a(s_p, x)`` for the embedded family ``x``; the same rows for any other
 family (the growth probe's plane waves) give its ``pi1``, ``T`` and
@@ -62,7 +64,7 @@ import numpy as np
 
 from .errors import DegenerateBasis, KernelMismatch, ProjectionInvalid
 from .grid import TestFunction
-from .model import _stack
+from .model import _stack, form_gram
 from .pointwise import adjoint, herm_part, imag_part
 from .regularize import _support
 
@@ -87,6 +89,12 @@ AMBIENT_MARGIN = 1e-6
 
 #: Condition-number cap on the V-basis Gram matrix.
 GRAM_COND_CAP = 1e10
+
+#: Gradient mass allowed on a combination of functions that vanishes in H.
+KERNEL_TOL = 1e-10
+
+#: Eigenvalues of ``Q`` within this of 0 or 1 count as 0 or 1.
+PROJECTION_RANK_TOL = 1e-8
 
 
 def _ambient_min_eig(ws, vxy_norm_sq):
@@ -198,10 +206,10 @@ class VSubspace:
     Gram matrix of the extended form and ``ambient_blocks`` the
     ambient-inner-product Gram matrix derived from it; both use the
     convention ``G[i, j] = form(e_j, e_i)`` so coordinates contract as
-    ``eta* G xi``.
-    ``gamma`` is the vertex shift of the ambient product
-    (:func:`build_ambient`) and ``cond`` the ambient Gram's condition
-    number.
+    ``eta* G xi``.  ``mass`` is the L2 Gram ``M`` of the functions, as
+    :func:`~regpart.model.form_gram` returns it, ``gamma`` the vertex shift
+    of the ambient product (:func:`build_ambient`) and ``cond`` the ambient
+    Gram's condition number.
     """
 
     gamma: float
@@ -215,6 +223,7 @@ class VSubspace:
     groups: tuple
     ambient_blocks: GramBlocks
     form_blocks: GramBlocks
+    mass: np.ndarray
     cond: float
 
     @property
@@ -253,7 +262,7 @@ def phi_vector(derived, funcs):
     return (u[0], w[0]) if isinstance(funcs, TestFunction) else (u, w)
 
 
-def _singular_basis(q_field, rank_tol=1e-8):
+def _singular_basis(q_field):
     """Per-cell orthonormal vectors spanning ``range(Q)``.
 
     Returns ``(cells, vecs)`` with one row per spanning vector, the rows of
@@ -261,9 +270,9 @@ def _singular_basis(q_field, rank_tol=1e-8):
     the split is unambiguous.
     """
     w, u = np.linalg.eigh(herm_part(np.asarray(q_field, dtype=complex)))
-    if np.any((w > rank_tol) & (w < 1.0 - rank_tol)):
-        cell = int(np.argmax(np.any((w > rank_tol) & (w < 1.0 - rank_tol),
-                                    axis=-1)))
+    split = (w > PROJECTION_RANK_TOL) & (w < 1.0 - PROJECTION_RANK_TOL)
+    if np.any(split):
+        cell = int(np.argmax(np.any(split, axis=-1)))
         raise ProjectionInvalid(
             "cell %d: projection eigenvalues are not 0/1" % cell, cell=cell)
     cells, cols = np.nonzero(w > 0.5)
@@ -313,8 +322,7 @@ def _singular_rows(derived, sc, sv, u, w):
             np.conj(row(w - izw, derived.X_field)))
 
 
-def build_v_subspace(coeffs, derived, q_field, funcs,
-                     cond_cap=GRAM_COND_CAP, kernel_tol=1e-10):
+def build_v_subspace(coeffs, derived, q_field, funcs):
     """Assemble the V-basis and the blocks of its two Gram matrices, with
     the ambient product's vertex shift from :func:`build_ambient`.
 
@@ -327,7 +335,7 @@ def build_v_subspace(coeffs, derived, q_field, funcs,
     DegenerateBasis
         An embedded function or a Gram entry is not finite, or the ambient
         Gram matrix of the basis is numerically singular (dependent
-        functions, or condition number beyond ``cond_cap``).
+        functions, or condition number beyond ``GRAM_COND_CAP``).
     """
     gamma = build_ambient(coeffs, derived)
     vol = coeffs.grid.cell_volume
@@ -338,28 +346,22 @@ def build_v_subspace(coeffs, derived, q_field, funcs,
     # an overflowing function leaves non-finite entries for the check below
     with np.errstate(over="ignore", invalid="ignore"):
         uf, wf = phi_vector(derived, funcs)
-        cuf, cwf = np.conj(uf), np.conj(wf)
-        izwf = wf + 1j * np.einsum("ckl,jcl->jck", derived.Z_field, wf)
-        ff = vol * (np.einsum("jck,ick->ij", izwf, cwf)
-                    + np.einsum("jck,ic,ck->ij", wf, cuf,
-                                np.conj(derived.X_field))
-                    + np.einsum("jc,ck,ick->ij", uf, derived.Y_field, cwf)
-                    + np.einsum("c,jc,ic->ij", coeffs.c0_field, uf, cuf))
+        ff, mass = form_gram(coeffs, funcs)
         a_xs, a_sx = _singular_rows(derived, sc, sv, uf, wf)
-        mass = herm_part(vol * (cuf @ uf.T))
     # a function's own Gram diagonal names it; the full blocks come last
     _require_finite(np.diagonal(ff), np.diagonal(mass), a_xs.T, a_sx.T, ff)
 
     # null directions of the L2 Gram must carry no gradient mass
-    hw, hv = np.linalg.eigh(mass)
+    hmass = herm_part(mass)
+    hw, hv = np.linalg.eigh(hmass)
     null = hv[:, hw <= 1e-12 * max(float(np.max(hw, initial=0.0)), 1e-300)]
     grad_mass = vol * np.sum(np.abs(np.einsum("jq,jck->qck", null, wf)) ** 2,
                              axis=(1, 2))
-    if np.any(grad_mass > kernel_tol):
+    if np.any(grad_mass > KERNEL_TOL):
         raise KernelMismatch(
             "a combination of the supplied functions vanishes in H "
             "but carries gradient mass %.3e; re-pick the family"
-            % grad_mass[np.argmax(grad_mass > kernel_tol)])
+            % grad_mass[np.argmax(grad_mass > KERNEL_TOL)])
 
     form = GramBlocks(
         ff=ff, fj=a_sx.T, jf=a_xs,
@@ -367,12 +369,13 @@ def build_v_subspace(coeffs, derived, q_field, funcs,
                                  np.conj(sv[rows]))
                  for rows in groups))
     # <x, y>_a = Re atilde(x, y) + (1 - gamma) <u1, u2>
-    a = replace(form.herm(), ff=herm_part(ff) + (1.0 - gamma) * mass)
+    herm = form.herm()
+    a = replace(herm, ff=herm.ff + (1.0 - gamma) * hmass)
 
     cond = 1.0
     if uf.shape[0] + sc.shape[0]:
         lo, hi = _gram_extremes(a, vol)
-        if lo <= 0 or hi / lo > cond_cap:
+        if lo <= 0 or hi / lo > GRAM_COND_CAP:
             raise DegenerateBasis(
                 "V-basis Gram matrix is numerically singular "
                 "(eigenvalue range [%.3e, %.3e])" % (lo, hi))
@@ -382,7 +385,7 @@ def build_v_subspace(coeffs, derived, q_field, funcs,
                      q_field=np.asarray(q_field, dtype=complex),
                      func_values=uf, func_grads=wf, singular_cells=sc,
                      singular_vecs=sv, groups=groups, ambient_blocks=a,
-                     form_blocks=form, cond=cond)
+                     form_blocks=form, mass=mass, cond=cond)
 
 
 @dataclass

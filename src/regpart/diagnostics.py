@@ -29,7 +29,7 @@ from .completion import (ProbeReport, _qz_iq_asqrt, compute_operators,
                          oracle_regular_part, singular_field, t_pi2_probe)
 from .errors import ResolutionTooCoarse, ValidationError
 from .grid import GridSpec, TestFunction
-from .model import CoefficientSet, eval_form, form_gram, vertex_search
+from .model import CoefficientSet, eval_form, vertex_search
 from .pointwise import SectorParams, frobenius, herm_part, imag_part, pinv_sqrt
 from .regularize import (assemble_regular_commuting, commutator_norms,
                          indicator_projection, interval_mask)
@@ -80,7 +80,7 @@ class RealPartReport:
     ok: bool
     commutator_residual: float
     xy_residual: float
-    oracle_max_diff: float | None
+    oracle_max_diff: float
 
 
 @dataclass
@@ -161,16 +161,16 @@ def oracle_pairs(reg_set, funcs, vs, ops):
             oracle_regular_part(ops, vs))
 
 
-def check_realpart_commutation(coeffs, derived, s, vs=None, formula=None):
+def check_realpart_commutation(coeffs, derived, s, vs, formula):
     """Pointwise criterion for ``Re`` and regularization to commute:
     ``QZ = ZQ`` and ``(I+iZ) Q X = (I-iZ) Q Y`` per cell.
 
-    When a built subspace and the assembled regular part's table
-    ``formula[i, j] = a_reg(u_i, u_j)`` over its function family are
-    supplied, the verdict is backed by values: the real part of the
-    table is compared against the abstract regular part of the form's real
-    part (same construction run on the Hermitian form Gram) over all
-    function pairs; the maximum absolute gap is reported.
+    The verdict is backed by values on the built subspace ``vs``: the real
+    part of the assembled regular part's table ``formula[i, j] =
+    a_reg(u_i, u_j)`` over its function family is compared against the
+    abstract regular part of the form's real part (same construction run
+    on the Hermitian form Gram) over all function pairs; the maximum
+    absolute gap is reported.
     """
     q, z = s.Q_field, derived.Z_field
     comm = float(np.max(commutator_norms(s, derived)))
@@ -181,30 +181,27 @@ def check_realpart_commutation(coeffs, derived, s, vs=None, formula=None):
     xy_res = float(np.max(np.linalg.norm(lhs - rhs, axis=-1)))
     ok = comm <= COMMUTE_TOL and xy_res <= COMMUTE_TOL
 
-    oracle_gap = None
-    if vs is not None and formula is not None:
-        oracle = oracle_regular_part(compute_operators(vs, real_part=True),
-                                     vs)
-        oracle_gap = float(np.max(np.abs(
-            0.5 * (formula + np.conj(formula.T)) - oracle)))
+    oracle = oracle_regular_part(compute_operators(vs, real_part=True), vs)
+    oracle_gap = float(np.max(np.abs(
+        0.5 * (formula + np.conj(formula.T)) - oracle)))
     return RealPartReport(ok=ok, commutator_residual=comm,
                           xy_residual=xy_res, oracle_max_diff=oracle_gap)
 
 
-def check_equivalences(vs, ops, reg, s, funcs, formula, tau=None, xi=None,
+def check_equivalences(vs, ops, reg, s, funcs, formula, xi=None,
                        lambdas=PROBE_LAMBDAS):
     """Decide the five-way equivalence on one model and report residuals.
 
     ``vs`` is the oracle's subspace built on the non-empty family ``funcs``,
     ``ops`` its operators, ``reg`` the assembled regular part, ``formula``
     its table ``eval_form(reg_set, funcs, funcs).value`` and ``s`` the
-    singular structure; the coefficients and derived fields are read off
-    ``vs``.  ``funcs`` also drives the kernel-image check and the three
-    vertex searches, which share one ``form_gram`` and one ``eval_form`` on
-    the singular part: its ``second_order`` part is exactly the Gram of the
-    pure second-order companion (same ``C_s``, no lower-order terms).
-    ``tau``/``xi`` drive the growth probe (defaulting to the first function
-    and the all-ones direction).
+    singular structure; the coefficients, the derived fields and the form
+    and L2 Grams of ``funcs`` are read off ``vs``.  ``funcs`` drives the
+    kernel-image check, the growth probe (``funcs[0]`` modulated along
+    ``xi``, by default the all-ones direction) and the three vertex
+    searches: the form's on ``vs.form_blocks.ff``, the other two on one
+    ``eval_form`` of the singular part, whose ``second_order`` part is
+    exactly the pure second-order companion's Gram (same ``C_s``).
     """
     coeffs, derived = vs.coeffs, vs.derived
     funcs = list(funcs)
@@ -213,11 +210,9 @@ def check_equivalences(vs, ops, reg, s, funcs, formula, tau=None, xi=None,
     field_gap = _relative_field_gap(reg, reg_c)
     kernel_res = _kernel_image_residual(vs, ops)
 
-    if tau is None:
-        tau = funcs[0]
     if xi is None:
         xi = np.ones(coeffs.dim) / np.sqrt(coeffs.dim)
-    probe = t_pi2_probe(vs, ops, tau, xi, lambdas)
+    probe = t_pi2_probe(vs, ops, funcs[0], xi, lambdas)
 
     realpart = check_realpart_commutation(coeffs, derived, s, vs=vs,
                                           formula=formula)
@@ -238,15 +233,14 @@ def check_equivalences(vs, ops, reg, s, funcs, formula, tau=None, xi=None,
         "singular_sectorial": sectorial,
         "pure_singular_sectorial": dict(sectorial),
     }
-    form_b, mass = form_gram(coeffs, funcs)
     sing = eval_form(reg.singular_set(coeffs.theta, coeffs.K_bound), funcs,
                      funcs)
     return DiagnosticsReport(
         commutator_max=comm, realpart=realpart, slope_probe=probe,
         qz_iq_asqrt_max=float(np.max(frobenius(_qz_iq_asqrt(vs)))),
-        form_vertex=VertexReport(*vertex_search(form_b, mass)),
-        as_vertex=singular_vertex(sing.value.T, mass),
-        aps_vertex=singular_vertex(sing.second_order.T, mass),
+        form_vertex=VertexReport(*vertex_search(vs.form_blocks.ff, vs.mass)),
+        as_vertex=singular_vertex(sing.value.T, vs.mass),
+        aps_vertex=singular_vertex(sing.second_order.T, vs.mass),
         regular_tangent=regular_sector_tangent(reg, derived, s),
         verdicts=verdicts)
 
@@ -308,8 +302,7 @@ def cantor_mask(stage, grid):
     return interval_mask(grid, svc_intervals(stage))
 
 
-def generate_cantor_example(stage, grid=None, m=2, include_c0=True,
-                            max_stage=12):
+def generate_cantor_example(stage, include_c0=True):
     """Indicator-coefficient model on a fat Cantor set.
 
     On the set: unit second-order coefficient, first-order coefficients
@@ -324,10 +317,9 @@ def generate_cantor_example(stage, grid=None, m=2, include_c0=True,
     bumps, one of which lives entirely in the first removed gap.
     """
     stage = int(stage)
-    if stage > max_stage:
-        raise ValidationError("stage must be <= %d" % max_stage)
-    if grid is None:
-        grid = default_cantor_grid(stage, m=m)
+    if stage > 12:
+        raise ValidationError("stage must be <= 12")
+    grid = default_cantor_grid(stage)
     mask = cantor_mask(stage, grid)
     ind = mask.astype(complex)
 
@@ -354,7 +346,7 @@ def generate_cantor_example(stage, grid=None, m=2, include_c0=True,
     return coeffs, q_field, funcs
 
 
-def generate_noncommuting_example(grid=None, coupling=0.5, cells=8):
+def generate_noncommuting_example(coupling=0.5):
     """Minimal 2-D constant-coefficient model whose singular directions do
     not commute with the skew field.
 
@@ -364,11 +356,8 @@ def generate_noncommuting_example(grid=None, coupling=0.5, cells=8):
     coefficients vanish and every field is real, which keeps the growth
     probe's ratio exactly affine in ``lambda^2``.
     """
-    if grid is None:
-        grid = GridSpec(dim=2, box=((0.0, 1.0), (0.0, 1.0)),
-                        cells_per_axis=(cells, cells))
-    if grid.dim != 2:
-        raise ValidationError("the non-commuting example is two-dimensional")
+    grid = GridSpec(dim=2, box=((0.0, 1.0), (0.0, 1.0)),
+                    cells_per_axis=(8, 8))
     n = grid.n_cells
     z = np.array([[0.0, coupling], [coupling, 0.0]], dtype=complex)
     c = np.broadcast_to(np.eye(2) + 1j * z, (n, 2, 2)).copy()

@@ -15,6 +15,7 @@ Test functions come in two flavours:
   through a difference quotient.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,9 +54,7 @@ class GridSpec:
                 raise ValidationError("each box interval needs finite lo < hi")
         if any(n < 1 for n in cells):
             raise ValidationError("cells_per_axis entries must be >= 1")
-        n_total = 1
-        for n in cells:
-            n_total *= n
+        n_total = math.prod(cells)
         if n_total > MAX_CELLS:
             raise ValidationError(
                 "grid would have %d cells, exceeding the %d-cell cap"
@@ -73,7 +72,7 @@ class GridSpec:
 
     @property
     def n_cells(self):
-        return int(np.prod(self.cells_per_axis))
+        return math.prod(self.cells_per_axis)
 
     @property
     def node_shape(self):
@@ -130,8 +129,7 @@ class TestFunction:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_node_values(cls, grid, node_values, require_support=True,
-                         support_tol=0.0):
+    def from_node_values(cls, grid, node_values, require_support=True):
         """Build from values on the ``prod(n_i + 1)`` grid nodes.
 
         Within each cell the function is the multilinear interpolant of its
@@ -140,8 +138,8 @@ class TestFunction:
         interpolant's mean gradient (pairwise corner differences / spacing).
 
         With ``require_support`` the node values on the boundary faces must
-        vanish (up to ``support_tol``), so the profile is compactly supported
-        inside the box.
+        vanish exactly, so the profile is compactly supported inside the
+        box.
         """
         node_values = np.asarray(node_values, dtype=complex)
         if node_values.shape != grid.node_shape:
@@ -153,7 +151,7 @@ class TestFunction:
                 first = np.take(node_values, 0, axis=ax)
                 last = np.take(node_values, -1, axis=ax)
                 bound = max(np.max(np.abs(first)), np.max(np.abs(last)))
-                if bound > support_tol:
+                if bound > 0.0:
                     raise ValidationError(
                         "node values must vanish on the boundary (axis %d "
                         "has magnitude %.3e)" % (ax, float(bound)))
@@ -201,8 +199,11 @@ class TestFunction:
                                   "every axis, got %s" % width.tolist())
         vals = np.ones(grid.node_shape)
         for ax, nodes in enumerate(grid.axis_nodes()):
-            s = (nodes - center[ax]) / width[ax]
-            arch = np.where(np.abs(s) < 1.0, np.cos(0.5 * np.pi * s) ** 2, 0.0)
+            # a tiny width sends far nodes to inf, which the mask zeroes
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = (nodes - center[ax]) / width[ax]
+                arch = np.where(np.abs(s) < 1.0,
+                                np.cos(0.5 * np.pi * s) ** 2, 0.0)
             shape = [1] * grid.dim
             shape[ax] = nodes.size
             vals = vals * arch.reshape(shape)

@@ -31,9 +31,9 @@ import scipy.linalg
 from .errors import (DegenerateBasis, DominationViolation, GridMismatch,
                      SectorViolation, ValidationError)
 from .grid import GridSpec, TestFunction
-from .pointwise import (DEFAULT_RANK_EPS, PSD_TOL, SectorParams, adjoint,
-                        frobenius, herm_part, imag_part, pencil_tangent,
-                        psd_roots, sector_pencils)
+from .pointwise import (PSD_TOL, SectorParams, adjoint, frobenius,
+                        herm_part, imag_part, pencil_tangent, psd_roots,
+                        sector_pencils)
 
 __all__ = [
     "CoefficientSet",
@@ -57,6 +57,15 @@ DERIVE_RTOL = 1e-9
 def _worst_cell(values):
     """Index of the largest entry of a per-cell scalar array."""
     return int(np.argmax(values))
+
+
+def _norm_scale(m):
+    """``max(1, ||M||_F)`` per matrix of a finite stack; each matrix is
+    divided by its largest modulus first, so entries past ``1e154`` cannot
+    overflow when squared."""
+    top = np.max(np.abs(m), axis=(-2, -1))
+    unit = np.where(top > 0.0, top, 1.0)[..., None, None]
+    return np.maximum(1.0, top * frobenius(m / unit))
 
 
 @dataclass
@@ -104,7 +113,7 @@ class CoefficientSet:
     def n_cells(self):
         return self.grid.n_cells
 
-    def validate(self, psd_tol=PSD_TOL):
+    def validate(self):
         """Check finiteness, the per-cell sector condition, and the per-cell
         domination pencils.
 
@@ -132,11 +141,11 @@ class CoefficientSet:
 
         pencils, mins = sector_pencils(self.C_field, self.theta)
         a = pencils[0]
-        scale = np.maximum(1.0, frobenius(self.C_field))
-        bad = mins < -psd_tol * scale[None, :]
+        scale = _norm_scale(self.C_field)
+        bad = mins < -PSD_TOL * scale[None, :]
         if np.any(bad):
             which, cell = np.unravel_index(
-                int(np.argmin(mins + psd_tol * scale[None, :])), mins.shape)
+                int(np.argmin(mins + PSD_TOL * scale[None, :])), mins.shape)
             _, vecs = np.linalg.eigh(pencils[which][cell])
             raise SectorViolation(
                 "cell %d leaves the sector of half-angle %.6g "
@@ -165,8 +174,8 @@ class CoefficientSet:
                     "cell %d: K_bound**2 * A - outer(%s) overflows"
                     % (cell, name), cell=cell)
             pmin = np.linalg.eigvalsh(pencil)[..., 0]
-            pscale = np.maximum(1.0, frobenius(pencil))
-            bad = pmin < -psd_tol * pscale
+            pscale = _norm_scale(pencil)
+            bad = pmin < -PSD_TOL * pscale
             if np.any(bad):
                 cell = _worst_cell(-(pmin / pscale))
                 raise DominationViolation(
@@ -197,7 +206,7 @@ class DerivedFields:
         return self.grid.n_cells
 
 
-def derive_fields(coeffs, rank_eps=DEFAULT_RANK_EPS, rtol=DERIVE_RTOL):
+def derive_fields(coeffs):
     """Factor a validated :class:`CoefficientSet` through ``A = herm(C)``.
 
     Per cell: ``A``, then ``Asqrt = psd_sqrt(A)`` and ``g = pinv_sqrt(A)``
@@ -214,11 +223,11 @@ def derive_fields(coeffs, rank_eps=DEFAULT_RANK_EPS, rtol=DERIVE_RTOL):
     * ``Asqrt @ X == conj(b)`` and ``Asqrt @ Y == d``
       (else :class:`DominationViolation`),
 
-    all to ``rtol`` relative to the cell's data scale.
+    all to ``DERIVE_RTOL`` relative to the cell's data scale.
     """
     n, d = coeffs.n_cells, coeffs.dim
     a = herm_part(coeffs.C_field)
-    asqrt, g = psd_roots(a, rank_eps=rank_eps)
+    asqrt, g = psd_roots(a)
     im = imag_part(coeffs.C_field)
     z = herm_part(np.einsum("nij,njk,nkl->nil", g, im, g))
     bbar = np.conj(coeffs.b_field)
@@ -229,7 +238,7 @@ def derive_fields(coeffs, rank_eps=DEFAULT_RANK_EPS, rtol=DERIVE_RTOL):
     recon = np.einsum("nij,njk,nkl->nil", asqrt, eye + 1j * z, asqrt)
     res = frobenius(recon - coeffs.C_field)
     scale = np.maximum(1.0, frobenius(coeffs.C_field))
-    if np.any(res > rtol * scale):
+    if np.any(res > DERIVE_RTOL * scale):
         cell = _worst_cell(res / scale)
         diff = recon[cell] - coeffs.C_field[cell]
         _, vecs = np.linalg.eigh(adjoint(diff) @ diff)
@@ -243,7 +252,7 @@ def derive_fields(coeffs, rank_eps=DEFAULT_RANK_EPS, rtol=DERIVE_RTOL):
         back = np.einsum("nij,nj->ni", asqrt, vec)
         res = np.linalg.norm(back - target, axis=-1)
         scale = np.maximum(1.0, np.linalg.norm(target, axis=-1))
-        if np.any(res > rtol * scale):
+        if np.any(res > DERIVE_RTOL * scale):
             cell = _worst_cell(res / scale)
             raise DominationViolation(
                 "cell %d: %s is not carried by range(A^{1/2}) "

@@ -403,12 +403,12 @@ def doc_to_model(doc, validate=True):
                        funcs=funcs, q_spec=q_spec, func_specs=func_specs)
 
 
-def parse_model(text, validate=True):
-    return doc_to_model(loads_doc(text), validate=validate)
+def parse_model(text):
+    return doc_to_model(loads_doc(text))
 
 
-def load_model(path, validate=True):
-    return doc_to_model(load_doc(path), validate=validate)
+def load_model(path):
+    return doc_to_model(load_doc(path))
 
 
 def make_model_doc(coeffs, q_spec, func_specs):

@@ -83,8 +83,7 @@ def _realpart_doc(r):
         "ok": bool(r.ok),
         "commutator_residual": float(r.commutator_residual),
         "xy_residual": float(r.xy_residual),
-        "oracle_max_diff": None if r.oracle_max_diff is None
-        else float(r.oracle_max_diff),
+        "oracle_max_diff": float(r.oracle_max_diff),
     }
 
 
@@ -244,16 +243,16 @@ def oracle_crosscheck(case):
     return {"oracle_rel": worst, "pi1_res": pi1_res, "t_res": t_res}
 
 
-def run_verification(seed=0, trials=1000, dims=(1, 2, 3), emit=print):
+def run_verification(seed=0, trials=1000, dims=(1, 2, 3)):
     """Randomized identity + oracle-equivalence suites; returns a summary.
 
     The summary's ``code`` follows the command-line convention: 0 when all
-    thresholds hold, 1 on a breach (the reproducing seed is emitted).
+    thresholds hold, 1 on a breach (the reproducing seed is printed).
     """
     summary = {"code": 0, "identity_worst": {}, "oracle_worst": 0.0,
                "pi1_worst": 0.0, "t_worst": 0.0, "models": 0}
     if trials <= 0:
-        emit("warning: trials=0; verification is vacuous")
+        print("warning: trials=0; verification is vacuous")
         return summary
 
     rng = np.random.default_rng(seed)
@@ -265,11 +264,11 @@ def run_verification(seed=0, trials=1000, dims=(1, 2, 3), emit=print):
             worst[name] = max(worst.get(name, 0.0), float(value))
     summary["identity_worst"] = worst
     for name in sorted(worst):
-        emit("identity %-24s worst residual %.3e" % (name, worst[name]))
+        print("identity %-24s worst residual %.3e" % (name, worst[name]))
     if max(worst.values()) > IDENTITY_TOL:
         summary["code"] = 1
-        emit("FAIL identity residual above %.1e (reproduce with seed %d)"
-             % (IDENTITY_TOL, seed))
+        print("FAIL identity residual above %.1e (reproduce with seed %d)"
+              % (IDENTITY_TOL, seed))
 
     n_models = max(1, trials // 20)
     limits = {"oracle_rel": ORACLE_RTOL, "pi1_res": MULT_TOL,
@@ -288,13 +287,13 @@ def run_verification(seed=0, trials=1000, dims=(1, 2, 3), emit=print):
     summary.update(oracle_worst=worst_model["oracle_rel"],
                    pi1_worst=worst_model["pi1_res"],
                    t_worst=worst_model["t_res"], models=n_models)
-    emit("oracle agreement over %d models: worst rel err %.3e "
-         "(pi1 %.3e, T %.3e)" % (n_models, summary["oracle_worst"],
-                                 summary["pi1_worst"], summary["t_worst"]))
+    print("oracle agreement over %d models: worst rel err %.3e "
+          "(pi1 %.3e, T %.3e)" % (n_models, summary["oracle_worst"],
+                                  summary["pi1_worst"], summary["t_worst"]))
     if bad_seed is not None:
         summary["code"] = 1
-        emit("FAIL oracle/operator threshold breached "
-             "(reproduce with model seed %d)" % bad_seed)
+        print("FAIL oracle/operator threshold breached "
+              "(reproduce with model seed %d)" % bad_seed)
     return summary
 
 
@@ -324,10 +323,9 @@ def run_probe(model, lambdas=PROBE_LAMBDAS):
     return doc
 
 
-def cantor_model_doc(stage, m=2, include_c0=True):
+def cantor_model_doc(stage):
     """Canonical model document for the fat-Cantor worked example."""
-    coeffs, _, _ = generate_cantor_example(stage, m=m,
-                                           include_c0=include_c0)
+    coeffs, _, _ = generate_cantor_example(stage)
     q_spec = q_indicator_spec(
         [(float(a), float(b)) for a, b in svc_intervals(stage)])
     func_specs = [

@@ -12,7 +12,7 @@ Conventions
   left slot of the contraction, i.e. ``np.vdot(xi, M @ xi)``).
 * Rank decisions use a relative eigenvalue threshold: an eigenvalue ``lam`` of
   a positive-semidefinite matrix is treated as zero when
-  ``lam < rank_eps * lam_max``.
+  ``lam < DEFAULT_RANK_EPS * lam_max``.
 """
 
 from dataclasses import dataclass
@@ -67,25 +67,25 @@ def frobenius(m):
     return np.sqrt(np.sum(np.abs(m) ** 2, axis=(-2, -1)))
 
 
-def _require_hermitian(m, rtol, what):
+def _require_hermitian(m, what):
     res = frobenius(m - adjoint(m))
     scale = frobenius(m)
-    bad = res > rtol * scale
+    bad = res > HERMITIAN_RTOL * scale
     if np.any(bad):
         idx = np.argwhere(np.atleast_1d(bad))[0]
         raise NotHermitian(
             "%s is not Hermitian: asymmetry %.3e exceeds %.1e * norm (index %s)"
-            % (what, float(np.max(res)), rtol, tuple(int(i) for i in idx))
+            % (what, float(np.max(res)), HERMITIAN_RTOL, tuple(map(int, idx)))
         )
 
 
-def herm_eig(m, rtol=HERMITIAN_RTOL):
+def herm_eig(m):
     """Eigendecomposition of a Hermitian matrix.
 
     Parameters
     ----------
     m : ndarray, shape (..., d, d)
-        Hermitian within ``rtol`` relative Frobenius asymmetry.
+        Hermitian within ``HERMITIAN_RTOL`` relative Frobenius asymmetry.
 
     Returns
     -------
@@ -100,26 +100,26 @@ def herm_eig(m, rtol=HERMITIAN_RTOL):
         If the asymmetry exceeds the tolerance.
     """
     m = np.asarray(m, dtype=complex)
-    _require_hermitian(m, rtol, "herm_eig input")
+    _require_hermitian(m, "herm_eig input")
     # Symmetrize before the solver so sub-tolerance asymmetry cannot leak
     # into complex eigenvalue artifacts.
     return np.linalg.eigh(herm_part(m))
 
 
-def _clamped_psd_eig(a, rank_eps, what):
+def _clamped_psd_eig(a, what):
     """Eigendecomposition of a psd matrix with the rank rule applied.
 
-    Eigenvalues below ``rank_eps * lam_max`` are clamped to zero; eigenvalues
-    below ``-rank_eps * lam_max`` raise ``NotPSD``.
+    Eigenvalues below ``DEFAULT_RANK_EPS * lam_max`` are clamped to zero;
+    eigenvalues below ``-DEFAULT_RANK_EPS * lam_max`` raise ``NotPSD``.
     """
     w, u = herm_eig(a)
     top = np.maximum(w[..., -1], 0.0)
-    floor = rank_eps * top[..., None]
+    floor = DEFAULT_RANK_EPS * top[..., None]
     if np.any(w < -floor):
         worst = float(np.min(w))
         raise NotPSD(
             "%s has a negative eigenvalue %.3e below the -%.1e * lam_max floor"
-            % (what, worst, rank_eps)
+            % (what, worst, DEFAULT_RANK_EPS)
         )
     w = np.where(w < floor, 0.0, w)
     return w, u
@@ -136,31 +136,31 @@ def _inv_sqrt(w):
     return np.where(w > 0.0, 1.0 / np.sqrt(np.where(w > 0.0, w, 1.0)), 0.0)
 
 
-def psd_sqrt(a, rank_eps=DEFAULT_RANK_EPS):
+def psd_sqrt(a):
     """Unique positive-semidefinite square root of a psd matrix.
 
     The spectrum is clamped by the rank rule before taking square roots, so
     the result of a rank-deficient input is again rank deficient.
     """
-    w, u = _clamped_psd_eig(np.asarray(a, dtype=complex), rank_eps, "psd_sqrt input")
+    w, u = _clamped_psd_eig(np.asarray(a, dtype=complex), "psd_sqrt input")
     return _assemble(u, np.sqrt(w))
 
 
-def pinv_sqrt(a, rank_eps=DEFAULT_RANK_EPS):
+def pinv_sqrt(a):
     """Spectral inverse square root: ``lam -> lam**-0.5`` on the positive part
     of the spectrum and ``0`` on the (numerical) kernel.
 
     ``pinv_sqrt(a) @ psd_sqrt(a)`` is the orthogonal projection onto the
     numerical range of ``a``.
     """
-    w, u = _clamped_psd_eig(np.asarray(a, dtype=complex), rank_eps, "pinv_sqrt input")
+    w, u = _clamped_psd_eig(np.asarray(a, dtype=complex), "pinv_sqrt input")
     return _assemble(u, _inv_sqrt(w))
 
 
-def psd_roots(a, rank_eps=DEFAULT_RANK_EPS):
+def psd_roots(a):
     """``(psd_sqrt(a), pinv_sqrt(a))`` from one eigendecomposition of ``a``,
     bitwise equal to the two separate calls."""
-    w, u = _clamped_psd_eig(np.asarray(a, dtype=complex), rank_eps, "psd_sqrt input")
+    w, u = _clamped_psd_eig(np.asarray(a, dtype=complex), "psd_sqrt input")
     return _assemble(u, np.sqrt(w)), _assemble(u, _inv_sqrt(w))
 
 
@@ -204,14 +204,14 @@ def sector_pencils(c, theta):
                               for p in pencils])
 
 
-def pencil_tangent(re_m, im_m, psd_tol=PSD_TOL, t_cap=1e12):
+def pencil_tangent(re_m, im_m, t_cap=1e12):
     """Smallest ``t >= 0`` such that ``t * re_m + im_m`` and ``t * re_m -
     im_m`` are both psd, in closed form.
 
     ``re_m = U diag(w) U*`` (expected psd up to noise) is split by the rank
     rule (``w > DEFAULT_RANK_EPS * w_max``) into range and kernel.  If
     ``im_m`` couples into the kernel by more than the slack
-    ``psd_tol * scale``, no ``t`` exists; otherwise ``t`` is the spectral
+    ``PSD_TOL * scale``, no ``t`` exists; otherwise ``t`` is the spectral
     radius of ``diag(w)^{-1/2} U* im_m U diag(w)^{-1/2}`` on the range.
     Deciding the kernel by the rank rule, not by a psd test at a slack,
     keeps the verdict stable under rounding of ``re_m``.  An ``im_m`` within
@@ -222,7 +222,7 @@ def pencil_tangent(re_m, im_m, psd_tol=PSD_TOL, t_cap=1e12):
     """
     re_m = herm_part(np.asarray(re_m, dtype=complex))
     im_m = herm_part(np.asarray(im_m, dtype=complex))
-    slack = psd_tol * max(1.0, float(frobenius(re_m)),
+    slack = PSD_TOL * max(1.0, float(frobenius(re_m)),
                           float(frobenius(im_m)))
     if float(np.max(np.abs(np.linalg.eigvalsh(im_m)))) <= slack:
         return 0.0, True

@@ -53,14 +53,14 @@ def random_unitaries(rng, d, n):
     return q * phase[:, None, :]
 
 
-def random_psd_field(rng, d, n, deficient_frac=0.4, lo=0.3, hi=1.5):
+def random_psd_field(rng, d, n, deficient_frac=0.4):
     """Random psd matrices with a controlled share of rank-deficient cells.
 
     Returns ``(a, rank_mask)`` where ``rank_mask[c, k]`` flags the surviving
     spectral directions of cell ``c``.
     """
     u = random_unitaries(rng, d, n)
-    eigs = rng.uniform(lo, hi, size=(n, d))
+    eigs = rng.uniform(0.3, 1.5, size=(n, d))
     mask = np.ones((n, d), dtype=bool)
     deficient = rng.random(n) < deficient_frac
     for c in np.nonzero(deficient)[0]:
@@ -81,29 +81,25 @@ def random_hermitian_field(rng, d, n, bound=1.0):
     return h * np.minimum(scale, 1.0)[:, None, None]
 
 
-def random_projection_field(rng, d, n, ranks=None):
+def random_projection_field(rng, d, n):
     """Random orthogonal projections; per-cell rank uniform over
-    ``0..d`` unless ``ranks`` is given."""
+    ``0..d``."""
     u = random_unitaries(rng, d, n)
-    if ranks is None:
-        ranks = rng.integers(0, d + 1, size=n)
-    else:
-        ranks = np.broadcast_to(np.asarray(ranks, dtype=int), (n,))
-    cols = np.arange(d)[None, :] < np.asarray(ranks)[:, None]
+    ranks = rng.integers(0, d + 1, size=n)
+    cols = np.arange(d)[None, :] < ranks[:, None]
     return np.einsum("nik,nk,njk->nij", u, cols.astype(float), np.conj(u))
 
 
-def commuting_projection_field(rng, derived, keep_prob=0.5):
+def commuting_projection_field(rng, derived):
     """Projections onto random eigenspaces of ``Z``, hence exactly
     commuting with it cell by cell."""
     _, u = np.linalg.eigh(derived.Z_field)
     n, d = derived.n_cells, derived.dim
-    keep = rng.random((n, d)) < keep_prob
+    keep = rng.random((n, d)) < 0.5
     return np.einsum("nik,nk,njk->nij", u, keep.astype(float), np.conj(u))
 
 
-def random_coefficients(rng, grid, theta=None, deficient_frac=0.4,
-                        vector_scale=1.5, c0_scale=1.0):
+def random_coefficients(rng, grid, deficient_frac=0.4):
     """A validated random model, factored form first.
 
     The skew field ``Z0`` and the first-order seeds ``X0``, ``Y0`` are
@@ -113,8 +109,7 @@ def random_coefficients(rng, grid, theta=None, deficient_frac=0.4,
     largest seed norm).
     """
     n, d = grid.n_cells, grid.dim
-    if theta is None:
-        theta = float(rng.uniform(0.3, 1.1))
+    theta = float(rng.uniform(0.3, 1.1))
     a, _ = random_psd_field(rng, d, n, deficient_frac=deficient_frac)
     w, u = np.linalg.eigh(a)
     pos = w > 1e-12 * np.maximum(w[..., -1:], 1e-300)
@@ -130,14 +125,14 @@ def random_coefficients(rng, grid, theta=None, deficient_frac=0.4,
 
     def ranged_vectors():
         v = (rng.standard_normal((n, d))
-             + 1j * rng.standard_normal((n, d))) * vector_scale / np.sqrt(d)
+             + 1j * rng.standard_normal((n, d))) * 1.5 / np.sqrt(d)
         return np.einsum("nkl,nl->nk", proj, v)
 
     x0 = ranged_vectors()
     y0 = ranged_vectors()
     b = np.conj(np.einsum("nkl,nl->nk", asqrt, x0))
     d_vec = np.einsum("nkl,nl->nk", asqrt, y0)
-    c0 = c0_scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    c0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     k_bound = 1.01 * max(1e-6, float(np.max(np.linalg.norm(x0, axis=-1))),
                          float(np.max(np.linalg.norm(y0, axis=-1))))
     coeffs = CoefficientSet(grid=grid, C_field=c, b_field=b, d_field=d_vec,
@@ -203,8 +198,7 @@ def _constant_noncommuting_pair(rng, d, z_bound):
     raise RuntimeError("could not draw a non-commuting pair")  # pragma: no cover
 
 
-def random_oracle_case(rng, dim=None, commuting=None, max_funcs=8,
-                       attempts=20):
+def random_oracle_case(rng, dim=None, commuting=None):
     """Draw a model + projections + functions ready for the oracle.
 
     The basis is pre-validated (ambient + subspace build) so callers never
@@ -213,7 +207,7 @@ def random_oracle_case(rng, dim=None, commuting=None, max_funcs=8,
     margin and also pick the probe direction ``xi`` that maximally excites
     ``Q Z (I-Q) A^{1/2}``.
     """
-    for _ in range(attempts):
+    for _ in range(20):
         d = int(dim) if dim else int(rng.integers(1, 4))
         flip = bool(rng.random() < 0.5) if commuting is None else commuting
         if not flip and d == 1:
@@ -242,7 +236,7 @@ def random_oracle_case(rng, dim=None, commuting=None, max_funcs=8,
                 off = q1 @ z1 @ (np.eye(d) - q1)
                 _, _, vh = np.linalg.svd(off)
                 xi = vh[0] / max(np.linalg.norm(vh[0]), 1e-12)
-            n_funcs = int(rng.integers(2, max_funcs + 1))
+            n_funcs = int(rng.integers(2, 9))
             n_funcs = min(n_funcs, max(2, n - 2))
             funcs = random_node_functions(rng, grid, n_funcs)
             if not flip:
@@ -255,12 +249,12 @@ def random_oracle_case(rng, dim=None, commuting=None, max_funcs=8,
             continue
         return OracleCase(coeffs=coeffs, q_field=q, funcs=funcs,
                           commuting=flip, xi=np.asarray(xi, dtype=float))
-    raise RuntimeError("no valid oracle case after %d attempts"
-                       % attempts)  # pragma: no cover
+    raise RuntimeError(  # pragma: no cover
+        "no valid oracle case after 20 attempts")
 
 
-def random_qz_draws(rng, d, trials, z_scale=2.0):
+def random_qz_draws(rng, d, trials):
     """Stacked raw ``(Q, Z)`` draws for the identity suite."""
     q = random_projection_field(rng, d, trials)
-    z = random_hermitian_field(rng, d, trials, bound=z_scale)
+    z = random_hermitian_field(rng, d, trials, bound=2.0)
     return q, z

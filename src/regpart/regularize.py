@@ -109,7 +109,7 @@ def _kernel_relations(q, w, z):
     }
 
 
-def build_singular_structure(q_field, derived, tol=STRUCTURE_TOL):
+def build_singular_structure(q_field, derived):
     """Validate ``Q`` per cell and solve for ``W = Q (I+iQZQ)^{-1} Q``.
 
     ``I + iQZQ`` has Hermitian ``QZQ``, so its eigenvalues ``1 + i*lam``
@@ -133,7 +133,7 @@ def build_singular_structure(q_field, derived, tol=STRUCTURE_TOL):
     cells = _support(q)
     qs = q[cells]
     res_h, res_i = projection_residuals(qs)
-    bad = (res_h > tol) | (res_i > tol)
+    bad = (res_h > STRUCTURE_TOL) | (res_i > STRUCTURE_TOL)
     if np.any(bad):
         k = int(np.argmax(np.maximum(res_h, res_i)))
         cell = int(cells[k])
@@ -149,7 +149,7 @@ def build_singular_structure(q_field, derived, tol=STRUCTURE_TOL):
     worst = max(float(np.max(frobenius(r), initial=0.0)) for r in (
         np.matmul(lhs, wtilde) - qs, *_kernel_relations(qs, ws, z).values()))
     scale = float(np.max(frobenius(lhs), initial=0.0))
-    if worst > max(tol, 1e-12 * scale) * 10:
+    if worst > max(STRUCTURE_TOL, 1e-12 * scale) * 10:
         raise SolveFailure(
             "resolvent kernel residuals out of budget (%.3e)" % worst)
 
@@ -421,19 +421,19 @@ def interval_mask(grid, intervals):
     return mask
 
 
-def projection_from_spanning(vectors, tol=1e-10):
+def projection_from_spanning(vectors):
     """Orthogonal projections onto per-cell spans.
 
     ``vectors`` has shape ``(n_cells, d, r)``: up to ``r`` spanning columns
     per cell, possibly dependent or zero.  One batched SVD gives each
     cell's left singular vectors; those whose singular value is below
-    ``tol * max(1, max |v_c|)`` are dropped, so rank deficiency is handled
-    silently.
+    ``STRUCTURE_TOL * max(1, max |v_c|)`` are dropped, so rank deficiency
+    is handled silently.
     """
     vectors = np.asarray(vectors, dtype=complex)
     if vectors.ndim != 3:
         raise ValueError("vectors must have shape (n_cells, d, r)")
     u, sv, _ = np.linalg.svd(vectors, full_matrices=False)
     scale = np.maximum(1.0, np.max(np.abs(vectors), axis=(1, 2)))
-    keep = sv > tol * scale[:, None]
+    keep = sv > STRUCTURE_TOL * scale[:, None]
     return np.einsum("nik,nk,njk->nij", u, keep, np.conj(u))

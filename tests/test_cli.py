@@ -14,7 +14,8 @@ from regpart.cli import main
 from regpart.modelio import (LoadedModel, dumps_canonical, load_doc,
                              q_indicator_spec, q_matrix_spec, write_doc)
 from regpart.pipeline import (IDENTITY_TOL, ORACLE_RTOL, cantor_model_doc,
-                              compute_report)
+                              compute_report, oracle_crosscheck, run_probe)
+from regpart.randomized import random_oracle_case
 
 
 REPO_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -187,6 +188,33 @@ def test_overflowing_first_order_entry_exits_2(field, cell, tmp_path,
     assert "outer(%s_field) overflows" % field in err
 
 
+@pytest.mark.parametrize("value", [-1e160, -1e200])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_negative_c_entry_names_its_cell(value, tmp_path, capsys):
+    """The sector check's slack scales with the cell's norm, computed
+    without overflow, so a huge negative ``C`` entry fails it by cell."""
+    doc = cantor_model_doc(2)
+    doc["coefficients"]["C"][50] = [[[value, 0.0]]]
+    path = tmp_path / "negc.json"
+    write_doc(path, doc)
+    assert main(["compute", "--model", str(path)]) == 2
+    assert "validation error: cell 50 leaves the sector" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tiny_bump_width_computes_quietly(tmp_path):
+    """A subnormal bump width overflows the arch's argument on every node
+    off the centre; those nodes are masked to 0 without a warning."""
+    doc = cantor_model_doc(2)
+    doc["functions"][1]["width"] = [1e-320]
+    path = tmp_path / "spike.json"
+    write_doc(path, doc)
+    for command in ("compute", "probe"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, "--model", str(path)]) == 0
+
+
 def _leaf_paths(node, path=()):
     """Paths to the leaves of a document: the values reached through
     objects and lists of objects (a numeric array is one leaf)."""
@@ -204,31 +232,64 @@ def _leaf_paths(node, path=()):
 MUTATIONS = (None, True, "x", 1e308, -1e308, 0, -1, [], {}, [[]], 2 ** 70)
 
 
+def _compute_code(path, out):
+    """Exit code of ``compute`` on ``path``, or the name of the exception
+    that escaped it."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return main(["compute", "--model", str(path), "--out", str(out)])
+    except Exception as exc:  # a traceback; listed by the callers
+        return type(exc).__name__
+
+
+#: Single array entries of the stage-2 model, each with its exit code:
+#: malformed arrays are parse errors, huge negative ``C`` a sector violation.
+ENTRY_MUTATIONS = (
+    (("C", 3), [[[1.0, 0.0]], [[1.0, 0.0]]], 3),   # ragged cell
+    (("c0", 3), [1.0], 3),                          # one-number pair
+    (("b", 3, 0, 0), "x", 3),                       # string entry
+    (("C", 3, 0, 0), [1.0, 0.0, 0.0], 3),           # three-number entry
+    (("C", 50), [[[-1e100, 0.0]]], 2),
+    (("C", 50), [[[-1e160, 0.0]]], 2),
+    (("C", 50), [[[-1e200, 0.0]]], 2),
+)
+
+
 def test_mutated_model_exits_0_2_or_3(tmp_path):
     """Every leaf of the worked-example model replaced by each value of a
     fixed list: ``compute`` ends with exit code 0, 2 or 3, never a
-    traceback."""
-    base = json.loads(dumps_canonical(cantor_model_doc(2)))
+    traceback.  The canonical text cut short is a parse error, and so is
+    each malformed array entry of ``ENTRY_MUTATIONS``."""
+    text = dumps_canonical(cantor_model_doc(2))
+    base = json.loads(text)
     path, out = tmp_path / "m.json", tmp_path / "r.json"
     codes = {}
     for leaf in _leaf_paths(base):
         for value in MUTATIONS:
-            doc = json.loads(dumps_canonical(base))
+            doc = json.loads(text)
             node = doc
             for key in leaf[:-1]:
                 node = node[key]
             node[leaf[-1]] = value
             write_doc(path, doc)
-            try:
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    code = main(["compute", "--model", str(path),
-                                 "--out", str(out)])
-            except Exception as exc:  # a traceback; listed below
-                code = type(exc).__name__
-            codes[leaf, repr(value)] = code
+            codes[leaf, repr(value)] = _compute_code(path, out)
     assert len(codes) > 300
     assert {k: c for k, c in codes.items() if c not in (0, 2, 3)} == {}
+
+    exact = {}
+    for cut in (1, len(text) // 4, len(text) // 2, len(text) - 3):
+        path.write_text(text[:cut], encoding="utf-8")
+        exact["cut", cut] = (_compute_code(path, out), 3)
+    for where, value, want in ENTRY_MUTATIONS:
+        doc = json.loads(text)
+        node = doc["coefficients"]
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        write_doc(path, doc)
+        exact[where, repr(value)] = (_compute_code(path, out), want)
+    assert {k: c for k, c in exact.items() if c[0] != c[1]} == {}
 
 
 def test_compute_empty_function_list(tmp_path, rng):
@@ -352,8 +413,8 @@ def test_verify_detects_broken_identities(monkeypatch, capsys):
     import regpart.pipeline as pipeline
     real = pipeline.random_qz_draws
 
-    def corrupted(rng, d, trials, z_scale=2.0):
-        q, z = real(rng, d, trials, z_scale=z_scale)
+    def corrupted(rng, d, trials):
+        q, z = real(rng, d, trials)
         return q + 0.25, z
 
     monkeypatch.setattr(pipeline, "random_qz_draws", corrupted)
@@ -401,46 +462,92 @@ def test_console_script_installed(tmp_path):
     assert missing.returncode == 3, missing.stderr
 
 
-def test_compute_builds_each_artifact_once(cantor3, monkeypatch):
-    """One compute builds the V space once and solves its operators twice:
-    for the form and for its real part.  It evaluates the form three times,
-    each on a whole function family: the regular part's pair table, which
-    the oracle comparison and the real-part check share, the form's own
-    Gram (one ``form_gram``) and the singular part's Gram, whose second-order
-    part is the pure companion's.  The three vertex searches read those
-    Grams, so neither ``estimate_vertex_angle`` nor
-    ``pure_second_order_parts`` runs."""
-    counts = {}
+#: Functions whose calls the artifact-count tests record.
+COUNTED = (("completion", "build_ambient"),
+           ("completion", "build_v_subspace"),
+           ("completion", "compute_operators"),
+           ("completion", "t_pi2_probe"),
+           ("model", "derive_fields"),
+           ("model", "eval_form"),
+           ("model", "form_gram"),
+           ("model", "estimate_vertex_angle"),
+           ("regularize", "assemble_regular"),
+           ("regularize", "pure_second_order_parts"))
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the ``COUNTED`` calls from here on, and for each function
+    the names of the functions that called it."""
+    counts, callers = {}, {}
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
             counts[name] = counts.get(name, 0) + 1
+            callers.setdefault(name, set()).add(
+                sys._getframe(1).f_code.co_name)
             return func(*args, **kwargs)
         return wrapper
 
     modules = [m for n, m in sys.modules.items()
                if n == "regpart" or n.startswith("regpart.")]
-    for owner, name in (("completion", "build_ambient"),
-                        ("completion", "build_v_subspace"),
-                        ("completion", "compute_operators"),
-                        ("model", "derive_fields"),
-                        ("model", "eval_form"),
-                        ("model", "form_gram"),
-                        ("model", "estimate_vertex_angle"),
-                        ("regularize", "assemble_regular"),
-                        ("regularize", "pure_second_order_parts")):
+    for owner, name in COUNTED:
         original = getattr(sys.modules["regpart." + owner], name)
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted(name, original))
-    coeffs = cantor3["coeffs"]
-    compute_report(LoadedModel(grid=coeffs.grid, coeffs=coeffs,
-                               q_field=cantor3["q_field"],
-                               funcs=cantor3["funcs"]))
+    return counts, callers
+
+
+def _loaded(model):
+    coeffs = model["coeffs"]
+    return LoadedModel(grid=coeffs.grid, coeffs=coeffs,
+                       q_field=model["q_field"], funcs=model["funcs"])
+
+
+def test_compute_builds_each_artifact_once(cantor3, calls):
+    """One compute builds the V space once and solves its operators twice:
+    for the form and for its real part.  It evaluates the form three times,
+    each on a whole function family: the V build's form Gram (its one
+    ``form_gram``, which the form's vertex reads too), the regular part's
+    pair table, which the oracle comparison and the real-part check share,
+    and the singular part's Gram, whose second-order part is the pure
+    companion's.  The three vertex searches read those Grams, so neither
+    ``estimate_vertex_angle`` nor ``pure_second_order_parts`` runs."""
+    compute_report(_loaded(cantor3))
+    counts, callers = calls
     assert counts == {"build_ambient": 1, "build_v_subspace": 1,
                       "compute_operators": 2, "derive_fields": 1,
                       "eval_form": 3, "form_gram": 1,
+                      "assemble_regular": 1, "t_pi2_probe": 1}
+    assert callers["form_gram"] == {"build_v_subspace"}
+
+
+def test_probe_builds_each_artifact_once(cantor3, calls):
+    """A probe derives, builds and solves once; its one form evaluation is
+    the V build's form Gram."""
+    run_probe(_loaded(cantor3), lambdas=(5.0, 10.0))
+    counts, callers = calls
+    assert counts == {"build_ambient": 1, "build_v_subspace": 1,
+                      "compute_operators": 1, "derive_fields": 1,
+                      "eval_form": 1, "form_gram": 1, "t_pi2_probe": 1}
+    assert callers["form_gram"] == {"build_v_subspace"}
+
+
+def test_oracle_crosscheck_builds_each_artifact_once(calls):
+    """One oracle cross-check of a drawn case: one split, one V build and
+    one operator solve, and two form evaluations: the V build's form Gram
+    and the regular part's pair table."""
+    counts, callers = calls
+    case = random_oracle_case(np.random.default_rng(4))
+    counts.clear()
+    callers.clear()
+    oracle_crosscheck(case)
+    assert counts == {"build_ambient": 1, "build_v_subspace": 1,
+                      "compute_operators": 1, "derive_fields": 1,
+                      "eval_form": 2, "form_gram": 1,
                       "assemble_regular": 1}
+    assert callers["form_gram"] == {"build_v_subspace"}
 
 
 def test_module_entry_point(tmp_path):

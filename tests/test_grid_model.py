@@ -9,12 +9,13 @@ from numpy.testing import assert_allclose
 from regpart.errors import (DegenerateBasis, DominationViolation,
                             GridMismatch, SectorViolation, ValidationError)
 from regpart.grid import GridSpec, TestFunction
-from regpart.completion import build_v_subspace
 from regpart.model import (CoefficientSet, derive_fields,
                            estimate_vertex_angle, eval_form, form_gram)
 from regpart.pointwise import adjoint, herm_part
 from regpart.randomized import (random_coefficients, random_grid,
                                 random_node_functions)
+
+from dense_reference import dense_grams
 
 
 def unit_grid(dim, cells):
@@ -252,16 +253,15 @@ def test_eval_form_sesquilinear(rng):
 
 def test_eval_form_matches_factored(rng):
     """Direct coefficient evaluation vs the pulled-through-A^{1/2} form:
-    at ``Q = 0`` the ``F x F`` block of the V build's form Gram is the
-    factored form, transposed."""
+    the ``F x F`` block of the dense reference's form Gram, written with
+    ``Z``, ``X`` and ``Y``, is the factored form, transposed."""
     for k in range(6):
         coeffs = random_coefficients(rng, random_grid(rng, 1 + k % 3))
         derived = derive_fields(coeffs)
         u, v = random_node_functions(rng, coeffs.grid, 2)
         q = np.zeros_like(coeffs.C_field)
-        vs = build_v_subspace(coeffs, derived, q, [u, v])
         direct = eval_form(coeffs, [u, v], [u, v]).value
-        fact = vs.form_blocks.ff.T
+        fact = dense_grams(coeffs, derived, q, [u, v])[1][:2, :2].T
         assert_allclose(fact, direct, rtol=1e-10,
                         atol=1e-10 * (1 + np.min(np.abs(direct))))
 
