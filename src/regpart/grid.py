@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import GridMismatch, ValidationError
 
-__all__ = ["GridSpec", "TestFunction", "MAX_CELLS"]
+__all__ = ["GridSpec", "TestFunction", "MAX_CELLS",
+           "cell_data_from_nodes"]
 
 #: Refuse to allocate grids with more cells than this.
 MAX_CELLS = 10**7
@@ -99,6 +100,32 @@ def _corner_weights(dim):
     return out
 
 
+def cell_data_from_nodes(grid, node_values):
+    """Cell values ``(..., n_cells)`` and gradients ``(..., n_cells, dim)``
+    of the multilinear interpolants of node values ``(..., *node_shape)``.
+
+    A cell's value is the mean of its corners and its gradient the mean
+    corner difference along each axis over the spacing.  Leading axes are
+    a family of functions, each computed with the same operations, in the
+    same order, as on its own.
+    """
+    cells = node_values.shape[:node_values.ndim - grid.dim] + (grid.n_cells,)
+    corners = _corner_weights(grid.dim)
+    # Corner slabs: node_values[..., i+s1, j+s2, ...] for each 0/1 offset.
+    slabs = {}
+    for off in corners:
+        idx = tuple(slice(s, n + s) for s, n in zip(off, grid.cells_per_axis))
+        slabs[off] = node_values[(Ellipsis,) + idx]
+    value = sum(slabs[off] for off in corners) / len(corners)
+    grads = []
+    for ax, h in enumerate(grid.spacings):
+        plus = sum(slabs[off] for off in corners if off[ax] == 1)
+        minus = sum(slabs[off] for off in corners if off[ax] == 0)
+        grads.append(((plus - minus) / (len(corners) // 2) / h)
+                     .reshape(cells))
+    return value.reshape(cells), np.stack(grads, axis=-1)
+
+
 @dataclass
 class TestFunction:
     """A piecewise test profile: one complex value and one complex gradient
@@ -156,24 +183,9 @@ class TestFunction:
                         "node values must vanish on the boundary (axis %d "
                         "has magnitude %.3e)" % (ax, float(bound)))
 
-        dim = grid.dim
-        h = grid.spacings
-        corners = _corner_weights(dim)
-        # Corner slabs: node_values[i+s1, j+s2, ...] for each 0/1 offset.
-        slabs = {}
-        for off in corners:
-            idx = tuple(slice(s, n + s) for s, n in zip(off, grid.cells_per_axis))
-            slabs[off] = node_values[idx]
-
-        value = sum(slabs[off] for off in corners) / len(corners)
-        grads = []
-        for ax in range(dim):
-            plus = sum(slabs[off] for off in corners if off[ax] == 1)
-            minus = sum(slabs[off] for off in corners if off[ax] == 0)
-            grads.append((plus - minus) / (len(corners) // 2) / h[ax])
-        grad = np.stack([g.reshape(-1) for g in grads], axis=-1)
-        return cls(grid=grid, cell_values=value.reshape(-1),
-                   cell_gradient=grad, node_values=node_values)
+        values, grads = cell_data_from_nodes(grid, node_values)
+        return cls(grid=grid, cell_values=values, cell_gradient=grads,
+                   node_values=node_values)
 
     @classmethod
     def zero(cls, grid):

@@ -26,7 +26,6 @@ families; ``vertex_search`` reads the Gram pair ``(B, M)`` of ``form_gram``.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (DegenerateBasis, DominationViolation, GridMismatch,
                      SectorViolation, ValidationError)
@@ -340,11 +339,13 @@ def vertex_search(bmat, mmat):
     """Vertex, half-angle and witness of a form over a basis span.
 
     ``gamma`` is the smallest generalized eigenvalue of ``(Re B, M)`` on the
-    basis Gram pair of :func:`form_gram`, the witness its eigenvector,
-    and the tangent :func:`~regpart.pointwise.pencil_tangent` of
-    ``(Re B - gamma M, Im B)``; a form wider than any finite tangent comes
-    back uncertified at the cap.  This certifies the span only: the true
-    vertex can be lower and the angle wider outside it.
+    basis Gram pair of :func:`form_gram`, the witness its ``M``-normalized
+    eigenvector, and the tangent :func:`~regpart.pointwise.pencil_tangent`
+    of ``(Re B - gamma M, Im B)``; a form wider than any finite tangent
+    comes back uncertified at the cap.  This certifies the span only: the
+    true vertex can be lower and the angle wider outside it.  One
+    eigendecomposition of ``M`` serves both the condition gate and the
+    reduction of the pencil to a Hermitian eigenproblem.
 
     Returns ``(SectorParams, witness, certified)``; raises
     :class:`DegenerateBasis` on an empty or numerically dependent basis.
@@ -352,17 +353,19 @@ def vertex_search(bmat, mmat):
     if not len(mmat):
         raise DegenerateBasis("need at least one basis function")
     mh = herm_part(mmat)
-    mw = np.linalg.eigvalsh(mh)
+    mw, mu = np.linalg.eigh(mh)
     if mw[0] <= 0 or mw[-1] / mw[0] > VERTEX_COND_CAP:
         raise DegenerateBasis(
             "basis Gram matrix is numerically singular "
             "(eigenvalue range [%.3e, %.3e])" % (float(mw[0]), float(mw[-1])))
+    # W^H M W = I, so the pencil (Re B, M) is the matrix W^H Re B W
+    whiten = mu / np.sqrt(mw)
     re_b = herm_part(bmat)
-    w, vecs = scipy.linalg.eigh(re_b, mh)
+    w, vecs = np.linalg.eigh(herm_part(adjoint(whiten) @ re_b @ whiten))
     gamma = float(w[0])
     t, certified = pencil_tangent(re_b - gamma * mh, imag_part(bmat))
     return (SectorParams(theta=float(np.arctan(t)), gamma=gamma),
-            vecs[:, 0].copy(), certified)
+            whiten @ vecs[:, 0], certified)
 
 
 def estimate_vertex_angle(coeffs, basis):

@@ -28,7 +28,9 @@ surface as :class:`ValidationError` subclasses from the model layer.
 
 import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -59,6 +61,10 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+#: JSON names of the value types a parsed document holds.
+JSON_NAMES = {dict: "object", list: "array", str: "string", int: "number",
+              float: "number", bool: "boolean", type(None): "null"}
+
 
 # ---------------------------------------------------------------------------
 # primitive encoding
@@ -78,11 +84,8 @@ def complex_pair(z):
 
 def json_to_complex(data, ndim, what):
     """Inverse of :func:`complex_to_json` for a known array rank."""
-    try:
-        a = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError("%s: not a numeric array: %s" % (what, exc)) from None
-    if a.ndim != ndim + 1 or a.shape[-1] != 2:
+    a = _numbers(data, ndim + 1, what)
+    if a.shape[-1] != 2:
         raise ParseError(
             "%s: expected rank-%d array of [re, im] pairs, got shape %s"
             % (what, ndim, a.shape))
@@ -94,15 +97,41 @@ def json_to_complex(data, ndim, what):
     return out
 
 
-def _real_array(data, ndim, what):
+def _numbers(data, ndim, what):
+    """A rank-``ndim`` float array from nested lists of JSON numbers.
+
+    The lists are read one level at a time: each level must hold lists of
+    one length, and the last one JSON numbers, so a string that spells a
+    number, ``true`` or ``null`` is refused where a cast would read it.
+    """
+    level, shape = [data], []
+    for _ in range(ndim):
+        kinds = set(map(type, level)) - {list}
+        if kinds:
+            raise ParseError("%s: expected rank-%d array, found %s at depth "
+                             "%d" % (what, ndim, _json_names(kinds),
+                                     len(shape)))
+        lengths = set(map(len, level))
+        if len(lengths) > 1:
+            raise ParseError("%s: ragged array, lengths %s at depth %d"
+                             % (what, sorted(lengths), len(shape)))
+        if not lengths:
+            raise ParseError("%s: expected rank-%d array, got shape %s"
+                             % (what, ndim, tuple(shape)))
+        shape.append(lengths.pop())
+        level = list(chain.from_iterable(level))
+    kinds = set(map(type, level)) - {float, int}
+    if kinds:
+        raise ParseError("%s: entries must be JSON numbers, found %s"
+                         % (what, _json_names(kinds)))
     try:
-        a = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError("%s: not a numeric array: %s" % (what, exc)) from None
-    if a.ndim != ndim:
-        raise ParseError("%s: expected rank-%d array, got shape %s"
-                         % (what, ndim, a.shape))
-    return a
+        return np.array(level, dtype=float).reshape(shape)
+    except OverflowError as exc:
+        raise ParseError("%s: %s" % (what, exc)) from None
+
+
+def _json_names(kinds):
+    return ", ".join(sorted(JSON_NAMES.get(k, k.__name__) for k in kinds))
 
 
 def _get(doc, key, kinds, what):
@@ -206,20 +235,28 @@ def _reject_constant(token):
     raise ParseError("non-finite literal %r is not allowed" % token)
 
 
-def loads_doc(text):
-    """Parse JSON text.  The cyclic garbage collector is paused while the
-    decoder runs: it builds only acyclic lists and dicts, hundreds of
-    thousands of them for a large model, and the collector's passes over
-    them would double the parse time."""
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector.  A parsed document is made of
+    acyclic lists and dicts, hundreds of thousands of them for a large
+    model, and the collector's passes over them, while it is built and
+    while it is read, would double the load time."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ParseError("invalid JSON: %s" % exc) from None
+        yield
     finally:
         if enabled:
             gc.enable()
+
+
+def loads_doc(text):
+    """Parse JSON text, with the cyclic collector paused."""
+    with _gc_paused():
+        try:
+            return json.loads(text, parse_constant=_reject_constant)
+        except json.JSONDecodeError as exc:
+            raise ParseError("invalid JSON: %s" % exc) from None
 
 
 def load_doc(path):
@@ -247,7 +284,7 @@ def doc_to_grid(doc):
     dim = _get(doc, "dim", int, "grid")
     box = _get(doc, "box", list, "grid")
     cells = _get(doc, "cells_per_axis", list, "grid")
-    box_arr = _real_array(box, 2, "grid.box")
+    box_arr = _numbers(box, 2, "grid.box")
     if box_arr.shape != (dim, 2):
         raise ParseError("grid.box: expected shape (%d, 2), got %s"
                          % (dim, box_arr.shape))
@@ -289,7 +326,7 @@ def expand_q_spec(spec, grid):
         # [] is the empty set (Q = 0), as q_indicator_spec([]) writes it
         raw = spec["set"]
         intervals = np.empty((0, 2)) if isinstance(raw, list) and not raw \
-            else _real_array(raw, 2, "Q.set")
+            else _numbers(raw, 2, "Q.set")
         if intervals.shape[1] != 2:
             raise ParseError("Q.set: expected a list of [a, b] intervals")
         return indicator_projection(grid, interval_mask(grid, intervals))
@@ -317,8 +354,8 @@ def expand_function_spec(spec, grid):
         return name, TestFunction(grid=grid, cell_values=values,
                                   cell_gradient=grads)
     if kind == "plateau":
-        flat = _real_array(_get(spec, "flat", list, where), 1,
-                           where + ".flat")
+        flat = _numbers(_get(spec, "flat", list, where), 1,
+                        where + ".flat")
         if flat.shape != (2,):
             raise ParseError(where + ".flat: expected [lo, hi]")
         amp = _number(spec, "amplitude", where) if "amplitude" in spec \
@@ -326,16 +363,16 @@ def expand_function_spec(spec, grid):
         return name, TestFunction.plateau_1d(grid, flat[0], flat[1],
                                              amplitude=amp)
     if kind == "bump":
-        center = _real_array(_get(spec, "center", list, where), 1,
-                             where + ".center")
-        width = _real_array(_get(spec, "width", list, where), 1,
-                            where + ".width")
+        center = _numbers(_get(spec, "center", list, where), 1,
+                          where + ".center")
+        width = _numbers(_get(spec, "width", list, where), 1,
+                         where + ".width")
         amp = _number(spec, "amplitude", where) if "amplitude" in spec \
             else 1.0
         return name, TestFunction.bump(grid, center, width, amplitude=amp)
     if kind == "plane_wave":
         lam = _number(spec, "lambda", where)
-        xi = _real_array(_get(spec, "xi", list, where), 1, where + ".xi")
+        xi = _numbers(_get(spec, "xi", list, where), 1, where + ".xi")
         if xi.shape != (grid.dim,):
             raise ParseError(where + ".xi: expected %d components" % grid.dim)
         tau_spec = dict(_get(spec, "tau", dict, where))
@@ -404,11 +441,15 @@ def doc_to_model(doc, validate=True):
 
 
 def parse_model(text):
-    return doc_to_model(loads_doc(text))
+    # the document is dropped when doc_to_model returns, before the
+    # collector resumes
+    with _gc_paused():
+        return doc_to_model(loads_doc(text))
 
 
 def load_model(path):
-    return doc_to_model(load_doc(path))
+    with _gc_paused():
+        return doc_to_model(load_doc(path))
 
 
 def make_model_doc(coeffs, q_spec, func_specs):

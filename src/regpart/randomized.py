@@ -21,7 +21,7 @@ import numpy as np
 
 from .completion import build_v_subspace
 from .errors import DegenerateBasis, KernelMismatch
-from .grid import GridSpec, TestFunction
+from .grid import GridSpec, TestFunction, cell_data_from_nodes
 from .model import CoefficientSet, derive_fields
 from .pointwise import herm_part
 
@@ -154,15 +154,16 @@ def random_grid(rng, dim):
 
 def random_node_functions(rng, grid, count):
     """Compactly supported functions from random complex node values."""
-    out = []
-    for _ in range(count):
-        vals = np.zeros(grid.node_shape, dtype=complex)
-        interior = tuple(slice(1, -1) for _ in range(grid.dim))
-        shape = tuple(s - 1 for s in grid.cells_per_axis)
-        vals[interior] = (rng.standard_normal(shape)
-                          + 1j * rng.standard_normal(shape))
-        out.append(TestFunction.from_node_values(grid, vals))
-    return out
+    vals = np.zeros((count,) + grid.node_shape, dtype=complex)
+    interior = tuple(slice(1, -1) for _ in range(grid.dim))
+    shape = tuple(s - 1 for s in grid.cells_per_axis)
+    for node_values in vals:
+        node_values[interior] = (rng.standard_normal(shape)
+                                 + 1j * rng.standard_normal(shape))
+    values, grads = cell_data_from_nodes(grid, vals)
+    return [TestFunction(grid=grid, cell_values=v, cell_gradient=g,
+                         node_values=nv)
+            for v, g, nv in zip(values, grads, vals)]
 
 
 @dataclass

@@ -244,12 +244,21 @@ def _compute_code(path, out):
 
 
 #: Single array entries of the stage-2 model, each with its exit code:
-#: malformed arrays are parse errors, huge negative ``C`` a sector violation.
+#: malformed arrays and entries that are not JSON numbers are parse errors,
+#: JSON integers are numbers, and huge negative ``C`` is a sector violation.
 ENTRY_MUTATIONS = (
     (("C", 3), [[[1.0, 0.0]], [[1.0, 0.0]]], 3),   # ragged cell
     (("c0", 3), [1.0], 3),                          # one-number pair
     (("b", 3, 0, 0), "x", 3),                       # string entry
     (("C", 3, 0, 0), [1.0, 0.0, 0.0], 3),           # three-number entry
+    (("c0", 0), ["2", 0.0], 3),                     # string spelling 2
+    (("C", 3, 0, 0, 0), False, 3),
+    (("b", 3, 0, 0), None, 3),
+    (("b", 3, 0, 0), "1.0", 3),
+    (("b", 3, 0, 0), True, 3),
+    (("b", 3, 0, 0), 10 ** 400, 3),                 # no float holds it
+    (("c0", 3, 1), 7, 0),                           # integer entry
+    (("b", 3, 0, 0), 2 ** 70, 2),                   # a number, undominated
     (("C", 50), [[[-1e100, 0.0]]], 2),
     (("C", 50), [[[-1e160, 0.0]]], 2),
     (("C", 50), [[[-1e200, 0.0]]], 2),
@@ -460,6 +469,27 @@ def test_console_script_installed(tmp_path):
                               str(tmp_path / "nope.json")],
                              capture_output=True, text=True, env=env)
     assert missing.returncode == 3, missing.stderr
+
+
+def test_commands_run_without_scipy(tmp_path):
+    """A fresh process imports the package and runs every command without
+    loading scipy, whose import would double the cold start."""
+    model, report = tmp_path / "m.json", tmp_path / "r.json"
+    script = (
+        "import contextlib, io, sys\n"
+        "import regpart, regpart.cli\n"
+        "for argv in %r:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert regpart.cli.main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        % ([["example", "cantor", "--stage", "2", "--out", str(model)],
+            ["compute", "--model", str(model), "--out", str(report)],
+            ["probe", "--model", str(model), "--out", str(report)],
+            ["verify", "--trials", "40"]],))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=_src_env())
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 #: Functions whose calls the artifact-count tests record.

@@ -8,9 +8,10 @@ from numpy.testing import assert_allclose
 
 from regpart.errors import (DegenerateBasis, DominationViolation,
                             GridMismatch, SectorViolation, ValidationError)
-from regpart.grid import GridSpec, TestFunction
+from regpart.grid import GridSpec, TestFunction, cell_data_from_nodes
 from regpart.model import (CoefficientSet, derive_fields,
-                           estimate_vertex_angle, eval_form, form_gram)
+                           estimate_vertex_angle, eval_form, form_gram,
+                           vertex_search)
 from regpart.pointwise import adjoint, herm_part
 from regpart.randomized import (random_coefficients, random_grid,
                                 random_node_functions)
@@ -63,6 +64,37 @@ def test_node_interpolant_linear_exactness():
                     atol=1e-13)
     assert_allclose(u.cell_gradient[:, 0], 2.0, atol=1e-12)
     assert_allclose(u.cell_gradient[:, 1], 3.0, atol=1e-12)
+
+
+def test_node_family_matches_its_functions(rng):
+    """The family kernel gives each function the bits it gets on its own,
+    and random_node_functions draws node values in the per-function order
+    of a loop over from_node_values."""
+    for dim in (1, 2, 3):
+        grid = random_grid(rng, dim)
+        stack = (rng.standard_normal((3,) + grid.node_shape)
+                 + 1j * rng.standard_normal((3,) + grid.node_shape))
+        values, grads = cell_data_from_nodes(grid, stack)
+        for k in range(3):
+            u = TestFunction.from_node_values(grid, stack[k],
+                                              require_support=False)
+            assert np.array_equal(values[k], u.cell_values)
+            assert np.array_equal(grads[k], u.cell_gradient)
+
+        seed = int(rng.integers(2**31))
+        family = random_node_functions(np.random.default_rng(seed), grid, 4)
+        loop_rng = np.random.default_rng(seed)
+        shape = tuple(n - 1 for n in grid.cells_per_axis)
+        for u in family:
+            nodes = np.zeros(grid.node_shape, dtype=complex)
+            nodes[(slice(1, -1),) * dim] = (
+                loop_rng.standard_normal(shape)
+                + 1j * loop_rng.standard_normal(shape))
+            ref = TestFunction.from_node_values(grid, nodes)
+            assert np.array_equal(u.node_values, nodes)
+            assert np.array_equal(u.cell_values, ref.cell_values)
+            assert np.array_equal(u.cell_gradient, ref.cell_gradient)
+    assert random_node_functions(rng, grid, 0) == []
 
 
 def test_node_boundary_support_enforced():
@@ -318,6 +350,50 @@ def test_vertex_floor_on_basis(rng):
     for u, m in zip(basis, mass):
         val = eval_form(coeffs, u, u).value
         assert val.real - params.gamma * m >= -1e-9
+
+
+def _random_pencil(rng, k, cond):
+    """A random complex ``B`` and a Hermitian positive definite ``M`` with
+    eigenvalues log-spaced over ``[2 / cond, 2]``."""
+    b = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    u, _ = np.linalg.qr(rng.standard_normal((k, k))
+                        + 1j * rng.standard_normal((k, k)))
+    eigs = 2.0 * np.logspace(0.0, -np.log10(cond), k)
+    return b, (u * eigs) @ adjoint(u)
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e2, 1e6, 1e10])
+def test_vertex_search_solves_the_pencil(rng, cond):
+    """gamma and the witness are an eigenpair of (Re B, M), the witness is
+    M-normalized, and gamma is the least Rayleigh quotient of the
+    eigenvectors an independent Cholesky reduction finds.  Forming ``M x``
+    for a witness of length up to ``cond**0.5`` costs ``eps * cond`` in
+    any method, so the residual is a normwise backward error and the
+    agreements scale with ``cond``."""
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    for k in (1, 2, 3, 5, 8):
+        for _ in range(6):
+            b, m = _random_pencil(rng, k, cond)
+            params, x, _ = vertex_search(b, m)
+            gamma, reb = params.gamma, herm_part(b)
+            lam = np.linalg.eigvalsh(m)
+            bnorm = np.linalg.norm(reb, 2)
+            backward = (np.linalg.norm(reb @ x - gamma * (m @ x))
+                        / ((bnorm + abs(gamma) * lam[-1])
+                           * np.linalg.norm(x)))
+            assert backward <= 1e-12
+            assert abs(np.vdot(x, m @ x) - 1.0) <= 1e-13 * cond
+
+            tol = 1e-13 * cond * bnorm / lam[0]
+            low = np.linalg.cholesky(m)
+            y = np.linalg.eigh(herm_part(np.linalg.solve(
+                low, adjoint(np.linalg.solve(low, reb)))))[1]
+            vecs = np.linalg.solve(adjoint(low), y)
+            quotients = (np.einsum("ik,ij,jk->k", np.conj(vecs), reb, vecs)
+                         / np.einsum("ik,ij,jk->k", np.conj(vecs), m, vecs))
+            assert abs(np.min(quotients.real) - gamma) <= tol
+            ref = scipy_linalg.eigh(reb, m, eigvals_only=True)[0]
+            assert abs(ref - gamma) <= tol
 
 
 def test_empty_family_has_empty_grams(rng):
