@@ -21,6 +21,27 @@ the nested ``[re, im]`` lists that :func:`complex_to_json` would give,
 byte for byte, without building those lists: every distinct float is
 formatted once and the array's text is filled in one step.
 
+Reading a model (:func:`parse_model`, :func:`load_model`) never builds
+the nested lists of its numeric payloads: ``coefficients.C/b/d/c0``,
+``Q.matrix`` and the ``cell_values``/``cell_gradient`` of ``samples``
+functions.  The loader scans the bytes for the JSON strings, and the
+array that follows a key of one of these names is cut out of the text
+when it is a nested array of JSON numbers of the key's depth; ``json``
+parses the small document that is left.  When the model is built, each
+payload is checked against the shape that the grid declares (its
+brackets and commas must be exactly those of that shape, which is
+tested before anything of that size is allocated) and read by one numpy
+text read into the complex array, with the bits that ``json`` would
+give: an integer ``-0`` reads as ``0.0``, and an integer too large for
+a float is refused.  Tokens outside the JSON number grammar (``inf``,
+``NaN``, ``+1``, ``.5``, ``1.``, ``01``, ``1_0``, two numbers apart by
+blanks, ...) are never cut out, so they fail as JSON does.  Every refusal
+is a :class:`ParseError` (exit code 3) that names the array, or the JSON
+position in the file.  The loaded model keeps the arrays in its ``Q`` and
+``functions`` sub-documents, not lists.  In-memory documents given to
+:func:`doc_to_model` may hold nested lists wherever a file holds a
+payload.
+
 Structural problems (bad JSON, missing keys, wrong shapes) raise
 :class:`ParseError`; semantic problems (sector violations, bad grids)
 surface as :class:`ValidationError` subclasses from the model layer.
@@ -28,6 +49,8 @@ surface as :class:`ValidationError` subclasses from the model layer.
 
 import gc
 import json
+import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
@@ -152,6 +175,205 @@ def _number(doc, key, what):
     return float(_get(doc, key, (int, float), what))
 
 
+def _complex_field(doc, key, shape, what):
+    """The complex array of ``shape`` under ``doc[key]``: a payload cut
+    out of a model file, or nested lists of an in-memory document."""
+    value = _get(doc, key, (list, _Payload), what)
+    where = "%s.%s" % (what, key)
+    if isinstance(value, _Payload):
+        return value.read(shape, where)
+    arr = json_to_complex(value, len(shape), where)
+    if arr.shape != shape:
+        raise ParseError("%s: expected shape %s, got %s"
+                         % (where, shape, arr.shape))
+    return arr
+
+
+# ---------------------------------------------------------------------------
+# payload reader
+
+#: Keys whose value is cut out of a model text as a numeric payload, with
+#: the depth of its nested lists (the ``[re, im]`` level included).
+PAYLOAD_DEPTHS = {b"C": 4, b"b": 3, b"d": 3, b"c0": 2, b"matrix": 4,
+                  b"cell_values": 2, b"cell_gradient": 3}
+
+_BLANK = rb"[ \t\n\r]*+"
+#: A JSON string, and the colon after it when it is a key.
+_STRING = re.compile(rb'"((?:[^"\\]++|\\.)*+)"(' + _BLANK + rb":" + _BLANK
+                     + rb")?+", re.DOTALL)
+_NUMBER = rb"-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][-+]?+[0-9]++)?+"
+
+
+def _nested_numbers(depth):
+    """Pattern of the non-empty JSON arrays nested ``depth`` deep whose
+    innermost arrays are pairs of JSON numbers: the arrays
+    :func:`json_to_complex` may accept.  The quantifiers are possessive, so
+    one match keeps no backtracking state however long the array is."""
+    item = (rb"\[" + _BLANK + _NUMBER + _BLANK + rb"," + _BLANK + _NUMBER
+            + _BLANK + rb"\]")
+    for _ in range(depth - 1):
+        item = (rb"\[" + _BLANK + item + rb"(?:" + _BLANK + rb"," + _BLANK
+                + item + rb")*+" + _BLANK + rb"\]")
+    return item
+
+
+#: Compiled on first use (``re`` caches them): compiling all three takes
+#: about 6 ms, which a process that loads no model should not pay.
+_NESTED = {depth: _nested_numbers(depth)
+           for depth in set(PAYLOAD_DEPTHS.values())}
+_NOT_STRUCTURE = b"0123456789.eE+- \t\n\r"
+_BRACKETS_TO_BLANKS = bytes.maketrans(b"[]", b"  ")
+_TOKEN = re.compile(rb"[^, \t\n\r]++")
+#: An integer ``-0``, or (harmlessly) an exponent ``e-0``.
+_MINUS_ZERO = re.compile(rb"-0(?![.eE0-9])")
+
+
+def _skeleton(shape):
+    """The brackets and commas of a nested array of ``shape``."""
+    text = b""
+    for size in reversed(shape):
+        text = b"[" + (text + b",") * (size - 1) + text + b"]"
+    return text
+
+
+def _skeleton_length(shape):
+    length = 0
+    for size in reversed(shape):
+        length = 2 + size * length + size - 1
+    return length
+
+
+class _Payload:
+    """A numeric array left as text by :func:`_loads_model`.
+
+    ``text[start:end]`` is a nested array of JSON numbers.  ``slot`` is the
+    ``(object, key)`` that holds the payload in the parsed document (``None``
+    when a later duplicate key replaced it); a read puts the array there in
+    its place.
+    """
+
+    __slots__ = ("text", "start", "end", "slot")
+
+    def __init__(self, text, start, end):
+        self.text, self.start, self.end = text, start, end
+        self.slot = None
+
+    def read(self, shape, what):
+        """The complex array of ``shape``; the brackets and commas must be
+        those of ``shape + (2,)``, checked before any number is read."""
+        full = shape + (2,)
+        found = self.text[self.start:self.end].translate(None, _NOT_STRUCTURE)
+        if len(found) != _skeleton_length(full) or found != _skeleton(full):
+            raise ParseError("%s: expected an array of shape %s of [re, im] "
+                             "pairs" % (what, shape))
+        numbers = self.text[self.start:self.end].translate(_BRACKETS_TO_BLANKS)
+        flat = np.fromstring(numbers, dtype=float, count=2 * math.prod(shape),
+                             sep=",")
+        if _MINUS_ZERO.search(numbers) or not np.isfinite(flat).all():
+            _read_integers(numbers, flat, what)
+        arr = flat.view(complex).reshape(shape)
+        node, key = self.slot
+        node[key] = arr
+        return arr
+
+    def settle(self):
+        """Leave the payload's slot without a reference to the text: a
+        payload that no reader took becomes the lists ``json`` gives."""
+        if self.slot is not None and self.slot[0][self.slot[1]] is self:
+            node, key = self.slot
+            node[key] = json.loads(self.text[self.start:self.end])
+
+
+def _read_integers(numbers, flat, what):
+    """Give each integer token of ``numbers`` the value ``json`` reads:
+    ``-0`` is ``0.0``, and an integer too large for a float is refused."""
+    for i, token in enumerate(_TOKEN.findall(numbers)):
+        if token.lstrip(b"-").isdigit():
+            try:
+                flat[i] = float(int(token))
+            except (OverflowError, ValueError) as exc:
+                raise ParseError("%s: %s" % (what, exc)) from None
+
+
+def _loads_model(text):
+    """Parse model ``text`` (bytes) with its payloads cut out.
+
+    Returns the document, in which each cut payload is a :class:`_Payload`,
+    and the list of payloads.  The cut spans are valid JSON values, and
+    each is replaced by a string no string of the text can equal (a run of
+    NUL characters longer than any in the text, then the payload's index),
+    so the text is valid JSON exactly when what is left is.
+    """
+    k = 1
+    # the search for the escape is slow over digits; a backslash is fast
+    if b"\\" in text:
+        while b"\\u0000" * k in text:
+            k *= 2
+    pieces, payloads, shifts = [], [], []
+    pos = done = skeleton_len = 0
+    while True:
+        string = _STRING.search(text, pos)
+        if string is None:
+            break
+        pos = string.end()
+        if string.group(2) is None:
+            continue
+        key = string.group(1)
+        if b"\\" in key:
+            try:
+                key = json.loads(b'"%s"' % key).encode("utf-8")
+            except ValueError:
+                continue
+        depth = PAYLOAD_DEPTHS.get(key)
+        array = depth and re.compile(_NESTED[depth]).match(text, pos)
+        if not array:
+            continue
+        marker = b'"%s%d"' % (b"\\u0000" * k, len(payloads))
+        pieces += (text[done:array.start()], marker)
+        skeleton_len += array.start() - done + len(marker)
+        shifts.append((skeleton_len, array.end() - skeleton_len))
+        payloads.append(_Payload(text, array.start(), array.end()))
+        pos = done = array.end()
+    pieces.append(text[done:])
+
+    def source_offset(at):
+        """Offset in ``text`` of byte ``at`` of the text that was parsed."""
+        shift = 0
+        for end, after in shifts:
+            if end > at:
+                break
+            shift = after
+        return at + shift
+
+    prefix = "\0" * k
+
+    def take_payloads(pairs):
+        obj = dict(pairs)
+        for key, value in obj.items():
+            if type(value) is str and value.startswith(prefix):
+                payload = payloads[int(value[k:])]
+                payload.slot = obj, key
+                obj[key] = payload
+        return obj
+
+    skeleton = b"".join(pieces)
+    try:
+        doc = json.loads(skeleton.decode("utf-8"),
+                         parse_constant=_reject_constant,
+                         object_pairs_hook=take_payloads)
+    except UnicodeDecodeError as exc:
+        raise ParseError("model text is not UTF-8 at byte %d"
+                         % source_offset(exc.start)) from None
+    except json.JSONDecodeError as exc:
+        at = source_offset(len(exc.doc[:exc.pos].encode("utf-8")))
+        head = text[:at].decode("utf-8")
+        raise ParseError("invalid JSON: %s" % json.JSONDecodeError(
+            exc.msg, head, len(head))) from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError("invalid JSON: %s" % exc) from None
+    return doc, payloads
+
+
 # ---------------------------------------------------------------------------
 # canonical serialization
 
@@ -239,8 +461,8 @@ def _reject_constant(token):
 def _gc_paused():
     """Pause the cyclic garbage collector.  A parsed document is made of
     acyclic lists and dicts, hundreds of thousands of them for a large
-    model, and the collector's passes over them, while it is built and
-    while it is read, would double the load time."""
+    report, and the collector's passes over them while it is built would
+    double the parse time."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -259,13 +481,16 @@ def loads_doc(text):
             raise ParseError("invalid JSON: %s" % exc) from None
 
 
-def load_doc(path):
+def _read_file(path):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            return handle.read()
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from None
-    return loads_doc(text)
+
+
+def load_doc(path):
+    return loads_doc(_read_file(path).decode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +538,8 @@ def expand_q_spec(spec, grid):
     if not isinstance(spec, dict):
         raise ParseError("Q: expected an object")
     if "matrix" in spec:
-        q = json_to_complex(spec["matrix"], 3, "Q.matrix")
-        if q.shape != (grid.n_cells, grid.dim, grid.dim):
-            raise ParseError("Q.matrix: expected shape %s, got %s"
-                             % ((grid.n_cells, grid.dim, grid.dim), q.shape))
-        return q
+        return _complex_field(spec, "matrix",
+                              (grid.n_cells, grid.dim, grid.dim), "Q")
     if "set" in spec:
         if grid.dim != 1:
             raise ParseError("Q indicator shorthand requires a 1-D grid")
@@ -343,14 +565,9 @@ def expand_function_spec(spec, grid):
     name = _get(spec, "name", str, "function")
     where = "function '%s'" % name
     if kind == "samples":
-        values = json_to_complex(_get(spec, "cell_values", list, where),
-                                 1, where + ".cell_values")
-        grads = json_to_complex(_get(spec, "cell_gradient", list, where),
-                                2, where + ".cell_gradient")
-        if values.shape != (grid.n_cells,):
-            raise ParseError(where + ": cell_values length mismatch")
-        if grads.shape != (grid.n_cells, grid.dim):
-            raise ParseError(where + ": cell_gradient shape mismatch")
+        values = _complex_field(spec, "cell_values", (grid.n_cells,), where)
+        grads = _complex_field(spec, "cell_gradient",
+                               (grid.n_cells, grid.dim), where)
         return name, TestFunction(grid=grid, cell_values=values,
                                   cell_gradient=grads)
     if kind == "plateau":
@@ -388,7 +605,12 @@ def expand_function_spec(spec, grid):
 
 @dataclass
 class LoadedModel:
-    """A parsed, validated, fully expanded model file."""
+    """A parsed, validated, fully expanded model file.
+
+    ``q_spec`` and ``func_specs`` are the file's ``Q`` and ``functions``
+    sub-documents, for :func:`model_to_doc`; a payload read from a file is
+    held there as the array that the model uses.
+    """
 
     grid: GridSpec
     coeffs: CoefficientSet
@@ -405,21 +627,10 @@ def doc_to_model(doc, validate=True):
     grid = doc_to_grid(_get(doc, "grid", dict, "model"))
     coef = _get(doc, "coefficients", dict, "model")
     n, d = grid.n_cells, grid.dim
-    c_field = json_to_complex(_get(coef, "C", list, "coefficients"), 3,
-                              "coefficients.C")
-    b_field = json_to_complex(_get(coef, "b", list, "coefficients"), 2,
-                              "coefficients.b")
-    d_field = json_to_complex(_get(coef, "d", list, "coefficients"), 2,
-                              "coefficients.d")
-    c0_field = json_to_complex(_get(coef, "c0", list, "coefficients"), 1,
-                               "coefficients.c0")
-    for name, arr, shape in (("C", c_field, (n, d, d)),
-                             ("b", b_field, (n, d)),
-                             ("d", d_field, (n, d)),
-                             ("c0", c0_field, (n,))):
-        if arr.shape != shape:
-            raise ParseError("coefficients.%s: expected shape %s, got %s"
-                             % (name, shape, arr.shape))
+    c_field = _complex_field(coef, "C", (n, d, d), "coefficients")
+    b_field = _complex_field(coef, "b", (n, d), "coefficients")
+    d_field = _complex_field(coef, "d", (n, d), "coefficients")
+    c0_field = _complex_field(coef, "c0", (n,), "coefficients")
     theta = _number(doc, "theta", "model")
     k_bound = _number(doc, "K_bound", "model")
     coeffs = CoefficientSet(grid=grid, C_field=c_field, b_field=b_field,
@@ -441,15 +652,18 @@ def doc_to_model(doc, validate=True):
 
 
 def parse_model(text):
-    # the document is dropped when doc_to_model returns, before the
-    # collector resumes
-    with _gc_paused():
-        return doc_to_model(loads_doc(text))
+    """The model in ``text`` (bytes, or str encoded as UTF-8)."""
+    if isinstance(text, str):
+        text = text.encode("utf-8", "surrogatepass")
+    doc, payloads = _loads_model(text)
+    model = doc_to_model(doc)
+    for payload in payloads:
+        payload.settle()
+    return model
 
 
 def load_model(path):
-    with _gc_paused():
-        return doc_to_model(load_doc(path))
+    return parse_model(_read_file(path))
 
 
 def make_model_doc(coeffs, q_spec, func_specs):

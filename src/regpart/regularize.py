@@ -132,8 +132,10 @@ def build_singular_structure(q_field, derived):
 
     cells = _support(q)
     qs = q[cells]
-    res_h, res_i = projection_residuals(qs)
-    bad = (res_h > STRUCTURE_TOL) | (res_i > STRUCTURE_TOL)
+    # an infinite entry gives NaN residuals, which count as bad
+    with np.errstate(invalid="ignore"):
+        res_h, res_i = projection_residuals(qs)
+    bad = ~((res_h <= STRUCTURE_TOL) & (res_i <= STRUCTURE_TOL))
     if np.any(bad):
         k = int(np.argmax(np.maximum(res_h, res_i)))
         cell = int(cells[k])

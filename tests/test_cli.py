@@ -6,13 +6,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from regpart.cli import main
-from regpart.modelio import (LoadedModel, dumps_canonical, load_doc,
-                             q_indicator_spec, q_matrix_spec, write_doc)
+from regpart.modelio import (LoadedModel, complex_to_json, dumps_canonical,
+                             load_doc, make_model_doc, q_indicator_spec,
+                             q_matrix_spec, write_doc)
 from regpart.pipeline import (IDENTITY_TOL, ORACLE_RTOL, cantor_model_doc,
                               compute_report, oracle_crosscheck, run_probe)
 from regpart.randomized import random_oracle_case
@@ -301,10 +303,156 @@ def test_mutated_model_exits_0_2_or_3(tmp_path):
     assert {k: c for k, c in exact.items() if c[0] != c[1]} == {}
 
 
+#: A number no model below holds, written into an array entry and then
+#: replaced by the text under test.
+SENTINEL = 123.456789012345
+
+
+def _spliced(doc, where, spelling):
+    """Canonical text of ``doc`` with the entry at ``where`` written as
+    ``spelling``."""
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = SENTINEL
+    text = dumps_canonical(doc)
+    assert text.count(repr(SENTINEL)) == 1
+    return text.replace(repr(SENTINEL), spelling)
+
+
+def _small_2d_doc():
+    """A 30-cell 2-D oracle case with ``samples`` functions; ``Q`` is 0 in
+    cell 0."""
+    case = random_oracle_case(np.random.default_rng(5), dim=2,
+                              commuting=True)
+    specs = [{"name": "f%d" % k, "kind": "samples",
+              "cell_values": complex_to_json(f.cell_values),
+              "cell_gradient": complex_to_json(f.cell_gradient)}
+             for k, f in enumerate(case.funcs)]
+    doc = make_model_doc(case.coeffs, q_matrix_spec(case.q_field), specs)
+    assert not np.any(case.q_field[0])
+    return doc
+
+
+#: Where a spelling goes: the real part of ``coefficients.c0[3]`` of the
+#: stage-2 Cantor model, the imaginary part of ``Q[0][1][1]`` (a cell where
+#: ``Q = 0``) and the real part of one ``cell_values`` entry of the 2-D model.
+SPLICE_SITES = {
+    "c0": (lambda: cantor_model_doc(2), ("coefficients", "c0", 3, 0)),
+    "Q": (_small_2d_doc, ("Q", "matrix", 0, 1, 1, 1)),
+    "samples": (_small_2d_doc, ("functions", 0, "cell_values", 0, 0)),
+}
+
+#: Spellings of one number and the exit code of ``compute`` at each site.
+#: JSON numbers are read as ``json`` reads them: ``-0`` and ``7`` are
+#: integers, ``1e400`` is a float literal that reads as ``inf`` (refused by
+#: validation), and an integer no float holds is a parse error.  Anything
+#: outside the JSON number grammar is a parse error.  On ``Q``, every value
+#: but zero breaks the projection; on ``samples``, ``1e5`` breaks the Gram
+#: conditioning.
+SPELLINGS = (
+    ("1E5", 0, 2, 2), ("1e+05", 0, 2, 2), ("0.5e-3", 0, 2, 0),
+    ("-0", 0, 0, 0), ("7", 0, 2, 0), (" 2.0 ", 0, 2, 0), ("2.0\n", 0, 2, 0),
+    ("-0.0", 0, 0, 0), ("1e400", 2, None, 2), ("1" + "0" * 400, 3, 3, 3),
+    ("1.", 3, 3, 3), (".5", 3, 3, 3), ("+1", 3, 3, 3), ("01", 3, 3, 3),
+    ("1e", 3, 3, 3), ("1_0", 3, 3, 3), ("inf", 3, 3, 3), ("NaN", 3, 3, 3),
+    ("0x1", 3, 3, 3), ("-", 3, 3, 3), ("1e5.0", 3, 3, 3), ("--1", 3, 3, 3),
+    ("1 2", 3, 3, 3), ("[1.0]", 3, 3, 3), ('"1.0"', 3, 3, 3),
+)
+
+
+@pytest.mark.parametrize("site, spelling, code", [
+    (site, row[0], row[1 + k]) for row in SPELLINGS
+    for k, site in enumerate(SPLICE_SITES) if row[1 + k] is not None])
+def test_number_spelling_exit_code(site, spelling, code, tmp_path):
+    """One array entry spelled as text: ``compute`` ends with the exact exit
+    code of the table."""
+    make_doc, where = SPLICE_SITES[site]
+    path = tmp_path / "m.json"
+    path.write_text(_spliced(make_doc(), where, spelling), encoding="utf-8")
+    assert _compute_code(path, tmp_path / "r.json") == code
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_infinite_q_entry_exits_2(tmp_path, capsys):
+    """A ``Q`` entry that reads as ``inf`` has NaN projection residuals,
+    and fails the projection check by cell."""
+    make_doc, where = SPLICE_SITES["Q"]
+    path = tmp_path / "m.json"
+    path.write_text(_spliced(make_doc(), where, "1e400"), encoding="utf-8")
+    assert main(["compute", "--model", str(path)]) == 2
+    assert "validation error: cell 0: Q is not an orthogonal projection" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("site", sorted(SPLICE_SITES))
+def test_integer_past_the_digit_limit_exits_3(site, tmp_path, capsys):
+    """An integer longer than Python converts (4300 digits) is a parse
+    error naming its array."""
+    make_doc, where = SPLICE_SITES[site]
+    path = tmp_path / "m.json"
+    path.write_text(_spliced(make_doc(), where, "1" * 5000),
+                    encoding="utf-8")
+    assert main(["compute", "--model", str(path)]) == 3
+    err = capsys.readouterr().err
+    name = {"c0": "coefficients.c0", "Q": "Q.matrix",
+            "samples": "function 'f0'.cell_values"}[site]
+    assert err.startswith("parse error: %s: " % name)
+
+
+def _reversed_keys(node):
+    if isinstance(node, dict):
+        return {k: _reversed_keys(node[k]) for k in sorted(node, reverse=True)}
+    if isinstance(node, list):
+        return [_reversed_keys(v) for v in node]
+    return node
+
+
+def test_layout_and_key_like_strings_load_as_canonical(tmp_path):
+    """Keys in reverse order, pretty-printed blanks, and function names that
+    spell a payload key and its array give the report of the canonical
+    file."""
+    doc = _small_2d_doc()
+    names = ['"C":[1]', '"cell_values": [[1.0, 0.0]]']
+    for spec, name in zip(doc["functions"], names):
+        spec["name"] = name
+    canonical, pretty = tmp_path / "canonical.json", tmp_path / "pretty.json"
+    write_doc(canonical, doc)
+    pretty.write_text(json.dumps(_reversed_keys(json.loads(
+        canonical.read_text(encoding="utf-8"))), indent=2) + "\n",
+        encoding="utf-8")
+    reports = []
+    for path in (canonical, pretty):
+        out = tmp_path / ("report-" + path.name)
+        assert _compute_code(path, out) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    pairs = json.loads(reports[0])["oracle_table"]
+    assert {name for row in pairs for name in row["pair"]} >= set(names)
+
+
+def test_oversized_header_refused_before_allocating(tmp_path):
+    """A grid header of a million cells over a 96-cell model is a parse
+    error, found before anything the size of the header is allocated."""
+    doc = cantor_model_doc(2)
+    assert doc["grid"]["cells_per_axis"] == [96]
+    doc["grid"]["cells_per_axis"] = [1000000]
+    path = tmp_path / "big.json"
+    write_doc(path, doc)
+    tracemalloc.start()
+    try:
+        code = _compute_code(path, tmp_path / "r.json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    # one complex value per cell would take 16 MB
+    assert peak < 2_000_000
+
+
 def test_compute_empty_function_list(tmp_path, rng):
     from regpart.randomized import (random_coefficients, random_grid,
                                     random_projection_field)
-    from regpart.modelio import make_model_doc
     coeffs = random_coefficients(rng, random_grid(rng, 1))
     q = random_projection_field(rng, 1, coeffs.n_cells)
     path = tmp_path / "nofuncs.json"

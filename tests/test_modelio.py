@@ -3,6 +3,7 @@
 import gc
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -384,3 +385,186 @@ def test_write_and_load_file(rng, tmp_path):
     assert path.read_text(encoding="utf-8") == text
     model = load_model(path)
     assert model.grid == coeffs.grid
+
+
+def test_loaded_model_keeps_arrays_not_lists(rng):
+    """The ``Q`` and ``functions`` sub-documents of a loaded model hold the
+    model's own arrays; a payload under a key no reader takes comes back as
+    the lists ``json`` gives, and the round trip stays byte-identical."""
+    doc, _, _ = model_doc(rng)
+    grid = doc_to_grid(doc["grid"])
+    vals = rng.standard_normal(grid.n_cells) + 0j
+    doc["functions"].append({
+        "name": "s", "kind": "samples", "cell_values": complex_to_json(vals),
+        "cell_gradient": complex_to_json(np.zeros((grid.n_cells, 1)))})
+    doc["functions"][0]["C"] = [[[1.0, 2.0]], [[3.0, 4.0, 5.0]]]
+    text = dumps_canonical(doc)
+    model = parse_model(text)
+    assert model.q_spec["matrix"] is model.q_field
+    assert model.func_specs[1]["cell_values"] is model.funcs["s"].cell_values
+    assert np.array_equal(model.funcs["s"].cell_values, vals)
+    assert model.func_specs[0]["C"] == doc["functions"][0]["C"]
+    assert dumps_canonical(model_to_doc(model)) == text
+
+
+# -- payload reader ---------------------------------------------------------
+
+
+#: A payload key for each complex rank.
+PAYLOAD_KEYS = {1: "c0", 2: "b", 3: "C"}
+
+#: Float formats a JSON writer may use, exact and rounded; an integral
+#: value may also be written as an integer.
+NUMBER_FORMATS = ("%r", "%.17e", "%.17E", "%.17g", "%.3g", "%.25e")
+
+PAYLOAD_FLOATS = EDGE_FLOATS + (1.0, -7.0, 2.0 ** 70, -(2.0 ** 70), 1e22,
+                                123456789.0, 1e-310)
+
+
+def _payload_text(arr, draw):
+    """JSON text of ``complex_to_json(arr)`` with each number written in a
+    format drawn from ``NUMBER_FORMATS`` (or as an integer) and blanks
+    drawn around every token."""
+    def blank():
+        return draw(st.text(" \t\n\r", max_size=2))
+
+    def number(x):
+        fmts = NUMBER_FORMATS + (("int",) if x == int(x)
+                                 and abs(x) < 1e300 else ())
+        fmt = draw(st.sampled_from(fmts))
+        return str(int(x)) if fmt == "int" else fmt % x
+
+    def text(node):
+        if isinstance(node, list):
+            return "[" + ",".join(blank() + text(v) + blank()
+                                  for v in node) + "]"
+        return number(node)
+    return text(complex_to_json(arr))
+
+
+def _read(text, key, shape, via_payloads):
+    """The array under ``key`` of the JSON object ``text``, read by the
+    model loader (its payload reader) or by ``json`` and
+    :func:`json_to_complex`; a refusal is ``"refused"``."""
+    from regpart import modelio
+    try:
+        if via_payloads:
+            doc, payloads = modelio._loads_model(text.encode("utf-8"))
+        else:
+            doc, payloads = loads_doc(text), []
+        arr = modelio._complex_field(doc, key, shape, "x")
+    except ParseError:
+        return "refused"
+    return arr, len(payloads)
+
+
+_payload_arrays = st.integers(1, 3).flatmap(
+    lambda rank: arrays(np.float64, st.tuples(*[st.integers(1, 3)] * rank)
+                        .map(lambda s: s + (2,)),
+                        elements=st.one_of(
+                            st.sampled_from(PAYLOAD_FLOATS),
+                            st.floats(allow_nan=False,
+                                      allow_infinity=False)))).map(
+    lambda a: a.view(complex)[..., 0])
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(_payload_arrays, st.data())
+def test_payload_reader_matches_json(arr, data):
+    """Any JSON spelling of an array, with any legal blanks, reads to the
+    bits that ``json`` and :func:`json_to_complex` give, through a payload
+    that was cut out of the text."""
+    key = PAYLOAD_KEYS[arr.ndim]
+    text = '{"%s":%s}' % (key, _payload_text(arr, data.draw))
+    fast, cut = _read(text, key, arr.shape, True)
+    slow, _ = _read(text, key, arr.shape, False)
+    assert cut == 1
+    assert fast.tobytes() == slow.tobytes()
+
+
+#: Insertions that keep a payload valid JSON but change its shape or read.
+FRAGMENTS = (",1", "1,", ",-0", "[1,2],", ",[[1,2]]", "1e400", "1" * 400)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_payload_arrays, st.data())
+def test_corrupted_payload_refused_as_json_refuses_it(arr, data):
+    """A payload text with a few characters or ``FRAGMENTS`` inserted,
+    deleted or replaced is refused by the loader exactly when ``json`` and
+    :func:`json_to_complex` refuse it, and otherwise reads to the same
+    bits."""
+    key = PAYLOAD_KEYS[arr.ndim]
+    text = '{"%s":%s}' % (key, _payload_text(arr, data.draw))
+    alphabet = '0123456789.eE+-[], \t\n"x'
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        new = data.draw(st.one_of(st.text(alphabet, max_size=2),
+                                  st.sampled_from(FRAGMENTS)))
+        cut = data.draw(st.integers(0, 2))
+        text = text[:at] + new + text[at + cut:]
+    fast = _read(text, key, arr.shape, True)
+    slow = _read(text, key, arr.shape, False)
+    if slow == "refused":
+        assert fast == "refused"
+    else:
+        assert fast != "refused" and fast[0].tobytes() == slow[0].tobytes()
+
+
+def test_escaped_key_is_a_payload():
+    """A payload key written with escapes is cut out like its plain
+    spelling."""
+    from regpart import modelio
+    doc, payloads = modelio._loads_model(b'{"\\u0063\\u0030": [[1.0, 2.0]]}')
+    assert len(payloads) == 1 and list(doc) == ["c0"]
+    assert modelio._complex_field(doc, "c0", (1,), "x")[0] == 1 + 2j
+
+
+def test_json_error_position_is_the_files(rng):
+    """A syntax error after cut payloads is reported at its position in the
+    file, as ``json`` reports it for the whole text."""
+    doc, _, _ = model_doc(rng)
+    text = dumps_canonical(doc)
+    at = text.index('"theta"')
+    bad = text[:at] + "?" + text[at:]
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(bad)
+    with pytest.raises(ParseError) as got:
+        parse_model(bad)
+    assert str(got.value) == "invalid JSON: %s" % want.value
+    assert "char %d" % at in str(got.value)
+
+
+@pytest.mark.parametrize("text", [b'{"a": "\xff"}', "{\"a\": \"\udc80\"}"])
+def test_model_text_not_utf8(text):
+    with pytest.raises(ParseError, match="UTF-8"):
+        parse_model(text)
+
+
+def test_load_memory_is_a_few_file_sizes(tmp_path):
+    """Loading a 64 x 64 random 2-D model, built as the benchmark's
+    ``field2d`` model is, peaks at no more than four times the file size,
+    and the loaded model keeps no more than one and a half times it."""
+    from regpart.model import derive_fields
+    from regpart.randomized import commuting_projection_field
+    rng = np.random.default_rng(1)
+    grid = GridSpec(dim=2, box=((0.0, 1.0), (0.0, 1.0)),
+                    cells_per_axis=(64, 64))
+    coeffs = random_coefficients(rng, grid)
+    q = commuting_projection_field(rng, derive_fields(coeffs))
+    q[np.any(np.abs(grid.cell_centers() - 0.5) >= 0.05, axis=1)] = 0.0
+    specs = [{"name": "bump%d" % k, "kind": "bump",
+              "center": [float(x) for x in c], "width": [0.3]}
+             for k, c in enumerate(rng.uniform(0.35, 0.65, size=(4, 2)))]
+    path = tmp_path / "field.json"
+    size = len(write_doc(path, make_model_doc(coeffs, q_matrix_spec(q),
+                                              specs)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        model = load_model(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.grid == grid
+    assert peak <= 4 * size
+    assert kept <= 1.5 * size
