@@ -16,8 +16,9 @@ import time
 
 import numpy as np
 
-from regpart import (assemble_regular, build_singular_structure,
-                     derive_fields, estimate_vertex_angle, eval_form,
+from regpart import (TestFunction, assemble_regular,
+                     build_singular_structure, derive_fields,
+                     estimate_vertex_angle, eval_form,
                      generate_cantor_example, svc_measure)
 
 
@@ -62,10 +63,10 @@ def main(stage=4):
     print("   a_s(u, u)    = %+.6f %+.6fi   (expected -|K|: negative!)"
           % (a_s.real, a_s.imag))
 
-    flist = list(funcs.values())
+    family = TestFunction.stack(coeffs.grid, funcs.values())
     for label, cs in (("full form a", coeffs),
                       ("singular part a_s", sing_set)):
-        p = estimate_vertex_angle(cs, flist)
+        p = estimate_vertex_angle(cs, family)
         tan = np.tan(p.theta)
         print("vertex of %-17s gamma = %+.3e, tan(theta) = %s"
               % (label, p.gamma,

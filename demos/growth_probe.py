@@ -26,7 +26,8 @@ LAMBDAS = (5.0, 10.0, 20.0, 40.0, 80.0)
 def probe_model(label, coeffs, q_field, xi):
     derived = derive_fields(coeffs)
     tau = TestFunction.bump(coeffs.grid, [0.5, 0.5], [0.4, 0.4])
-    vs = build_v_subspace(coeffs, derived, q_field, [tau])
+    vs = build_v_subspace(coeffs, derived, q_field,
+                          TestFunction.stack(coeffs.grid, [tau]))
     report = t_pi2_probe(vs, compute_operators(vs), tau, xi, LAMBDAS)
     print("== %s ==" % label)
     print("   lambda      ||T pi2 tau_lambda||^2 / lambda^2-fit input")
@@ -58,8 +59,9 @@ probe_model("control with Q = I (commutes with everything)", coeffs, q_id,
 
 print("verdicts from the equivalence checker on the coupled model:")
 structure = build_singular_structure(q_field, derived)
-funcs = [TestFunction.bump(grid, [0.5, 0.5], [0.4, 0.4]),
-         TestFunction.bump(grid, [0.3, 0.6], [0.25, 0.3])]
+funcs = TestFunction.stack(grid, [
+    TestFunction.bump(grid, [0.5, 0.5], [0.4, 0.4]),
+    TestFunction.bump(grid, [0.3, 0.6], [0.25, 0.3])])
 reg = assemble_regular(coeffs, derived, structure)
 vs = build_v_subspace(coeffs, derived, q_field, funcs)
 formula = eval_form(reg.regular_set(coeffs.theta, coeffs.K_bound), funcs,

@@ -9,7 +9,7 @@ import argparse
 import math
 import sys
 
-from .diagnostics import PROBE_LAMBDAS
+from .diagnostics import MAX_CANTOR_STAGE, PROBE_LAMBDAS
 from .errors import ParseError, ValidationError
 from .modelio import dumps_canonical, load_model, write_doc
 from .pipeline import (cantor_model_doc, compute_report, run_probe,
@@ -31,8 +31,9 @@ def _parse_lambda_list(text):
         if not math.isfinite(value):
             raise ValidationError("probe frequency %r: --lambda-list entry "
                                   "%r is not finite" % (value, part))
-    if len(values) < 2:
-        raise ValidationError("--lambda-list needs at least two values")
+    if len({abs(value) for value in values}) < 2:
+        raise ValidationError("--lambda-list %r: a slope in lambda^2 needs "
+                              "two distinct values of lambda^2" % text)
     return values
 
 
@@ -77,7 +78,8 @@ def build_parser():
     example.add_argument("name", nargs="?", default="cantor",
                          help="example family (only 'cantor')")
     example.add_argument("--stage", type=int, default=5,
-                         help="construction stage (0..12)")
+                         help="construction stage (0..%d)"
+                         % MAX_CANTOR_STAGE)
     example.add_argument("--out", required=True, help="model file path")
 
     probe = sub.add_parser(
@@ -93,7 +95,11 @@ def build_parser():
 
 def _emit(doc, out_path):
     if out_path:
-        write_doc(out_path, doc)
+        try:
+            write_doc(out_path, doc)
+        except OSError as exc:
+            raise ValidationError("--out %s: %s" % (out_path, exc.strerror)) \
+                from None
         print("wrote %s" % out_path)
     else:
         sys.stdout.write(dumps_canonical(doc))
@@ -107,6 +113,8 @@ def _dispatch(args):
         _emit(report, args.out)
         return 0
     if args.command == "verify":
+        if args.seed < 0:
+            raise ValidationError("--seed must be >= 0, got %d" % args.seed)
         summary = run_verification(seed=args.seed, trials=args.trials,
                                    dims=_parse_dims(args.dims))
         return summary["code"]

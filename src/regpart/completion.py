@@ -62,9 +62,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateBasis, KernelMismatch, ProjectionInvalid
-from .grid import TestFunction
-from .model import _stack, form_gram
+from .errors import (DegenerateBasis, GridMismatch, KernelMismatch,
+                     ProjectionInvalid)
+from .model import form_gram
 from .pointwise import adjoint, herm_part, imag_part
 from .regularize import _support
 
@@ -254,12 +254,14 @@ class VSubspace:
 
 
 def phi_vector(derived, funcs):
-    """``Phi(u) = (u, A^{1/2} grad u)`` as an H'-pair of per-cell arrays,
-    for one test function or, stacked along a leading axis, for each
-    function of a sequence (which may be empty)."""
-    u, g = _stack(derived.grid, funcs)
-    w = np.einsum("nkl,jnl->jnk", derived.Asqrt_field, g)
-    return (u[0], w[0]) if isinstance(funcs, TestFunction) else (u, w)
+    """``Phi(u) = (u, A^{1/2} grad u)`` as an H'-pair of per-cell arrays
+    with the batch axes of ``funcs``, one function or a family; the ``H``
+    part is the family's own ``cell_values``."""
+    if funcs.grid != derived.grid:
+        raise GridMismatch("test functions must live on the model's grid")
+    w = np.einsum("nkl,...nl->...nk", derived.Asqrt_field,
+                  funcs.cell_gradient)
+    return funcs.cell_values, w
 
 
 def _singular_basis(q_field):
@@ -323,8 +325,10 @@ def _singular_rows(derived, sc, sv, u, w):
 
 
 def build_v_subspace(coeffs, derived, q_field, funcs):
-    """Assemble the V-basis and the blocks of its two Gram matrices, with
-    the ambient product's vertex shift from :func:`build_ambient`.
+    """Assemble the V-basis on the one-axis family ``funcs`` and the blocks
+    of its two Gram matrices, with the ambient product's vertex shift from
+    :func:`build_ambient`.  ``VSubspace.func_values`` is the family's own
+    ``cell_values``.
 
     Raises
     ------
@@ -546,31 +550,32 @@ def t_pi2_probe(vs, ops, tau, xi, lambdas):
     isolates in the large-``lambda`` limit.  A zero slope within tolerance
     is the signature of the commuting (sectorial-singular-part) case.
 
-    Raises :class:`DegenerateBasis` naming the first ``lambda`` whose ratio
-    or square is not finite.
+    Fewer than two distinct ``lambda**2`` cannot fix a slope, so such a
+    list is skipped.  Raises :class:`DegenerateBasis` naming the first
+    ``lambda`` whose ratio or square is not finite.
     """
     norm_sq = tau.norm_sq()
     lambdas = tuple(float(l) for l in lambdas)
+    lam = np.asarray(lambdas)
     vec = np.einsum("nkl,l->nk", _qz_iq_asqrt(vs),
                     np.asarray(xi, dtype=float).reshape(vs.derived.dim))
     reference = vs.coeffs.grid.cell_volume * float(np.sum(
         np.abs(tau.cell_values) ** 2 * np.sum(np.abs(vec) ** 2, axis=-1)))
-    if norm_sq <= 0.0 or vs.n_singular == 0 or len(lambdas) < 2:
+    skipped = norm_sq <= 0.0 or len(set(np.abs(lam).tolist())) < 2
+    if skipped or vs.n_singular == 0:
         return ProbeReport(lambdas=lambdas, ratios=(), slope=0.0,
                            intercept=0.0, reference=reference,
-                           rel_error=float("nan"),
-                           skipped=norm_sq <= 0.0 or len(lambdas) < 2)
+                           rel_error=float("nan"), skipped=skipped)
 
     # an overflowing wave leaves non-finite ratios for the check below
     with np.errstate(over="ignore", invalid="ignore"):
-        u, w = phi_vector(vs.derived, [tau.modulated(lam, xi)
-                                       for lam in lambdas])
+        u, w = phi_vector(vs.derived, tau.modulated(lam, xi))
         tc = _kernel_coords(vs, ops.t11_cells, *_singular_rows(
             vs.derived, vs.singular_cells, vs.singular_vecs, u, w))[2]
         ratios = np.real(sum(
             np.einsum("gpl,gpq,gql->l", np.conj(tc[rows]), blk, tc[rows])
             for rows, blk in zip(vs.groups, vs.ambient_blocks.cc)))
-        lam_sq = np.asarray(lambdas) ** 2
+        lam_sq = lam ** 2
     bad = ~(np.isfinite(ratios) & np.isfinite(lam_sq))
     if np.any(bad):
         raise DegenerateBasis("probe frequency %r: ratio or lambda^2 is not "

@@ -28,7 +28,7 @@ import numpy as np
 from .completion import (ProbeReport, _qz_iq_asqrt, compute_operators,
                          oracle_regular_part, singular_field, t_pi2_probe)
 from .errors import ResolutionTooCoarse, ValidationError
-from .grid import GridSpec, TestFunction
+from .grid import MAX_CELLS, GridSpec, TestFunction
 from .model import CoefficientSet, eval_form, vertex_search
 from .pointwise import SectorParams, frobenius, herm_part, imag_part, pinv_sqrt
 from .regularize import (assemble_regular_commuting, commutator_norms,
@@ -61,6 +61,9 @@ PROBE_POSITIVE = 1e-8
 
 #: Default modulation frequencies for the growth probe.
 PROBE_LAMBDAS = (5.0, 10.0, 20.0, 40.0, 80.0)
+
+#: Largest worked-example stage whose ``6 * 4^stage`` cells fit in a grid.
+MAX_CANTOR_STAGE = max(n for n in range(32) if 6 * 4 ** n <= MAX_CELLS)
 
 
 @dataclass(frozen=True)
@@ -192,7 +195,8 @@ def check_equivalences(vs, ops, reg, s, funcs, formula, xi=None,
                        lambdas=PROBE_LAMBDAS):
     """Decide the five-way equivalence on one model and report residuals.
 
-    ``vs`` is the oracle's subspace built on the non-empty family ``funcs``,
+    ``vs`` is the oracle's subspace built on the non-empty family ``funcs``
+    (a :class:`~regpart.grid.TestFunction` with one leading axis),
     ``ops`` its operators, ``reg`` the assembled regular part, ``formula``
     its table ``eval_form(reg_set, funcs, funcs).value`` and ``s`` the
     singular structure; the coefficients, the derived fields and the form
@@ -204,7 +208,6 @@ def check_equivalences(vs, ops, reg, s, funcs, formula, xi=None,
     exactly the pure second-order companion's Gram (same ``C_s``).
     """
     coeffs, derived = vs.coeffs, vs.derived
-    funcs = list(funcs)
 
     reg_c = assemble_regular_commuting(coeffs, derived, s, tol=np.inf)
     field_gap = _relative_field_gap(reg, reg_c)
@@ -317,8 +320,9 @@ def generate_cantor_example(stage, include_c0=True):
     bumps, one of which lives entirely in the first removed gap.
     """
     stage = int(stage)
-    if stage > 12:
-        raise ValidationError("stage must be <= 12")
+    if not 0 <= stage <= MAX_CANTOR_STAGE:
+        raise ValidationError("stage must lie in 0..%d, got %d"
+                              % (MAX_CANTOR_STAGE, stage))
     grid = default_cantor_grid(stage)
     mask = cantor_mask(stage, grid)
     ind = mask.astype(complex)

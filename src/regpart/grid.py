@@ -6,17 +6,20 @@ test functions carry one complex value and one complex gradient per cell.
 Quadrature is the midpoint rule: every cell contributes
 ``cell_volume * integrand(center)``.
 
-Test functions come in two flavours:
+A :class:`TestFunction` is one function or a family of them along leading
+axes, and every kernel reads a family's arrays in place.  Its cell data
+comes either
 
-* built from node values (multilinear interpolation per cell determines the
-  cell average and the constant per-cell gradient exactly), or
-* built directly from per-cell values and gradients, for analytically known
+* from node values (multilinear interpolation per cell determines the
+  cell average and the constant per-cell gradient exactly; the node values
+  are not kept), or
+* directly from per-cell values and gradients, for analytically known
   profiles such as modulated waves where the gradient should not be squeezed
   through a difference quotient.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,12 +131,14 @@ def cell_data_from_nodes(grid, node_values):
 
 @dataclass
 class TestFunction:
-    """A piecewise test profile: one complex value and one complex gradient
-    per cell, vanishing near the box boundary.
+    """A piecewise test profile, or a family of them: one complex value and
+    one complex gradient per cell, vanishing near the box boundary.
 
-    ``cell_values`` has shape ``(n_cells,)`` and ``cell_gradient`` has shape
-    ``(n_cells, dim)``.  ``node_values`` is kept when the function was built
-    from nodes, otherwise ``None``.
+    ``cell_values`` has shape ``(*batch, n_cells)`` and ``cell_gradient``
+    has shape ``(*batch, n_cells, dim)``; an empty ``batch`` is one function.
+    ``len(f)`` and ``f[i]`` act on the leading batch axis, so iterating a
+    family yields its functions, each a view of the family's rows.  A
+    function built from node values does not keep them.
     """
 
     # not a test case, despite the name test runners like to match
@@ -142,18 +147,41 @@ class TestFunction:
     grid: GridSpec
     cell_values: np.ndarray
     cell_gradient: np.ndarray
-    node_values: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.cell_values = np.asarray(self.cell_values, dtype=complex)
         self.cell_gradient = np.asarray(self.cell_gradient, dtype=complex)
         n, d = self.grid.n_cells, self.grid.dim
-        if self.cell_values.shape != (n,):
-            raise GridMismatch("cell_values must have shape (%d,)" % n)
-        if self.cell_gradient.shape != (n, d):
-            raise GridMismatch("cell_gradient must have shape (%d, %d)" % (n, d))
+        if self.cell_values.shape[-1:] != (n,):
+            raise GridMismatch("cell_values must have shape (..., %d), got %r"
+                               % (n, self.cell_values.shape))
+        if self.cell_gradient.shape != self.cell_values.shape + (d,):
+            raise GridMismatch(
+                "cell_gradient must have shape %r, got %r"
+                % (self.cell_values.shape + (d,), self.cell_gradient.shape))
+
+    def __len__(self):
+        # a single function's values hold no batch axis, so len() raises
+        return len(self.cell_values[..., 0])
+
+    def __getitem__(self, i):
+        return TestFunction(grid=self.grid, cell_values=self.cell_values[i],
+                            cell_gradient=self.cell_gradient[i])
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def stack(cls, grid, funcs):
+        """The family ``(k, n_cells)`` of a sequence of ``k`` single
+        functions on ``grid``; an empty sequence gives ``k = 0``."""
+        funcs = list(funcs)
+        if any(f.grid != grid for f in funcs):
+            raise GridMismatch("test functions must live on the model's grid")
+        n, d = grid.n_cells, grid.dim
+        vals = np.array([f.cell_values for f in funcs], dtype=complex)
+        grads = np.array([f.cell_gradient for f in funcs], dtype=complex)
+        return cls(grid=grid, cell_values=vals.reshape(len(funcs), n),
+                   cell_gradient=grads.reshape(len(funcs), n, d))
 
     @classmethod
     def from_node_values(cls, grid, node_values, require_support=True):
@@ -184,15 +212,7 @@ class TestFunction:
                         "has magnitude %.3e)" % (ax, float(bound)))
 
         values, grads = cell_data_from_nodes(grid, node_values)
-        return cls(grid=grid, cell_values=values, cell_gradient=grads,
-                   node_values=node_values)
-
-    @classmethod
-    def zero(cls, grid):
-        return cls(grid=grid,
-                   cell_values=np.zeros(grid.n_cells, dtype=complex),
-                   cell_gradient=np.zeros((grid.n_cells, grid.dim),
-                                          dtype=complex))
+        return cls(grid=grid, cell_values=values, cell_gradient=grads)
 
     @classmethod
     def bump(cls, grid, center, width, amplitude=1.0):
@@ -243,34 +263,36 @@ class TestFunction:
         cell centers, with the analytically exact product-rule gradient
         ``exp(i lam x.xi) * (i lam xi u + grad u)``.
 
-        The modulation is applied to the stored piecewise data directly (no
+        ``lam`` is a number or an array, whose shape leads the batch shape
+        of the result: one call modulates by every frequency, each with the
+        operations of a call on that frequency alone.  The modulation is
+        applied to the stored piecewise data directly (no
         re-interpolation), so ``|values|`` and hence the plain quadrature
         norm are preserved for every ``lam``.
         """
         xi = np.asarray(xi, dtype=float)
         if xi.shape != (self.grid.dim,):
             raise GridMismatch("xi must have %d components" % self.grid.dim)
+        lam = np.asarray(lam, dtype=float)
+        lam = lam.reshape(lam.shape + (1,) * self.cell_values.ndim)
         # an overflowing wave is left non-finite for the V build to name
         with np.errstate(over="ignore", invalid="ignore"):
             phase = np.exp(1j * lam * (self.grid.cell_centers() @ xi))
             values = phase * self.cell_values
-            grad = phase[:, None] * (
-                self.cell_gradient + 1j * lam * np.outer(self.cell_values, xi))
+            grad = phase[..., None] * (
+                self.cell_gradient
+                + 1j * lam[..., None] * (self.cell_values[..., None] * xi))
         return TestFunction(grid=self.grid, cell_values=values,
                             cell_gradient=grad)
 
     def scaled(self, factor):
         return TestFunction(grid=self.grid,
                             cell_values=factor * self.cell_values,
-                            cell_gradient=factor * self.cell_gradient,
-                            node_values=None)
+                            cell_gradient=factor * self.cell_gradient)
 
     # -- quadrature --------------------------------------------------------
 
     def norm_sq(self):
-        """Squared midpoint-rule L2 norm of the cell values."""
-        return float(self.grid.cell_volume
-                     * np.sum(np.abs(self.cell_values) ** 2))
-
-    def norm(self):
-        return float(np.sqrt(self.norm_sq()))
+        """Squared midpoint-rule L2 norm of the cell values, per function."""
+        return self.grid.cell_volume * np.sum(np.abs(self.cell_values) ** 2,
+                                              axis=-1)

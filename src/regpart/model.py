@@ -20,7 +20,8 @@ first-order fields contract bilinearly against their own slot's gradient.
 precisely because the model passes its sector and domination validation.
 
 ``eval_form`` evaluates the form on two test functions or two function
-families; ``vertex_search`` reads the Gram pair ``(B, M)`` of ``form_gram``.
+families (:class:`~regpart.grid.TestFunction` either way);
+``vertex_search`` reads the Gram pair ``(B, M)`` of ``form_gram``.
 """
 
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import (DegenerateBasis, DominationViolation, GridMismatch,
                      SectorViolation, ValidationError)
-from .grid import GridSpec, TestFunction
+from .grid import GridSpec
 from .pointwise import (PSD_TOL, SectorParams, adjoint, frobenius,
                         herm_part, imag_part, pencil_tangent, psd_roots,
                         sector_pencils)
@@ -284,54 +285,43 @@ class FormValue:
                 self.first_order_d, self.zeroth_order)
 
 
-def _stack(grid, funcs):
-    """Cell values ``(k, n)`` and gradients ``(k, n, d)`` of a function
-    family on ``grid``; one function is a family of one, and an empty
-    family has ``k = 0``."""
-    funcs = [funcs] if isinstance(funcs, TestFunction) else list(funcs)
-    if any(f.grid != grid for f in funcs):
-        raise GridMismatch("test functions must live on the model's grid")
-    vals = np.array([f.cell_values for f in funcs], dtype=complex)
-    grads = np.array([f.cell_gradient for f in funcs], dtype=complex)
-    return (vals.reshape(-1, grid.n_cells),
-            grads.reshape(-1, grid.n_cells, grid.dim))
-
-
 def eval_form(coeffs, u, v):
     """Evaluate the form by midpoint quadrature.
 
-    ``u`` and ``v`` are two test functions, or two sequences of them.  Two
-    functions give a :class:`FormValue` of complex scalars; two sequences
+    ``u`` and ``v`` are two test functions or two one-axis families.  Two
+    functions give a :class:`FormValue` of complex scalars; two families
     give one of ``(len(u), len(v))`` arrays with ``[i, j] = a(u_i, v_j)``.
     The conjugation sits on the ``v`` slot throughout, as described in the
-    module docstring.  When ``v is u`` the family is stacked once.
+    module docstring.  When ``v is u`` the family is conjugated once.
     """
-    single = isinstance(u, TestFunction) and isinstance(v, TestFunction)
-    vol = coeffs.grid.cell_volume
-    uc, gu = _stack(coeffs.grid, u)
-    vc, gv = map(np.conj, (uc, gu) if v is u else _stack(coeffs.grid, v))
+    if u.grid != coeffs.grid or v.grid != coeffs.grid:
+        raise GridMismatch("test functions must live on the model's grid")
+    vol, n, d = coeffs.grid.cell_volume, coeffs.n_cells, coeffs.dim
+    uc, gu = u.cell_values.reshape(-1, n), u.cell_gradient.reshape(-1, n, d)
+    vc, gv = map(np.conj, (uc, gu) if v is u else (
+        v.cell_values.reshape(-1, n), v.cell_gradient.reshape(-1, n, d)))
 
     cgu = np.einsum("nkl,inl->ink", coeffs.C_field, gu)
-    nd = coeffs.n_cells * coeffs.dim
-    second = vol * (cgu.reshape(len(uc), nd) @ gv.reshape(len(vc), nd).T)
+    second = vol * (cgu.reshape(len(uc), n * d) @ gv.reshape(len(vc), n * d).T)
     first_b = vol * (np.einsum("nk,ink->in", coeffs.b_field, gu) @ vc.T)
     first_d = vol * (uc @ np.einsum("nk,jnk->jn", coeffs.d_field, gv).T)
     zeroth = vol * ((coeffs.c0_field * uc) @ vc.T)
-    parts = (second, first_b, first_d, zeroth)
-    if single:
-        parts = tuple(complex(p[0, 0]) for p in parts)
-    return FormValue(*parts)
+    # a 0-d part read with [()] is a np.complex128, itself a complex
+    shape = u.cell_values.shape[:-1] + v.cell_values.shape[:-1]
+    return FormValue(*(p.reshape(shape)[()]
+                       for p in (second, first_b, first_d, zeroth)))
 
 
 def form_gram(coeffs, basis):
-    """Gram matrices of the form and the L2 inner product on a basis.
+    """Gram matrices of the form and the L2 inner product on a one-axis
+    family ``basis``.
 
     Returns ``(B, M)`` with ``B[i, j] = a(u_j, u_i)`` and
     ``M[i, j] = <u_j, u_i>``, so that coordinate vectors contract as
     ``a(u, u) = c* B c``.
     """
     bmat = eval_form(coeffs, basis, basis).value.T
-    vals, _ = _stack(coeffs.grid, basis)
+    vals = basis.cell_values
     return bmat, coeffs.grid.cell_volume * (np.conj(vals) @ vals.T)
 
 

@@ -18,6 +18,7 @@ from .diagnostics import (PROBE_LAMBDAS, check_equivalences,
                           generate_cantor_example, oracle_pairs,
                           svc_intervals)
 from .errors import ValidationError
+from .grid import TestFunction
 from .model import derive_fields
 from .modelio import (SCHEMA_VERSION, complex_pair, grid_to_doc,
                       make_model_doc, q_indicator_spec)
@@ -117,11 +118,11 @@ def _field_doc(c_field, b_field, d_field, c0_field):
 def _prelude(coeffs, q_field, funcs):
     """Build each artifact of the split and its cross-check once: returns
     ``(derived, structure, reg, vs, ops)``, with the oracle's V subspace on
-    ``funcs`` and its operators ``None`` when there are no functions."""
+    the family ``funcs`` and its operators ``None`` when it is empty."""
     derived = derive_fields(coeffs)
     structure = build_singular_structure(q_field, derived)
     reg = assemble_regular(coeffs, derived, structure)
-    if not funcs:
+    if not len(funcs):
         return derived, structure, reg, None, None
     vs = build_v_subspace(coeffs, derived, q_field, funcs)
     return derived, structure, reg, vs, compute_operators(vs)
@@ -131,7 +132,7 @@ def compute_report(model, lambdas=PROBE_LAMBDAS, seed=0):
     """Full pipeline on one loaded model; returns the report document."""
     coeffs = model.coeffs
     names = list(model.funcs.keys())
-    funcs = list(model.funcs.values())
+    funcs = TestFunction.stack(coeffs.grid, model.funcs.values())
     derived, structure, reg, vs, ops = _prelude(coeffs, model.q_field,
                                                 funcs)
     identity = identity_suite(structure, derived)
@@ -140,7 +141,7 @@ def compute_report(model, lambdas=PROBE_LAMBDAS, seed=0):
     oracle_table = []
     diag_doc = None
     vertex_doc = {"form": None, "singular": None, "pure_singular": None}
-    if funcs:
+    if names:
         formula, oracle = oracle_pairs(
             reg.regular_set(coeffs.theta, coeffs.K_bound), funcs, vs, ops)
         diag = check_equivalences(vs, ops, reg, structure, funcs, formula,
@@ -306,18 +307,16 @@ def run_probe(model, lambdas=PROBE_LAMBDAS):
     the all-ones direction; returns the probe document."""
     if not model.funcs:
         raise ValidationError("the probe needs at least one model function")
-    tau_name, tau = next(iter(model.funcs.items()))
     xi = np.ones(model.grid.dim) / np.sqrt(model.grid.dim)
     coeffs = model.coeffs
-    derived = derive_fields(coeffs)
-    vs = build_v_subspace(coeffs, derived, model.q_field,
-                          list(model.funcs.values()))
-    report = t_pi2_probe(vs, compute_operators(vs), tau, xi, lambdas)
+    funcs = TestFunction.stack(coeffs.grid, model.funcs.values())
+    vs = build_v_subspace(coeffs, derive_fields(coeffs), model.q_field, funcs)
+    report = t_pi2_probe(vs, compute_operators(vs), funcs[0], xi, lambdas)
     doc = _probe_doc(report)
     doc.update({
         "schema_version": SCHEMA_VERSION,
         "kind": "probe",
-        "tau": tau_name,
+        "tau": next(iter(model.funcs)),
         "xi": [float(x) for x in xi],
     })
     return doc

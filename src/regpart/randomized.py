@@ -153,7 +153,8 @@ def random_grid(rng, dim):
 
 
 def random_node_functions(rng, grid, count):
-    """Compactly supported functions from random complex node values."""
+    """A family of ``count`` compactly supported functions from random
+    complex node values."""
     vals = np.zeros((count,) + grid.node_shape, dtype=complex)
     interior = tuple(slice(1, -1) for _ in range(grid.dim))
     shape = tuple(s - 1 for s in grid.cells_per_axis)
@@ -161,9 +162,7 @@ def random_node_functions(rng, grid, count):
         node_values[interior] = (rng.standard_normal(shape)
                                  + 1j * rng.standard_normal(shape))
     values, grads = cell_data_from_nodes(grid, vals)
-    return [TestFunction(grid=grid, cell_values=v, cell_gradient=g,
-                         node_values=nv)
-            for v, g, nv in zip(values, grads, vals)]
+    return TestFunction(grid=grid, cell_values=values, cell_gradient=grads)
 
 
 @dataclass
@@ -172,7 +171,7 @@ class OracleCase:
 
     coeffs: CoefficientSet
     q_field: np.ndarray
-    funcs: list
+    funcs: TestFunction
     commuting: bool
     xi: np.ndarray
 
@@ -243,8 +242,10 @@ def random_oracle_case(rng, dim=None, commuting=None):
             if not flip:
                 # Real probe carrier supported inside the box; keeps the
                 # lambda-probe slope exactly the quadratured reference.
-                center = np.full(d, 0.5)
-                funcs[0] = TestFunction.bump(grid, center, np.full(d, 0.4))
+                bump = TestFunction.bump(grid, np.full(d, 0.5),
+                                         np.full(d, 0.4))
+                funcs.cell_values[0] = bump.cell_values
+                funcs.cell_gradient[0] = bump.cell_gradient
             build_v_subspace(coeffs, derived, q, funcs)
         except (DegenerateBasis, KernelMismatch):
             continue

@@ -69,7 +69,7 @@ def stage5_vs():
     global _STAGE5_VS
     if _STAGE5_VS is None:
         s5 = stage5()
-        funcs = list(s5["funcs"].values())
+        funcs = TestFunction.stack(s5["coeffs"].grid, s5["funcs"].values())
         vs = build_v_subspace(s5["coeffs"], s5["derived"], s5["q_field"],
                               funcs)
         _STAGE5_VS = {"vs": vs, "funcs": funcs,
@@ -150,7 +150,8 @@ def test_stage5_vertex_shift():
     target = -float(svc_measure(5))  # -33/64
     dev = abs(value - target)
 
-    params = estimate_vertex_angle(coeffs, list(s5["funcs"].values()))
+    params = estimate_vertex_angle(
+        coeffs, TestFunction.stack(coeffs.grid, s5["funcs"].values()))
     gamma_ok = -1e-6 <= params.gamma <= 1e-6
     tan_ok = np.tan(params.theta) <= 1.0 + 1e-6
     ok = dev <= 1e-12 and gamma_ok and tan_ok
@@ -245,7 +246,8 @@ def test_probe_slope_matches_quadrature():
     coeffs, q = generate_noncommuting_example(coupling=0.5)
     derived = derive_fields(coeffs)
     tau = TestFunction.bump(coeffs.grid, [0.5, 0.5], [0.4, 0.4])
-    vs = build_v_subspace(coeffs, derived, q, [tau])
+    vs = build_v_subspace(coeffs, derived, q,
+                          TestFunction.stack(coeffs.grid, [tau]))
     report = t_pi2_probe(vs, compute_operators(vs), tau, (0.0, 1.0),
                          (10.0, 20.0, 40.0, 80.0))
     # independent quadrature of the reference density

@@ -16,14 +16,13 @@ from regpart.completion import (build_v_subspace, compute_operators,
                                 t_pi2_probe)
 from regpart.diagnostics import PROBE_LAMBDAS, generate_cantor_example
 from regpart.errors import DegenerateBasis, KernelMismatch
-from regpart.grid import TestFunction
+from regpart.grid import TestFunction, cell_data_from_nodes
 from regpart.model import derive_fields
 from regpart.modelio import LoadedModel
 from regpart.pipeline import MULT_TOL, compute_report, \
     multiplication_residuals
 from regpart.randomized import (random_coefficients, random_grid,
-                                random_node_functions, random_oracle_case,
-                                random_projection_field)
+                                random_oracle_case, random_projection_field)
 
 #: Agreement required between the cell-local and the dense algebra,
 #: relative to the largest entry of the dense result.
@@ -46,7 +45,7 @@ def reference_cases():
                case.funcs[0], case.xi)
     for stage in (3, 4):
         coeffs, q_field, funcs = generate_cantor_example(stage)
-        funcs = list(funcs.values())
+        funcs = TestFunction.stack(coeffs.grid, funcs.values())
         yield ("cantor%d" % stage, coeffs, q_field, funcs, funcs[0],
                np.ones(1))
 
@@ -80,6 +79,17 @@ def test_cell_local_matches_dense_reference(case):
     assert_allclose(ratios, ref, rtol=DENSE_RTOL, atol=0)
 
 
+def node_draws(rng, grid, count):
+    """``count`` node arrays vanishing on the boundary, drawn as
+    :func:`random_node_functions` draws them."""
+    nodes = np.zeros((count,) + grid.node_shape, dtype=complex)
+    shape = tuple(n - 1 for n in grid.cells_per_axis)
+    for node_values in nodes:
+        node_values[(slice(1, -1),) * grid.dim] = (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return nodes
+
+
 def gate_sweep():
     """Function families for the gate: random ones, families with a
     scaled duplicate, and near-dependent pairs ``f, f + eps g`` whose
@@ -88,18 +98,18 @@ def gate_sweep():
     for k in range(60):
         dim = 1 + k % 3
         coeffs = random_coefficients(rng, random_grid(rng, dim))
+        grid = coeffs.grid
         q = random_projection_field(rng, dim, coeffs.n_cells)
-        funcs = random_node_functions(rng, coeffs.grid,
-                                      int(rng.integers(2, 6)))
+        nodes = node_draws(rng, grid, int(rng.integers(2, 6)))
         kind = k % 3
-        if kind == 1:
-            funcs.append(funcs[0].scaled(float(rng.uniform(0.5, 3.0))))
-        elif kind == 2:
+        if kind == 2:
             eps = 10.0 ** -float(rng.uniform(1.0, 5.0))
-            extra = random_node_functions(rng, coeffs.grid, 1)[0]
-            funcs.append(TestFunction.from_node_values(
-                coeffs.grid, funcs[0].node_values
-                + eps * extra.node_values))
+            nodes = np.concatenate(
+                [nodes, nodes[:1] + eps * node_draws(rng, grid, 1)])
+        funcs = TestFunction(grid, *cell_data_from_nodes(grid, nodes))
+        if kind == 1:
+            funcs = TestFunction.stack(grid, [
+                *funcs, funcs[0].scaled(float(rng.uniform(0.5, 3.0)))])
         yield coeffs, q, funcs
 
 

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from regpart.cli import main
+from regpart.diagnostics import MAX_CANTOR_STAGE
+from regpart.grid import TestFunction
 from regpart.modelio import (LoadedModel, complex_to_json, dumps_canonical,
                              load_doc, make_model_doc, q_indicator_spec,
                              q_matrix_spec, write_doc)
@@ -479,11 +481,16 @@ def test_compute_empty_indicator_set(tmp_path):
 
 
 def test_lambda_list_argument_errors(cantor_file, capsys):
-    assert main(["compute", "--model", str(cantor_file),
-                 "--lambda-list", "abc"]) == 3
-    assert main(["compute", "--model", str(cantor_file),
-                 "--lambda-list", "5"]) == 2
-    capsys.readouterr()
+    """A list that is not numbers is a parse error; one with fewer than two
+    distinct ``lambda**2``, whose least-squares slope would be an arbitrary
+    split of one ratio, is refused and named."""
+    for command in ("compute", "probe"):
+        assert main([command, "--model", str(cantor_file),
+                     "--lambda-list", "abc"]) == 3
+        for lambdas in ("5", "3,3", "3,-3", "0,0"):
+            assert main([command, "--model", str(cantor_file),
+                         "--lambda-list", lambdas]) == 2
+            assert "--lambda-list '%s'" % lambdas in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["compute", "probe"])
@@ -516,6 +523,36 @@ def test_non_finite_lambda_list_named(command, lambdas, bad, tmp_path,
                  "--lambda-list=" + lambdas]) == 2
     err = capsys.readouterr().err
     assert "--lambda-list entry '%s' is not finite" % bad in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["verify", "--seed", "-1"], "--seed"),
+    (["compute", "--model", "{model}", "--out", "{missing}"], "{missing}"),
+    (["probe", "--model", "{model}", "--out", "{missing}"], "{missing}"),
+    (["example", "cantor", "--stage", "1", "--out", "{missing}"],
+     "{missing}"),
+    (["example", "cantor", "--stage", "-1", "--out", "{out}"], "stage"),
+    (["example", "cantor", "--stage", str(MAX_CANTOR_STAGE + 1), "--out",
+      "{out}"], "stage"),
+])
+def test_argument_errors_exit_2(argv, named, cantor_file, tmp_path, capsys):
+    """An out-of-range argument or an ``--out`` path that cannot be written
+    exits 2 with a message naming it, not with a traceback."""
+    paths = {"model": str(cantor_file), "out": str(tmp_path / "x.json"),
+             "missing": str(tmp_path / "no-such-dir" / "x.json")}
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ")
+    assert named.format(**paths) in err
+    assert "Traceback" not in err
+
+
+def test_stage_help_states_the_range(capsys):
+    """Stages past ``MAX_CANTOR_STAGE`` would exceed the grid's cell cap."""
+    assert MAX_CANTOR_STAGE == 10
+    with pytest.raises(SystemExit):
+        main(["example", "--help"])
+    assert "(0..10)" in capsys.readouterr().out
 
 
 def test_non_finite_array_leaf_exits_2(cantor_file, monkeypatch, capsys):
@@ -674,6 +711,8 @@ def calls(monkeypatch):
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted(name, original))
+    monkeypatch.setattr(TestFunction, "stack", classmethod(
+        counted("stack", TestFunction.stack.__func__)))
     return counts, callers
 
 
@@ -691,31 +730,34 @@ def test_compute_builds_each_artifact_once(cantor3, calls):
     pair table, which the oracle comparison and the real-part check share,
     and the singular part's Gram, whose second-order part is the pure
     companion's.  The three vertex searches read those Grams, so neither
-    ``estimate_vertex_angle`` nor ``pure_second_order_parts`` runs."""
+    ``estimate_vertex_angle`` nor ``pure_second_order_parts`` runs.  The
+    model's functions are stacked into one family once."""
     compute_report(_loaded(cantor3))
     counts, callers = calls
     assert counts == {"build_ambient": 1, "build_v_subspace": 1,
                       "compute_operators": 2, "derive_fields": 1,
-                      "eval_form": 3, "form_gram": 1,
+                      "eval_form": 3, "form_gram": 1, "stack": 1,
                       "assemble_regular": 1, "t_pi2_probe": 1}
     assert callers["form_gram"] == {"build_v_subspace"}
 
 
 def test_probe_builds_each_artifact_once(cantor3, calls):
-    """A probe derives, builds and solves once; its one form evaluation is
-    the V build's form Gram."""
+    """A probe stacks, derives, builds and solves once; its one form
+    evaluation is the V build's form Gram."""
     run_probe(_loaded(cantor3), lambdas=(5.0, 10.0))
     counts, callers = calls
     assert counts == {"build_ambient": 1, "build_v_subspace": 1,
                       "compute_operators": 1, "derive_fields": 1,
-                      "eval_form": 1, "form_gram": 1, "t_pi2_probe": 1}
+                      "eval_form": 1, "form_gram": 1, "stack": 1,
+                      "t_pi2_probe": 1}
     assert callers["form_gram"] == {"build_v_subspace"}
 
 
 def test_oracle_crosscheck_builds_each_artifact_once(calls):
     """One oracle cross-check of a drawn case: one split, one V build and
     one operator solve, and two form evaluations: the V build's form Gram
-    and the regular part's pair table."""
+    and the regular part's pair table.  The drawn family is used as it is,
+    with no stack."""
     counts, callers = calls
     case = random_oracle_case(np.random.default_rng(4))
     counts.clear()

@@ -281,7 +281,8 @@ def test_kernel_mismatch_detected(rng):
                       cell_gradient=f1.cell_gradient + 1.0)
     q = np.zeros((coeffs.n_cells, 1, 1), dtype=complex)
     with pytest.raises(KernelMismatch):
-        build_v_subspace(coeffs, derived, q, [f1, f2])
+        build_v_subspace(coeffs, derived, q,
+                         TestFunction.stack(coeffs.grid, [f1, f2]))
 
 
 def test_degenerate_basis_detected(rng):
@@ -289,14 +290,16 @@ def test_degenerate_basis_detected(rng):
     f = random_node_functions(rng, coeffs.grid, 1)[0]
     q = np.zeros((coeffs.n_cells, 1, 1), dtype=complex)
     with pytest.raises(DegenerateBasis):
-        build_v_subspace(coeffs, derived, q, [f, f.scaled(2.0)])
+        build_v_subspace(coeffs, derived, q, TestFunction.stack(
+            coeffs.grid, [f, f.scaled(2.0)]))
 
 
 def test_no_singular_directions(rng):
     coeffs, derived = constant_model(cells=8)
     f = random_node_functions(rng, coeffs.grid, 1)[0]
     q = np.zeros((coeffs.n_cells, 1, 1), dtype=complex)
-    vs = build_v_subspace(coeffs, derived, q, [f])
+    vs = build_v_subspace(coeffs, derived, q,
+                          TestFunction.stack(coeffs.grid, [f]))
     assert vs.dim == 1 and vs.n_singular == 0
     ops = compute_operators(vs)
     dense = dense_ops(vs, ops)
@@ -312,7 +315,8 @@ def test_empty_family_builds(cantor3):
     """With no functions V is the singular block alone: the ambient Gram
     is ``vol`` times the identity and its condition number is one."""
     coeffs, derived = cantor3["coeffs"], cantor3["derived"]
-    vs = build_v_subspace(coeffs, derived, cantor3["q_field"], [])
+    vs = build_v_subspace(coeffs, derived, cantor3["q_field"],
+                          TestFunction.stack(coeffs.grid, []))
     assert (vs.n_funcs, vs.dim) == (0, 72)
     assert vs.func_values.shape == (0, coeffs.n_cells)
     assert vs.cond == 1.0
@@ -326,8 +330,10 @@ def test_cantor_singular_count(cantor3):
     coeffs = cantor3["coeffs"]
     derived = cantor3["derived"]
     q_field = cantor3["q_field"]
-    funcs = list(cantor3["funcs"].values())
+    funcs = TestFunction.stack(coeffs.grid, cantor3["funcs"].values())
     vs = build_v_subspace(coeffs, derived, q_field, funcs)
+    # the V build reads the family in place
+    assert np.shares_memory(vs.func_values, funcs.cell_values)
     mask = np.nonzero(q_field[:, 0, 0].real > 0.5)[0]
     # stage-3 removed-interval endpoints fall on cell boundaries, so the
     # kept measure 9/16 over the unit interval counts cells exactly
@@ -343,7 +349,8 @@ def test_probe_constant_noncommuting_model():
     coeffs, q = generate_noncommuting_example(coupling=0.5)
     derived = derive_fields(coeffs)
     tau = TestFunction.bump(coeffs.grid, [0.5, 0.5], [0.4, 0.4])
-    vs = build_v_subspace(coeffs, derived, q, [tau])
+    vs = build_v_subspace(coeffs, derived, q,
+                          TestFunction.stack(coeffs.grid, [tau]))
     ops = compute_operators(vs)
     report = t_pi2_probe(vs, ops, tau, (0.0, 1.0), (5.0, 10.0, 20.0, 40.0))
     assert not report.skipped
@@ -364,7 +371,8 @@ def test_probe_commuting_is_flat():
     tau = TestFunction.bump(coeffs.grid, [0.5, 0.5], [0.4, 0.4])
     n = coeffs.n_cells
     q_full = np.broadcast_to(np.eye(2), (n, 2, 2)).astype(complex).copy()
-    vs = build_v_subspace(coeffs, derived, q_full, [tau])
+    vs = build_v_subspace(coeffs, derived, q_full,
+                          TestFunction.stack(coeffs.grid, [tau]))
     ops = compute_operators(vs)
     report = t_pi2_probe(vs, ops, tau, (0.0, 1.0), (5.0, 10.0, 20.0, 40.0))
     assert report.reference == 0.0
@@ -376,18 +384,21 @@ def test_probe_skip_semantics():
     coeffs, q = generate_noncommuting_example(coupling=0.5)
     derived = derive_fields(coeffs)
     tau = TestFunction.bump(coeffs.grid, [0.5, 0.5], [0.4, 0.4])
-    vs = build_v_subspace(coeffs, derived, q, [tau])
+    vs = build_v_subspace(coeffs, derived, q,
+                          TestFunction.stack(coeffs.grid, [tau]))
     ops = compute_operators(vs)
 
-    single = t_pi2_probe(vs, ops, tau, (0.0, 1.0), (10.0,))
-    assert single.skipped and single.ratios == ()
+    # one distinct lambda^2 cannot fix a slope
+    for lambdas in ((10.0,), (3.0, 3.0), (3.0, -3.0), (0.0, -0.0)):
+        single = t_pi2_probe(vs, ops, tau, (0.0, 1.0), lambdas)
+        assert single.skipped and single.ratios == ()
 
-    zero = t_pi2_probe(vs, ops, TestFunction.zero(coeffs.grid),
-                       (0.0, 1.0), (5.0, 10.0))
+    zero = t_pi2_probe(vs, ops, tau.scaled(0.0), (0.0, 1.0), (5.0, 10.0))
     assert zero.skipped
 
     q0 = np.zeros((coeffs.n_cells, 2, 2), dtype=complex)
-    vs0 = build_v_subspace(coeffs, derived, q0, [tau])
+    vs0 = build_v_subspace(coeffs, derived, q0,
+                           TestFunction.stack(coeffs.grid, [tau]))
     empty = t_pi2_probe(vs0, compute_operators(vs0), tau, (0.0, 1.0),
                         (5.0, 10.0))
     assert not empty.skipped
@@ -398,8 +409,11 @@ def test_probe_skip_semantics():
 def test_phi_vector_matches_factored_gradient(rng):
     coeffs = random_coefficients(rng, random_grid(rng, 2))
     derived = derive_fields(coeffs)
-    f = random_node_functions(rng, coeffs.grid, 1)[0]
-    u, w = phi_vector(derived, f)
-    assert np.array_equal(u, f.cell_values)
-    expected = np.einsum("nkl,nl->nk", derived.Asqrt_field, f.cell_gradient)
-    assert_allclose(w, expected, atol=0)
+    family = random_node_functions(rng, coeffs.grid, 2)
+    u, w = phi_vector(derived, family)
+    assert u is family.cell_values
+    for f, wf in zip(family, w):
+        assert np.array_equal(phi_vector(derived, f)[1], wf)
+        expected = np.einsum("nkl,nl->nk", derived.Asqrt_field,
+                             f.cell_gradient)
+        assert_allclose(wf, expected, atol=0)

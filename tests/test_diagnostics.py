@@ -15,7 +15,7 @@ from regpart.diagnostics import (COMMUTE_TOL, PROBE_POSITIVE, cantor_mask,
                                  svc_intervals, svc_measure)
 from regpart.errors import (DegenerateBasis, ResolutionTooCoarse,
                             ValidationError)
-from regpart.grid import GridSpec
+from regpart.grid import GridSpec, TestFunction
 from regpart.completion import _qz_iq_asqrt
 from regpart.model import CoefficientSet, derive_fields, eval_form, form_gram
 from regpart.pipeline import _prelude
@@ -133,11 +133,13 @@ def test_singular_vertex_degenerate_basis(rng):
     coeffs = symmetric_model()
     f = random_node_functions(rng, coeffs.grid, 1)[0]
     with pytest.raises(DegenerateBasis):
-        singular_vertex(*form_gram(coeffs, []))
+        singular_vertex(*form_gram(coeffs,
+                                   TestFunction.stack(coeffs.grid, [])))
     with pytest.raises(DegenerateBasis):
         singular_vertex(np.zeros((0, 0)), np.zeros((0, 0)))
     with pytest.raises(DegenerateBasis):
-        singular_vertex(*form_gram(coeffs, [f, f.scaled(2.0)]))
+        singular_vertex(*form_gram(coeffs, TestFunction.stack(
+            coeffs.grid, [f, f.scaled(2.0)])))
 
 
 # -- pointwise real-part criterion ------------------------------------------
@@ -220,8 +222,9 @@ def test_verdicts_move_together(rng):
 def model_cases(rng, cantor3):
     """Cantor 3 and one random oracle model per dimension and class, each
     as ``(coeffs, q_field, funcs)``."""
+    grid = cantor3["coeffs"].grid
     return [(cantor3["coeffs"], cantor3["q_field"],
-             list(cantor3["funcs"].values()))] + [
+             TestFunction.stack(grid, cantor3["funcs"].values()))] + [
         (c.coeffs, c.q_field, c.funcs) for c in (
             random_oracle_case(rng, dim=dim, commuting=commuting)
             for dim in (1, 2, 3) for commuting in (True, False))]
@@ -287,7 +290,8 @@ def test_regular_tangent_below_vertical(rng):
 
 
 def test_cantor_diagnostics(cantor3):
-    funcs = list(cantor3["funcs"].values())
+    funcs = TestFunction.stack(cantor3["coeffs"].grid,
+                               cantor3["funcs"].values())
     _, s, reg, vs, ops = _prelude(cantor3["coeffs"], cantor3["q_field"], funcs)
     report = check_equivalences(vs, ops, reg, s, funcs,
                                 regular_table(cantor3["coeffs"], reg, funcs))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from regpart.diagnostics import PROBE_LAMBDAS
 from regpart.errors import (DegenerateBasis, DominationViolation,
                             GridMismatch, SectorViolation, ValidationError)
 from regpart.grid import GridSpec, TestFunction, cell_data_from_nodes
@@ -91,10 +92,11 @@ def test_node_family_matches_its_functions(rng):
                 loop_rng.standard_normal(shape)
                 + 1j * loop_rng.standard_normal(shape))
             ref = TestFunction.from_node_values(grid, nodes)
-            assert np.array_equal(u.node_values, nodes)
             assert np.array_equal(u.cell_values, ref.cell_values)
             assert np.array_equal(u.cell_gradient, ref.cell_gradient)
-    assert random_node_functions(rng, grid, 0) == []
+    assert len(random_node_functions(rng, grid, 0)) == 0
+    with pytest.raises(TypeError):
+        len(ref)  # one function has no batch axis
 
 
 def test_node_boundary_support_enforced():
@@ -152,6 +154,19 @@ def test_modulation_preserves_values_and_norm(rng):
                                  + 1j * 17.0 * np.array([0.6, 0.8])
                                  * u.cell_values[:, None])
     assert_allclose(m.cell_gradient, expected, atol=1e-12)
+
+    # one call over a lambda array gives every lambda the bits of its own
+    # call, with the frequency axis ahead of the family's
+    g = unit_grid(2, (37, 41))
+    family = random_node_functions(rng, g, 2)
+    xi = np.array([0.6, 0.8])
+    waves = family.modulated(np.asarray(PROBE_LAMBDAS), xi)
+    assert waves.cell_gradient.shape == (len(PROBE_LAMBDAS), 2, g.n_cells, 2)
+    for lam, row in zip(PROBE_LAMBDAS, waves):
+        for u, wave in zip(family, row):
+            one = u.modulated(lam, xi)
+            assert np.array_equal(wave.cell_values, one.cell_values)
+            assert np.array_equal(wave.cell_gradient, one.cell_gradient)
 
 
 # -- coefficient validation -------------------------------------------------
@@ -290,10 +305,10 @@ def test_eval_form_matches_factored(rng):
     for k in range(6):
         coeffs = random_coefficients(rng, random_grid(rng, 1 + k % 3))
         derived = derive_fields(coeffs)
-        u, v = random_node_functions(rng, coeffs.grid, 2)
+        family = random_node_functions(rng, coeffs.grid, 2)
         q = np.zeros_like(coeffs.C_field)
-        direct = eval_form(coeffs, [u, v], [u, v]).value
-        fact = dense_grams(coeffs, derived, q, [u, v])[1][:2, :2].T
+        direct = eval_form(coeffs, family, family).value
+        fact = dense_grams(coeffs, derived, q, family)[1][:2, :2].T
         assert_allclose(fact, direct, rtol=1e-10,
                         atol=1e-10 * (1 + np.min(np.abs(direct))))
 
@@ -319,6 +334,14 @@ def test_eval_form_grid_mismatch(rng):
     mine = random_node_functions(rng, unit_grid(1, (4,)), 1)[0]
     with pytest.raises(GridMismatch):
         eval_form(coeffs, mine, other)
+    with pytest.raises(GridMismatch):
+        TestFunction.stack(coeffs.grid, [mine, other])
+    # values and gradients must share their batch shape
+    for vals, grads in (((2, 4), (3, 4, 1)), ((2, 4), (4, 1)),
+                        ((4,), (2, 4, 1)), ((), (1,))):
+        with pytest.raises(GridMismatch):
+            TestFunction(grid=coeffs.grid, cell_values=np.zeros(vals),
+                         cell_gradient=np.zeros(grads))
 
 
 def test_h_inner_and_gram_convention(rng):
@@ -400,10 +423,12 @@ def test_empty_family_has_empty_grams(rng):
     """An empty family gives 0 x 0 Gram matrices, and the vertex search
     refuses them."""
     coeffs = random_coefficients(rng, random_grid(rng, 2))
-    bmat, mmat = form_gram(coeffs, [])
+    empty = TestFunction.stack(coeffs.grid, [])
+    assert empty.cell_gradient.shape == (0, coeffs.n_cells, 2)
+    bmat, mmat = form_gram(coeffs, empty)
     assert bmat.shape == mmat.shape == (0, 0)
     with pytest.raises(DegenerateBasis):
-        estimate_vertex_angle(coeffs, [])
+        estimate_vertex_angle(coeffs, empty)
 
 
 def test_vertex_angle_symmetric_form():
