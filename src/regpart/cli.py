@@ -7,11 +7,12 @@ message names the offending cell where known), 3 parse failure.
 
 import argparse
 import math
+import os
 import sys
 
 from .diagnostics import MAX_CANTOR_STAGE, PROBE_LAMBDAS
 from .errors import ParseError, ValidationError
-from .modelio import dumps_canonical, load_model, write_doc
+from .modelio import load_model, write_canonical, write_doc
 from .pipeline import (cantor_model_doc, compute_report, run_probe,
                        run_verification)
 
@@ -93,6 +94,32 @@ def build_parser():
     return parser
 
 
+def _check_out(out_path):
+    """Refuse an ``--out`` path that cannot be written, before any model is
+    read or computed: a directory, an existing file that cannot be
+    written, or a new file whose directory is missing or cannot be
+    written."""
+    if not out_path:
+        return
+    if os.path.isdir(out_path):
+        problem = "is a directory"
+    elif os.path.exists(out_path):
+        # an existing target is written in place when its directory is not
+        # writable (``/dev/null``, a pipe), so only the target counts
+        if os.access(out_path, os.W_OK):
+            return
+        problem = "is not writable"
+    else:
+        directory = os.path.dirname(os.path.realpath(out_path))
+        if not os.path.isdir(directory):
+            problem = "no such directory %s" % directory
+        elif not os.access(directory, os.W_OK | os.X_OK):
+            problem = "directory %s is not writable" % directory
+        else:
+            return
+    raise ValidationError("--out %s: %s" % (out_path, problem))
+
+
 def _emit(doc, out_path):
     if out_path:
         try:
@@ -102,10 +129,12 @@ def _emit(doc, out_path):
                 from None
         print("wrote %s" % out_path)
     else:
-        sys.stdout.write(dumps_canonical(doc))
+        write_canonical(sys.stdout, doc)
 
 
 def _dispatch(args):
+    # verify has no --out; the others' is checked before any work
+    _check_out(getattr(args, "out", None))
     if args.command == "compute":
         model = load_model(args.model)
         report = compute_report(model, lambdas=_parse_lambda_list(

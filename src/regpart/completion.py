@@ -199,7 +199,8 @@ class GramBlocks:
 class VSubspace:
     """Finite subspace of H' carrying the construction.
 
-    Basis order: the ``n_funcs`` embedded functions ``Phi(u_i)`` first, then
+    Basis order: the ``n_funcs`` embedded functions ``Phi(u_i)`` of the
+    family ``funcs`` first, then
     ``n_singular`` vectors ``(0, s_j)`` where the ``s_j`` are per-cell
     orthonormal spanning vectors of ``range(Q)``, grouped into ``groups``
     by the rank of their cell.  ``form_blocks`` is the (non-Hermitian)
@@ -216,8 +217,7 @@ class VSubspace:
     coeffs: "object"
     derived: "object"
     q_field: np.ndarray
-    func_values: np.ndarray
-    func_grads: np.ndarray
+    funcs: "object"
     singular_cells: np.ndarray
     singular_vecs: np.ndarray
     groups: tuple
@@ -225,6 +225,19 @@ class VSubspace:
     form_blocks: GramBlocks
     mass: np.ndarray
     cond: float
+
+    @property
+    def func_values(self):
+        """``H`` parts of the embedded functions: the family's own
+        ``cell_values``."""
+        return self.funcs.cell_values
+
+    @property
+    def func_grads(self):
+        """Gradient parts ``A^{1/2} grad u`` of the embedded functions,
+        computed by :func:`phi_vector` on each access (only the checks on
+        small models read them whole)."""
+        return phi_vector(self.derived, self.funcs)[1]
 
     @property
     def n_funcs(self):
@@ -307,14 +320,15 @@ def _gram_extremes(a, vol):
 
 def _singular_rows(derived, sc, sv, u, w):
     """The form's singular rows ``a(x_j, s_p)`` and ``a(s_p, x_j)``, each
-    ``(m, k)``, of a family ``x_j = (u_j, w_j)`` stacked as ``(k, n)`` and
-    ``(k, n, d)``.  ``s_p`` has no ``H`` part, so only the gradient slot and
+    ``(m, k)``, of a family ``x_j = (u_j, w_j)`` given at the cells ``sc``
+    of the singular vectors ``sv``: ``u`` is ``(k, m)`` and ``w`` is
+    ``(k, m, d)``.  ``s_p`` has no ``H`` part, so only the gradient slot and
     the ``X``/``Y`` terms survive, read at the cell of ``s_p``:
     ``a(x, s) = <(I+iZ) w + u Y, s>`` and ``a(s, x) = conj <(I-iZ) w + u X,
     s>``, with ``Z`` Hermitian."""
     vol = derived.grid.cell_volume
     csv = np.conj(sv)
-    u, w = u[:, sc].T, w[:, sc]
+    u = u.T
     izw = 1j * np.einsum("pkl,jpl->jpk", derived.Z_field[sc], w)
 
     def row(g, v):
@@ -347,11 +361,16 @@ def build_v_subspace(coeffs, derived, q_field, funcs):
     groups = _cell_groups(sc)
     izsv = sv + 1j * np.einsum("pkl,pl->pk", derived.Z_field[sc], sv)
 
-    # an overflowing function leaves non-finite entries for the check below
+    if funcs.grid != derived.grid:
+        raise GridMismatch("test functions must live on the model's grid")
+    # the embedding's gradient part enters at the singular cells only; an
+    # overflowing function leaves non-finite entries for the check below
     with np.errstate(over="ignore", invalid="ignore"):
-        uf, wf = phi_vector(derived, funcs)
+        uf = funcs.cell_values
         ff, mass = form_gram(coeffs, funcs)
-        a_xs, a_sx = _singular_rows(derived, sc, sv, uf, wf)
+        ws = np.einsum("nkl,...nl->...nk", derived.Asqrt_field[sc],
+                       funcs.cell_gradient[:, sc])
+        a_xs, a_sx = _singular_rows(derived, sc, sv, uf[:, sc], ws)
     # a function's own Gram diagonal names it; the full blocks come last
     _require_finite(np.diagonal(ff), np.diagonal(mass), a_xs.T, a_sx.T, ff)
 
@@ -359,13 +378,15 @@ def build_v_subspace(coeffs, derived, q_field, funcs):
     hmass = herm_part(mass)
     hw, hv = np.linalg.eigh(hmass)
     null = hv[:, hw <= 1e-12 * max(float(np.max(hw, initial=0.0)), 1e-300)]
-    grad_mass = vol * np.sum(np.abs(np.einsum("jq,jck->qck", null, wf)) ** 2,
-                             axis=(1, 2))
-    if np.any(grad_mass > KERNEL_TOL):
-        raise KernelMismatch(
-            "a combination of the supplied functions vanishes in H "
-            "but carries gradient mass %.3e; re-pick the family"
-            % grad_mass[np.argmax(grad_mass > KERNEL_TOL)])
+    if null.shape[1]:
+        wf = phi_vector(derived, funcs)[1]
+        grad_mass = vol * np.sum(np.abs(np.einsum("jq,jck->qck", null,
+                                                  wf)) ** 2, axis=(1, 2))
+        if np.any(grad_mass > KERNEL_TOL):
+            raise KernelMismatch(
+                "a combination of the supplied functions vanishes in H "
+                "but carries gradient mass %.3e; re-pick the family"
+                % grad_mass[np.argmax(grad_mass > KERNEL_TOL)])
 
     form = GramBlocks(
         ff=ff, fj=a_sx.T, jf=a_xs,
@@ -387,7 +408,7 @@ def build_v_subspace(coeffs, derived, q_field, funcs):
 
     return VSubspace(gamma=gamma, coeffs=coeffs, derived=derived,
                      q_field=np.asarray(q_field, dtype=complex),
-                     func_values=uf, func_grads=wf, singular_cells=sc,
+                     funcs=funcs, singular_cells=sc,
                      singular_vecs=sv, groups=groups, ambient_blocks=a,
                      form_blocks=form, mass=mass, cond=cond)
 
@@ -478,13 +499,15 @@ def oracle_regular_part(ops, vs):
     return gram.T
 
 
-def singular_field(vs, coef):
+def singular_field(vs, coef, cells=None):
     """Gradient parts ``sum_p coef[p, k] (0, s_p)``: a ``(k, n, d)`` stack
-    from the ``(m, k)`` singular coordinates ``coef``."""
-    out = np.zeros((vs.derived.n_cells, coef.shape[1], vs.derived.dim),
-                   dtype=complex)
-    np.add.at(out, vs.singular_cells,
-              coef[:, :, None] * vs.singular_vecs[:, None, :])
+    from the ``(m, k)`` singular coordinates ``coef``, on every cell or on
+    ``cells``, a sorted index array that holds every singular cell."""
+    rows, size = vs.singular_cells, vs.derived.n_cells
+    if cells is not None:
+        rows, size = np.searchsorted(cells, rows), len(cells)
+    out = np.zeros((size, coef.shape[1], vs.derived.dim), dtype=complex)
+    np.add.at(out, rows, coef[:, :, None] * vs.singular_vecs[:, None, :])
     return out.transpose(1, 0, 2)
 
 
@@ -526,13 +549,13 @@ class ProbeReport:
 
 
 def _qz_iq_asqrt(vs):
-    """``Q Z (I-Q) A^{1/2}`` per cell: computed on ``supp Q`` and ``0``
-    elsewhere, where the leading ``Q`` vanishes."""
+    """``Q Z (I-Q) A^{1/2}`` on the cells of ``supp Q``, the only cells
+    where the leading ``Q`` leaves it nonzero: returns the cells and the
+    stack of matrices there."""
     q, cells = vs.q_field, _support(vs.q_field)
-    out = np.zeros_like(q)
-    out[cells] = q[cells] @ vs.derived.Z_field[cells] @ (
-        (np.eye(q.shape[-1]) - q[cells]) @ vs.derived.Asqrt_field[cells])
-    return out
+    qs = q[cells]
+    return cells, qs @ vs.derived.Z_field[cells] @ (
+        (np.eye(q.shape[-1]) - qs) @ vs.derived.Asqrt_field[cells])
 
 
 def t_pi2_probe(vs, ops, tau, xi, lambdas):
@@ -541,7 +564,8 @@ def t_pi2_probe(vs, ops, tau, xi, lambdas):
 
     The modulated functions are embedded as one family, and the operators
     ``ops = compute_operators(vs)`` map each to ``T pi2 Phi(u_lambda)``,
-    whose squared real-part norm is recorded; all of it is per cell.
+    whose squared real-part norm is recorded; all of it is per cell, and
+    only the singular cells enter, so the waves are built there alone.
     Since modulation leaves the plain function norm ``||tau||``
     invariant, growth of these values is exactly growth of ``T pi2``
     relative to the function size.  The fitted ``lambda^2`` slope is
@@ -554,24 +578,33 @@ def t_pi2_probe(vs, ops, tau, xi, lambdas):
     list is skipped.  Raises :class:`DegenerateBasis` naming the first
     ``lambda`` whose ratio or square is not finite.
     """
+    if tau.grid != vs.derived.grid:
+        raise GridMismatch("test functions must live on the model's grid")
     norm_sq = tau.norm_sq()
     lambdas = tuple(float(l) for l in lambdas)
     lam = np.asarray(lambdas)
-    vec = np.einsum("nkl,l->nk", _qz_iq_asqrt(vs),
+    cells, qz = _qz_iq_asqrt(vs)
+    vec = np.einsum("nkl,l->nk", qz,
                     np.asarray(xi, dtype=float).reshape(vs.derived.dim))
-    reference = vs.coeffs.grid.cell_volume * float(np.sum(
-        np.abs(tau.cell_values) ** 2 * np.sum(np.abs(vec) ** 2, axis=-1)))
+    # the full-grid sum, zeros included, keeps the reference's bits
+    density = np.zeros(vs.derived.n_cells)
+    density[cells] = (np.abs(tau.cell_values[cells]) ** 2
+                      * np.sum(np.abs(vec) ** 2, axis=-1))
+    reference = vs.coeffs.grid.cell_volume * float(np.sum(density))
     skipped = norm_sq <= 0.0 or len(set(np.abs(lam).tolist())) < 2
     if skipped or vs.n_singular == 0:
         return ProbeReport(lambdas=lambdas, ratios=(), slope=0.0,
                            intercept=0.0, reference=reference,
                            rel_error=float("nan"), skipped=skipped)
 
-    # an overflowing wave leaves non-finite ratios for the check below
+    # the waves are needed at the singular cells only; an overflowing wave
+    # leaves non-finite ratios for the check below
+    sc = vs.singular_cells
     with np.errstate(over="ignore", invalid="ignore"):
-        u, w = phi_vector(vs.derived, tau.modulated(lam, xi))
+        u, grads = tau.modulated_cells(lam, xi, sc)
+        w = np.einsum("nkl,...nl->...nk", vs.derived.Asqrt_field[sc], grads)
         tc = _kernel_coords(vs, ops.t11_cells, *_singular_rows(
-            vs.derived, vs.singular_cells, vs.singular_vecs, u, w))[2]
+            vs.derived, sc, vs.singular_vecs, u, w))[2]
         ratios = np.real(sum(
             np.einsum("gpl,gpq,gql->l", np.conj(tc[rows]), blk, tc[rows])
             for rows, blk in zip(vs.groups, vs.ambient_blocks.cc)))

@@ -28,10 +28,10 @@ import numpy as np
 from .completion import (ProbeReport, _qz_iq_asqrt, compute_operators,
                          oracle_regular_part, singular_field, t_pi2_probe)
 from .errors import ResolutionTooCoarse, ValidationError
-from .grid import MAX_CELLS, GridSpec, TestFunction
+from .grid import MAX_CELLS, GridSpec, TestFunction, cell_chunks
 from .model import CoefficientSet, eval_form, vertex_search
 from .pointwise import SectorParams, frobenius, herm_part, imag_part, pinv_sqrt
-from .regularize import (assemble_regular_commuting, commutator_norms,
+from .regularize import (_commutators, _commuting_fields, _support,
                          indicator_projection, interval_mask)
 
 __all__ = [
@@ -99,35 +99,37 @@ class DiagnosticsReport:
     verdicts: dict
 
 
-def _relative_field_gap(reg_a, reg_b):
-    """Largest per-cell difference between two assemblies, relative to the
-    field scale."""
+def _relative_field_gap(reg, cells, fields):
+    """Largest per-cell difference between the assembly ``reg`` and the
+    simplified one, whose four fields on ``cells`` (``supp Q``) are
+    ``fields``, relative to the field scale.  Off ``supp Q`` both copy the
+    input, so the difference is read on ``cells`` only; the scale is
+    ``max(1, max|reg|, max|fields|)``, as over the whole grid."""
     gaps = []
-    for name in ("C_reg", "b_reg", "d_reg", "c0_reg"):
-        fa = getattr(reg_a, name)
-        fb = getattr(reg_b, name)
-        diff = np.abs(fa - fb)
-        while diff.ndim > 1:
-            diff = diff.max(axis=-1)
-        scale = max(1.0, float(np.max(np.abs(fa))), float(np.max(np.abs(fb))))
-        gaps.append(float(np.max(diff)) / scale)
+    for name, fb in zip(("C_reg", "b_reg", "d_reg", "c0_reg"), fields):
+        fa = getattr(reg, name)
+        diff = float(np.max(np.abs(fa[cells] - fb), initial=0.0))
+        scale = max(1.0, float(np.max(np.abs(fa))),
+                    float(np.max(np.abs(fb), initial=0.0)))
+        gaps.append(diff / scale)
     return max(gaps)
 
 
 def _kernel_image_residual(vs, ops):
     """Compare ``T pi2 Phi(u)`` against its closed pointwise form
-    ``(0, -u QZQ(X+Y)/2 + i u Q(X-Y)/2)`` for each embedded function."""
+    ``(0, -u QZQ(X+Y)/2 + i u Q(X-Y)/2)`` for each embedded function.  Both
+    vanish off ``supp Q``, so the norms are sums over its cells."""
     if vs.n_singular == 0:
         return 0.0
     vol = vs.coeffs.grid.cell_volume
-    q, z = vs.q_field, vs.derived.Z_field
+    cells = _support(vs.q_field)
+    q, z, x, y = (f[cells] for f in (vs.q_field, vs.derived.Z_field,
+                                     vs.derived.X_field, vs.derived.Y_field))
     qzq = np.matmul(np.matmul(q, z), q)
-    xy_sum = vs.derived.X_field + vs.derived.Y_field
-    xy_diff = vs.derived.X_field - vs.derived.Y_field
-    w_num = singular_field(vs, ops.tpi2_jf)
-    u = vs.func_values[:, :, None]
-    w_exp = (-0.5 * u * np.einsum("nkl,nl->nk", qzq, xy_sum)
-             + 0.5j * u * np.einsum("nkl,nl->nk", q, xy_diff))
+    w_num = singular_field(vs, ops.tpi2_jf, cells)
+    u = vs.func_values[:, cells, None]
+    w_exp = (-0.5 * u * np.einsum("nkl,nl->nk", qzq, x + y)
+             + 0.5j * u * np.einsum("nkl,nl->nk", q, x - y))
     res = np.sqrt(vol * np.sum(np.abs(w_num - w_exp) ** 2, axis=(1, 2)))
     scale = np.sqrt(vol * np.sum(np.abs(w_exp) ** 2, axis=(1, 2)))
     return float(np.max(res / np.maximum(1.0, scale)))
@@ -145,14 +147,20 @@ def regular_sector_tangent(reg, derived, s):
     computed as the spectral norm of ``g(A') Im(C') g(A')``.
 
     Off ``supp Q`` the regular field is the input ``C``, whose ``g Im(C) g``
-    is the ``Z`` of ``derived``; the roots are taken on ``s.support`` only.
+    is the ``Z`` of ``derived``; the roots are taken on ``s.support`` only,
+    and ``Z`` is read chunk by chunk on the other cells.
     """
     c = reg.C_reg[s.support]
     g = pinv_sqrt(herm_part(c))
     zr = herm_part(np.einsum("nij,njk,nkl->nil", g, imag_part(c), g))
-    z_off = np.delete(derived.Z_field, s.support, axis=0)
-    return float(max(np.max(np.abs(np.linalg.eigvalsh(zr)), initial=0.0),
-                     np.max(np.abs(np.linalg.eigvalsh(z_off)), initial=0.0)))
+    top = float(np.max(np.abs(np.linalg.eigvalsh(zr)), initial=0.0))
+    off = np.ones(derived.n_cells, dtype=bool)
+    off[s.support] = False
+    for cells in cell_chunks(derived.n_cells):
+        z_off = derived.Z_field[cells][off[cells]]
+        top = max(top, float(np.max(np.abs(np.linalg.eigvalsh(z_off)),
+                                    initial=0.0)))
+    return top
 
 
 def oracle_pairs(reg_set, funcs, vs, ops):
@@ -166,7 +174,8 @@ def oracle_pairs(reg_set, funcs, vs, ops):
 
 def check_realpart_commutation(coeffs, derived, s, vs, formula):
     """Pointwise criterion for ``Re`` and regularization to commute:
-    ``QZ = ZQ`` and ``(I+iZ) Q X = (I-iZ) Q Y`` per cell.
+    ``QZ = ZQ`` and ``(I+iZ) Q X = (I-iZ) Q Y`` per cell, both read on the
+    cells of ``supp Q`` (elsewhere both sides vanish).
 
     The verdict is backed by values on the built subspace ``vs``: the real
     part of the assembled regular part's table ``formula[i, j] =
@@ -175,13 +184,15 @@ def check_realpart_commutation(coeffs, derived, s, vs, formula):
     on the Hermitian form Gram) over all function pairs; the maximum
     absolute gap is reported.
     """
-    q, z = s.Q_field, derived.Z_field
-    comm = float(np.max(commutator_norms(s, derived)))
-    qx = np.einsum("nkl,nl->nk", q, derived.X_field)
-    qy = np.einsum("nkl,nl->nk", q, derived.Y_field)
+    cells = s.support
+    q, z, x, y = (f[cells] for f in (s.Q_field, derived.Z_field,
+                                     derived.X_field, derived.Y_field))
+    comm = float(np.max(_commutators(s, derived), initial=0.0))
+    qx = np.einsum("nkl,nl->nk", q, x)
+    qy = np.einsum("nkl,nl->nk", q, y)
     lhs = qx + 1j * np.einsum("nkl,nl->nk", z, qx)
     rhs = qy - 1j * np.einsum("nkl,nl->nk", z, qy)
-    xy_res = float(np.max(np.linalg.norm(lhs - rhs, axis=-1)))
+    xy_res = float(np.max(np.linalg.norm(lhs - rhs, axis=-1), initial=0.0))
     ok = comm <= COMMUTE_TOL and xy_res <= COMMUTE_TOL
 
     oracle = oracle_regular_part(compute_operators(vs, real_part=True), vs)
@@ -209,8 +220,8 @@ def check_equivalences(vs, ops, reg, s, funcs, formula, xi=None,
     """
     coeffs, derived = vs.coeffs, vs.derived
 
-    reg_c = assemble_regular_commuting(coeffs, derived, s, tol=np.inf)
-    field_gap = _relative_field_gap(reg, reg_c)
+    field_gap = _relative_field_gap(reg, s.support, _commuting_fields(
+        coeffs, derived, s))
     kernel_res = _kernel_image_residual(vs, ops)
 
     if xi is None:
@@ -240,7 +251,8 @@ def check_equivalences(vs, ops, reg, s, funcs, formula, xi=None,
                      funcs)
     return DiagnosticsReport(
         commutator_max=comm, realpart=realpart, slope_probe=probe,
-        qz_iq_asqrt_max=float(np.max(frobenius(_qz_iq_asqrt(vs)))),
+        qz_iq_asqrt_max=float(np.max(frobenius(_qz_iq_asqrt(vs)[1]),
+                                     initial=0.0)),
         form_vertex=VertexReport(*vertex_search(vs.form_blocks.ff, vs.mass)),
         as_vertex=singular_vertex(sing.value.T, vs.mass),
         aps_vertex=singular_vertex(sing.second_order.T, vs.mass),

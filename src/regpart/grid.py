@@ -25,11 +25,34 @@ import numpy as np
 
 from .errors import GridMismatch, ValidationError
 
-__all__ = ["GridSpec", "TestFunction", "MAX_CELLS",
-           "cell_data_from_nodes"]
+__all__ = ["GridSpec", "TestFunction", "MAX_CELLS", "CELL_CHUNK",
+           "cell_chunks", "cell_data_from_nodes"]
 
 #: Refuse to allocate grids with more cells than this.
 MAX_CELLS = 10**7
+
+#: Cells per chunk of a pass over all cells: such a pass holds its
+#: temporaries for this many cells at a time (at most twice as many),
+#: whatever the grid size.
+CELL_CHUNK = 4096
+
+
+def cell_chunks(n):
+    """Consecutive slices that cover ``range(n)``: one when
+    ``n <= 2 * CELL_CHUNK - 1``, none when ``n == 0``, and otherwise
+    ``CELL_CHUNK`` cells each, the last one taking the remainder too.
+
+    No chunk of a grid larger than ``CELL_CHUNK`` is smaller than it.  A
+    per-cell kernel run chunk by chunk then gives the bits of one pass over
+    the whole stack: numpy lays out some temporaries (those it reuses in
+    place, from 256 KiB up) by their size, and an ``einsum`` over a
+    matrix stack sums in an order set by that layout; a stack of
+    ``CELL_CHUNK`` matrices of dimension 2 or more is already past that
+    size, like the whole one."""
+    bounds = list(range(0, n, CELL_CHUNK)) + [n]
+    if len(bounds) > 2 and n - bounds[-2] < CELL_CHUNK:
+        del bounds[-2]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -270,20 +293,27 @@ class TestFunction:
         re-interpolation), so ``|values|`` and hence the plain quadrature
         norm are preserved for every ``lam``.
         """
+        return TestFunction(self.grid, *self.modulated_cells(lam, xi,
+                                                             slice(None)))
+
+    def modulated_cells(self, lam, xi, cells):
+        """The values and gradients of :meth:`modulated` on ``cells`` only
+        (an index array or a slice of the cell axis), bit for bit, without
+        the rest of the grid."""
         xi = np.asarray(xi, dtype=float)
         if xi.shape != (self.grid.dim,):
             raise GridMismatch("xi must have %d components" % self.grid.dim)
         lam = np.asarray(lam, dtype=float)
         lam = lam.reshape(lam.shape + (1,) * self.cell_values.ndim)
+        u = self.cell_values[..., cells]
         # an overflowing wave is left non-finite for the V build to name
         with np.errstate(over="ignore", invalid="ignore"):
-            phase = np.exp(1j * lam * (self.grid.cell_centers() @ xi))
-            values = phase * self.cell_values
+            phase = np.exp(1j * lam * (self.grid.cell_centers() @ xi)[cells])
+            values = phase * u
             grad = phase[..., None] * (
-                self.cell_gradient
-                + 1j * lam[..., None] * (self.cell_values[..., None] * xi))
-        return TestFunction(grid=self.grid, cell_values=values,
-                            cell_gradient=grad)
+                self.cell_gradient[..., cells, :]
+                + 1j * lam[..., None] * (u[..., None] * xi))
+        return values, grad
 
     def scaled(self, factor):
         return TestFunction(grid=self.grid,

@@ -22,6 +22,13 @@ precisely because the model passes its sector and domination validation.
 ``eval_form`` evaluates the form on two test functions or two function
 families (:class:`~regpart.grid.TestFunction` either way);
 ``vertex_search`` reads the Gram pair ``(B, M)`` of ``form_gram``.
+
+``CoefficientSet.validate``, ``derive_fields`` and the sums over cells of
+``eval_form`` and ``form_gram`` run over chunks of cells
+(:func:`~regpart.grid.cell_chunks`), so their temporaries are set by the
+chunk size, not the grid size.  A check keeps one or a few floats per
+cell, picks the worst cell over the whole grid and names it by its global
+index.
 """
 
 from dataclasses import dataclass
@@ -30,7 +37,7 @@ import numpy as np
 
 from .errors import (DegenerateBasis, DominationViolation, GridMismatch,
                      SectorViolation, ValidationError)
-from .grid import GridSpec
+from .grid import GridSpec, cell_chunks
 from .pointwise import (PSD_TOL, SectorParams, adjoint, frobenius,
                         herm_part, imag_part, pencil_tangent, psd_roots,
                         sector_pencils)
@@ -139,42 +146,58 @@ class CoefficientSet:
         if not (np.isfinite(self.K_bound) and self.K_bound > 0):
             raise ValidationError("K_bound must be a positive real")
 
-        pencils, mins = sector_pencils(self.C_field, self.theta)
-        a = pencils[0]
-        scale = _norm_scale(self.C_field)
-        bad = mins < -PSD_TOL * scale[None, :]
-        if np.any(bad):
-            which, cell = np.unravel_index(
-                int(np.argmin(mins + PSD_TOL * scale[None, :])), mins.shape)
-            _, vecs = np.linalg.eigh(pencils[which][cell])
+        # one pass keeps a few floats per cell and its temporaries per
+        # chunk; the checks then run in order, each naming the worst cell
+        # of the whole grid (the first, for an overflow)
+        n = self.n_cells
+        # a product, unlike ``**``, overflows to inf instead of raising
+        ksq = self.K_bound * self.K_bound
+        margin = np.empty((3, n))
+        dominated = {"b_field": (np.empty(n), np.empty(n)),
+                     "d_field": (np.empty(n), np.empty(n))}
+        overflow = {}
+        for cells in cell_chunks(n):
+            c, b, d = (f[cells] for f in (self.C_field, self.b_field,
+                                          self.d_field))
+            pencils, mins = sector_pencils(c, self.theta)
+            margin[:, cells] = mins + PSD_TOL * _norm_scale(c)
+            if not np.isfinite(ksq):
+                continue
+            # overflowing data leaves non-finite pencils for the check below
+            with np.errstate(over="ignore", invalid="ignore"):
+                ka = ksq * pencils[0]
+                chunk = {
+                    "b_field": ka - np.einsum("nk,nl->nkl", np.conj(b), b),
+                    "d_field": ka - np.einsum("nk,nl->nkl", d, np.conj(d))}
+            for name, pencil in chunk.items():
+                finite = np.isfinite(pencil).all(axis=(-2, -1))
+                if not np.all(finite):
+                    overflow.setdefault(name,
+                                        cells.start + int(np.argmin(finite)))
+                    continue
+                pmin, pscale = dominated[name]
+                pmin[cells] = np.linalg.eigvalsh(pencil)[..., 0]
+                pscale[cells] = _norm_scale(pencil)
+
+        if np.any(margin < 0.0):
+            which, cell = np.unravel_index(int(np.argmin(margin)),
+                                           margin.shape)
+            pencils, mins = sector_pencils(self.C_field[cell], self.theta)
+            _, vecs = np.linalg.eigh(pencils[which])
             raise SectorViolation(
                 "cell %d leaves the sector of half-angle %.6g "
                 "(pencil eigenvalue %.3e)" % (cell, self.theta,
-                                              float(mins[which, cell])),
+                                              float(mins[which])),
                 cell=int(cell), witness=vecs[:, 0].copy())
-
-        # a product, unlike ``**``, overflows to inf instead of raising
-        ksq = self.K_bound * self.K_bound
         if not np.isfinite(ksq):
             raise ValidationError("K_bound = %.3e: K_bound**2 overflows"
                                   % self.K_bound)
-        bbar = np.conj(self.b_field)
-        # overflowing data leaves non-finite pencils for the check below
-        with np.errstate(over="ignore", invalid="ignore"):
-            ka = ksq * a
-            pencils = {
-                "b_field": ka - np.einsum("nk,nl->nkl", bbar, self.b_field),
-                "d_field": ka - np.einsum("nk,nl->nkl", self.d_field,
-                                          np.conj(self.d_field))}
-        for name, pencil in pencils.items():
-            finite = np.isfinite(pencil).all(axis=(-2, -1))
-            if not np.all(finite):
-                cell = int(np.argmin(finite))
+        for name, (pmin, pscale) in dominated.items():
+            if name in overflow:
+                cell = overflow[name]
                 raise DominationViolation(
                     "cell %d: K_bound**2 * A - outer(%s) overflows"
                     % (cell, name), cell=cell)
-            pmin = np.linalg.eigvalsh(pencil)[..., 0]
-            pscale = _norm_scale(pencil)
             bad = pmin < -PSD_TOL * pscale
             if np.any(bad):
                 cell = _worst_cell(-(pmin / pscale))
@@ -226,37 +249,49 @@ def derive_fields(coeffs):
     all to ``DERIVE_RTOL`` relative to the cell's data scale.
     """
     n, d = coeffs.n_cells, coeffs.dim
-    a = herm_part(coeffs.C_field)
-    asqrt, g = psd_roots(a)
-    im = imag_part(coeffs.C_field)
-    z = herm_part(np.einsum("nij,njk,nkl->nil", g, im, g))
-    bbar = np.conj(coeffs.b_field)
-    x = np.einsum("nij,nj->ni", g, bbar)
-    y = np.einsum("nij,nj->ni", g, coeffs.d_field)
+    a, asqrt, g, z = (np.empty((n, d, d), dtype=complex) for _ in range(4))
+    x, y = np.empty((n, d), dtype=complex), np.empty((n, d), dtype=complex)
+    # per cell and check: reconstruction residual and data scale
+    res, scale = np.empty((3, n)), np.empty((3, n))
+    eye = np.eye(d)
+    for cells in cell_chunks(n):
+        # the chunk's own stacks feed each einsum (see cell_chunks)
+        c, b, dd = (f[cells] for f in (coeffs.C_field, coeffs.b_field,
+                                       coeffs.d_field))
+        a[cells] = ac = herm_part(c)
+        asqrt[cells], g[cells] = sq, gc = psd_roots(ac)
+        z[cells] = zc = herm_part(np.einsum("nij,njk,nkl->nil", gc,
+                                            imag_part(c), gc))
+        bbar = np.conj(b)
+        x[cells] = xc = np.einsum("nij,nj->ni", gc, bbar)
+        y[cells] = yc = np.einsum("nij,nj->ni", gc, dd)
 
-    eye = np.broadcast_to(np.eye(d), (n, d, d))
-    recon = np.einsum("nij,njk,nkl->nil", asqrt, eye + 1j * z, asqrt)
-    res = frobenius(recon - coeffs.C_field)
-    scale = np.maximum(1.0, frobenius(coeffs.C_field))
-    if np.any(res > DERIVE_RTOL * scale):
-        cell = _worst_cell(res / scale)
-        diff = recon[cell] - coeffs.C_field[cell]
+        recon = np.einsum("nij,njk,nkl->nil", sq, eye + 1j * zc, sq)
+        res[0, cells] = frobenius(recon - c)
+        scale[0, cells] = np.maximum(1.0, frobenius(c))
+        for k, vec, target in ((1, xc, bbar), (2, yc, dd)):
+            back = np.einsum("nij,nj->ni", sq, vec)
+            res[k, cells] = np.linalg.norm(back - target, axis=-1)
+            scale[k, cells] = np.maximum(1.0, np.linalg.norm(target, axis=-1))
+
+    bad = res > DERIVE_RTOL * scale
+    if np.any(bad[0]):
+        cell = _worst_cell(res[0] / scale[0])
+        one = slice(cell, cell + 1)
+        diff = (np.einsum("nij,njk,nkl->nil", asqrt[one], eye + 1j * z[one],
+                          asqrt[one])[0] - coeffs.C_field[cell])
         _, vecs = np.linalg.eigh(adjoint(diff) @ diff)
         raise SectorViolation(
             "cell %d: skew part of C is not carried by range(A) "
-            "(reconstruction residual %.3e)" % (cell, float(res[cell])),
+            "(reconstruction residual %.3e)" % (cell, float(res[0, cell])),
             cell=cell, witness=vecs[:, -1].copy())
-
-    for name, vec, target in (("b_field", x, bbar),
-                              ("d_field", y, coeffs.d_field)):
-        back = np.einsum("nij,nj->ni", asqrt, vec)
-        res = np.linalg.norm(back - target, axis=-1)
-        scale = np.maximum(1.0, np.linalg.norm(target, axis=-1))
-        if np.any(res > DERIVE_RTOL * scale):
-            cell = _worst_cell(res / scale)
+    for k, name in ((1, "b_field"), (2, "d_field")):
+        if np.any(bad[k]):
+            cell = _worst_cell(res[k] / scale[k])
             raise DominationViolation(
                 "cell %d: %s is not carried by range(A^{1/2}) "
-                "(residual %.3e)" % (cell, name, float(res[cell])), cell=cell)
+                "(residual %.3e)" % (cell, name, float(res[k, cell])),
+                cell=cell)
 
     return DerivedFields(grid=coeffs.grid, A_field=a, Asqrt_field=asqrt,
                          g_field=g, Z_field=z, X_field=x, Y_field=y)
@@ -292,24 +327,38 @@ def eval_form(coeffs, u, v):
     functions give a :class:`FormValue` of complex scalars; two families
     give one of ``(len(u), len(v))`` arrays with ``[i, j] = a(u_i, v_j)``.
     The conjugation sits on the ``v`` slot throughout, as described in the
-    module docstring.  When ``v is u`` the family is conjugated once.
+    module docstring.  The sums over cells run chunk by chunk
+    (:func:`~regpart.grid.cell_chunks`), so the temporaries, the conjugated
+    ``v`` family among them, hold one chunk of cells.
     """
     if u.grid != coeffs.grid or v.grid != coeffs.grid:
         raise GridMismatch("test functions must live on the model's grid")
     vol, n, d = coeffs.grid.cell_volume, coeffs.n_cells, coeffs.dim
     uc, gu = u.cell_values.reshape(-1, n), u.cell_gradient.reshape(-1, n, d)
-    vc, gv = map(np.conj, (uc, gu) if v is u else (
-        v.cell_values.reshape(-1, n), v.cell_gradient.reshape(-1, n, d)))
-
-    cgu = np.einsum("nkl,inl->ink", coeffs.C_field, gu)
-    second = vol * (cgu.reshape(len(uc), n * d) @ gv.reshape(len(vc), n * d).T)
-    first_b = vol * (np.einsum("nk,ink->in", coeffs.b_field, gu) @ vc.T)
-    first_d = vol * (uc @ np.einsum("nk,jnk->jn", coeffs.d_field, gv).T)
-    zeroth = vol * ((coeffs.c0_field * uc) @ vc.T)
+    vc, gv = v.cell_values.reshape(-1, n), v.cell_gradient.reshape(-1, n, d)
+    total = None
+    for cells in cell_chunks(n):
+        parts = _form_parts(coeffs, cells, uc[:, cells], gu[:, cells],
+                            vc[:, cells], gv[:, cells], v is u)
+        total = parts if total is None else [t + p for t, p in
+                                             zip(total, parts)]
     # a 0-d part read with [()] is a np.complex128, itself a complex
     shape = u.cell_values.shape[:-1] + v.cell_values.shape[:-1]
-    return FormValue(*(p.reshape(shape)[()]
-                       for p in (second, first_b, first_d, zeroth)))
+    return FormValue(*((vol * p).reshape(shape)[()] for p in total))
+
+
+def _form_parts(coeffs, cells, uc, gu, vc, gv, same):
+    """The four unscaled quadrature sums of :func:`eval_form` over the
+    ``cells`` of one chunk, whose family data are ``uc``/``gu`` and
+    ``vc``/``gv``; with ``same`` the ``v`` family is the ``u`` family and
+    is conjugated once."""
+    (ku, m, d), kv = gu.shape, len(vc)
+    vc, gv = map(np.conj, (uc, gu) if same else (vc, gv))
+    cgu = np.einsum("nkl,inl->ink", coeffs.C_field[cells], gu)
+    return (cgu.reshape(ku, m * d) @ gv.reshape(kv, m * d).T,
+            np.einsum("nk,ink->in", coeffs.b_field[cells], gu) @ vc.T,
+            uc @ np.einsum("nk,jnk->jn", coeffs.d_field[cells], gv).T,
+            (coeffs.c0_field[cells] * uc) @ vc.T)
 
 
 def form_gram(coeffs, basis):
@@ -318,11 +367,15 @@ def form_gram(coeffs, basis):
 
     Returns ``(B, M)`` with ``B[i, j] = a(u_j, u_i)`` and
     ``M[i, j] = <u_j, u_i>``, so that coordinate vectors contract as
-    ``a(u, u) = c* B c``.
+    ``a(u, u) = c* B c``.  Both sums over cells run chunk by chunk.
     """
     bmat = eval_form(coeffs, basis, basis).value.T
     vals = basis.cell_values
-    return bmat, coeffs.grid.cell_volume * (np.conj(vals) @ vals.T)
+    mass = None
+    for cells in cell_chunks(coeffs.n_cells):
+        part = np.conj(vals[:, cells]) @ vals[:, cells].T
+        mass = part if mass is None else mass + part
+    return bmat, coeffs.grid.cell_volume * mass
 
 
 def vertex_search(bmat, mmat):

@@ -18,8 +18,13 @@ verbatim while the numeric payload is re-encoded from the arrays.
 A document may carry complex ndarrays as leaves, as the reports do for
 their coefficient fields.  :func:`dumps_canonical` writes such a leaf as
 the nested ``[re, im]`` lists that :func:`complex_to_json` would give,
-byte for byte, without building those lists: every distinct float is
-formatted once and the array's text is filled in one step.
+byte for byte, without building those lists: every distinct float of a
+chunk of ``CELL_CHUNK`` rows is formatted once and the chunk's text is
+filled in one step.  :func:`write_doc` and :func:`write_canonical` write
+the same text chunk by chunk and never join it; every leaf is checked to
+be finite before the first byte goes out.  :func:`write_doc` writes a
+new or replaceable file into a temporary file beside it and renames that
+over it, so a refused document or a failed write leaves no partial file.
 
 Reading a model (:func:`parse_model`, :func:`load_model`) never builds
 the nested lists of its numeric payloads: ``coefficients.C/b/d/c0``,
@@ -50,7 +55,9 @@ surface as :class:`ValidationError` subclasses from the model layer.
 import gc
 import json
 import math
+import os
 import re
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
@@ -58,7 +65,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .grid import GridSpec, TestFunction
+from .grid import GridSpec, TestFunction, cell_chunks
 from .model import CoefficientSet
 from .regularize import indicator_projection, interval_mask
 
@@ -69,6 +76,7 @@ __all__ = [
     "json_to_complex",
     "complex_pair",
     "dumps_canonical",
+    "write_canonical",
     "write_doc",
     "load_doc",
     "parse_model",
@@ -384,20 +392,39 @@ def _non_finite(reason="Out of range float values are not JSON compliant"):
 
 def _array_text(arr):
     """``json.dumps(complex_to_json(arr))`` with tight separators, written
-    from the array: each distinct float bit pattern is formatted once with
-    ``float.__repr__`` (so ``-0.0`` and ``0.0`` stay apart) and one ``%``
-    fill puts them into the nested-list template of the array's shape."""
+    from a finite array: each distinct float bit pattern is formatted once
+    with ``float.__repr__`` (so ``-0.0`` and ``0.0`` stay apart) and one
+    ``%`` fill puts them into the nested-list template of the array's
+    shape."""
     a = np.asarray(arr, dtype=complex, order="C")
-    flat = a.reshape(-1).view(float)
-    if not np.all(np.isfinite(flat)):
-        raise _non_finite()
-    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+    bits, inverse = np.unique(a.reshape(-1).view(float).view(np.uint64),
+                              return_inverse=True)
     words = np.array(list(map(float.__repr__, bits.view(float).tolist())),
                      dtype=object)
     template = "[%s,%s]"
     for size in reversed(a.shape):
         template = "[" + ",".join([template] * size) + "]"
     return template % tuple(words[inverse])
+
+
+def _leading_chunks(arr):
+    """An array's pieces of at most ``CELL_CHUNK`` rows along its leading
+    axis (a 0-d array is one piece)."""
+    if arr.ndim == 0:
+        return [arr]
+    return [arr[rows] for rows in cell_chunks(len(arr))]
+
+
+def _array_pieces(arr):
+    """The text of :func:`_array_text` in pieces of at most ``CELL_CHUNK``
+    rows along the leading axis, so no piece holds the whole array."""
+    if arr.ndim == 0:
+        yield _array_text(arr)
+        return
+    yield "["
+    for k, chunk in enumerate(_leading_chunks(arr)):
+        yield ("," if k else "") + _array_text(chunk)[1:-1]
+    yield "]"
 
 
 def _encode(doc, marker):
@@ -420,37 +447,96 @@ def _encode(doc, marker):
     return text, arrays
 
 
-def dumps_canonical(doc):
-    """Canonical JSON text: sorted keys, tight separators, newline end.
+def _canonical_pieces(doc):
+    """The canonical text of ``doc`` as an iterator of strings.
 
-    ndarray leaves are written as complex arrays by :func:`_array_text`;
+    ndarray leaves are written as complex arrays by :func:`_array_pieces`;
     everything else goes through the ``json`` encoder, which sees a marker
     string in place of each array.  The array texts are spliced in at the
     markers.  A marker is a run of ``k`` NUL characters; when the text
     holds more markers than there are arrays, a string of the document
     collided with it, so ``k`` doubles and the document is encoded again.
+    Every leaf is checked to be finite before the first piece is given,
+    so a refused document yields nothing.
     """
     k = 1
     while True:
         text, arrays = _encode(doc, "\0" * k)
         if not arrays:
-            return text + "\n"
+            yield text + "\n"
+            return
         parts = text.split('"%s"' % ("\\u0000" * k))
         if len(parts) == len(arrays) + 1:
             break
         k *= 2
-    out = [parts[0]]
+    for arr in arrays:
+        if not all(np.isfinite(np.asarray(chunk, dtype=complex)).all()
+                   for chunk in _leading_chunks(arr)):
+            raise _non_finite()
+    yield parts[0]
     for arr, part in zip(arrays, parts[1:]):
-        out += (_array_text(arr), part)
-    out.append("\n")
-    return "".join(out)
+        yield from _array_pieces(arr)
+        yield part
+    yield "\n"
+
+
+def dumps_canonical(doc):
+    """Canonical JSON text: sorted keys, tight separators, newline end.
+
+    ndarray leaves are written as complex arrays, byte for byte as
+    :func:`complex_to_json` lists would be (see :func:`_canonical_pieces`).
+    """
+    return "".join(_canonical_pieces(doc))
+
+
+def write_canonical(handle, doc):
+    """Write the text of :func:`dumps_canonical` to the text ``handle``
+    piece by piece, never holding the whole document; nothing is written
+    when a leaf is not finite."""
+    handle.writelines(_canonical_pieces(doc))
 
 
 def write_doc(path, doc):
-    text = dumps_canonical(doc)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    return text
+    """Write the canonical text of ``doc`` to ``path``.
+
+    A new file, or an existing regular file that it and its directory let
+    be written, is written atomically: the text goes piece by piece into a
+    new temporary file in the target's directory, which takes the
+    target's permission bits and then replaces it.  A refused document (a
+    leaf that is not finite) or a failed write leaves no partial file and
+    an existing ``path`` untouched.  Any other existing target
+    (``/dev/null``, a pipe, a file in a directory that cannot be written,
+    a file that cannot be written) is opened and written in place, as
+    :func:`open` allows, once the document has passed its checks.
+    """
+    pieces = _canonical_pieces(doc)
+    # the checks run before the first piece comes, and before any file
+    pieces = chain([next(pieces)], pieces)
+    # through a symbolic link, the file it names is written
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not (
+            stat.S_ISREG(mode) and os.access(target, os.W_OK)
+            and os.access(directory, os.W_OK | os.X_OK)):
+        with open(target, "w", encoding="utf-8") as handle:
+            handle.writelines(pieces)
+        return
+    tmp = os.path.join(directory, ".%s.%s.tmp" % (name, os.urandom(8).hex()))
+    # O_EXCL: a fresh file, which the umask gives the mode open() would
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        if mode is not None:
+            os.fchmod(fd, stat.S_IMODE(mode))
+        with open(fd, "w", encoding="utf-8") as handle:
+            handle.writelines(pieces)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _reject_constant(token):
@@ -607,17 +693,51 @@ def expand_function_spec(spec, grid):
 class LoadedModel:
     """A parsed, validated, fully expanded model file.
 
-    ``q_spec`` and ``func_specs`` are the file's ``Q`` and ``functions``
-    sub-documents, for :func:`model_to_doc`; a payload read from a file is
-    held there as the array that the model uses.
+    ``family`` holds the model's functions as one stacked
+    :class:`~regpart.grid.TestFunction` whose rows are named by ``names``,
+    in file order; ``funcs`` maps each name to its row, a view of the
+    family.  ``q_spec`` and ``func_specs`` are the file's ``Q`` and
+    ``functions`` sub-documents, for :func:`model_to_doc`; a payload read
+    from a file is held there as the array that the model uses.
     """
 
     grid: GridSpec
     coeffs: CoefficientSet
     q_field: np.ndarray
-    funcs: dict
+    names: tuple
+    family: TestFunction = field(repr=False)
     q_spec: dict = field(repr=False, default=None)
     func_specs: list = field(repr=False, default=None)
+    funcs: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.funcs = dict(zip(self.names, self.family))
+
+
+def _function_names(func_specs):
+    """The names of the function specs, in order; a repeated name is
+    refused."""
+    names = []
+    for spec in func_specs:
+        name = _get(spec, "name", str, "function")
+        if name in names:
+            raise ParseError("duplicate function name '%s'" % name)
+        names.append(name)
+    return tuple(names)
+
+
+def _fill_family(func_specs, funcs):
+    """Expand each function spec and copy it into its row of ``funcs`` in
+    turn.  A ``samples`` spec that holds the arrays it was read into then
+    holds the row's instead, so the model keeps one copy of every
+    function."""
+    for spec, row in zip(func_specs, funcs):
+        func = expand_function_spec(spec, row.grid)[1]
+        for key in ("cell_values", "cell_gradient"):
+            getattr(row, key)[...] = getattr(func, key)
+            if spec.get(key) is getattr(func, key):
+                spec[key] = getattr(row, key)
+        del func  # before the next one is expanded
 
 
 def doc_to_model(doc, validate=True):
@@ -641,14 +761,16 @@ def doc_to_model(doc, validate=True):
     q_spec = _get(doc, "Q", dict, "model")
     q_field = expand_q_spec(q_spec, grid)
     func_specs = _get(doc, "functions", list, "model")
-    funcs = {}
-    for spec in func_specs:
-        name, func = expand_function_spec(spec, grid)
-        if name in funcs:
-            raise ParseError("duplicate function name '%s'" % name)
-        funcs[name] = func
-    return LoadedModel(grid=grid, coeffs=coeffs, q_field=q_field,
-                       funcs=funcs, q_spec=q_spec, func_specs=func_specs)
+    # the model's family is made unfilled, then expanded into row by row
+    shape = (len(func_specs), n)
+    model = LoadedModel(
+        grid=grid, coeffs=coeffs, q_field=q_field,
+        names=_function_names(func_specs),
+        family=TestFunction(grid=grid, cell_values=np.empty(shape, complex),
+                            cell_gradient=np.empty(shape + (d,), complex)),
+        q_spec=q_spec, func_specs=func_specs)
+    _fill_family(func_specs, model.funcs.values())
+    return model
 
 
 def parse_model(text):

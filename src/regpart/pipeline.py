@@ -18,7 +18,6 @@ from .diagnostics import (PROBE_LAMBDAS, check_equivalences,
                           generate_cantor_example, oracle_pairs,
                           svc_intervals)
 from .errors import ValidationError
-from .grid import TestFunction
 from .model import derive_fields
 from .modelio import (SCHEMA_VERSION, complex_pair, grid_to_doc,
                       make_model_doc, q_indicator_spec)
@@ -131,11 +130,16 @@ def _prelude(coeffs, q_field, funcs):
 def compute_report(model, lambdas=PROBE_LAMBDAS, seed=0):
     """Full pipeline on one loaded model; returns the report document."""
     coeffs = model.coeffs
-    names = list(model.funcs.keys())
-    funcs = TestFunction.stack(coeffs.grid, model.funcs.values())
+    names, funcs = list(model.funcs), model.family
     derived, structure, reg, vs, ops = _prelude(coeffs, model.q_field,
                                                 funcs)
+    # the suite's per-cell residuals are not kept past their maxima
     identity = identity_suite(structure, derived)
+    identity_doc = {
+        "residuals": {k: float(v) for k, v in identity.residuals.items()},
+        "max_residual": float(identity.max_residual),
+    }
+    del identity
 
     warnings = []
     oracle_table = []
@@ -173,10 +177,7 @@ def compute_report(model, lambdas=PROBE_LAMBDAS, seed=0):
         "grid": grid_to_doc(coeffs.grid),
         "regular": _field_doc(reg.C_reg, reg.b_reg, reg.d_reg, reg.c0_reg),
         "singular": _field_doc(reg.C_s, reg.b_s, reg.d_s, reg.c0_s),
-        "identity_suite": {
-            "residuals": {k: float(v) for k, v in identity.residuals.items()},
-            "max_residual": float(identity.max_residual),
-        },
+        "identity_suite": identity_doc,
         "oracle_table": oracle_table,
         "diagnostics": diag_doc,
         "vertex": vertex_doc,
@@ -308,8 +309,7 @@ def run_probe(model, lambdas=PROBE_LAMBDAS):
     if not model.funcs:
         raise ValidationError("the probe needs at least one model function")
     xi = np.ones(model.grid.dim) / np.sqrt(model.grid.dim)
-    coeffs = model.coeffs
-    funcs = TestFunction.stack(coeffs.grid, model.funcs.values())
+    coeffs, funcs = model.coeffs, model.family
     vs = build_v_subspace(coeffs, derive_fields(coeffs), model.q_field, funcs)
     report = t_pi2_probe(vs, compute_operators(vs), funcs[0], xi, lambdas)
     doc = _probe_doc(report)

@@ -58,6 +58,10 @@ __all__ = [
 #: Residual budget for the structural relations checked at build time.
 STRUCTURE_TOL = 1e-10
 
+#: Commutator norm, relative to ``max(1, ||Z||_F)``, above which
+#: :func:`assemble_regular_commuting` refuses a cell.
+COMMUTING_TOL = 1e-9
+
 
 def _eye_like(field):
     n, d = field.shape[0], field.shape[-1]
@@ -334,15 +338,18 @@ def assemble_regular(coeffs, derived, s):
     return _package(coeffs, cells, c_reg, b_reg, d_reg, c0_reg)
 
 
+def _commutators(s, derived):
+    """Frobenius norms of ``Q Z - Z Q`` on the cells of ``supp Q``."""
+    q, z = s.Q_field[s.support], derived.Z_field[s.support]
+    return frobenius(np.matmul(q, z) - np.matmul(z, q))
+
+
 def commutator_norms(s, derived):
     """Per-cell Frobenius norms of ``Q Z - Z Q`` (0 off ``supp Q``)."""
-    cells = s.support
-    q, z = s.Q_field[cells], derived.Z_field[cells]
-    return _scatter(frobenius(np.matmul(q, z) - np.matmul(z, q)), cells,
-                    derived.n_cells)
+    return _scatter(_commutators(s, derived), s.support, derived.n_cells)
 
 
-def assemble_regular_commuting(coeffs, derived, s, tol=1e-9):
+def assemble_regular_commuting(coeffs, derived, s):
     """Simplified assembly valid when ``Q`` and ``Z`` commute per cell.
 
     The kernel collapses: the second-order field becomes
@@ -352,18 +359,26 @@ def assemble_regular_commuting(coeffs, derived, s, tol=1e-9):
     agrees with :func:`assemble_regular` cell by cell.
 
     Raises :class:`NotCommuting` when ``max_c ||QZ - ZQ||_F`` exceeds
-    ``tol`` relative to the cell scale.  Like :func:`assemble_regular`, it
-    works on ``supp Q`` and copies the input elsewhere.
+    ``COMMUTING_TOL`` relative to the cell scale.  Like
+    :func:`assemble_regular`, it works on ``supp Q`` and copies the input
+    elsewhere.
     """
     _check_grids(coeffs, derived, s)
     comm = commutator_norms(s, derived)
     scale = np.maximum(1.0, frobenius(derived.Z_field))
-    if np.any(comm > tol * scale):
+    if np.any(comm > COMMUTING_TOL * scale):
         cell = int(np.argmax(comm / scale))
         raise NotCommuting(
             "cell %d: ||QZ - ZQ||_F = %.3e exceeds the commuting tolerance"
             % (cell, float(comm[cell])))
+    return _package(coeffs, s.support, *_commuting_fields(
+        coeffs, derived, s))
 
+
+def _commuting_fields(coeffs, derived, s):
+    """The four fields of the simplified assembly on the cells of
+    ``supp Q`` only, ``(C_reg, b_reg, d_reg, c0_reg)`` in the order of
+    ``s.support``; no commutation check."""
     cells = s.support
     q, p, z, asqrt, x, y, c0 = (f[cells] for f in (
         s.Q_field, s.P_field, derived.Z_field, derived.Asqrt_field,
@@ -380,7 +395,7 @@ def assemble_regular_commuting(coeffs, derived, s, tol=1e-9):
         raise SolveFailure("(I + iZ) solve failed: %s" % exc)
     qy = np.einsum("nkl,nl->nk", np.matmul(q, resolvent_q), y)
     c0_reg = c0 - np.einsum("nk,nk->n", np.conj(x), qy)
-    return _package(coeffs, cells, c_reg, b_reg, d_reg, c0_reg)
+    return c_reg, b_reg, d_reg, c0_reg
 
 
 def pure_second_order_parts(reg):

@@ -14,7 +14,7 @@ import numpy as np
 
 from regpart.completion import (GRAM_COND_CAP, _singular_basis,
                                 build_ambient, phi_vector, singular_field)
-from regpart.pointwise import adjoint, herm_part, imag_part
+from regpart.pointwise import adjoint, herm_part, imag_part, psd_roots
 
 
 def ambient_weights(coeffs, derived, gamma):
@@ -194,3 +194,16 @@ def dense_ops(vs, ops):
     return SimpleNamespace(pi1=pi1, pi2=np.eye(nf + m) - pi1, T11=t11,
                            T=scatter(ops.t_jf, jj=t11),
                            Pi=scatter(ops.pi_jf, ff=np.eye(nf)))
+
+
+def one_pass_fields(coeffs):
+    """``(A, A^{1/2}, g, Z, X, Y)`` of ``derive_fields`` in one pass over
+    the whole stack, as it was computed before the cell passes were
+    chunked."""
+    a = herm_part(coeffs.C_field)
+    asqrt, g = psd_roots(a)
+    z = herm_part(np.einsum("nij,njk,nkl->nil", g,
+                            imag_part(coeffs.C_field), g))
+    return (a, asqrt, g, z, np.einsum("nij,nj->ni", g,
+                                      np.conj(coeffs.b_field)),
+            np.einsum("nij,nj->ni", g, coeffs.d_field))

@@ -167,7 +167,9 @@ def test_compute_memory_below_one_dense_matrix():
     ``dim x dim`` matrix of its V space would take."""
     coeffs, q_field, funcs = generate_cantor_example(5)
     model = LoadedModel(grid=coeffs.grid, coeffs=coeffs, q_field=q_field,
-                        funcs=funcs)
+                        names=tuple(funcs),
+                        family=TestFunction.stack(coeffs.grid,
+                                                  funcs.values()))
     nb = len(funcs) + int(np.count_nonzero(q_field[:, 0, 0].real > 0.5))
     tracemalloc.start()
     try:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,9 @@ import pytest
 
 from regpart.cli import main
 from regpart.diagnostics import MAX_CANTOR_STAGE
-from regpart.grid import TestFunction
+from regpart.errors import DominationViolation, SectorViolation
+from regpart.grid import CELL_CHUNK, GridSpec, TestFunction
+from regpart.model import CoefficientSet, derive_fields
 from regpart.modelio import (LoadedModel, complex_to_json, dumps_canonical,
                              load_doc, make_model_doc, q_indicator_spec,
                              q_matrix_spec, write_doc)
@@ -547,6 +550,133 @@ def test_argument_errors_exit_2(argv, named, cantor_file, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["compute", "probe"])
+def test_bad_out_refused_before_any_work(command, cantor_file, tmp_path,
+                                         monkeypatch, capsys):
+    """An ``--out`` in a missing directory, or naming a directory, exits 2
+    before the model is read: neither the load nor the compute runs."""
+    import regpart.cli
+    entered = []
+    for name in ("load_model", "compute_report", "run_probe"):
+        monkeypatch.setattr(regpart.cli, name,
+                            lambda *a, name=name, **k: entered.append(name))
+    for out, problem in ((tmp_path / "no-such-dir" / "r.json",
+                          "no such directory"), (tmp_path, "is a directory")):
+        assert main([command, "--model", str(cantor_file), "--out",
+                     str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: --out %s: %s"
+                              % (out, problem))
+    assert entered == []
+    assert _names(tmp_path) == ["cantor.json"]
+
+
+def _no_dir_writes(path, mode, **kwargs):
+    """``os.access`` as it answers a user who may write no directory."""
+    return not (mode & os.W_OK and os.path.isdir(path))
+
+
+@pytest.mark.parametrize("command", ["compute", "probe"])
+def test_out_in_an_unwritable_directory(command, cantor_file, tmp_path,
+                                        monkeypatch, capsys):
+    """Where no directory may be written, ``--out`` to ``/dev/null``, to a
+    pipe or to an existing writable file still exits 0, written in place;
+    a new file there, or an existing file that may not be written, exits 2
+    before the model is read."""
+    import regpart.cli
+    import regpart.modelio
+    monkeypatch.setattr(os, "access", _no_dir_writes)
+    argv = [command, "--model", str(cantor_file), "--out"]
+    assert main(argv + [os.devnull]) == 0
+
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    assert main(argv + [str(fifo)]) == 0
+    reader.join(timeout=60)
+
+    old = tmp_path / "old.json"
+    old.write_text("old\n", encoding="utf-8")
+    inode = old.stat().st_ino
+    assert main(argv + [str(old)]) == 0
+    assert old.stat().st_ino == inode
+    assert got == [old.read_bytes()]
+    assert load_doc(old)["kind"] == {"compute": "report"}.get(command,
+                                                               command)
+    capsys.readouterr()
+
+    entered = []
+    monkeypatch.setattr(regpart.cli, "load_model",
+                        lambda *a, **k: entered.append("load_model"))
+    assert main(argv + [str(tmp_path / "new.json")]) == 2
+    assert "directory %s is not writable" % tmp_path \
+        in capsys.readouterr().err
+    monkeypatch.setattr(os, "access", lambda path, mode, **kwargs: False)
+    assert main(argv + [str(old)]) == 2
+    assert "--out %s: is not writable" % old in capsys.readouterr().err
+    assert entered == []
+    assert _names(tmp_path) == ["cantor.json", "old.json", "pipe"]
+
+
+def _names(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+def _second_chunk_model(kind):
+    """A 2-D model of ``2 * CELL_CHUNK + 16`` cells, valid but for cell
+    ``CELL_CHUNK + 5`` in the second chunk of every cell pass (and, for
+    ``"sector"``, a milder violation in the first chunk); returns the
+    coefficients and that cell."""
+    grid = GridSpec(dim=2, box=((0.0, 1.0), (0.0, 1.0)),
+                    cells_per_axis=(2, CELL_CHUNK + 8))
+    n, cell, tiny = grid.n_cells, CELL_CHUNK + 5, 1e-6
+    c = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
+    b = np.zeros((n, 2), dtype=complex)
+    if kind == "sector":
+        c[10], c[cell] = -0.5 * np.eye(2), -np.eye(2)
+    elif kind == "domination":
+        b[cell] = [3.0, 0.0]
+    elif kind == "overflow":
+        b[cell] = [1e200, 0.0]
+    elif kind == "skew":
+        # within validate's slack, but Im C leaves range(A) = span e_0
+        c[cell] = [[1.0, 1j * tiny], [1j * tiny, 0.0]]
+    else:
+        c[cell] = np.diag([1.0, 0.0])
+        b[cell] = [0.0, tiny]
+    return CoefficientSet(grid=grid, C_field=c, b_field=b,
+                          d_field=np.zeros((n, 2), dtype=complex),
+                          c0_field=np.zeros(n, dtype=complex), theta=0.5,
+                          K_bound=1.0), cell
+
+
+@pytest.mark.parametrize("kind, error", [
+    ("sector", SectorViolation), ("domination", DominationViolation),
+    ("overflow", DominationViolation), ("skew", SectorViolation),
+    ("range", DominationViolation)])
+def test_second_chunk_violation_names_global_cell(kind, error, tmp_path,
+                                                  capsys):
+    """A sector or domination violation in the second chunk of cells is
+    named by its global cell index, by ``validate`` for the first three
+    kinds (the third overflows its pencil) and by ``derive_fields`` for
+    the others, and ``compute`` exits 2 with that index."""
+    coeffs, cell = _second_chunk_model(kind)
+    with pytest.raises(error) as raised:
+        coeffs.validate()
+        assert kind in ("skew", "range")
+        derive_fields(coeffs)
+    assert raised.value.cell == cell
+    assert "cell %d" % cell in str(raised.value)
+    path = tmp_path / "model.json"
+    write_doc(path, make_model_doc(coeffs, q_matrix_spec(
+        np.zeros_like(coeffs.C_field)), []))
+    assert main(["compute", "--model", str(path)]) == 2
+    assert "validation error: cell %d" % cell in capsys.readouterr().err
+
+
 def test_stage_help_states_the_range(capsys):
     """Stages past ``MAX_CANTOR_STAGE`` would exceed the grid's cell cap."""
     assert MAX_CANTOR_STAGE == 10
@@ -718,8 +848,10 @@ def calls(monkeypatch):
 
 def _loaded(model):
     coeffs = model["coeffs"]
+    funcs = model["funcs"]
     return LoadedModel(grid=coeffs.grid, coeffs=coeffs,
-                       q_field=model["q_field"], funcs=model["funcs"])
+                       q_field=model["q_field"], names=tuple(funcs),
+                       family=TestFunction.stack(coeffs.grid, funcs.values()))
 
 
 def test_compute_builds_each_artifact_once(cantor3, calls):
@@ -731,25 +863,31 @@ def test_compute_builds_each_artifact_once(cantor3, calls):
     and the singular part's Gram, whose second-order part is the pure
     companion's.  The three vertex searches read those Grams, so neither
     ``estimate_vertex_angle`` nor ``pure_second_order_parts`` runs.  The
-    model's functions are stacked into one family once."""
-    compute_report(_loaded(cantor3))
+    model holds its functions as one family, which the compute reads
+    without stacking them again."""
+    model = _loaded(cantor3)
     counts, callers = calls
+    assert counts == {"stack": 1}
+    counts.clear()
+    compute_report(model)
     assert counts == {"build_ambient": 1, "build_v_subspace": 1,
                       "compute_operators": 2, "derive_fields": 1,
-                      "eval_form": 3, "form_gram": 1, "stack": 1,
+                      "eval_form": 3, "form_gram": 1,
                       "assemble_regular": 1, "t_pi2_probe": 1}
     assert callers["form_gram"] == {"build_v_subspace"}
 
 
 def test_probe_builds_each_artifact_once(cantor3, calls):
-    """A probe stacks, derives, builds and solves once; its one form
-    evaluation is the V build's form Gram."""
-    run_probe(_loaded(cantor3), lambdas=(5.0, 10.0))
+    """A probe derives, builds and solves once, on the model's family
+    without stacking it again; its one form evaluation is the V build's
+    form Gram."""
+    model = _loaded(cantor3)
     counts, callers = calls
+    counts.clear()
+    run_probe(model, lambdas=(5.0, 10.0))
     assert counts == {"build_ambient": 1, "build_v_subspace": 1,
                       "compute_operators": 1, "derive_fields": 1,
-                      "eval_form": 1, "form_gram": 1, "stack": 1,
-                      "t_pi2_probe": 1}
+                      "eval_form": 1, "form_gram": 1, "t_pi2_probe": 1}
     assert callers["form_gram"] == {"build_v_subspace"}
 
 

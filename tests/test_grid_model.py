@@ -17,7 +17,7 @@ from regpart.pointwise import adjoint, herm_part
 from regpart.randomized import (random_coefficients, random_grid,
                                 random_node_functions)
 
-from dense_reference import dense_grams
+from dense_reference import dense_grams, one_pass_fields
 
 
 def unit_grid(dim, cells):
@@ -326,6 +326,45 @@ def test_eval_form_batches_pairs(rng):
             assert isinstance(pair.value, complex)
             for a, b in zip(pair.parts, batch.parts):
                 assert_allclose(b[i, j], a, rtol=1e-12, atol=1e-14)
+
+
+def test_chunked_cell_passes_match_one_pass(rng, monkeypatch):
+    """Run over chunks of 7 cells, ``eval_form`` and ``form_gram`` agree
+    with the one-chunk pass to rounding (only the summation order
+    differs), and the pointwise ``derive_fields`` and ``validate`` are
+    unchanged bit for bit."""
+    import regpart.grid
+    coeffs = random_coefficients(rng, unit_grid(2, (6, 5)))
+    us = random_node_functions(rng, coeffs.grid, 3)
+    vs = random_node_functions(rng, coeffs.grid, 2)
+
+    def passes():
+        return (eval_form(coeffs, us, vs).parts, form_gram(coeffs, us),
+                derive_fields(coeffs).Z_field)
+    whole = passes()
+    monkeypatch.setattr(regpart.grid, "CELL_CHUNK", 7)
+    assert len(regpart.grid.cell_chunks(coeffs.n_cells)) == 4
+    chunked = passes()
+    for a, b in zip(whole[0] + whole[1], chunked[0] + chunked[1]):
+        assert_allclose(b, a, rtol=1e-13, atol=1e-13)
+    assert np.array_equal(chunked[2], whole[2])
+    assert coeffs.validate() is coeffs
+
+
+@pytest.mark.parametrize("cells", [(96, 96), (21, 21, 21), (9000,)])
+def test_chunked_derive_fields_is_one_pass(cells):
+    """On grids of two or three chunks, in dimensions 1 to 3, the chunked
+    ``derive_fields`` gives every field bit for bit as one pass over the
+    whole stack does."""
+    from regpart.grid import cell_chunks
+    coeffs = random_coefficients(np.random.default_rng(len(cells)),
+                                 unit_grid(len(cells), cells))
+    assert len(cell_chunks(coeffs.n_cells)) >= 2
+    derived = derive_fields(coeffs)
+    for got, want in zip((derived.A_field, derived.Asqrt_field,
+                          derived.g_field, derived.Z_field, derived.X_field,
+                          derived.Y_field), one_pass_fields(coeffs)):
+        assert np.array_equal(got, want)
 
 
 def test_eval_form_grid_mismatch(rng):

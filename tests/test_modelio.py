@@ -1,8 +1,12 @@
 """Model-file codec: canonical text, schema errors, byte-stable round trips."""
 
+import errno
 import gc
 import json
+import os
+import stat
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,8 +18,9 @@ from numpy.testing import assert_allclose
 
 from regpart.diagnostics import cantor_mask, default_cantor_grid, svc_intervals
 from regpart.errors import ParseError, ValidationError
-from regpart.grid import GridSpec, TestFunction
-from regpart.modelio import (SCHEMA_VERSION, complex_pair, complex_to_json,
+from regpart.grid import CELL_CHUNK, GridSpec, TestFunction
+from regpart.modelio import (SCHEMA_VERSION, _canonical_pieces, complex_pair,
+                             complex_to_json,
                              doc_to_grid, doc_to_model, dumps_canonical,
                              expand_function_spec, expand_q_spec,
                              grid_to_doc, json_to_complex, load_doc,
@@ -155,6 +160,143 @@ def test_loads_doc_rejects_bad_text():
         loads_doc('{"x": NaN}')
     with pytest.raises(ParseError):
         load_doc("/nonexistent/path/model.json")
+
+
+# -- streaming, atomic writer -----------------------------------------------
+
+C = CELL_CHUNK
+#: Signed zeros, subnormals and the largest finite float.
+SPECIALS = (complex(-0.0, 5e-324), complex(5e-324, -0.0),
+            complex(-2.5e-310, 0.0), complex(0.0, -1.7976931348623157e308))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("length", [0, 1, C - 1, C, C + 1, 2 * C + 1])
+def test_writer_chunk_boundaries(rank, length, tmp_path):
+    """``write_doc`` writes an array leaf chunk by chunk along its leading
+    axis.  At and around the chunk boundaries its bytes are those of
+    ``dumps_canonical`` and of the nested ``[re, im]`` lists, signed zeros
+    and subnormals included, and no piece holds the whole text."""
+    rng = np.random.default_rng(10 * length + rank)
+    shape = (length,) + (2,) * (rank - 1)
+    arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rows = arr.reshape(length, 2 ** (rank - 1))
+    for i in {0, C - 1, C, C + 1, 2 * C, length - 1} & set(range(length)):
+        rows[i] = SPECIALS[:rows.shape[1]]
+    doc = {"a": arr, "b": [1.5, arr[:1]]}
+    path = tmp_path / "doc.json"
+    write_doc(path, doc)
+    text = path.read_text(encoding="utf-8")
+    assert text == dumps_canonical(doc)
+    assert text == json.dumps(
+        {"a": complex_to_json(arr), "b": [1.5, complex_to_json(arr[:1])]},
+        sort_keys=True, separators=(",", ":")) + "\n"
+    if length > 2 * C:
+        assert max(map(len, _canonical_pieces(doc))) < 0.6 * len(text)
+
+
+def _names(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+def test_write_doc_refused_leaf_writes_nothing(tmp_path):
+    """A non-finite leaf, in a late chunk of an array, refuses the document
+    before any byte is written: no file appears and an existing one is
+    left as it was."""
+    arr = np.zeros(2 * C + 1, dtype=complex)
+    arr[-1] = complex(0.0, np.nan)
+    path = tmp_path / "report.json"
+    with pytest.raises(ValidationError, match="non-finite"):
+        write_doc(path, {"x": arr})
+    assert _names(tmp_path) == []
+    path.write_text("old\n", encoding="utf-8")
+    for doc in ({"x": arr}, {"x": np.zeros(3, dtype=complex), "y": np.inf}):
+        with pytest.raises(ValidationError, match="non-finite"):
+            write_doc(path, doc)
+    assert _names(tmp_path) == ["report.json"]
+    assert path.read_text(encoding="utf-8") == "old\n"
+
+
+def test_write_doc_failed_write_keeps_old_file(tmp_path, monkeypatch):
+    """An ``OSError`` in the middle of the write (a full disk, say) leaves
+    no partial file and the old file untouched; the next write replaces
+    it and keeps its permission bits, and a new file gets the ones
+    ``open`` gives."""
+    import regpart.modelio as modelio
+    path = tmp_path / "report.json"
+    path.write_text("old\n", encoding="utf-8")
+    path.chmod(0o640)
+    real, calls = modelio._array_text, []
+
+    def failing(arr):
+        calls.append(len(arr))
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(arr)
+
+    monkeypatch.setattr(modelio, "_array_text", failing)
+    doc = {"x": np.ones(2 * C + 1, dtype=complex)}
+    with pytest.raises(OSError, match="No space"):
+        write_doc(path, doc)
+    assert calls == [C, C + 1]
+    assert _names(tmp_path) == ["report.json"]
+    assert path.read_text(encoding="utf-8") == "old\n"
+
+    monkeypatch.undo()
+    write_doc(path, doc)
+    assert path.read_text(encoding="utf-8") == dumps_canonical(doc)
+    assert _names(tmp_path) == ["report.json"]
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    write_doc(tmp_path / "new.json", doc)
+    mask = os.umask(0)
+    os.umask(mask)
+    assert stat.S_IMODE((tmp_path / "new.json").stat().st_mode) \
+        == 0o666 & ~mask
+
+
+def test_write_doc_in_place_where_it_cannot_replace(tmp_path, monkeypatch):
+    """An existing file that may not be replaced, since its directory or
+    the file itself may not be written, is written in place as ``open``
+    allows: the same inode, no temporary file.  A refused document still
+    leaves it untouched."""
+    path = tmp_path / "report.json"
+    path.write_text("old\n", encoding="utf-8")
+    inode = path.stat().st_ino
+    doc = {"x": np.ones(2 * C + 1, dtype=complex)}
+    for denied in (str(tmp_path), str(path)):
+        monkeypatch.setattr(os, "access", lambda p, mode, denied=denied,
+                            **kwargs: str(p) != denied)
+        with pytest.raises(ValidationError, match="non-finite"):
+            write_doc(path, {"x": np.array([np.inf + 0j])})
+        assert path.read_text(encoding="utf-8") == "old\n"
+        write_doc(path, doc)
+        assert path.read_text(encoding="utf-8") == dumps_canonical(doc)
+        assert path.stat().st_ino == inode
+        assert _names(tmp_path) == ["report.json"]
+        path.write_text("old\n", encoding="utf-8")
+
+
+def test_write_doc_through_a_link_and_into_a_pipe(tmp_path):
+    """Through a symbolic link, the file it names is replaced and the link
+    kept; a target that is not a regular file is written in place, not
+    replaced."""
+    link, real = tmp_path / "link.json", tmp_path / "real.json"
+    real.write_text("old\n", encoding="utf-8")
+    link.symlink_to(real)
+    write_doc(link, {"a": 1})
+    assert link.is_symlink() and real.read_text() == '{"a":1}\n'
+    assert _names(tmp_path) == ["link.json", "real.json"]
+
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()))
+    reader.start()
+    doc = {"x": np.arange(3, dtype=complex)}
+    write_doc(fifo, doc)
+    reader.join(timeout=10)
+    assert got == [dumps_canonical(doc)]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 # -- grid block -------------------------------------------------------------
@@ -381,8 +523,8 @@ def test_model_validation_gate(rng):
 def test_write_and_load_file(rng, tmp_path):
     doc, coeffs, _ = model_doc(rng)
     path = tmp_path / "model.json"
-    text = write_doc(path, doc)
-    assert path.read_text(encoding="utf-8") == text
+    write_doc(path, doc)
+    assert path.read_text(encoding="utf-8") == dumps_canonical(doc)
     model = load_model(path)
     assert model.grid == coeffs.grid
 
@@ -540,10 +682,9 @@ def test_model_text_not_utf8(text):
         parse_model(text)
 
 
-def test_load_memory_is_a_few_file_sizes(tmp_path):
-    """Loading a 64 x 64 random 2-D model, built as the benchmark's
-    ``field2d`` model is, peaks at no more than four times the file size,
-    and the loaded model keeps no more than one and a half times it."""
+def _field_model_file(tmp_path):
+    """A 64 x 64 random 2-D model file, built as the benchmark's ``field2d``
+    model is, and its grid."""
     from regpart.model import derive_fields
     from regpart.randomized import commuting_projection_field
     rng = np.random.default_rng(1)
@@ -556,8 +697,16 @@ def test_load_memory_is_a_few_file_sizes(tmp_path):
               "center": [float(x) for x in c], "width": [0.3]}
              for k, c in enumerate(rng.uniform(0.35, 0.65, size=(4, 2)))]
     path = tmp_path / "field.json"
-    size = len(write_doc(path, make_model_doc(coeffs, q_matrix_spec(q),
-                                              specs)))
+    write_doc(path, make_model_doc(coeffs, q_matrix_spec(q), specs))
+    return path, grid
+
+
+def test_load_memory_is_a_few_file_sizes(tmp_path):
+    """Loading the 64 x 64 ``field2d``-style model peaks at no more than
+    four times the file size, and the loaded model keeps no more than one
+    and a half times it."""
+    path, grid = _field_model_file(tmp_path)
+    size = path.stat().st_size
     gc.collect()
     tracemalloc.start()
     try:
@@ -568,3 +717,29 @@ def test_load_memory_is_a_few_file_sizes(tmp_path):
     assert model.grid == grid
     assert peak <= 4 * size
     assert kept <= 1.5 * size
+
+
+def test_compute_memory_is_a_few_model_sizes(tmp_path):
+    """``compute_report`` on the 64 x 64 ``field2d``-style model (4,096
+    cells, 185 of them in ``supp Q``) peaks at no more than 4.5 times the
+    bytes of the model's arrays.  The split and its derived fields keep
+    about 2.5 times them; the rest is transient.  Before the singular-side
+    checks were cut to ``supp Q`` the peak was 5.1 times them."""
+    from regpart.pipeline import compute_report
+    model = load_model(_field_model_file(tmp_path)[0])
+    coeffs = model.coeffs
+    arrays = sum(a.nbytes for a in (coeffs.C_field, coeffs.b_field,
+                                    coeffs.d_field, coeffs.c0_field,
+                                    model.q_field))
+    arrays += sum(f.cell_values.nbytes + f.cell_gradient.nbytes
+                  for f in model.funcs.values())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        report = compute_report(model)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert report["warnings"] == []
+    assert peak <= 4.5 * arrays
