@@ -185,8 +185,9 @@ def check_realpart_commutation(coeffs, derived, s, vs, formula):
     absolute gap is reported.
     """
     cells = s.support
-    q, z, x, y = (f[cells] for f in (s.Q_field, derived.Z_field,
-                                     derived.X_field, derived.Y_field))
+    q = s.Q
+    z, x, y = (f[cells] for f in (derived.Z_field, derived.X_field,
+                                  derived.Y_field))
     comm = float(np.max(_commutators(s, derived), initial=0.0))
     qx = np.einsum("nkl,nl->nk", q, x)
     qy = np.einsum("nkl,nl->nk", q, y)
@@ -216,7 +217,9 @@ def check_equivalences(vs, ops, reg, s, funcs, formula, xi=None,
     ``xi``, by default the all-ones direction) and the three vertex
     searches: the form's on ``vs.form_blocks.ff``, the other two on one
     ``eval_form`` of the singular part, whose ``second_order`` part is
-    exactly the pure second-order companion's Gram (same ``C_s``).
+    exactly the pure second-order companion's Gram (same ``C_s``).  The
+    singular part's fields are exactly 0 off ``supp Q``, so its Gram sums
+    over the cells of ``s.support`` only.
     """
     coeffs, derived = vs.coeffs, vs.derived
 
@@ -248,7 +251,7 @@ def check_equivalences(vs, ops, reg, s, funcs, formula, xi=None,
         "pure_singular_sectorial": dict(sectorial),
     }
     sing = eval_form(reg.singular_set(coeffs.theta, coeffs.K_bound), funcs,
-                     funcs)
+                     funcs, cells=s.support)
     return DiagnosticsReport(
         commutator_max=comm, realpart=realpart, slope_probe=probe,
         qz_iq_asqrt_max=float(np.max(frobenius(_qz_iq_asqrt(vs)[1]),

@@ -21,7 +21,12 @@ class NotHermitian(ValidationError):
 
 
 class NotPSD(ValidationError):
-    """Input matrix has a genuinely negative eigenvalue."""
+    """Input matrix has a genuinely negative eigenvalue; ``cell`` is the
+    flat index of the offending matrix of a stack, where known."""
+
+    def __init__(self, message, cell=None):
+        super().__init__(message)
+        self.cell = cell
 
 
 class SectorViolation(ValidationError):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateBasis, DominationViolation, GridMismatch,
-                     SectorViolation, ValidationError)
+                     NotPSD, SectorViolation, ValidationError)
 from .grid import GridSpec, cell_chunks
 from .pointwise import (PSD_TOL, SectorParams, adjoint, frobenius,
                         herm_part, imag_part, pencil_tangent, psd_roots,
@@ -246,7 +246,10 @@ def derive_fields(coeffs):
     * ``Asqrt @ X == conj(b)`` and ``Asqrt @ Y == d``
       (else :class:`DominationViolation`),
 
-    all to ``DERIVE_RTOL`` relative to the cell's data scale.
+    all to ``DERIVE_RTOL`` relative to the cell's data scale.  An ``A``
+    with an eigenvalue below the floor of ``psd_roots`` raises
+    :class:`~regpart.errors.NotPSD` naming its cell: the one with the
+    lowest such eigenvalue in the first chunk that holds one.
     """
     n, d = coeffs.n_cells, coeffs.dim
     a, asqrt, g, z = (np.empty((n, d, d), dtype=complex) for _ in range(4))
@@ -259,7 +262,11 @@ def derive_fields(coeffs):
         c, b, dd = (f[cells] for f in (coeffs.C_field, coeffs.b_field,
                                        coeffs.d_field))
         a[cells] = ac = herm_part(c)
-        asqrt[cells], g[cells] = sq, gc = psd_roots(ac)
+        try:
+            asqrt[cells], g[cells] = sq, gc = psd_roots(ac)
+        except NotPSD as exc:
+            cell = cells.start + exc.cell
+            raise NotPSD("cell %d: %s" % (cell, exc), cell=cell) from None
         z[cells] = zc = herm_part(np.einsum("nij,njk,nkl->nil", gc,
                                             imag_part(c), gc))
         bbar = np.conj(b)
@@ -320,7 +327,7 @@ class FormValue:
                 self.first_order_d, self.zeroth_order)
 
 
-def eval_form(coeffs, u, v):
+def eval_form(coeffs, u, v, cells=None):
     """Evaluate the form by midpoint quadrature.
 
     ``u`` and ``v`` are two test functions or two one-axis families.  Two
@@ -329,19 +336,25 @@ def eval_form(coeffs, u, v):
     The conjugation sits on the ``v`` slot throughout, as described in the
     module docstring.  The sums over cells run chunk by chunk
     (:func:`~regpart.grid.cell_chunks`), so the temporaries, the conjugated
-    ``v`` family among them, hold one chunk of cells.
+    ``v`` family among them, hold one chunk of cells.  An index array
+    ``cells`` sums over those cells only, for coefficients that are 0 on
+    every other cell.
     """
     if u.grid != coeffs.grid or v.grid != coeffs.grid:
         raise GridMismatch("test functions must live on the model's grid")
     vol, n, d = coeffs.grid.cell_volume, coeffs.n_cells, coeffs.dim
     uc, gu = u.cell_values.reshape(-1, n), u.cell_gradient.reshape(-1, n, d)
     vc, gv = v.cell_values.reshape(-1, n), v.cell_gradient.reshape(-1, n, d)
+    chunks = cell_chunks(n) if cells is None else [
+        cells[part] for part in cell_chunks(len(cells))]
     total = None
-    for cells in cell_chunks(n):
-        parts = _form_parts(coeffs, cells, uc[:, cells], gu[:, cells],
-                            vc[:, cells], gv[:, cells], v is u)
+    for chunk in chunks:
+        parts = _form_parts(coeffs, chunk, uc[:, chunk], gu[:, chunk],
+                            vc[:, chunk], gv[:, chunk], v is u)
         total = parts if total is None else [t + p for t, p in
                                              zip(total, parts)]
+    if total is None:  # an empty ``cells``
+        total = [np.zeros((len(uc), len(vc)), dtype=complex)] * 4
     # a 0-d part read with [()] is a np.complex128, itself a complex
     shape = u.cell_values.shape[:-1] + v.cell_values.shape[:-1]
     return FormValue(*((vol * p).reshape(shape)[()] for p in total))

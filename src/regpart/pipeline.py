@@ -29,6 +29,7 @@ __all__ = [
     "IDENTITY_TOL",
     "ORACLE_RTOL",
     "MULT_TOL",
+    "VERIFY_MEMORY_BUDGET",
     "compute_report",
     "multiplication_residuals",
     "oracle_crosscheck",
@@ -43,6 +44,10 @@ IDENTITY_TOL = 1e-10
 ORACLE_RTOL = 1e-8
 #: Residual allowed for the pi1/T multiplication formulas on basis vectors.
 MULT_TOL = 1e-9
+#: Bytes that the identity draws of one ``run_verification`` may take: a
+#: run whose estimate (:func:`_draw_bytes`) is larger is refused before
+#: its first draw.
+VERIFY_MEMORY_BUDGET = 2 ** 30
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +119,13 @@ def _field_doc(c_field, b_field, d_field, c0_field):
 # compute
 
 
-def _prelude(coeffs, q_field, funcs):
+def _prelude(coeffs, q_field, funcs, derived=None):
     """Build each artifact of the split and its cross-check once: returns
     ``(derived, structure, reg, vs, ops)``, with the oracle's V subspace on
-    the family ``funcs`` and its operators ``None`` when it is empty."""
-    derived = derive_fields(coeffs)
+    the family ``funcs`` and its operators ``None`` when it is empty.  The
+    derived fields are ``derived``, or derived here when it is ``None``."""
+    if derived is None:
+        derived = derive_fields(coeffs)
     structure = build_singular_structure(q_field, derived)
     reg = assemble_regular(coeffs, derived, structure)
     if not len(funcs):
@@ -237,7 +244,8 @@ def oracle_crosscheck(case):
     ``pi1``/``T`` multiplication residuals.
     """
     coeffs = case.coeffs
-    _, _, reg, vs, ops = _prelude(coeffs, case.q_field, case.funcs)
+    _, _, reg, vs, ops = _prelude(coeffs, case.q_field, case.funcs,
+                                  derived=case.derived)
     formula, oracle = oracle_pairs(
         reg.regular_set(coeffs.theta, coeffs.K_bound), case.funcs, vs, ops)
     worst = float(np.max(np.abs(formula - oracle) / (1.0 + np.abs(formula))))
@@ -245,23 +253,44 @@ def oracle_crosscheck(case):
     return {"oracle_rel": worst, "pi1_res": pi1_res, "t_res": t_res}
 
 
+def _draw_bytes(trials, d):
+    """Estimated peak bytes of the identity suite on ``trials`` draws of
+    dimension ``d``.  Drawing the pairs ``(Q, Z)`` peaks below 80 bytes
+    per matrix entry and 48 per draw (the kept pair takes 32 bytes per
+    entry), the six per-draw norms take 48 bytes a draw, and the suite's
+    other temporaries are set by its block, not by ``trials``."""
+    return trials * (80 * d * d + 96)
+
+
 def run_verification(seed=0, trials=1000, dims=(1, 2, 3)):
     """Randomized identity + oracle-equivalence suites; returns a summary.
 
     The summary's ``code`` follows the command-line convention: 0 when all
-    thresholds hold, 1 on a breach (the reproducing seed is printed).
+    thresholds hold, 1 on a breach (the reproducing seed is printed).  A
+    ``trials`` whose draws would take more than ``VERIFY_MEMORY_BUDGET``
+    bytes at the largest of ``dims`` raises :class:`ValidationError`
+    before any draw.
     """
     summary = {"code": 0, "identity_worst": {}, "oracle_worst": 0.0,
                "pi1_worst": 0.0, "t_worst": 0.0, "models": 0}
     if trials <= 0:
         print("warning: trials=0; verification is vacuous")
         return summary
+    d_max = max(map(int, dims), default=0)
+    need = _draw_bytes(trials, d_max)
+    if need > VERIFY_MEMORY_BUDGET:
+        raise ValidationError(
+            "--trials %d: the identity draws of dimension %d would take "
+            "about %.0f MB, above the %.0f MB budget"
+            % (trials, d_max, need / 2 ** 20, VERIFY_MEMORY_BUDGET / 2 ** 20))
 
     rng = np.random.default_rng(seed)
     worst = {}
     for d in dims:
         q, z = random_qz_draws(rng, int(d), trials)
         report = identity_residuals(q, z)
+        # free these draws before the next dimension draws its own
+        del q, z
         for name, value in report.residuals.items():
             worst[name] = max(worst.get(name, 0.0), float(value))
     summary["identity_worst"] = worst

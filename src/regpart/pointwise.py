@@ -110,17 +110,20 @@ def _clamped_psd_eig(a, what):
     """Eigendecomposition of a psd matrix with the rank rule applied.
 
     Eigenvalues below ``DEFAULT_RANK_EPS * lam_max`` are clamped to zero;
-    eigenvalues below ``-DEFAULT_RANK_EPS * lam_max`` raise ``NotPSD``.
+    eigenvalues below ``-DEFAULT_RANK_EPS * lam_max`` raise ``NotPSD``,
+    which names the matrix of a stack with the lowest such eigenvalue.
     """
     w, u = herm_eig(a)
     top = np.maximum(w[..., -1], 0.0)
     floor = DEFAULT_RANK_EPS * top[..., None]
-    if np.any(w < -floor):
-        worst = float(np.min(w))
+    bad = np.any(w < -floor, axis=-1)
+    if np.any(bad):
+        low = np.where(bad, w[..., 0], np.inf)
+        index = int(np.argmin(low))
         raise NotPSD(
             "%s has a negative eigenvalue %.3e below the -%.1e * lam_max floor"
-            % (what, worst, DEFAULT_RANK_EPS)
-        )
+            % (what, float(low.flat[index]), DEFAULT_RANK_EPS),
+            cell=index if low.ndim else None)
     w = np.where(w < floor, 0.0, w)
     return w, u
 

@@ -22,7 +22,7 @@ import numpy as np
 from .completion import build_v_subspace
 from .errors import DegenerateBasis, KernelMismatch
 from .grid import GridSpec, TestFunction, cell_data_from_nodes
-from .model import CoefficientSet, derive_fields
+from .model import CoefficientSet, DerivedFields, derive_fields
 from .pointwise import herm_part
 
 __all__ = [
@@ -170,6 +170,7 @@ class OracleCase:
     """One randomized cross-check instance."""
 
     coeffs: CoefficientSet
+    derived: DerivedFields
     q_field: np.ndarray
     funcs: TestFunction
     commuting: bool
@@ -205,7 +206,8 @@ def random_oracle_case(rng, dim=None, commuting=None):
     see a degenerate draw; commuting cases take ``Q`` from eigenspaces of
     ``Z``, non-commuting cases use a constant pair with a commutator
     margin and also pick the probe direction ``xi`` that maximally excites
-    ``Q Z (I-Q) A^{1/2}``.
+    ``Q Z (I-Q) A^{1/2}``.  The case carries the derived fields its basis
+    was validated with.
     """
     for _ in range(20):
         d = int(dim) if dim else int(rng.integers(1, 4))
@@ -249,8 +251,9 @@ def random_oracle_case(rng, dim=None, commuting=None):
             build_v_subspace(coeffs, derived, q, funcs)
         except (DegenerateBasis, KernelMismatch):
             continue
-        return OracleCase(coeffs=coeffs, q_field=q, funcs=funcs,
-                          commuting=flip, xi=np.asarray(xi, dtype=float))
+        return OracleCase(coeffs=coeffs, derived=derived, q_field=q,
+                          funcs=funcs, commuting=flip,
+                          xi=np.asarray(xi, dtype=float))
     raise RuntimeError(  # pragma: no cover
         "no valid oracle case after 20 attempts")
 

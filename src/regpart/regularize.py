@@ -22,9 +22,16 @@ Only the cells of ``supp Q`` (where some entry of ``Q`` is nonzero) need
 any of this.  Elsewhere ``W = 0`` and ``P = I``, the regular part is the
 form itself, and the regular fields are copies of the input coefficients,
 so the singular fields there are exactly ``0``.  The solves, the assembly
-and the identity suite run on the ``supp Q`` cells only; the singular
-structure still carries full-grid ``Q``, ``W`` and ``P`` fields, and the
-identity suite's per-cell residuals are ``0.0`` off ``supp Q``.
+and the identity suite run on the ``supp Q`` cells only: the singular
+structure keeps ``Q`` and ``W`` as stacks over those cells, with their
+indices, and the identity suite keeps its norms for them alone.
+
+The identity suite forms one identity at a time and reduces it to its
+per-matrix Frobenius norm before forming the next, and it runs block by
+block (:func:`~regpart.grid.cell_chunks`).  Its kernel uses only
+``matmul``, ``solve`` and per-matrix norms, so each norm has the bits of
+one pass over the whole stack, and its temporaries are set by the block,
+not by the stack.
 
 A note on ``Q``: it is caller-supplied data, not derived from the
 coefficients.  Helpers below build the two common shapes — an indicator set
@@ -37,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, NotCommuting, ProjectionInvalid, SolveFailure
+from .grid import cell_chunks
 from .model import CoefficientSet
 from .pointwise import adjoint, frobenius, herm_part, projection_residuals
 
@@ -82,15 +90,15 @@ def _scatter(values, cells, n):
 
 @dataclass
 class SingularStructure:
-    """Projection field ``Q_field`` with its derived ``W_field`` and
-    ``P_field = I - Q_field`` on the full grid, and the indices ``support``
-    of the cells of ``supp Q``, the only cells where ``W != 0``."""
+    """The indices ``support`` of the cells of ``supp Q`` and, as stacks
+    over them, the projections ``Q`` and the kernel ``W``.  Off
+    ``supp Q``, ``Q = W = 0`` and ``I - Q = I``, so nothing is kept
+    there."""
 
     grid: "object"
-    Q_field: np.ndarray
-    W_field: np.ndarray
-    P_field: np.ndarray
     support: np.ndarray
+    Q: np.ndarray
+    W: np.ndarray
 
 
 def _resolvent(q, z):
@@ -103,14 +111,14 @@ def _resolvent(q, z):
 
 
 def _kernel_relations(q, w, z):
-    """Residuals of the two relations that define ``W`` given ``Q``, ``Z``:
-    ``WZQ = i(W - Q)`` and ``2 W*W = W* + W``."""
-    return {
-        "resolvent_commutation":
-            np.matmul(np.matmul(w, z), q) - 1j * (w - q),
-        "double_contraction":
-            2.0 * np.matmul(adjoint(w), w) - (adjoint(w) + w),
-    }
+    """Per-matrix Frobenius residuals of the two relations that define
+    ``W`` given ``Q``, ``Z``: ``WZQ = i(W - Q)`` and ``2 W*W = W* + W``,
+    as ``(name, norms)`` pairs, the second formed after the first is
+    reduced."""
+    yield ("resolvent_commutation",
+           frobenius(np.matmul(np.matmul(w, z), q) - 1j * (w - q)))
+    yield ("double_contraction",
+           frobenius(2.0 * np.matmul(adjoint(w), w) - (adjoint(w) + w)))
 
 
 def build_singular_structure(q_field, derived):
@@ -120,8 +128,8 @@ def build_singular_structure(q_field, derived):
     have modulus at least one and the per-cell dense solve is always well
     posed; residual failures therefore indicate corrupted inputs and raise
     :class:`SolveFailure` rather than a validation error.  Cells with
-    ``Q = 0`` are projections with ``W = 0``; only the others are checked
-    and solved.
+    ``Q = 0`` are projections with ``W = 0``; only the others are checked,
+    solved and kept.
 
     Raises
     ------
@@ -152,30 +160,33 @@ def build_singular_structure(q_field, derived):
     lhs, wtilde = _resolvent(qs, z)
     ws = np.matmul(qs, wtilde)
 
-    worst = max(float(np.max(frobenius(r), initial=0.0)) for r in (
-        np.matmul(lhs, wtilde) - qs, *_kernel_relations(qs, ws, z).values()))
+    worst = max(float(np.max(norms, initial=0.0)) for norms in (
+        frobenius(np.matmul(lhs, wtilde) - qs),
+        *(norms for _, norms in _kernel_relations(qs, ws, z))))
     scale = float(np.max(frobenius(lhs), initial=0.0))
     if worst > max(STRUCTURE_TOL, 1e-12 * scale) * 10:
         raise SolveFailure(
             "resolvent kernel residuals out of budget (%.3e)" % worst)
 
-    return SingularStructure(grid=derived.grid, Q_field=q,
-                             W_field=_scatter(ws, cells, n),
-                             P_field=_eye_like(q) - q, support=cells)
+    return SingularStructure(grid=derived.grid, support=cells, Q=qs, W=ws)
 
 
 @dataclass
 class IdentityReport:
-    """Max-over-cells Frobenius residuals of the kernel identities."""
+    """Max-over-cells Frobenius residuals of the kernel identities, with
+    the per-matrix norms they are taken over: ``per_cell[name][k]``
+    belongs to cell ``cells[k]``, or to draw ``k`` of raw draws, whose
+    ``cells`` is ``None``."""
 
     residuals: dict
     per_cell: dict
+    cells: np.ndarray = None
 
     @classmethod
-    def from_per_cell(cls, per_cell):
+    def from_per_cell(cls, per_cell, cells=None):
         return cls(residuals={name: float(np.max(val, initial=0.0))
                               for name, val in per_cell.items()},
-                   per_cell=per_cell)
+                   per_cell=per_cell, cells=cells)
 
     @property
     def max_residual(self):
@@ -188,53 +199,63 @@ def identity_suite(s, derived):
     All are exact consequences of ``W = Q(I+iQZQ)^{-1}Q`` with Hermitian
     ``Z`` and orthogonal-projection ``Q``; the suite measures how far
     floating point lets them drift.  They hold exactly where ``Q = 0``, so
-    they are evaluated on ``supp Q`` and reported as ``0.0`` elsewhere.
+    they are evaluated on the stacks of ``supp Q`` only, and the report
+    keeps the norms of those cells with their indices.
     """
-    cells = s.support
-    local = _identity_report(s.Q_field[cells], s.W_field[cells],
-                             s.P_field[cells], derived.Z_field[cells])
-    return IdentityReport.from_per_cell({
-        name: _scatter(val, cells, derived.n_cells)
-        for name, val in local.per_cell.items()})
+    return _identity_report(s.Q, derived.Z_field[s.support], w=s.W,
+                            cells=s.support)
 
 
 def identity_residuals(q_field, z_field):
     """Identity suite on raw stacked ``(Q, Z)`` pairs.
 
-    Builds the resolvent kernel in place, so arbitrary Hermitian ``Z``
-    stacks can be screened without a full model around them.
+    Builds the resolvent kernel block by block, one solve per block, so
+    arbitrary Hermitian ``Z`` stacks can be screened without a full model
+    around them, in a working set set by the block, not the stack.
     """
-    q = np.asarray(q_field, dtype=complex)
-    z = np.asarray(z_field, dtype=complex)
-    w = np.matmul(q, _resolvent(q, z)[1])
-    return _identity_report(q, w, _eye_like(q) - q, z)
+    return _identity_report(np.asarray(q_field, dtype=complex),
+                            np.asarray(z_field, dtype=complex))
 
 
-def _identity_report(q, w, p, z):
+def _identity_report(q, z, w=None, cells=None):
+    """The six identities' per-matrix norms over stacks ``q``, ``z`` and
+    the kernel ``w``, block by block; a ``w`` of ``None`` is solved from
+    each block's ``(q, z)``.  The norms belong to ``cells`` (see
+    :class:`IdentityReport`)."""
+    per_cell = {}
+    # an empty stack runs as one empty block, which names the identities
+    for block in cell_chunks(len(q)) or [slice(0, 0)]:
+        qb, zb = q[block], z[block]
+        wb = np.matmul(qb, _resolvent(qb, zb)[1]) if w is None else w[block]
+        for name, norms in _identity_norms(qb, wb, zb):
+            if name not in per_cell:
+                per_cell[name] = np.empty(len(q))
+            per_cell[name][block] = norms
+    return IdentityReport.from_per_cell(per_cell, cells=cells)
+
+
+def _identity_norms(q, w, z):
+    """The six identities of one block as ``(name, norms)`` pairs; each is
+    formed and reduced to its per-matrix Frobenius norm before the next
+    is formed."""
+    yield from _kernel_relations(q, w, z)
     eye = _eye_like(q)
+    p = eye - q
     iz = eye + 1j * z
     miwz = eye - 1j * np.matmul(w, z)
-    iwsz = eye + 1j * np.matmul(adjoint(w), z)
-
-    exprs = {
-        **_kernel_relations(q, w, z),
-        "mixed_first_order":
-            np.matmul(np.matmul(q, np.matmul(iz, miwz)), p),
-        "second_order_reduction":
-            np.matmul(np.matmul(
-                p, np.matmul(eye + 1j * np.matmul(z, adjoint(w)),
-                             np.matmul(iz, miwz))), p)
-            - np.matmul(np.matmul(
-                p, iz + np.matmul(np.matmul(z, w), z)), p),
-        "adjoint_first_order":
-            np.matmul(np.matmul(-adjoint(w), np.matmul(eye - 1j * z, miwz))
-                      + miwz, p)
-            - np.matmul(iwsz, p),
-        "zeroth_order_reduction":
-            np.matmul(q, np.matmul(iz, w)) - q,
-    }
-    return IdentityReport.from_per_cell(
-        {name: frobenius(val) for name, val in exprs.items()})
+    yield ("mixed_first_order",
+           frobenius(np.matmul(np.matmul(q, np.matmul(iz, miwz)), p)))
+    yield ("second_order_reduction", frobenius(
+        np.matmul(np.matmul(
+            p, np.matmul(eye + 1j * np.matmul(z, adjoint(w)),
+                         np.matmul(iz, miwz))), p)
+        - np.matmul(np.matmul(p, iz + np.matmul(np.matmul(z, w), z)), p)))
+    yield ("adjoint_first_order", frobenius(
+        np.matmul(np.matmul(-adjoint(w), np.matmul(eye - 1j * z, miwz))
+                  + miwz, p)
+        - np.matmul(eye + 1j * np.matmul(adjoint(w), z), p)))
+    yield ("zeroth_order_reduction",
+           frobenius(np.matmul(q, np.matmul(iz, w)) - q))
 
 
 @dataclass
@@ -320,10 +341,12 @@ def assemble_regular(coeffs, derived, s):
     """
     _check_grids(coeffs, derived, s)
     cells = s.support
-    w, p, z, asqrt, x, y, c0 = (f[cells] for f in (
-        s.W_field, s.P_field, derived.Z_field, derived.Asqrt_field,
-        derived.X_field, derived.Y_field, coeffs.c0_field))
+    z, asqrt, x, y, c0 = (f[cells] for f in (
+        derived.Z_field, derived.Asqrt_field, derived.X_field,
+        derived.Y_field, coeffs.c0_field))
+    w = s.W
     eye = _eye_like(z)
+    p = eye - s.Q
 
     kernel = eye + 1j * z + np.matmul(np.matmul(z, w), z)
     pa = np.matmul(p, asqrt)
@@ -340,7 +363,7 @@ def assemble_regular(coeffs, derived, s):
 
 def _commutators(s, derived):
     """Frobenius norms of ``Q Z - Z Q`` on the cells of ``supp Q``."""
-    q, z = s.Q_field[s.support], derived.Z_field[s.support]
+    q, z = s.Q, derived.Z_field[s.support]
     return frobenius(np.matmul(q, z) - np.matmul(z, q))
 
 
@@ -380,10 +403,12 @@ def _commuting_fields(coeffs, derived, s):
     ``supp Q`` only, ``(C_reg, b_reg, d_reg, c0_reg)`` in the order of
     ``s.support``; no commutation check."""
     cells = s.support
-    q, p, z, asqrt, x, y, c0 = (f[cells] for f in (
-        s.Q_field, s.P_field, derived.Z_field, derived.Asqrt_field,
-        derived.X_field, derived.Y_field, coeffs.c0_field))
+    z, asqrt, x, y, c0 = (f[cells] for f in (
+        derived.Z_field, derived.Asqrt_field, derived.X_field,
+        derived.Y_field, coeffs.c0_field))
+    q = s.Q
     eye = _eye_like(z)
+    p = eye - q
 
     pa = np.matmul(p, asqrt)
     c_reg = np.matmul(np.matmul(adjoint(pa), eye + 1j * z), pa)

@@ -207,3 +207,53 @@ def one_pass_fields(coeffs):
     return (a, asqrt, g, z, np.einsum("nij,nj->ni", g,
                                       np.conj(coeffs.b_field)),
             np.einsum("nij,nj->ni", g, coeffs.d_field))
+
+
+def structure_fields(s, n):
+    """Full-grid ``(Q, W, P = I - Q)`` of a singular structure, scattered
+    from its stacks over ``supp Q``: ``Q = W = 0`` and ``P = I`` on every
+    other cell."""
+    q = np.zeros((n,) + s.Q.shape[1:], dtype=complex)
+    w = np.zeros_like(q)
+    q[s.support] = s.Q
+    w[s.support] = s.W
+    return q, w, np.broadcast_to(np.eye(q.shape[-1]), q.shape) - q
+
+
+def one_pass_kernel(q, z):
+    """``W = Q (I + iQZQ)^{-1} Q`` in one solve over the whole stack."""
+    eye = np.broadcast_to(np.eye(q.shape[-1]), q.shape)
+    lhs = eye + 1j * herm_part(np.matmul(np.matmul(q, z), q))
+    return np.matmul(q, np.linalg.solve(lhs, q))
+
+
+def one_pass_identity_norms(q, w, p, z):
+    """Per-matrix Frobenius norms of the six kernel identities, with every
+    identity of the whole stack formed at once, as the suite computed them
+    before it ran one identity and one block at a time."""
+    eye = np.broadcast_to(np.eye(q.shape[-1]), q.shape)
+    iz = eye + 1j * z
+    miwz = eye - 1j * np.matmul(w, z)
+    iwsz = eye + 1j * np.matmul(adjoint(w), z)
+    exprs = {
+        "resolvent_commutation":
+            np.matmul(np.matmul(w, z), q) - 1j * (w - q),
+        "double_contraction":
+            2.0 * np.matmul(adjoint(w), w) - (adjoint(w) + w),
+        "mixed_first_order":
+            np.matmul(np.matmul(q, np.matmul(iz, miwz)), p),
+        "second_order_reduction":
+            np.matmul(np.matmul(
+                p, np.matmul(eye + 1j * np.matmul(z, adjoint(w)),
+                             np.matmul(iz, miwz))), p)
+            - np.matmul(np.matmul(
+                p, iz + np.matmul(np.matmul(z, w), z)), p),
+        "adjoint_first_order":
+            np.matmul(np.matmul(-adjoint(w), np.matmul(eye - 1j * z, miwz))
+                      + miwz, p)
+            - np.matmul(iwsz, p),
+        "zeroth_order_reduction":
+            np.matmul(q, np.matmul(iz, w)) - q,
+    }
+    return {name: np.sqrt(np.sum(np.abs(val) ** 2, axis=(-2, -1)))
+            for name, val in exprs.items()}

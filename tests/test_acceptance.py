@@ -85,8 +85,8 @@ def _commuting_sweep_case(rng):
     derived = derive_fields(coeffs)
     q = commuting_projection_field(rng, derived)
     funcs = random_node_functions(rng, coeffs.grid, int(rng.integers(2, 9)))
-    return SimpleNamespace(coeffs=coeffs, q_field=q, funcs=funcs,
-                           commuting=True)
+    return SimpleNamespace(coeffs=coeffs, derived=derived, q_field=q,
+                           funcs=funcs, commuting=True)
 
 
 def oracle_sweep():

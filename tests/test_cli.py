@@ -14,7 +14,7 @@ import pytest
 
 from regpart.cli import main
 from regpart.diagnostics import MAX_CANTOR_STAGE
-from regpart.errors import DominationViolation, SectorViolation
+from regpart.errors import DominationViolation, NotPSD, SectorViolation
 from regpart.grid import CELL_CHUNK, GridSpec, TestFunction
 from regpart.model import CoefficientSet, derive_fields
 from regpart.modelio import (LoadedModel, complex_to_json, dumps_canonical,
@@ -641,6 +641,9 @@ def _second_chunk_model(kind):
         b[cell] = [3.0, 0.0]
     elif kind == "overflow":
         b[cell] = [1e200, 0.0]
+    elif kind == "psd":
+        # within validate's slack, below the psd floor of derive_fields
+        c[cell] = np.diag([1.0, -1e-11])
     elif kind == "skew":
         # within validate's slack, but Im C leaves range(A) = span e_0
         c[cell] = [[1.0, 1j * tiny], [1j * tiny, 0.0]]
@@ -655,18 +658,19 @@ def _second_chunk_model(kind):
 
 @pytest.mark.parametrize("kind, error", [
     ("sector", SectorViolation), ("domination", DominationViolation),
-    ("overflow", DominationViolation), ("skew", SectorViolation),
-    ("range", DominationViolation)])
+    ("overflow", DominationViolation), ("psd", NotPSD),
+    ("skew", SectorViolation), ("range", DominationViolation)])
 def test_second_chunk_violation_names_global_cell(kind, error, tmp_path,
                                                   capsys):
-    """A sector or domination violation in the second chunk of cells is
-    named by its global cell index, by ``validate`` for the first three
-    kinds (the third overflows its pencil) and by ``derive_fields`` for
-    the others, and ``compute`` exits 2 with that index."""
+    """A sector or domination violation, or an ``A`` below the psd floor,
+    in the second chunk of cells is named by its global cell index, by
+    ``validate`` for the first three kinds (the third overflows its
+    pencil) and by ``derive_fields`` for the others, and ``compute``
+    exits 2 with that index."""
     coeffs, cell = _second_chunk_model(kind)
     with pytest.raises(error) as raised:
         coeffs.validate()
-        assert kind in ("skew", "range")
+        assert kind in ("psd", "skew", "range")
         derive_fields(coeffs)
     assert raised.value.cell == cell
     assert "cell %d" % cell in str(raised.value)
@@ -729,6 +733,45 @@ def test_verify_dims_arguments(capsys):
     assert main(["verify", "--trials", "5", "--dims", "0"]) == 2
     assert main(["verify", "--trials", "5", "--dims", "x"]) == 3
     capsys.readouterr()
+
+
+def test_verify_refuses_trials_over_budget(monkeypatch, capsys):
+    """A ``--trials`` whose draws at the largest ``--dims`` entry would
+    pass the memory budget exits 2 before any draw; the same trials at a
+    smaller dimension run."""
+    import regpart.pipeline as pipeline
+    real = pipeline.random_qz_draws
+
+    def no_draw(rng, d, trials):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(pipeline, "VERIFY_MEMORY_BUDGET", 20_000)
+    monkeypatch.setattr(pipeline, "random_qz_draws", no_draw)
+    assert main(["verify", "--trials", "60", "--dims", "3,1"]) == 2
+    err = capsys.readouterr().err
+    assert "validation error: --trials 60" in err and "dimension 3" in err
+    monkeypatch.setattr(pipeline, "random_qz_draws", real)
+    assert main(["verify", "--trials", "60", "--dims", "1"]) == 0
+    capsys.readouterr()
+
+
+def test_verify_budget_bounds_the_draws():
+    """The estimate bounds what the draws and their norms take, and the
+    default budget admits ``verify --trials 10000`` up to dimension 6."""
+    import gc
+    from regpart.pipeline import VERIFY_MEMORY_BUDGET, _draw_bytes
+    from regpart.randomized import random_qz_draws
+    for d in range(1, 7):
+        random_qz_draws(np.random.default_rng(0), d, 10)  # lazy set-up
+        gc.collect()
+        tracemalloc.start()
+        try:
+            random_qz_draws(np.random.default_rng(d), d, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak + 48 * 2000 <= _draw_bytes(2000, d)
+    assert _draw_bytes(10_000, 6) <= VERIFY_MEMORY_BUDGET
 
 
 def test_verify_detects_broken_identities(monkeypatch, capsys):
@@ -892,19 +935,19 @@ def test_probe_builds_each_artifact_once(cantor3, calls):
 
 
 def test_oracle_crosscheck_builds_each_artifact_once(calls):
-    """One oracle cross-check of a drawn case: one split, one V build and
-    one operator solve, and two form evaluations: the V build's form Gram
-    and the regular part's pair table.  The drawn family is used as it is,
-    with no stack."""
+    """One oracle cross-check of a drawn case: one split on the derived
+    fields the draw validated with, so no second derivation, one V build
+    and one operator solve, and two form evaluations: the V build's form
+    Gram and the regular part's pair table.  The drawn family is used as
+    it is, with no stack."""
     counts, callers = calls
     case = random_oracle_case(np.random.default_rng(4))
     counts.clear()
     callers.clear()
     oracle_crosscheck(case)
     assert counts == {"build_ambient": 1, "build_v_subspace": 1,
-                      "compute_operators": 1, "derive_fields": 1,
-                      "eval_form": 2, "form_gram": 1,
-                      "assemble_regular": 1}
+                      "compute_operators": 1, "eval_form": 2,
+                      "form_gram": 1, "assemble_regular": 1}
     assert callers["form_gram"] == {"build_v_subspace"}
 
 

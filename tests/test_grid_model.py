@@ -328,6 +328,37 @@ def test_eval_form_batches_pairs(rng):
                 assert_allclose(b[i, j], a, rtol=1e-12, atol=1e-14)
 
 
+def test_eval_form_over_listed_cells(rng, monkeypatch):
+    """An index array of cells sums the form over those cells only: it is
+    the form whose coefficients are zeroed on every other cell, to
+    rounding, also run over chunks of 7 listed cells.  An empty list gives
+    zeros of the family shape."""
+    import regpart.grid
+    coeffs = random_coefficients(rng, unit_grid(2, (6, 5)))
+    us = random_node_functions(rng, coeffs.grid, 3)
+    vs = random_node_functions(rng, coeffs.grid, 2)
+    cells = np.flatnonzero(rng.random(coeffs.n_cells) < 0.6)
+    keep = np.zeros(coeffs.n_cells)
+    keep[cells] = 1.0
+    zeroed = CoefficientSet(
+        grid=coeffs.grid, C_field=keep[:, None, None] * coeffs.C_field,
+        b_field=keep[:, None] * coeffs.b_field,
+        d_field=keep[:, None] * coeffs.d_field,
+        c0_field=keep * coeffs.c0_field, theta=coeffs.theta,
+        K_bound=coeffs.K_bound)
+    want = eval_form(zeroed, us, vs).parts
+    got = [eval_form(coeffs, us, vs, cells=cells).parts]
+    monkeypatch.setattr(regpart.grid, "CELL_CHUNK", 7)
+    assert len(regpart.grid.cell_chunks(len(cells))) >= 2
+    got.append(eval_form(coeffs, us, vs, cells=cells).parts)
+    for parts in got:
+        for a, b in zip(want, parts):
+            assert_allclose(b, a, rtol=1e-13, atol=1e-14)
+    empty = eval_form(coeffs, us, vs, cells=cells[:0])
+    for part in empty.parts:
+        assert part.shape == (3, 2) and not np.any(part)
+
+
 def test_chunked_cell_passes_match_one_pass(rng, monkeypatch):
     """Run over chunks of 7 cells, ``eval_form`` and ``form_gram`` agree
     with the one-chunk pass to rounding (only the summation order

@@ -1,13 +1,18 @@
 """Singular structure, the kernel identities and the assembled splitting."""
 
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dense_reference import (one_pass_identity_norms, one_pass_kernel,
+                             structure_fields)
 from regpart.diagnostics import regular_sector_tangent
 from regpart.errors import GridMismatch, NotCommuting, ProjectionInvalid
+from regpart.grid import CELL_CHUNK
 from regpart.model import CoefficientSet, derive_fields, eval_form
 from regpart.pointwise import (PSD_TOL, adjoint, frobenius, herm_part,
                                imag_part, pinv_sqrt, sector_pencils)
@@ -15,7 +20,8 @@ from regpart.randomized import (commuting_projection_field,
                                 random_coefficients, random_grid,
                                 random_node_functions,
                                 random_projection_field, random_qz_draws)
-from regpart.regularize import (assemble_regular, assemble_regular_commuting,
+from regpart.regularize import (_identity_report, assemble_regular,
+                                assemble_regular_commuting,
                                 build_singular_structure, commutator_norms,
                                 identity_residuals, identity_suite,
                                 indicator_projection,
@@ -51,14 +57,14 @@ def test_structure_rejects_non_projection(rng):
 
 def test_w_solves_its_defining_equation(rng):
     coeffs, derived, s = make_case(rng, 3)
-    qzq = herm_part(np.matmul(np.matmul(s.Q_field, derived.Z_field),
-                              s.Q_field))
+    q, w, _ = structure_fields(s, coeffs.n_cells)
+    qzq = herm_part(np.matmul(np.matmul(q, derived.Z_field), q))
     eye = np.broadcast_to(np.eye(3), qzq.shape)
-    lhs = np.matmul(eye + 1j * qzq, s.W_field)
-    assert_allclose(lhs, s.Q_field, atol=1e-12)
+    lhs = np.matmul(eye + 1j * qzq, w)
+    assert_allclose(lhs, q, atol=1e-12)
     # W is supported on the Q block from both sides
-    assert_allclose(np.matmul(s.Q_field, s.W_field), s.W_field, atol=1e-12)
-    assert_allclose(np.matmul(s.W_field, s.Q_field), s.W_field, atol=1e-12)
+    assert_allclose(np.matmul(q, w), w, atol=1e-12)
+    assert_allclose(np.matmul(w, q), w, atol=1e-12)
 
 
 def test_identity_suite_on_models(rng):
@@ -79,13 +85,12 @@ def test_identity_residuals_raw_draws(rng):
 def test_identities_fail_for_wrong_w(rng):
     """Negative control: replacing W by Q breaks the resolvent identity
     whenever QZQ != 0."""
-    _, derived, s = make_case(rng, 2)
-    qzq = np.matmul(np.matmul(s.Q_field, derived.Z_field), s.Q_field)
+    coeffs, derived, s = make_case(rng, 2)
+    q = structure_fields(s, coeffs.n_cells)[0]
+    qzq = np.matmul(np.matmul(q, derived.Z_field), q)
     if np.max(np.abs(qzq)) < 1e-3:
         pytest.skip("draw produced a negligible QZQ")
-    from regpart.regularize import _identity_report
-    broken = _identity_report(s.Q_field, s.Q_field.copy(), s.P_field,
-                              derived.Z_field)
+    broken = _identity_report(q, derived.Z_field, w=q.copy())
     assert broken.max_residual > 1e-6
 
 
@@ -100,8 +105,9 @@ def direct_kernel_value(derived, s, c0_field, u, v):
     vol = derived.grid.cell_volume
     n, d = derived.n_cells, derived.dim
     eye = np.broadcast_to(np.eye(d), (n, d, d))
-    z, w = derived.Z_field, s.W_field
-    pa = np.matmul(s.P_field, derived.Asqrt_field)
+    _, w, p = structure_fields(s, n)
+    z = derived.Z_field
+    pa = np.matmul(p, derived.Asqrt_field)
     wu = np.einsum("nkl,nl->nk", pa, u.cell_gradient)
     wv = np.einsum("nkl,nl->nk", pa, v.cell_gradient)
     kernel = eye + 1j * z + np.matmul(z, np.matmul(w, z))
@@ -208,14 +214,15 @@ def test_singular_part_decomposition(rng):
                     u, v).value
     ap_s = eval_form(pure.singular_set(coeffs.theta, coeffs.K_bound),
                      u, v).value
-    qa = np.matmul(s.Q_field, derived.Asqrt_field)
+    q, w, _ = structure_fields(s, coeffs.n_cells)
+    qa = np.matmul(q, derived.Asqrt_field)
     qwu = np.einsum("nkl,nl->nk", qa, u.cell_gradient)
     qwv = np.einsum("nkl,nl->nk", qa, v.cell_gradient)
     term_b = np.sum(np.einsum("nk,nk->n", qwu, np.conj(derived.X_field))
                     * np.conj(v.cell_values))
     term_d = np.sum(u.cell_values
                     * np.einsum("nk,nk->n", derived.Y_field, np.conj(qwv)))
-    wy = np.einsum("nkl,nl->nk", s.W_field, derived.Y_field)
+    wy = np.einsum("nkl,nl->nk", w, derived.Y_field)
     term_w = np.sum(u.cell_values * np.conj(v.cell_values)
                     * np.einsum("nk,nk->n", wy, np.conj(derived.X_field)))
     expected = ap_s + vol * complex(term_b + term_d + term_w)
@@ -356,8 +363,9 @@ def test_split_is_exact_off_supp_q():
         assert np.array_equal(pure.C_reg[off], coeffs.C_field[off])
         assert np.all(pure.C_s[off] == 0.0)
         assert np.all(pure.b_reg[off] == 0.0)
-        assert np.all(s.W_field[off] == 0.0)
         assert np.array_equal(s.support, np.flatnonzero(~off))
+        assert np.array_equal(s.Q, q[s.support])
+        assert s.W.shape == s.Q.shape
     assert {1, 2} <= seen_rank
 
 
@@ -376,16 +384,58 @@ def test_regular_tangent_is_full_grid_expression():
 
 def test_identity_suite_is_full_grid_suite():
     """Restricting the suite to ``supp Q`` changes no residual: the full
-    grid suite is exactly 0 where ``Q = 0``."""
-    from regpart.regularize import _identity_report
+    grid suite, in one pass over the scattered fields, is exactly 0 where
+    ``Q = 0`` and has the suite's norms, bit for bit, on ``supp Q``."""
     for coeffs, derived, q in _off_support_cases():
         s = build_singular_structure(q, derived)
         report = identity_suite(s, derived)
-        full = _identity_report(s.Q_field, s.W_field, s.P_field,
-                                derived.Z_field)
-        assert report.residuals == full.residuals
+        full = one_pass_identity_norms(*structure_fields(s, coeffs.n_cells),
+                                       derived.Z_field)
+        assert report.residuals == {name: float(np.max(val))
+                                    for name, val in full.items()}
+        assert np.array_equal(report.cells, s.support)
         off = ~np.any(q != 0, axis=(1, 2))
         for name, val in report.per_cell.items():
-            assert val.shape == (coeffs.n_cells,)
-            assert np.all(val[off] == 0.0)
-            assert np.array_equal(val, full.per_cell[name])
+            assert val.shape == s.support.shape
+            assert np.all(full[name][off] == 0.0)
+            assert np.array_equal(val, full[name][s.support])
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_identity_residuals_blocks_match_one_pass(d):
+    """Run block by block, one identity at a time, the suite gives every
+    per-draw norm of one pass over all the draws, bit for bit, at each
+    draw count around the block boundaries."""
+    c = CELL_CHUNK
+    counts = (0, 1, c - 1, c, 2 * c - 1, 2 * c, 2 * c + 1, 3 * c + 5)
+    q, z = random_qz_draws(np.random.default_rng(100 + d), d, max(counts))
+    full = one_pass_identity_norms(q, one_pass_kernel(q, z),
+                                   np.broadcast_to(np.eye(d), q.shape) - q, z)
+    for n in counts:
+        report = identity_residuals(q[:n], z[:n])
+        assert report.cells is None
+        assert list(report.per_cell) == list(full)
+        for name, val in full.items():
+            assert report.per_cell[name].tobytes() == val[:n].tobytes()
+            assert report.residuals[name] == float(np.max(val[:n],
+                                                          initial=0.0))
+
+
+def _suite_peak(n, d=3):
+    """Peak bytes that ``identity_residuals`` holds above its ``n`` draws."""
+    q, z = random_qz_draws(np.random.default_rng(5), d, n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        identity_residuals(q, z)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_identity_residuals_memory_is_set_by_the_block():
+    """Four times the draws leave the suite's peak above its inputs
+    nearly where it was, at dimension 3: only the six per-draw norms grow
+    with the draw count, not the temporaries of a block."""
+    assert _suite_peak(8 * CELL_CHUNK) <= 1.5 * _suite_peak(2 * CELL_CHUNK)
