@@ -199,8 +199,9 @@ class GramBlocks:
 class VSubspace:
     """Finite subspace of H' carrying the construction.
 
-    Basis order: the ``n_funcs`` embedded functions ``Phi(u_i)`` of the
-    family ``funcs`` first, then
+    ``support`` holds the indices of the cells of ``supp Q`` (where some
+    entry of ``q_field`` is nonzero).  Basis order: the ``n_funcs``
+    embedded functions ``Phi(u_i)`` of the family ``funcs`` first, then
     ``n_singular`` vectors ``(0, s_j)`` where the ``s_j`` are per-cell
     orthonormal spanning vectors of ``range(Q)``, grouped into ``groups``
     by the rank of their cell.  ``form_blocks`` is the (non-Hermitian)
@@ -217,6 +218,7 @@ class VSubspace:
     coeffs: "object"
     derived: "object"
     q_field: np.ndarray
+    support: np.ndarray
     funcs: "object"
     singular_cells: np.ndarray
     singular_vecs: np.ndarray
@@ -277,22 +279,22 @@ def phi_vector(derived, funcs):
     return funcs.cell_values, w
 
 
-def _singular_basis(q_field):
+def _singular_basis(q, support):
     """Per-cell orthonormal vectors spanning ``range(Q)``.
 
     Returns ``(cells, vecs)`` with one row per spanning vector, the rows of
     one cell consecutive; eigenvalues of the projection are near 0 or 1, so
-    the split is unambiguous.
+    the split is unambiguous.  Only the cells ``support`` of ``supp Q`` are
+    decomposed: elsewhere ``Q = 0`` spans nothing.
     """
-    w, u = np.linalg.eigh(herm_part(np.asarray(q_field, dtype=complex)))
+    w, u = np.linalg.eigh(herm_part(q[support]))
     split = (w > PROJECTION_RANK_TOL) & (w < 1.0 - PROJECTION_RANK_TOL)
     if np.any(split):
-        cell = int(np.argmax(np.any(split, axis=-1)))
+        cell = int(support[np.argmax(np.any(split, axis=-1))])
         raise ProjectionInvalid(
             "cell %d: projection eigenvalues are not 0/1" % cell, cell=cell)
-    cells, cols = np.nonzero(w > 0.5)
-    vecs = u[cells, :, cols]
-    return cells, np.ascontiguousarray(vecs)
+    rows, cols = np.nonzero(w > 0.5)
+    return support[rows], np.ascontiguousarray(u[rows, :, cols])
 
 
 def _require_finite(*arrays):
@@ -357,7 +359,9 @@ def build_v_subspace(coeffs, derived, q_field, funcs):
     """
     gamma = build_ambient(coeffs, derived)
     vol = coeffs.grid.cell_volume
-    sc, sv = _singular_basis(q_field)
+    q = np.asarray(q_field, dtype=complex)
+    support = _support(q)
+    sc, sv = _singular_basis(q, support)
     groups = _cell_groups(sc)
     izsv = sv + 1j * np.einsum("pkl,pl->pk", derived.Z_field[sc], sv)
 
@@ -407,8 +411,8 @@ def build_v_subspace(coeffs, derived, q_field, funcs):
         cond = hi / lo
 
     return VSubspace(gamma=gamma, coeffs=coeffs, derived=derived,
-                     q_field=np.asarray(q_field, dtype=complex),
-                     funcs=funcs, singular_cells=sc,
+                     q_field=q, support=support, funcs=funcs,
+                     singular_cells=sc,
                      singular_vecs=sv, groups=groups, ambient_blocks=a,
                      form_blocks=form, mass=mass, cond=cond)
 
@@ -552,7 +556,7 @@ def _qz_iq_asqrt(vs):
     """``Q Z (I-Q) A^{1/2}`` on the cells of ``supp Q``, the only cells
     where the leading ``Q`` leaves it nonzero: returns the cells and the
     stack of matrices there."""
-    q, cells = vs.q_field, _support(vs.q_field)
+    q, cells = vs.q_field, vs.support
     qs = q[cells]
     return cells, qs @ vs.derived.Z_field[cells] @ (
         (np.eye(q.shape[-1]) - qs) @ vs.derived.Asqrt_field[cells])

@@ -31,7 +31,7 @@ from .errors import ResolutionTooCoarse, ValidationError
 from .grid import MAX_CELLS, GridSpec, TestFunction, cell_chunks
 from .model import CoefficientSet, eval_form, vertex_search
 from .pointwise import SectorParams, frobenius, herm_part, imag_part, pinv_sqrt
-from .regularize import (_commutators, _commuting_fields, _support,
+from .regularize import (_commutators, _commuting_fields,
                          indicator_projection, interval_mask)
 
 __all__ = [
@@ -122,7 +122,7 @@ def _kernel_image_residual(vs, ops):
     if vs.n_singular == 0:
         return 0.0
     vol = vs.coeffs.grid.cell_volume
-    cells = _support(vs.q_field)
+    cells = vs.support
     q, z, x, y = (f[cells] for f in (vs.q_field, vs.derived.Z_field,
                                      vs.derived.X_field, vs.derived.Y_field))
     qzq = np.matmul(np.matmul(q, z), q)
@@ -320,20 +320,9 @@ def cantor_mask(stage, grid):
     return interval_mask(grid, svc_intervals(stage))
 
 
-def generate_cantor_example(stage, include_c0=True):
-    """Indicator-coefficient model on a fat Cantor set.
-
-    On the set: unit second-order coefficient, first-order coefficients
-    ``+1`` (gradient slot) and ``-1`` (function slot), and zeroth-order
-    ``+1`` (dropped when ``include_c0`` is false).  Off the set everything
-    vanishes.  The singular directions are the set itself
-    (``Q = indicator``), the sector half-angle is ``pi/4`` and the
-    domination constant ``1`` — all boundary-tight.
-
-    Returns ``(coeffs, q_field, funcs)`` where ``funcs`` maps names to test
-    functions: a plateau equal to one across ``[0, 1]`` and a family of
-    bumps, one of which lives entirely in the first removed gap.
-    """
+def _cantor_coefficients(stage, include_c0=True):
+    """The coefficients of :func:`generate_cantor_example` and the mask of
+    its set, without ``Q`` or the test functions."""
     stage = int(stage)
     if not 0 <= stage <= MAX_CANTOR_STAGE:
         raise ValidationError("stage must lie in 0..%d, got %d"
@@ -352,6 +341,25 @@ def generate_cantor_example(stage, include_c0=True):
         theta=np.pi / 4,
         K_bound=1.0,
     )
+    return coeffs, mask
+
+
+def generate_cantor_example(stage, include_c0=True):
+    """Indicator-coefficient model on a fat Cantor set.
+
+    On the set: unit second-order coefficient, first-order coefficients
+    ``+1`` (gradient slot) and ``-1`` (function slot), and zeroth-order
+    ``+1`` (dropped when ``include_c0`` is false).  Off the set everything
+    vanishes.  The singular directions are the set itself
+    (``Q = indicator``), the sector half-angle is ``pi/4`` and the
+    domination constant ``1`` — all boundary-tight.
+
+    Returns ``(coeffs, q_field, funcs)`` where ``funcs`` maps names to test
+    functions: a plateau equal to one across ``[0, 1]`` and a family of
+    bumps, one of which lives entirely in the first removed gap.
+    """
+    coeffs, mask = _cantor_coefficients(stage, include_c0)
+    grid = coeffs.grid
     q_field = indicator_projection(grid, mask)
 
     funcs = {

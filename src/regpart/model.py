@@ -14,10 +14,12 @@ trial gradient and is paired against the conjugated test gradient, while the
 first-order fields contract bilinearly against their own slot's gradient.
 
 ``derive_fields`` factors the model through the Hermitian part ``A`` of
-``C``: it returns ``A``, its psd square root, the pseudo-inverse square root
-``g``, and the bounded fields ``Z`` (Hermitian, ``A^{1/2}(I+iZ)A^{1/2} = C``),
-``X`` (``A^{1/2} X = conj(b)``) and ``Y`` (``A^{1/2} Y = d``).  These exist
+``C``: it returns the psd square root ``A^{1/2}`` and the bounded fields
+``Z`` (Hermitian, ``A^{1/2}(I+iZ)A^{1/2} = C``), ``X``
+(``A^{1/2} X = conj(b)``) and ``Y`` (``A^{1/2} Y = d``).  These exist
 precisely because the model passes its sector and domination validation.
+``A`` itself and its pseudo-inverse square root ``g`` are formed chunk by
+chunk on the way and not kept: no stage reads them.
 
 ``eval_form`` evaluates the form on two test functions or two function
 families (:class:`~regpart.grid.TestFunction` either way);
@@ -210,12 +212,13 @@ class CoefficientSet:
 
 @dataclass
 class DerivedFields:
-    """Factored per-cell fields produced by :func:`derive_fields`."""
+    """Factored per-cell fields produced by :func:`derive_fields`: the psd
+    square root ``Asqrt_field`` of ``A = herm(C)`` and the bounded fields
+    ``Z_field``, ``X_field`` and ``Y_field``, ``(2 d^2 + 2 d)`` complex
+    numbers per cell in all."""
 
     grid: GridSpec
-    A_field: np.ndarray
     Asqrt_field: np.ndarray
-    g_field: np.ndarray
     Z_field: np.ndarray
     X_field: np.ndarray
     Y_field: np.ndarray
@@ -250,9 +253,12 @@ def derive_fields(coeffs):
     with an eigenvalue below the floor of ``psd_roots`` raises
     :class:`~regpart.errors.NotPSD` naming its cell: the one with the
     lowest such eigenvalue in the first chunk that holds one.
+
+    ``A`` and ``g`` live for one chunk of cells; the result keeps
+    ``Asqrt``, ``Z``, ``X`` and ``Y`` only.
     """
     n, d = coeffs.n_cells, coeffs.dim
-    a, asqrt, g, z = (np.empty((n, d, d), dtype=complex) for _ in range(4))
+    asqrt, z = (np.empty((n, d, d), dtype=complex) for _ in range(2))
     x, y = np.empty((n, d), dtype=complex), np.empty((n, d), dtype=complex)
     # per cell and check: reconstruction residual and data scale
     res, scale = np.empty((3, n)), np.empty((3, n))
@@ -261,12 +267,12 @@ def derive_fields(coeffs):
         # the chunk's own stacks feed each einsum (see cell_chunks)
         c, b, dd = (f[cells] for f in (coeffs.C_field, coeffs.b_field,
                                        coeffs.d_field))
-        a[cells] = ac = herm_part(c)
         try:
-            asqrt[cells], g[cells] = sq, gc = psd_roots(ac)
+            sq, gc = psd_roots(herm_part(c))
         except NotPSD as exc:
             cell = cells.start + exc.cell
             raise NotPSD("cell %d: %s" % (cell, exc), cell=cell) from None
+        asqrt[cells] = sq
         z[cells] = zc = herm_part(np.einsum("nij,njk,nkl->nil", gc,
                                             imag_part(c), gc))
         bbar = np.conj(b)
@@ -300,8 +306,8 @@ def derive_fields(coeffs):
                 "(residual %.3e)" % (cell, name, float(res[k, cell])),
                 cell=cell)
 
-    return DerivedFields(grid=coeffs.grid, A_field=a, Asqrt_field=asqrt,
-                         g_field=g, Z_field=z, X_field=x, Y_field=y)
+    return DerivedFields(grid=coeffs.grid, Asqrt_field=asqrt, Z_field=z,
+                         X_field=x, Y_field=y)
 
 
 @dataclass(frozen=True)

@@ -141,13 +141,17 @@ def random_coefficients(rng, grid, deficient_frac=0.4):
 
 
 def random_grid(rng, dim):
-    """Small unit-box grid with at most 64 cells."""
+    """Small unit-box grid, one drawn cell count per axis: 8 to 16 cells in
+    1-D, 3 to 6 per axis in 2-D and 2 to 4 in 3-D (at most 64 cells in
+    all), and 3 or 4 per axis from 4-D on, which leaves at least ``2^dim``
+    interior nodes for the node functions."""
     if dim == 1:
         cells = (int(rng.integers(8, 17)),)
     elif dim == 2:
         cells = (int(rng.integers(3, 7)), int(rng.integers(3, 7)))
     else:
-        cells = tuple(int(rng.integers(2, 5)) for _ in range(3))
+        lo, hi = (2, 5) if dim == 3 else (3, 5)
+        cells = tuple(int(rng.integers(lo, hi)) for _ in range(dim))
     box = tuple((0.0, 1.0) for _ in range(dim))
     return GridSpec(dim=dim, box=box, cells_per_axis=cells)
 

@@ -24,7 +24,10 @@ form itself, and the regular fields are copies of the input coefficients,
 so the singular fields there are exactly ``0``.  The solves, the assembly
 and the identity suite run on the ``supp Q`` cells only: the singular
 structure keeps ``Q`` and ``W`` as stacks over those cells, with their
-indices, and the identity suite keeps its norms for them alone.
+indices, and the identity suite keeps its norms for them alone.  The
+structure and the assembly run block by block over those cells
+(:func:`~regpart.grid.cell_chunks`), the assembly writing each block
+into its full-grid outputs, so their temporaries are set by the block.
 
 The identity suite forms one identity at a time and reduces it to its
 per-matrix Frobenius norm before forming the next, and it runs block by
@@ -129,7 +132,9 @@ def build_singular_structure(q_field, derived):
     posed; residual failures therefore indicate corrupted inputs and raise
     :class:`SolveFailure` rather than a validation error.  Cells with
     ``Q = 0`` are projections with ``W = 0``; only the others are checked,
-    solved and kept.
+    solved and kept.  The check and the solve run block by block over
+    them (:func:`~regpart.grid.cell_chunks`), so only ``Q`` and ``W`` grow
+    with ``supp Q``.
 
     Raises
     ------
@@ -144,31 +149,48 @@ def build_singular_structure(q_field, derived):
 
     cells = _support(q)
     qs = q[cells]
-    # an infinite entry gives NaN residuals, which count as bad
-    with np.errstate(invalid="ignore"):
-        res_h, res_i = projection_residuals(qs)
-    bad = ~((res_h <= STRUCTURE_TOL) & (res_i <= STRUCTURE_TOL))
-    if np.any(bad):
-        k = int(np.argmax(np.maximum(res_h, res_i)))
-        cell = int(cells[k])
-        raise ProjectionInvalid(
-            "cell %d: Q is not an orthogonal projection "
-            "(hermitian residual %.3e, idempotence residual %.3e)"
-            % (cell, float(res_h[k]), float(res_i[k])), cell=cell)
+    blocks = cell_chunks(len(cells))
+    _check_projections(qs, cells, blocks)
 
-    z = derived.Z_field[cells]
-    lhs, wtilde = _resolvent(qs, z)
-    ws = np.matmul(qs, wtilde)
-
-    worst = max(float(np.max(norms, initial=0.0)) for norms in (
-        frobenius(np.matmul(lhs, wtilde) - qs),
-        *(norms for _, norms in _kernel_relations(qs, ws, z))))
-    scale = float(np.max(frobenius(lhs), initial=0.0))
+    ws = np.empty_like(qs)
+    worst = scale = 0.0
+    for block in blocks:
+        qb, z = qs[block], derived.Z_field[cells[block]]
+        lhs, wtilde = _resolvent(qb, z)
+        ws[block] = wb = np.matmul(qb, wtilde)
+        worst = max(worst, *(float(np.max(norms)) for norms in (
+            frobenius(np.matmul(lhs, wtilde) - qb),
+            *(norms for _, norms in _kernel_relations(qb, wb, z)))))
+        scale = max(scale, float(np.max(frobenius(lhs))))
     if worst > max(STRUCTURE_TOL, 1e-12 * scale) * 10:
         raise SolveFailure(
             "resolvent kernel residuals out of budget (%.3e)" % worst)
 
     return SingularStructure(grid=derived.grid, support=cells, Q=qs, W=ws)
+
+
+def _check_projections(qs, cells, blocks):
+    """Raise :class:`ProjectionInvalid` if some matrix of the stack ``qs``
+    over ``cells`` is not an orthogonal projection.  The stack is checked
+    block by block, and the error names the cell with the largest residual
+    of the whole stack: the first such, a NaN counting as largest."""
+    worst = None
+    for block in blocks:
+        # an infinite entry gives NaN residuals, which count as bad
+        with np.errstate(invalid="ignore"):
+            res = np.stack(projection_residuals(qs[block]))
+        if np.all(res <= STRUCTURE_TOL):
+            continue
+        top = np.maximum(*res)
+        k = int(np.argmax(top))
+        if worst is None or not (np.isnan(worst[0]) or top[k] <= worst[0]):
+            worst = (top[k], int(cells[block.start + k]), res[:, k])
+    if worst is not None:
+        _, cell, (res_h, res_i) = worst
+        raise ProjectionInvalid(
+            "cell %d: Q is not an orthogonal projection "
+            "(hermitian residual %.3e, idempotence residual %.3e)"
+            % (cell, float(res_h), float(res_i)), cell=cell)
 
 
 @dataclass
@@ -294,16 +316,17 @@ class RegularizedCoefficients:
                               K_bound=K_bound)
 
 
-def _package(coeffs, cells, c_reg, b_reg, d_reg, c0_reg):
-    """Regular fields that copy the input off ``cells`` and take the
-    assembled values on them, with their exact complements."""
-    fields = []
-    for full, local in ((coeffs.C_field, c_reg), (coeffs.b_field, b_reg),
-                        (coeffs.d_field, d_reg), (coeffs.c0_field, c0_reg)):
-        out = np.array(full, dtype=complex)
-        out[cells] = local
-        fields.append(out)
-    c_reg, b_reg, d_reg, c0_reg = fields
+def _package(coeffs, derived, s, fields):
+    """Regular fields that copy the input off ``supp Q`` and, block by
+    block of its cells, take the values ``fields(coeffs, derived, s,
+    block)`` assembles on them, with their exact complements."""
+    cells = s.support
+    outs = [np.array(full, dtype=complex) for full in (
+        coeffs.C_field, coeffs.b_field, coeffs.d_field, coeffs.c0_field)]
+    for block in cell_chunks(len(cells)):
+        for out, local in zip(outs, fields(coeffs, derived, s, block)):
+            out[cells[block]] = local
+    c_reg, b_reg, d_reg, c0_reg = outs
     return RegularizedCoefficients(
         grid=coeffs.grid, C_reg=c_reg, b_reg=b_reg, d_reg=d_reg,
         c0_reg=c0_reg,
@@ -336,17 +359,29 @@ def assemble_regular(coeffs, derived, s):
     """Assemble the regular-part coefficient fields from the full kernel.
 
     See the module docstring for the per-cell formulas, which run on
-    ``supp Q``; the other cells copy the input.  The output's ``*_s``
-    fields are the exact complements.
+    ``supp Q`` block by block (:func:`~regpart.grid.cell_chunks`), each
+    block written into the full-grid outputs; the other cells copy the
+    input.  The output's ``*_s`` fields are the exact complements.
     """
     _check_grids(coeffs, derived, s)
-    cells = s.support
-    z, asqrt, x, y, c0 = (f[cells] for f in (
-        derived.Z_field, derived.Asqrt_field, derived.X_field,
-        derived.Y_field, coeffs.c0_field))
-    w = s.W
+    return _package(coeffs, derived, s, _regular_fields)
+
+
+def _support_data(coeffs, derived, s, block):
+    """``(Z, A^{1/2}, X, Y, c0, Q)`` on the cells ``s.support[block]``."""
+    cells = s.support[block]
+    return (*(f[cells] for f in (derived.Z_field, derived.Asqrt_field,
+                                 derived.X_field, derived.Y_field,
+                                 coeffs.c0_field)), s.Q[block])
+
+
+def _regular_fields(coeffs, derived, s, block):
+    """The four fields of the full assembly on one block of the cells of
+    ``supp Q``, ``(C_reg, b_reg, d_reg, c0_reg)``."""
+    z, asqrt, x, y, c0, q = _support_data(coeffs, derived, s, block)
     eye = _eye_like(z)
-    p = eye - s.Q
+    w = s.W[block]
+    p = eye - q
 
     kernel = eye + 1j * z + np.matmul(np.matmul(z, w), z)
     pa = np.matmul(p, asqrt)
@@ -358,7 +393,7 @@ def assemble_regular(coeffs, derived, s):
 
     wy = np.einsum("nkl,nl->nk", w, y)
     c0_reg = c0 - np.einsum("nk,nk->n", np.conj(x), wy)
-    return _package(coeffs, cells, c_reg, b_reg, d_reg, c0_reg)
+    return c_reg, b_reg, d_reg, c0_reg
 
 
 def _commutators(s, derived):
@@ -394,19 +429,15 @@ def assemble_regular_commuting(coeffs, derived, s):
         raise NotCommuting(
             "cell %d: ||QZ - ZQ||_F = %.3e exceeds the commuting tolerance"
             % (cell, float(comm[cell])))
-    return _package(coeffs, s.support, *_commuting_fields(
-        coeffs, derived, s))
+    return _package(coeffs, derived, s, _commuting_fields)
 
 
-def _commuting_fields(coeffs, derived, s):
-    """The four fields of the simplified assembly on the cells of
-    ``supp Q`` only, ``(C_reg, b_reg, d_reg, c0_reg)`` in the order of
-    ``s.support``; no commutation check."""
-    cells = s.support
-    z, asqrt, x, y, c0 = (f[cells] for f in (
-        derived.Z_field, derived.Asqrt_field, derived.X_field,
-        derived.Y_field, coeffs.c0_field))
-    q = s.Q
+def _commuting_fields(coeffs, derived, s, block=slice(None)):
+    """The four fields of the simplified assembly on the cells
+    ``s.support[block]`` (all of ``supp Q`` by default),
+    ``(C_reg, b_reg, d_reg, c0_reg)`` in their order; no commutation
+    check."""
+    z, asqrt, x, y, c0, q = _support_data(coeffs, derived, s, block)
     eye = _eye_like(z)
     p = eye - q
 

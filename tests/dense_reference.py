@@ -12,8 +12,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from regpart.completion import (GRAM_COND_CAP, _singular_basis,
+from regpart.completion import (GRAM_COND_CAP, PROJECTION_RANK_TOL,
                                 build_ambient, phi_vector, singular_field)
+from regpart.errors import ProjectionInvalid
 from regpart.pointwise import adjoint, herm_part, imag_part, psd_roots
 
 
@@ -57,7 +58,7 @@ def dense_grams(coeffs, derived, q_field, funcs):
     wf = np.zeros((nf, n, d), dtype=complex)
     for i, f in enumerate(funcs):
         uf[i], wf[i] = phi_vector(derived, f)
-    sc, sv = _singular_basis(q_field)
+    sc, sv = full_grid_singular_basis(q_field)
     csv = np.conj(sv)
     nb = nf + sc.shape[0]
     ws, vxy = ambient_weights(coeffs, derived, build_ambient(coeffs, derived))
@@ -165,6 +166,20 @@ def dense_probe_ratios(vs, gram_a, gram_form, tau, xi, lambdas):
     return np.asarray(ratios)
 
 
+def full_grid_singular_basis(q_field):
+    """``(cells, vecs)`` of ``_singular_basis`` from one eigendecomposition
+    of ``Q`` on every cell, as it was computed before it was restricted to
+    ``supp Q``."""
+    w, u = np.linalg.eigh(herm_part(np.asarray(q_field, dtype=complex)))
+    split = (w > PROJECTION_RANK_TOL) & (w < 1.0 - PROJECTION_RANK_TOL)
+    if np.any(split):
+        cell = int(np.argmax(np.any(split, axis=-1)))
+        raise ProjectionInvalid(
+            "cell %d: projection eigenvalues are not 0/1" % cell, cell=cell)
+    cells, cols = np.nonzero(w > 0.5)
+    return cells, np.ascontiguousarray(u[cells, :, cols])
+
+
 def dense_qz_iq_asqrt(q_field, derived):
     """``Q Z (I-Q) A^{1/2}`` as one product over the full grid."""
     q = np.asarray(q_field, dtype=complex)
@@ -197,15 +212,13 @@ def dense_ops(vs, ops):
 
 
 def one_pass_fields(coeffs):
-    """``(A, A^{1/2}, g, Z, X, Y)`` of ``derive_fields`` in one pass over
-    the whole stack, as it was computed before the cell passes were
+    """``(A^{1/2}, Z, X, Y)`` of ``derive_fields`` in one pass over the
+    whole stack, as it was computed before the cell passes were
     chunked."""
-    a = herm_part(coeffs.C_field)
-    asqrt, g = psd_roots(a)
+    asqrt, g = psd_roots(herm_part(coeffs.C_field))
     z = herm_part(np.einsum("nij,njk,nkl->nil", g,
                             imag_part(coeffs.C_field), g))
-    return (a, asqrt, g, z, np.einsum("nij,nj->ni", g,
-                                      np.conj(coeffs.b_field)),
+    return (asqrt, z, np.einsum("nij,nj->ni", g, np.conj(coeffs.b_field)),
             np.einsum("nij,nj->ni", g, coeffs.d_field))
 
 

@@ -55,6 +55,22 @@ def test_example_writes_model(cantor_file):
         "bump_outside"}
 
 
+def test_cantor_doc_builds_coefficients_only(monkeypatch):
+    """The worked-example document builds its coefficients and nothing
+    else: ``Q`` and the functions go into it as specs, so it needs neither
+    the indicator projection nor a test function."""
+    import regpart.diagnostics
+
+    want = dumps_canonical(cantor_model_doc(3))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built data the document does not read")
+    monkeypatch.setattr(TestFunction, "bump", refuse)
+    monkeypatch.setattr(TestFunction, "plateau_1d", refuse)
+    monkeypatch.setattr(regpart.diagnostics, "indicator_projection", refuse)
+    assert dumps_canonical(cantor_model_doc(3)) == want
+
+
 def test_unknown_example_name(tmp_path, capsys):
     code = main(["example", "torus", "--out", str(tmp_path / "x.json")])
     assert code == 2

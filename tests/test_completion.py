@@ -7,13 +7,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dense_reference import (ambient_inner, ambient_weights, dense_ops,
-                             hprime_from_coords)
+                             full_grid_singular_basis, hprime_from_coords)
 from regpart.completion import (AMBIENT_MARGIN, _ambient_min_eig,
-                                build_ambient, build_v_subspace,
-                                compute_operators, oracle_regular_part,
-                                phi_vector, t_pi2_probe)
+                                _singular_basis, build_ambient,
+                                build_v_subspace, compute_operators,
+                                oracle_regular_part, phi_vector, t_pi2_probe)
 from regpart.diagnostics import generate_noncommuting_example
-from regpart.errors import DegenerateBasis, KernelMismatch
+from regpart.errors import DegenerateBasis, KernelMismatch, ProjectionInvalid
 from regpart.grid import GridSpec, TestFunction
 from regpart.model import CoefficientSet, derive_fields, eval_form, form_gram
 from regpart.pipeline import MULT_TOL, ORACLE_RTOL, multiplication_residuals, \
@@ -234,6 +234,20 @@ def test_oracle_agrees_with_assembly(rng):
         assert out["t_res"] < MULT_TOL
 
 
+@pytest.mark.parametrize("commuting", [True, False])
+def test_oracle_agrees_in_four_dimensions(rng, commuting):
+    """Four-dimensional cases draw one axis per dimension and cross-check
+    like the lower ones."""
+    for _ in range(2):
+        case = random_oracle_case(rng, dim=4, commuting=commuting)
+        assert case.coeffs.dim == 4 and case.commuting is commuting
+        assert len(case.coeffs.grid.cells_per_axis) == 4
+        out = oracle_crosscheck(case)
+        assert out["oracle_rel"] < ORACLE_RTOL
+        assert out["pi1_res"] < MULT_TOL
+        assert out["t_res"] < MULT_TOL
+
+
 def test_oracle_explicit_pair(rng):
     """One case spelled out without the pipeline wrapper."""
     from regpart.regularize import assemble_regular, build_singular_structure
@@ -417,3 +431,29 @@ def test_phi_vector_matches_factored_gradient(rng):
         expected = np.einsum("nkl,nl->nk", derived.Asqrt_field,
                              f.cell_gradient)
         assert_allclose(wf, expected, atol=0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_singular_basis_on_support_is_full_grid_basis(d):
+    """Decomposing ``Q`` on ``supp Q`` only gives the full-grid basis bit
+    for bit, on scattered support cells of mixed rank, and names the same
+    cell when a projection there is invalid, also when that cell is not
+    the first of the support."""
+    rng = np.random.default_rng(50 + d)
+    n = 400
+    q = random_projection_field(rng, d, n)
+    q[rng.random(n) < 0.6] = 0.0
+    support = np.flatnonzero(np.any(q != 0, axis=(1, 2)))
+    cells, vecs = _singular_basis(q, support)
+    want_cells, want_vecs = full_grid_singular_basis(q)
+    assert cells.tobytes() == want_cells.tobytes()
+    assert vecs.tobytes() == want_vecs.tobytes()
+    assert 0 < len(np.unique(cells)) < n
+
+    bad_cell = support[len(support) // 2]
+    q[bad_cell] = 0.5 * np.eye(d)
+    for basis in (lambda: _singular_basis(q, support),
+                  lambda: full_grid_singular_basis(q)):
+        with pytest.raises(ProjectionInvalid) as err:
+            basis()
+        assert err.value.cell == bad_cell

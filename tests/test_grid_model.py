@@ -1,5 +1,7 @@
 """Grids, test functions, coefficient validation and derived fields."""
 
+import gc
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -221,7 +223,8 @@ def test_derive_reconstruction(rng):
         coeffs = random_coefficients(rng, random_grid(rng, dim))
         derived = derive_fields(coeffs)
         a = herm_part(coeffs.C_field)
-        assert_allclose(derived.A_field, a, atol=1e-12)
+        assert_allclose(np.matmul(derived.Asqrt_field, derived.Asqrt_field),
+                        a, atol=1e-12)
         recon = np.matmul(derived.Asqrt_field,
                           np.matmul(np.broadcast_to(np.eye(dim), a.shape)
                                     + 1j * derived.Z_field,
@@ -257,14 +260,13 @@ def test_derive_idempotent(rng):
         grid=coeffs.grid, C_field=recon_c, b_field=coeffs.b_field,
         d_field=coeffs.d_field, c0_field=coeffs.c0_field,
         theta=coeffs.theta, K_bound=coeffs.K_bound))
-    for name in ("A_field", "Asqrt_field", "g_field", "Z_field",
-                 "X_field", "Y_field"):
+    for name in ("Asqrt_field", "Z_field", "X_field", "Y_field"):
         assert_allclose(getattr(again, name), getattr(derived, name),
                         atol=1e-9)
 
 
 def test_zero_principal_part_fields(rng):
-    """Cells with A = 0 produce zero A^{1/2}, g, Z, X, Y."""
+    """Cells with A = 0 produce zero A^{1/2}, Z, X, Y."""
     grid = unit_grid(1, (4,))
     c = np.zeros((4, 1, 1), dtype=complex)
     c[0, 0, 0] = 1.0 + 0.5j
@@ -392,10 +394,31 @@ def test_chunked_derive_fields_is_one_pass(cells):
                                  unit_grid(len(cells), cells))
     assert len(cell_chunks(coeffs.n_cells)) >= 2
     derived = derive_fields(coeffs)
-    for got, want in zip((derived.A_field, derived.Asqrt_field,
-                          derived.g_field, derived.Z_field, derived.X_field,
-                          derived.Y_field), one_pass_fields(coeffs)):
+    for got, want in zip((derived.Asqrt_field, derived.Z_field,
+                          derived.X_field, derived.Y_field),
+                         one_pass_fields(coeffs)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_derive_fields_keeps_four_fields(dim):
+    """A ``derive_fields`` result retains ``A^{1/2}``, ``Z``, ``X`` and
+    ``Y`` only: ``(2 d^2 + 2 d)`` complex numbers per cell, plus a small
+    constant."""
+    cells = {1: (9000,), 2: (96, 96), 3: (21, 21, 21)}[dim]
+    coeffs = random_coefficients(np.random.default_rng(dim),
+                                 unit_grid(dim, cells))
+    n = coeffs.n_cells
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        derived = derive_fields(coeffs)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert derived.Z_field.shape == (n, dim, dim)
+    assert kept <= (2 * dim * dim + 2 * dim) * 16 * n + 16384
 
 
 def test_eval_form_grid_mismatch(rng):

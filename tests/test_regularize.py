@@ -12,7 +12,7 @@ from dense_reference import (one_pass_identity_norms, one_pass_kernel,
                              structure_fields)
 from regpart.diagnostics import regular_sector_tangent
 from regpart.errors import GridMismatch, NotCommuting, ProjectionInvalid
-from regpart.grid import CELL_CHUNK
+from regpart.grid import CELL_CHUNK, GridSpec, cell_chunks
 from regpart.model import CoefficientSet, derive_fields, eval_form
 from regpart.pointwise import (PSD_TOL, adjoint, frobenius, herm_part,
                                imag_part, pinv_sqrt, sector_pencils)
@@ -20,7 +20,8 @@ from regpart.randomized import (commuting_projection_field,
                                 random_coefficients, random_grid,
                                 random_node_functions,
                                 random_projection_field, random_qz_draws)
-from regpart.regularize import (_identity_report, assemble_regular,
+from regpart.regularize import (_commuting_fields, _identity_report,
+                                _package, _regular_fields, assemble_regular,
                                 assemble_regular_commuting,
                                 build_singular_structure, commutator_norms,
                                 identity_residuals, identity_suite,
@@ -439,3 +440,96 @@ def test_identity_residuals_memory_is_set_by_the_block():
     nearly where it was, at dimension 3: only the six per-draw norms grow
     with the draw count, not the temporaries of a block."""
     assert _suite_peak(8 * CELL_CHUNK) <= 1.5 * _suite_peak(2 * CELL_CHUNK)
+
+
+def _blocked_case(d, n, seed):
+    """A random ``d``-dimensional model on ``n`` cells with random
+    projections of mixed rank, 0 among them, zeroed on a further random
+    tenth of the cells."""
+    rng = np.random.default_rng(seed)
+    coeffs = random_coefficients(rng, GridSpec(
+        dim=d, box=((0.0, 1.0),) * d, cells_per_axis=(n,) + (1,) * (d - 1)))
+    q = random_projection_field(rng, d, n)
+    q[rng.random(n) < 0.1] = 0.0
+    return coeffs, derive_fields(coeffs), q
+
+
+def _package_all(coeffs, derived, s):
+    """The simplified assembly without its commutation check."""
+    return _package(coeffs, derived, s, _commuting_fields)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_blocked_structure_and_assembly_are_one_pass(d):
+    """Run over blocks of ``supp Q``, the structure's ``W`` and both
+    assemblies give the bits of one pass over the whole support."""
+    coeffs, derived, q = _blocked_case(d, 5 * CELL_CHUNK, 30 + d)
+    s = build_singular_structure(q, derived)
+    assert len(cell_chunks(len(s.support))) >= 2
+    z = derived.Z_field[s.support]
+    assert s.W.tobytes() == one_pass_kernel(s.Q, z).tobytes()
+    for assemble, fields in ((assemble_regular, _regular_fields),
+                             (_package_all, _commuting_fields)):
+        reg = assemble(coeffs, derived, s)
+        whole = fields(coeffs, derived, s, slice(None))
+        for name, want in zip(("C_reg", "b_reg", "d_reg", "c0_reg"), whole):
+            assert getattr(reg, name)[s.support].tobytes() == want.tobytes()
+
+
+def test_blocked_projection_check_names_the_worst_cell():
+    """The block-by-block projection check names the cell of the largest
+    residual over all of ``supp Q``, wherever the blocks split, and a cell
+    with a NaN residual before any finite one."""
+    _, derived, q = _blocked_case(2, 5 * CELL_CHUNK, 7)
+    support = np.flatnonzero(np.any(q != 0, axis=(1, 2)))
+    first, worst, later = support[[10, CELL_CHUNK + 5, 2 * CELL_CHUNK + 9]]
+    bad = q.copy()
+    bad[first] *= 1.5
+    bad[worst] *= 3.0
+    bad[later] *= 2.0
+    with pytest.raises(ProjectionInvalid) as err:
+        build_singular_structure(bad, derived)
+    assert err.value.cell == worst
+    bad[later, 0, 0] = np.inf
+    with pytest.raises(ProjectionInvalid) as err:
+        build_singular_structure(bad, derived)
+    assert err.value.cell == later
+
+
+def _stage_excess(n):
+    """Peak bytes held above their retained results by
+    ``build_singular_structure`` and by ``assemble_regular`` on ``n``
+    cells with ``d = 2``, ``C = I`` and ``Q = e_0 e_0*`` on every cell."""
+    grid = GridSpec(dim=2, box=((0.0, 1.0), (0.0, 1.0)),
+                    cells_per_axis=(n // 128, 128))
+    zeros = np.zeros((n, 2), dtype=complex)
+    coeffs = CoefficientSet(
+        grid=grid, C_field=np.broadcast_to(np.eye(2), (n, 2, 2)),
+        b_field=zeros, d_field=zeros, c0_field=np.zeros(n), theta=0.1,
+        K_bound=1.0)
+    derived = derive_fields(coeffs)
+    q = np.zeros((n, 2, 2), dtype=complex)
+    q[:, 0, 0] = 1.0
+    gc.collect()
+    tracemalloc.start()
+    try:
+        s = build_singular_structure(q, derived)
+        kept, peak = tracemalloc.get_traced_memory()
+        structure = peak - kept
+        tracemalloc.reset_peak()
+        reg = assemble_regular(coeffs, derived, s)
+        assert len(reg.C_reg) == n
+        after, peak = tracemalloc.get_traced_memory()
+        return structure, peak - after
+    finally:
+        tracemalloc.stop()
+
+
+def test_structure_and_assembly_memory_is_set_by_the_block():
+    """Where ``Q`` is nonzero on every cell, four times the cells leave the
+    peak that the singular structure and the assembly each hold above
+    their results nearly where it was: their temporaries are set by the
+    block of ``supp Q``, not by the support."""
+    small, large = _stage_excess(2 * CELL_CHUNK), _stage_excess(8 * CELL_CHUNK)
+    for lo, hi in zip(small, large):
+        assert hi <= 1.5 * lo
