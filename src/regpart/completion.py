@@ -340,11 +340,13 @@ def _singular_rows(derived, sc, sv, u, w):
             np.conj(row(w - izw, derived.X_field)))
 
 
-def build_v_subspace(coeffs, derived, q_field, funcs):
+def build_v_subspace(coeffs, derived, q_field, funcs, support=None):
     """Assemble the V-basis on the one-axis family ``funcs`` and the blocks
     of its two Gram matrices, with the ambient product's vertex shift from
     :func:`build_ambient`.  ``VSubspace.func_values`` is the family's own
-    ``cell_values``.
+    ``cell_values``.  ``support`` is the index array of the cells of
+    ``supp Q`` when the caller has it (a singular structure's), and is
+    found from ``q_field`` when it is ``None``.
 
     Raises
     ------
@@ -360,7 +362,8 @@ def build_v_subspace(coeffs, derived, q_field, funcs):
     gamma = build_ambient(coeffs, derived)
     vol = coeffs.grid.cell_volume
     q = np.asarray(q_field, dtype=complex)
-    support = _support(q)
+    if support is None:
+        support = _support(q)
     sc, sv = _singular_basis(q, support)
     groups = _cell_groups(sc)
     izsv = sv + 1j * np.einsum("pkl,pl->pk", derived.Z_field[sc], sv)

@@ -99,17 +99,18 @@ class DiagnosticsReport:
     verdicts: dict
 
 
-def _relative_field_gap(reg, cells, fields):
+def _relative_field_gap(reg, fields):
     """Largest per-cell difference between the assembly ``reg`` and the
-    simplified one, whose four fields on ``cells`` (``supp Q``) are
-    ``fields``, relative to the field scale.  Off ``supp Q`` both copy the
-    input, so the difference is read on ``cells`` only; the scale is
-    ``max(1, max|reg|, max|fields|)``, as over the whole grid."""
+    simplified one, whose four fields on ``supp Q`` are ``fields``,
+    relative to the field scale.  Off ``supp Q`` both keep the input, so
+    the difference is read on ``supp Q`` only; the scale is
+    ``max(1, max|reg|, max|fields|)``, as over the whole grid, with
+    ``max|reg|`` taken chunk by chunk."""
     gaps = []
-    for name, fb in zip(("C_reg", "b_reg", "d_reg", "c0_reg"), fields):
-        fa = getattr(reg, name)
-        diff = float(np.max(np.abs(fa[cells] - fb), initial=0.0))
-        scale = max(1.0, float(np.max(np.abs(fa))),
+    for fa, fb in zip(reg.regular, fields):
+        diff = float(np.max(np.abs(fa.values - fb), initial=0.0))
+        scale = max(1.0, *(float(np.max(np.abs(fa[cells])))
+                           for cells in cell_chunks(len(fa))),
                     float(np.max(np.abs(fb), initial=0.0)))
         gaps.append(diff / scale)
     return max(gaps)
@@ -147,10 +148,10 @@ def regular_sector_tangent(reg, derived, s):
     computed as the spectral norm of ``g(A') Im(C') g(A')``.
 
     Off ``supp Q`` the regular field is the input ``C``, whose ``g Im(C) g``
-    is the ``Z`` of ``derived``; the roots are taken on ``s.support`` only,
-    and ``Z`` is read chunk by chunk on the other cells.
+    is the ``Z`` of ``derived``; the roots are taken on the regular stack of
+    ``s.support`` only, and ``Z`` is read chunk by chunk on the other cells.
     """
-    c = reg.C_reg[s.support]
+    c = reg.C_reg.values
     g = pinv_sqrt(herm_part(c))
     zr = herm_part(np.einsum("nij,njk,nkl->nil", g, imag_part(c), g))
     top = float(np.max(np.abs(np.linalg.eigvalsh(zr)), initial=0.0))
@@ -223,8 +224,8 @@ def check_equivalences(vs, ops, reg, s, funcs, formula, xi=None,
     """
     coeffs, derived = vs.coeffs, vs.derived
 
-    field_gap = _relative_field_gap(reg, s.support, _commuting_fields(
-        coeffs, derived, s))
+    field_gap = _relative_field_gap(reg, _commuting_fields(coeffs, derived,
+                                                           s))
     kernel_res = _kernel_image_residual(vs, ops)
 
     if xi is None:

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import GridMismatch, ValidationError
 
-__all__ = ["GridSpec", "TestFunction", "MAX_CELLS", "CELL_CHUNK",
-           "cell_chunks", "cell_data_from_nodes"]
+__all__ = ["GridSpec", "TestFunction", "DeltaField", "MAX_CELLS",
+           "CELL_CHUNK", "cell_chunks", "cell_data_from_nodes"]
 
 #: Refuse to allocate grids with more cells than this.
 MAX_CELLS = 10**7
@@ -53,6 +53,64 @@ def cell_chunks(n):
     if len(bounds) > 2 and n - bounds[-2] < CELL_CHUNK:
         del bounds[-2]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+class DeltaField:
+    """A per-cell field held as a base field and the rows that differ.
+
+    Row ``r`` is ``base[r]`` except on the sorted cell indices ``cells``,
+    where row ``cells[k]`` is ``values[k]``.  A ``base`` of zeros can be a
+    broadcast array that holds no memory.  Indexing by a slice, by cell
+    indices or by a boolean mask gives those rows as a new array, so a pass
+    over a chunk of cells builds that chunk only; ``np.asarray`` builds the
+    whole field, and nothing else does.
+    """
+
+    def __init__(self, base, cells, values):
+        self.base, self.cells, self.values = base, cells, values
+
+    @property
+    def shape(self):
+        return self.base.shape
+
+    @property
+    def ndim(self):
+        return self.base.ndim
+
+    @property
+    def dtype(self):
+        return self.base.dtype
+
+    def __len__(self):
+        return len(self.base)
+
+    def __getitem__(self, rows):
+        if isinstance(rows, slice) and rows.step in (None, 1):
+            lo, hi, _ = rows.indices(len(self))
+            out = self.base[lo:hi].copy()
+            k0, k1 = self.cells.searchsorted(lo), self.cells.searchsorted(hi)
+            if k1 > k0:
+                out[self.cells[k0:k1] - lo] = self.values[k0:k1]
+            return out
+        if isinstance(rows, slice):
+            rows = np.arange(*rows.indices(len(self)))
+        rows = np.asarray(rows)
+        if rows.ndim == 0:
+            return self[rows.reshape(1)][0]
+        if rows.dtype == bool:
+            rows = np.flatnonzero(rows)
+        rows = np.where(rows < 0, rows + len(self), rows)
+        out = self.base[rows]  # a new array: ``rows`` is an index array
+        k = self.cells.searchsorted(rows)
+        hit = k < len(self.cells)
+        hit[hit] = self.cells[k[hit]] == rows[hit]
+        out[hit] = self.values[k[hit]]
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        out = self.base.copy()
+        out[self.cells] = self.values
+        return out if dtype is None else out.astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)

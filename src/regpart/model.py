@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import (DegenerateBasis, DominationViolation, GridMismatch,
                      NotPSD, SectorViolation, ValidationError)
-from .grid import GridSpec, cell_chunks
+from .grid import DeltaField, GridSpec, cell_chunks
 from .pointwise import (PSD_TOL, SectorParams, adjoint, frobenius,
                         herm_part, imag_part, pencil_tangent, psd_roots,
                         sector_pencils)
@@ -84,7 +84,9 @@ class CoefficientSet:
     ``theta`` is the sector half-angle every cell's ``C_field`` matrix must
     respect, and ``K_bound`` the declared domination constant for the
     first-order fields.  Both are inputs that :meth:`validate` checks, not
-    quantities the model estimates.
+    quantities the model estimates.  Each field is a complex array, or a
+    :class:`~regpart.grid.DeltaField` (a part of a split), which the
+    per-cell passes read chunk by chunk.
     """
 
     grid: GridSpec
@@ -97,10 +99,11 @@ class CoefficientSet:
 
     def __post_init__(self):
         n, d = self.grid.n_cells, self.grid.dim
-        self.C_field = np.asarray(self.C_field, dtype=complex)
-        self.b_field = np.asarray(self.b_field, dtype=complex)
-        self.d_field = np.asarray(self.d_field, dtype=complex)
-        self.c0_field = np.asarray(self.c0_field, dtype=complex)
+        for name in ("C_field", "b_field", "d_field", "c0_field"):
+            value = getattr(self, name)
+            # a delta field is read chunk by chunk, never made whole here
+            if not isinstance(value, DeltaField):
+                setattr(self, name, np.asarray(value, dtype=complex))
         self.theta = float(self.theta)
         self.K_bound = float(self.K_bound)
         shapes = {

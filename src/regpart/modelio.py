@@ -15,13 +15,15 @@ newline.  Re-encoding a parsed canonical file reproduces it byte for
 byte; the ``Q`` and ``functions`` sub-documents are passed through
 verbatim while the numeric payload is re-encoded from the arrays.
 
-A document may carry complex ndarrays as leaves, as the reports do for
+A document may carry complex arrays as leaves: ndarrays, or the
+:class:`~regpart.grid.DeltaField` s of a split, as the reports do for
 their coefficient fields.  :func:`dumps_canonical` writes such a leaf as
 the nested ``[re, im]`` lists that :func:`complex_to_json` would give,
-byte for byte, without building those lists: every distinct float of a
-chunk of ``CELL_CHUNK`` rows is formatted once and the chunk's text is
+byte for byte, without building those lists: the leaf is written in
+pieces of whole rows that hold at most ``CELL_CHUNK`` floats, every
+distinct float of a piece is formatted once and the piece's text is
 filled in one step.  :func:`write_doc` and :func:`write_canonical` write
-the same text chunk by chunk and never join it; every leaf is checked to
+the same text piece by piece and never join it; every leaf is checked to
 be finite before the first byte goes out.  :func:`write_doc` writes a
 new or replaceable file into a temporary file beside it and renames that
 over it, so a refused document or a failed write leaves no partial file.
@@ -33,16 +35,19 @@ functions.  The loader scans the bytes for the JSON strings, and the
 array that follows a key of one of these names is cut out of the text
 when it is a nested array of JSON numbers of the key's depth; ``json``
 parses the small document that is left.  When the model is built, each
-payload is checked against the shape that the grid declares (its
-brackets and commas must be exactly those of that shape, which is
-tested before anything of that size is allocated) and read by one numpy
-text read into the complex array, with the bits that ``json`` would
-give: an integer ``-0`` reads as ``0.0``, and an integer too large for
-a float is refused.  Tokens outside the JSON number grammar (``inf``,
-``NaN``, ``+1``, ``.5``, ``1.``, ``01``, ``1_0``, two numbers apart by
-blanks, ...) are never cut out, so they fail as JSON does.  Every refusal
+payload is cut at commas into pieces of a bounded size.  The brackets and
+commas of every piece must be exactly those of that part of the shape
+that the grid declares, which is tested before anything of that size is
+allocated; then each piece is read by one numpy text read into the
+complex array, with the bits that ``json`` would give: an integer ``-0``
+reads as ``0.0``, and an integer too large for a float is refused.
+Tokens outside the JSON number grammar (``inf``, ``NaN``, ``+1``,
+``.5``, ``1.``, ``01``, ``1_0``, two numbers apart by blanks, ...) are
+never cut out, so they fail as JSON does.  Every refusal
 is a :class:`ParseError` (exit code 3) that names the array, or the JSON
-position in the file.  The loaded model keeps the arrays in its ``Q`` and
+position in the file.  A payload drops the text once it is read, and the
+loader keeps no other reference to it, so the text is freed when the last
+payload is read.  The loaded model keeps the arrays in its ``Q`` and
 ``functions`` sub-documents, not lists.  In-memory documents given to
 :func:`doc_to_model` may hold nested lists wherever a file holds a
 payload.
@@ -52,6 +57,7 @@ Structural problems (bad JSON, missing keys, wrong shapes) raise
 surface as :class:`ValidationError` subclasses from the model layer.
 """
 
+import functools
 import gc
 import json
 import math
@@ -65,7 +71,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .grid import GridSpec, TestFunction, cell_chunks
+from .grid import CELL_CHUNK, DeltaField, GridSpec, TestFunction
 from .model import CoefficientSet
 from .regularize import indicator_projection, interval_mask
 
@@ -251,13 +257,30 @@ def _skeleton_length(shape):
     return length
 
 
+def _skeleton_part(shape, lo, hi):
+    """``_skeleton(shape)[lo:hi]``, made from one period of it: the
+    skeleton of one row and the comma after it.  The skeleton is ``[``,
+    that period ``shape[0]`` times, and ``]`` in place of the last
+    comma."""
+    period = _skeleton(shape[1:]) + b","
+    first = max(lo - 1, 0) // len(period)
+    last = min(-(-(hi - 1) // len(period)), shape[0])
+    text = period * (last - first)
+    if last == shape[0]:
+        text = text[:-1] + b"]"
+    at = 1 + first * len(period)  # where ``text`` starts in the skeleton
+    if lo == 0:
+        text, at = b"[" + text, 0
+    return text[lo - at:hi - at]
+
+
 class _Payload:
     """A numeric array left as text by :func:`_loads_model`.
 
     ``text[start:end]`` is a nested array of JSON numbers.  ``slot`` is the
     ``(object, key)`` that holds the payload in the parsed document (``None``
     when a later duplicate key replaced it); a read puts the array there in
-    its place.
+    its place.  A read or settled payload drops its reference to the text.
     """
 
     __slots__ = ("text", "start", "end", "slot")
@@ -268,20 +291,46 @@ class _Payload:
 
     def read(self, shape, what):
         """The complex array of ``shape``; the brackets and commas must be
-        those of ``shape + (2,)``, checked before any number is read."""
+        those of ``shape + (2,)``.  The text is cut at commas into pieces
+        of at most ``8 * CELL_CHUNK`` bytes.  The brackets and commas of
+        each piece are checked against that part of the skeleton, all of
+        them before anything of the array's size is allocated; then the
+        numbers are read piece by piece.  No slice or copy of the whole
+        payload is made, and the payload then drops the text."""
         full = shape + (2,)
-        found = self.text[self.start:self.end].translate(None, _NOT_STRUCTURE)
-        if len(found) != _skeleton_length(full) or found != _skeleton(full):
-            raise ParseError("%s: expected an array of shape %s of [re, im] "
-                             "pairs" % (what, shape))
-        numbers = self.text[self.start:self.end].translate(_BRACKETS_TO_BLANKS)
-        flat = np.fromstring(numbers, dtype=float, count=2 * math.prod(shape),
-                             sep=",")
-        if _MINUS_ZERO.search(numbers) or not np.isfinite(flat).all():
-            _read_integers(numbers, flat, what)
+        text, end = self.text, self.end
+        pieces, at = [], 0
+        pos = self.start
+        while pos < end:
+            stop = pos + 8 * CELL_CHUNK
+            cut = text.rfind(b",", pos, stop) if stop < end else end
+            if cut < 0:  # a number longer than the piece
+                cut = text.find(b",", stop, end)
+                cut = end if cut < 0 else cut
+            frag = text[pos:cut].translate(None, _NOT_STRUCTURE)
+            if cut < end:
+                frag += b","
+            if frag != _skeleton_part(full, at, at + len(frag)):
+                raise _misshapen(what, shape)
+            at += len(frag)
+            # every comma stands between two numbers
+            pieces.append((pos, cut, frag.count(b",") + (cut == end)))
+            pos = cut + 1
+        if at != _skeleton_length(full):
+            raise _misshapen(what, shape)
+        flat = np.empty(2 * math.prod(shape))
+        done = 0
+        for pos, cut, count in pieces:
+            numbers = text[pos:cut].translate(_BRACKETS_TO_BLANKS)
+            part = np.fromstring(numbers, dtype=float, count=count, sep=",")
+            if _MINUS_ZERO.search(numbers) or not np.isfinite(part).all():
+                _read_integers(numbers, part, what)
+            flat[done:done + count] = part
+            done += count
         arr = flat.view(complex).reshape(shape)
         node, key = self.slot
         node[key] = arr
+        self.text = None
         return arr
 
     def settle(self):
@@ -290,6 +339,12 @@ class _Payload:
         if self.slot is not None and self.slot[0][self.slot[1]] is self:
             node, key = self.slot
             node[key] = json.loads(self.text[self.start:self.end])
+        self.text = None
+
+
+def _misshapen(what, shape):
+    return ParseError("%s: expected an array of shape %s of [re, im] pairs"
+                      % (what, shape))
 
 
 def _read_integers(numbers, flat, what):
@@ -401,39 +456,60 @@ def _array_text(arr):
                               return_inverse=True)
     words = np.array(list(map(float.__repr__, bits.view(float).tolist())),
                      dtype=object)
+    return _template(a.shape) % tuple(words.take(inverse).tolist())
+
+
+@functools.lru_cache(maxsize=16)
+def _template(shape):
+    """The nested-list text of a complex array of ``shape`` with ``%s`` in
+    place of each float.  The pieces of one leaf share their shape but for
+    the last, and a piece holds at most ``CELL_CHUNK`` floats, so a few
+    small templates are kept."""
     template = "[%s,%s]"
-    for size in reversed(a.shape):
+    for size in reversed(shape):
         template = "[" + ",".join([template] * size) + "]"
-    return template % tuple(words[inverse])
+    return template
 
 
-def _leading_chunks(arr):
-    """An array's pieces of at most ``CELL_CHUNK`` rows along its leading
-    axis (a 0-d array is one piece)."""
+def _row_pieces(arr):
+    """Slices of the leading axis of an array leaf that cover it in order,
+    each of as many rows as hold at most ``CELL_CHUNK`` floats, and of one
+    row when a row alone holds more (a 0-d array is the one piece
+    ``()``)."""
     if arr.ndim == 0:
-        return [arr]
-    return [arr[rows] for rows in cell_chunks(len(arr))]
+        return [()]
+    step = max(1, CELL_CHUNK // max(1, 2 * math.prod(arr.shape[1:])))
+    return [slice(lo, lo + step) for lo in range(0, len(arr), step)]
 
 
 def _array_pieces(arr):
-    """The text of :func:`_array_text` in pieces of at most ``CELL_CHUNK``
-    rows along the leading axis, so no piece holds the whole array."""
+    """The text of :func:`_array_text` for an array leaf, an ndarray or a
+    :class:`~regpart.grid.DeltaField`, in pieces that each format at most
+    ``CELL_CHUNK`` floats: the rows of :func:`_row_pieces`, and a row that
+    alone holds more in pieces of its own.  No piece holds the whole array,
+    and a delta leaf is made one piece of rows at a time."""
     if arr.ndim == 0:
         yield _array_text(arr)
         return
+    wide = 2 * math.prod(arr.shape[1:]) > CELL_CHUNK
     yield "["
-    for k, chunk in enumerate(_leading_chunks(arr)):
-        yield ("," if k else "") + _array_text(chunk)[1:-1]
+    for k, rows in enumerate(_row_pieces(arr)):
+        if k:
+            yield ","
+        if wide:
+            yield from _array_pieces(arr[rows][0])
+        else:
+            yield _array_text(arr[rows])[1:-1]
     yield "]"
 
 
 def _encode(doc, marker):
-    """Canonical ``json`` text of ``doc`` with each ndarray leaf written as
+    """Canonical ``json`` text of ``doc`` with each array leaf written as
     the string ``marker``; returns the text and the arrays in text order."""
     arrays = []
 
     def stash(obj):
-        if isinstance(obj, np.ndarray):
+        if isinstance(obj, (np.ndarray, DeltaField)):
             arrays.append(obj)
             return marker
         raise TypeError("Object of type %s is not JSON serializable"
@@ -450,7 +526,8 @@ def _encode(doc, marker):
 def _canonical_pieces(doc):
     """The canonical text of ``doc`` as an iterator of strings.
 
-    ndarray leaves are written as complex arrays by :func:`_array_pieces`;
+    Array leaves (ndarrays and :class:`~regpart.grid.DeltaField` s) are
+    written as complex arrays by :func:`_array_pieces`;
     everything else goes through the ``json`` encoder, which sees a marker
     string in place of each array.  The array texts are spliced in at the
     markers.  A marker is a run of ``k`` NUL characters; when the text
@@ -470,8 +547,8 @@ def _canonical_pieces(doc):
             break
         k *= 2
     for arr in arrays:
-        if not all(np.isfinite(np.asarray(chunk, dtype=complex)).all()
-                   for chunk in _leading_chunks(arr)):
+        if not all(np.isfinite(np.asarray(arr[rows], dtype=complex)).all()
+                   for rows in _row_pieces(arr)):
             raise _non_finite()
     yield parts[0]
     for arr, part in zip(arrays, parts[1:]):
@@ -483,7 +560,7 @@ def _canonical_pieces(doc):
 def dumps_canonical(doc):
     """Canonical JSON text: sorted keys, tight separators, newline end.
 
-    ndarray leaves are written as complex arrays, byte for byte as
+    Array leaves are written as complex arrays, byte for byte as
     :func:`complex_to_json` lists would be (see :func:`_canonical_pieces`).
     """
     return "".join(_canonical_pieces(doc))
@@ -774,18 +851,25 @@ def doc_to_model(doc, validate=True):
 
 
 def parse_model(text):
-    """The model in ``text`` (bytes, or str encoded as UTF-8)."""
-    if isinstance(text, str):
-        text = text.encode("utf-8", "surrogatepass")
-    doc, payloads = _loads_model(text)
+    """The model in ``text`` (bytes, or str encoded as UTF-8).  Past the
+    scan for payloads, only the payloads not yet read refer to the text
+    (or to its encoding)."""
+    return _model(*_loads_model(text.encode("utf-8", "surrogatepass")
+                                if isinstance(text, str) else text))
+
+
+def load_model(path):
+    """The model in the file ``path``.  The file's text is freed once its
+    last payload is read, before the functions are expanded when no
+    ``samples`` function holds a payload."""
+    return _model(*_loads_model(_read_file(path)))
+
+
+def _model(doc, payloads):
     model = doc_to_model(doc)
     for payload in payloads:
         payload.settle()
     return model
-
-
-def load_model(path):
-    return parse_model(_read_file(path))
 
 
 def make_model_doc(coeffs, q_spec, func_specs):

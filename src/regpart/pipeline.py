@@ -109,7 +109,8 @@ def _diag_doc(diag):
 
 
 def _field_doc(c_field, b_field, d_field, c0_field):
-    """The four fields as complex ndarray leaves, which
+    """The four fields as complex array leaves (the
+    :class:`~regpart.grid.DeltaField` s of a split), which
     :func:`~regpart.modelio.dumps_canonical` writes as ``[re, im]`` lists."""
     return {"C": c_field, "b": b_field, "d": d_field, "c0": c0_field}
 
@@ -122,14 +123,16 @@ def _prelude(coeffs, q_field, funcs, derived=None):
     """Build each artifact of the split and its cross-check once: returns
     ``(derived, structure, reg, vs, ops)``, with the oracle's V subspace on
     the family ``funcs`` and its operators ``None`` when it is empty.  The
-    derived fields are ``derived``, or derived here when it is ``None``."""
+    derived fields are ``derived``, or derived here when it is ``None``.
+    ``Q`` is scanned for its support once, by the singular structure."""
     if derived is None:
         derived = derive_fields(coeffs)
     structure = build_singular_structure(q_field, derived)
     reg = assemble_regular(coeffs, derived, structure)
     if not len(funcs):
         return derived, structure, reg, None, None
-    vs = build_v_subspace(coeffs, derived, q_field, funcs)
+    vs = build_v_subspace(coeffs, derived, q_field, funcs,
+                          support=structure.support)
     return derived, structure, reg, vs, compute_operators(vs)
 
 
@@ -181,8 +184,8 @@ def compute_report(model, lambdas=PROBE_LAMBDAS, seed=0):
         "kind": "report",
         "seed": int(seed),
         "grid": grid_to_doc(coeffs.grid),
-        "regular": _field_doc(reg.C_reg, reg.b_reg, reg.d_reg, reg.c0_reg),
-        "singular": _field_doc(reg.C_s, reg.b_s, reg.d_s, reg.c0_s),
+        "regular": _field_doc(*reg.regular),
+        "singular": _field_doc(*reg.singular),
         "identity_suite": identity_doc,
         "oracle_table": oracle_table,
         "diagnostics": diag_doc,

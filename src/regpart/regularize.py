@@ -20,14 +20,15 @@ suite checks the algebraic relations that make the two agree.
 
 Only the cells of ``supp Q`` (where some entry of ``Q`` is nonzero) need
 any of this.  Elsewhere ``W = 0`` and ``P = I``, the regular part is the
-form itself, and the regular fields are copies of the input coefficients,
-so the singular fields there are exactly ``0``.  The solves, the assembly
+form itself, and the regular fields are the input coefficients, so the
+singular fields there are exactly ``0``.  The solves, the assembly
 and the identity suite run on the ``supp Q`` cells only: the singular
 structure keeps ``Q`` and ``W`` as stacks over those cells, with their
-indices, and the identity suite keeps its norms for them alone.  The
-structure and the assembly run block by block over those cells
-(:func:`~regpart.grid.cell_chunks`), the assembly writing each block
-into its full-grid outputs, so their temporaries are set by the block.
+indices, the split keeps its fields as stacks over them too (a ``supp Q``
+delta of the input, :class:`RegularizedCoefficients`), and the identity
+suite keeps its norms for them alone.  The structure and the assembly run
+block by block over those cells (:func:`~regpart.grid.cell_chunks`), so
+their temporaries are set by the block.
 
 The identity suite forms one identity at a time and reduces it to its
 per-matrix Frobenius norm before forming the next, and it runs block by
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, NotCommuting, ProjectionInvalid, SolveFailure
-from .grid import cell_chunks
+from .grid import DeltaField, cell_chunks
 from .model import CoefficientSet
 from .pointwise import adjoint, frobenius, herm_part, projection_residuals
 
@@ -280,58 +281,76 @@ def _identity_norms(q, w, z):
            frobenius(np.matmul(q, np.matmul(iz, w)) - q))
 
 
+def _field(side, k):
+    """The property of field ``k`` of ``(C, b, d, c0)`` on ``side``."""
+    return property(lambda self: getattr(self, side)[k])
+
+
 @dataclass
 class RegularizedCoefficients:
-    """Regular-part coefficient fields and their singular complements.
+    """Regular-part coefficient fields and their singular complements, held
+    as ``supp Q`` deltas of the input.
 
-    The complement identities ``C_s = C - C_reg`` (and likewise for the
-    lower-order fields) hold exactly, one floating-point subtraction per
-    entry.
+    ``support`` holds the indices of the cells of ``supp Q``.  ``regular``
+    and ``singular`` are the four fields ``(C, b, d, c0)`` of each part as
+    :class:`~regpart.grid.DeltaField` s over ``support``: off ``supp Q``
+    the regular part is the input (the regular fields' ``base``) and the
+    singular part is exactly 0 (a broadcast 0 that holds no memory), so
+    only the stacks over ``supp Q`` (their ``values``) are kept, and no
+    full-grid output field is allocated.  The singular stacks are
+    ``input[support] - regular``, one floating-point subtraction per
+    entry, so the complement identities ``C_s = C - C_reg`` (and likewise
+    for the lower-order fields) hold exactly.  ``C_reg`` ... ``c0_reg``
+    and ``C_s`` ... ``c0_s`` name the eight fields.
     """
 
     grid: "object"
-    C_reg: np.ndarray
-    b_reg: np.ndarray
-    d_reg: np.ndarray
-    c0_reg: np.ndarray
-    C_s: np.ndarray
-    b_s: np.ndarray
-    d_s: np.ndarray
-    c0_s: np.ndarray
+    support: np.ndarray
+    regular: tuple
+    singular: tuple
+
+    C_reg, b_reg, d_reg, c0_reg = (_field("regular", k) for k in range(4))
+    C_s, b_s, d_s, c0_s = (_field("singular", k) for k in range(4))
 
     def regular_set(self, theta, K_bound):
         """Regular fields wrapped as a :class:`CoefficientSet` (declared
         sector data is carried over, not re-estimated)."""
-        return CoefficientSet(grid=self.grid, C_field=self.C_reg,
-                              b_field=self.b_reg, d_field=self.d_reg,
-                              c0_field=self.c0_reg, theta=theta,
+        return CoefficientSet(self.grid, *self.regular, theta=theta,
                               K_bound=K_bound)
 
     def singular_set(self, theta, K_bound):
         """Singular fields wrapped as a :class:`CoefficientSet`; note the
         singular part need not validate against any sector."""
-        return CoefficientSet(grid=self.grid, C_field=self.C_s,
-                              b_field=self.b_s, d_field=self.d_s,
-                              c0_field=self.c0_s, theta=theta,
+        return CoefficientSet(self.grid, *self.singular, theta=theta,
                               K_bound=K_bound)
 
 
-def _package(coeffs, derived, s, fields):
-    """Regular fields that copy the input off ``supp Q`` and, block by
-    block of its cells, take the values ``fields(coeffs, derived, s,
-    block)`` assembles on them, with their exact complements."""
-    cells = s.support
-    outs = [np.array(full, dtype=complex) for full in (
-        coeffs.C_field, coeffs.b_field, coeffs.d_field, coeffs.c0_field)]
-    for block in cell_chunks(len(cells)):
-        for out, local in zip(outs, fields(coeffs, derived, s, block)):
-            out[cells[block]] = local
-    c_reg, b_reg, d_reg, c0_reg = outs
+def _split(grid, support, inputs, regular):
+    """The split of the full-grid ``inputs`` whose regular fields are the
+    stacks ``regular`` on ``support``, with their exact complements."""
     return RegularizedCoefficients(
-        grid=coeffs.grid, C_reg=c_reg, b_reg=b_reg, d_reg=d_reg,
-        c0_reg=c0_reg,
-        C_s=coeffs.C_field - c_reg, b_s=coeffs.b_field - b_reg,
-        d_s=coeffs.d_field - d_reg, c0_s=coeffs.c0_field - c0_reg)
+        grid=grid, support=support,
+        regular=tuple(DeltaField(full, support, reg)
+                      for full, reg in zip(inputs, regular)),
+        singular=tuple(DeltaField(
+            np.broadcast_to(np.zeros((), complex), full.shape), support,
+            full[support] - reg) for full, reg in zip(inputs, regular)))
+
+
+def _package(coeffs, derived, s, fields):
+    """The split whose regular fields, block by block of the cells of
+    ``supp Q``, take the values ``fields(coeffs, derived, s, block)``
+    assembles on them; off ``supp Q`` it keeps nothing (see
+    :class:`RegularizedCoefficients`)."""
+    cells = s.support
+    inputs = (coeffs.C_field, coeffs.b_field, coeffs.d_field,
+              coeffs.c0_field)
+    regular = [np.empty((len(cells),) + full.shape[1:], dtype=complex)
+               for full in inputs]
+    for block in cell_chunks(len(cells)):
+        for out, local in zip(regular, fields(coeffs, derived, s, block)):
+            out[block] = local
+    return _split(coeffs.grid, cells, inputs, regular)
 
 
 def _first_order_fields(m_b, m_d, x, y):
@@ -359,9 +378,9 @@ def assemble_regular(coeffs, derived, s):
     """Assemble the regular-part coefficient fields from the full kernel.
 
     See the module docstring for the per-cell formulas, which run on
-    ``supp Q`` block by block (:func:`~regpart.grid.cell_chunks`), each
-    block written into the full-grid outputs; the other cells copy the
-    input.  The output's ``*_s`` fields are the exact complements.
+    ``supp Q`` block by block (:func:`~regpart.grid.cell_chunks`); the
+    other cells keep the input.  The output's ``*_s`` fields are the exact
+    complements.
     """
     _check_grids(coeffs, derived, s)
     return _package(coeffs, derived, s, _regular_fields)
@@ -418,7 +437,7 @@ def assemble_regular_commuting(coeffs, derived, s):
 
     Raises :class:`NotCommuting` when ``max_c ||QZ - ZQ||_F`` exceeds
     ``COMMUTING_TOL`` relative to the cell scale.  Like
-    :func:`assemble_regular`, it works on ``supp Q`` and copies the input
+    :func:`assemble_regular`, it works on ``supp Q`` and keeps the input
     elsewhere.
     """
     _check_grids(coeffs, derived, s)
@@ -462,12 +481,13 @@ def pure_second_order_parts(reg):
     full model's, because the lower-order terms do not enter ``C_reg``, and
     its lower-order fields are ``0``: it is ``reg``'s second-order split
     with zero ``b``, ``d`` and ``c0`` fields.  The full regular part
-    therefore differs from the pure one by lower-order terms only.
+    therefore differs from the pure one by lower-order terms only.  The
+    companion's lower-order input fields are full-grid zeros.
     """
-    zero = {name: np.zeros_like(getattr(reg, name)) for name in (
-        "b_reg", "d_reg", "c0_reg", "b_s", "d_s", "c0_s")}
-    return RegularizedCoefficients(grid=reg.grid, C_reg=reg.C_reg,
-                                   C_s=reg.C_s, **zero)
+    inputs, stacks = zip(*((f.base, f.values) for f in reg.regular))
+    return _split(reg.grid, reg.support,
+                  (inputs[0], *map(np.zeros_like, inputs[1:])),
+                  (stacks[0], *map(np.zeros_like, stacks[1:])))
 
 
 # -- Q constructors --------------------------------------------------------

@@ -326,17 +326,23 @@ def test_cantor_diagnostics(cantor3):
 def test_cantor_regular_part_fields(cantor3):
     """On the set the regular coefficients collapse to a multiplication
     operator: second- and first-order fields vanish identically and the
-    zeroth-order field doubles the indicator."""
+    zeroth-order field doubles the indicator.  The split holds them as
+    stacks over the set, the fields off it being the input's."""
     from regpart.regularize import assemble_regular
     coeffs = cantor3["coeffs"]
     derived = cantor3["derived"]
     s = cantor3["structure"]
     reg = assemble_regular(coeffs, derived, s)
-    assert np.all(reg.C_reg == 0)
-    assert np.all(reg.b_reg == 0)
-    assert np.all(reg.d_reg == 0)
     mask = cantor_mask(3, coeffs.grid)
-    assert_allclose(reg.c0_reg, 2.0 * mask.astype(complex), atol=0)
+    assert np.array_equal(reg.support, np.flatnonzero(mask))
+    for field in reg.regular[:3]:
+        assert len(field.values) == np.count_nonzero(mask)
+        assert np.all(field.values == 0)
+    assert np.all(reg.c0_reg.values == 2.0)
+    for name in ("C_reg", "b_reg", "d_reg"):
+        assert np.all(np.asarray(getattr(reg, name)) == 0)
+    assert_allclose(np.asarray(reg.c0_reg), 2.0 * mask.astype(complex),
+                    atol=0)
     assert regular_sector_tangent(reg, derived, s) == 0.0
 
 
@@ -363,3 +369,23 @@ def test_cantor_plateau_values(cantor3):
     regular = reg.regular_set(coeffs.theta, coeffs.K_bound)
     a_r = eval_form(regular, plateau, plateau)
     assert_allclose(a_r.value, 2.0 * measure, rtol=1e-12)
+
+
+def test_one_support_scan_per_compute(monkeypatch):
+    """``compute_report`` scans ``Q`` for its support once: the V build
+    takes the singular structure's support instead of scanning again."""
+    from regpart import completion, regularize
+    from regpart.modelio import dumps_canonical, parse_model
+    from regpart.pipeline import cantor_model_doc, compute_report
+    model = parse_model(dumps_canonical(cantor_model_doc(3)))
+    real, scans = regularize._support, []
+
+    def counting(q):
+        scans.append(len(q))
+        return real(q)
+
+    for module in (regularize, completion):
+        monkeypatch.setattr(module, "_support", counting)
+    report = compute_report(model)
+    assert scans == [model.grid.n_cells]
+    assert report["diagnostics"] is not None

@@ -11,7 +11,8 @@ from numpy.testing import assert_allclose
 from regpart.diagnostics import PROBE_LAMBDAS
 from regpart.errors import (DegenerateBasis, DominationViolation,
                             GridMismatch, SectorViolation, ValidationError)
-from regpart.grid import GridSpec, TestFunction, cell_data_from_nodes
+from regpart.grid import (DeltaField, GridSpec, TestFunction,
+                          cell_data_from_nodes)
 from regpart.model import (CoefficientSet, derive_fields,
                            estimate_vertex_angle, eval_form, form_gram,
                            vertex_search)
@@ -169,6 +170,58 @@ def test_modulation_preserves_values_and_norm(rng):
             one = u.modulated(lam, xi)
             assert np.array_equal(wave.cell_values, one.cell_values)
             assert np.array_equal(wave.cell_gradient, one.cell_gradient)
+
+
+@pytest.mark.parametrize("base_kind", ["input", "zeros"])
+@pytest.mark.parametrize("n_cells", [0, 1, 40])
+def test_delta_field_rows_are_the_whole_fields(rng, base_kind, n_cells):
+    """Every way of indexing a delta field gives the rows of the field it
+    stands for, over a real base and over a broadcast zero base that
+    holds no memory, with no cell, one cell or many cells patched in."""
+    shape = (50, 2, 2)
+    base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if base_kind == "zeros":
+        base = np.broadcast_to(np.zeros((), complex), shape)
+    cells = np.sort(rng.choice(50, n_cells, replace=False))
+    values = rng.standard_normal((n_cells, 2, 2)) + 0j
+    field = DeltaField(base, cells, values)
+    whole = np.array(base)
+    whole[cells] = values
+    assert (len(field), field.shape, field.ndim) == (50, shape, 3)
+    assert np.asarray(field).tobytes() == whole.tobytes()
+    assert field.__array__(complex, copy=True).tobytes() == whole.tobytes()
+    mask = np.arange(50) % 3 == 0
+    for rows in (slice(None), slice(0, 7), slice(45, 90), slice(3, 40, 4),
+                 np.array([49, 0, 7, 7]), np.array([], int), mask, 0, -1,
+                 int(cells[0]) if n_cells else 5):
+        got = field[rows]
+        assert got.tobytes() == whole[rows].tobytes(), rows
+        assert got.shape == whole[rows].shape
+    assert np.array_equal(whole - field, np.zeros(shape))
+
+
+def test_eval_form_on_delta_fields_is_the_dense_evaluation(rng):
+    """A coefficient set of delta fields keeps them as they are, and
+    ``eval_form`` on it, over every cell or over listed ones, gives the
+    bits of the same evaluation on the dense fields."""
+    grid = unit_grid(2, (80, 120))
+    dense = random_coefficients(rng, grid)
+    cells = np.sort(rng.choice(grid.n_cells, 900, replace=False))
+    deltas = [DeltaField(f, cells, f[cells] * 0.5)
+              for f in (dense.C_field, dense.b_field, dense.d_field,
+                        dense.c0_field)]
+    delta = CoefficientSet(grid, *deltas, theta=dense.theta,
+                           K_bound=dense.K_bound)
+    assert all(getattr(delta, name) is f for name, f in zip(
+        ("C_field", "b_field", "d_field", "c0_field"), deltas))
+    whole = CoefficientSet(grid, *map(np.asarray, deltas),
+                           theta=dense.theta, K_bound=dense.K_bound)
+    funcs = TestFunction.stack(grid, random_node_functions(rng, grid, 3))
+    for where in (None, cells):
+        got = eval_form(delta, funcs, funcs, cells=where)
+        want = eval_form(whole, funcs, funcs, cells=where)
+        for a, b in zip(got.parts, want.parts):
+            assert a.tobytes() == b.tobytes()
 
 
 # -- coefficient validation -------------------------------------------------

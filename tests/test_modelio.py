@@ -18,7 +18,7 @@ from numpy.testing import assert_allclose
 
 from regpart.diagnostics import cantor_mask, default_cantor_grid, svc_intervals
 from regpart.errors import ParseError, ValidationError
-from regpart.grid import CELL_CHUNK, GridSpec, TestFunction
+from regpart.grid import CELL_CHUNK, DeltaField, GridSpec, TestFunction
 from regpart.modelio import (SCHEMA_VERSION, _canonical_pieces, complex_pair,
                              complex_to_json,
                              doc_to_grid, doc_to_model, dumps_canonical,
@@ -170,29 +170,111 @@ SPECIALS = (complex(-0.0, 5e-324), complex(5e-324, -0.0),
             complex(-2.5e-310, 0.0), complex(0.0, -1.7976931348623157e308))
 
 
+def _piece_sizes(monkeypatch):
+    """The floats of each piece that the writer formats, as it formats
+    them."""
+    import regpart.modelio as modelio
+    real, sizes = modelio._array_text, []
+
+    def recording(arr):
+        sizes.append(2 * np.size(arr))
+        return real(arr)
+
+    monkeypatch.setattr(modelio, "_array_text", recording)
+    return sizes
+
+
+def _deltas(arr, p):
+    """Delta leaves standing for ``arr`` over a base that differs from it
+    on the patched cells (none, all, and cells on either side of every
+    piece boundary and every third), and the same supports over a zero
+    base."""
+    n = len(arr)
+    at = np.arange(n)
+    straddle = np.flatnonzero((at % p == 0) | (at % p == p - 1)
+                              | (at % 3 == 0))
+    zeros = np.broadcast_to(np.zeros((), complex), arr.shape)
+    for cells in (np.array([], int), at, straddle):
+        base = arr.copy()
+        base[cells] = 7.0 - 3.0j
+        yield DeltaField(base, cells, arr[cells])
+        yield DeltaField(zeros, cells, arr[cells])
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3])
 @pytest.mark.parametrize("length", [0, 1, C - 1, C, C + 1, 2 * C + 1])
-def test_writer_chunk_boundaries(rank, length, tmp_path):
-    """``write_doc`` writes an array leaf chunk by chunk along its leading
-    axis.  At and around the chunk boundaries its bytes are those of
-    ``dumps_canonical`` and of the nested ``[re, im]`` lists, signed zeros
-    and subnormals included, and no piece holds the whole text."""
+def test_writer_chunk_boundaries(rank, length, tmp_path, monkeypatch):
+    """``write_doc`` writes an array leaf, dense or a delta field, in
+    pieces of whole rows that format at most ``CELL_CHUNK`` floats each:
+    ``C / 2 ** rank`` rows here, so ``C`` rows make a whole number of
+    pieces at every rank.  At and around the piece boundaries its bytes
+    are those of ``dumps_canonical`` and of the nested ``[re, im]`` lists,
+    signed zeros and subnormals included, and no piece holds the whole
+    text."""
+    p = C // 2 ** rank  # rows of 2 ** rank floats in one piece
     rng = np.random.default_rng(10 * length + rank)
     shape = (length,) + (2,) * (rank - 1)
     arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     rows = arr.reshape(length, 2 ** (rank - 1))
-    for i in {0, C - 1, C, C + 1, 2 * C, length - 1} & set(range(length)):
+    for i in {0, p - 1, p, p + 1, 2 * p, C - 1, C, C + 1, 2 * C,
+              length - 1} & set(range(length)):
         rows[i] = SPECIALS[:rows.shape[1]]
-    doc = {"a": arr, "b": [1.5, arr[:1]]}
     path = tmp_path / "doc.json"
-    write_doc(path, doc)
-    text = path.read_text(encoding="utf-8")
-    assert text == dumps_canonical(doc)
-    assert text == json.dumps(
-        {"a": complex_to_json(arr), "b": [1.5, complex_to_json(arr[:1])]},
-        sort_keys=True, separators=(",", ":")) + "\n"
-    if length > 2 * C:
-        assert max(map(len, _canonical_pieces(doc))) < 0.6 * len(text)
+    sizes = _piece_sizes(monkeypatch)
+    for leaf in (arr, *_deltas(arr, p)):
+        dense = np.asarray(leaf)
+        doc = {"a": leaf, "b": [1.5, leaf[:1]]}
+        write_doc(path, doc)
+        text = path.read_text(encoding="utf-8")
+        assert text == dumps_canonical(doc)
+        assert text == json.dumps(
+            {"a": complex_to_json(dense),
+             "b": [1.5, complex_to_json(dense[:1])]},
+            sort_keys=True, separators=(",", ":")) + "\n"
+        if length > 2 * p:
+            assert max(map(len, _canonical_pieces(doc))) < 0.6 * len(text)
+    assert max(sizes, default=0) <= C
+
+
+@pytest.mark.parametrize("shape", [(2, C // 2 + 3), (3, 2, C + 1), (1, C)])
+def test_writer_cuts_a_wide_row(shape, monkeypatch):
+    """A row that alone holds more than ``CELL_CHUNK`` floats is written in
+    pieces of its own, with the bytes of the nested lists."""
+    rng = np.random.default_rng(len(shape))
+    arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    arr.reshape(-1)[::97] = SPECIALS[0]
+    sizes = _piece_sizes(monkeypatch)
+    assert dumps_canonical({"x": arr}) == \
+        dumps_canonical({"x": complex_to_json(arr)})
+    assert max(sizes) <= C < 2 * arr.size
+
+
+def _writer_peak(rows, delta, tmp_path):
+    """Peak bytes that ``write_doc`` holds above a leaf of ``rows`` rows of
+    ``2 x 2`` matrices, dense or a delta field over it."""
+    rng = np.random.default_rng(rows)
+    arr = rng.standard_normal((rows, 2, 2)) + 1j * rng.standard_normal(
+        (rows, 2, 2))
+    cells = np.arange(0, rows, 7)
+    leaf = DeltaField(arr, cells, arr[cells] * 0.5) if delta else arr
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        write_doc(tmp_path / "leaf.json", {"x": leaf})
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("delta", [False, True])
+def test_writer_memory_is_set_by_the_piece(delta, tmp_path):
+    """Four times the rows leave the writer's peak above its leaf nearly
+    where it was, for a dense leaf and for a delta field: it formats one
+    piece of at most ``CELL_CHUNK`` floats at a time, and builds a delta
+    field one piece of rows at a time."""
+    small = _writer_peak(2 * C, delta, tmp_path)
+    assert _writer_peak(8 * C, delta, tmp_path) <= 1.5 * small
 
 
 def _names(directory):
@@ -218,7 +300,8 @@ def test_write_doc_refused_leaf_writes_nothing(tmp_path):
 
 
 def test_write_doc_failed_write_keeps_old_file(tmp_path, monkeypatch):
-    """An ``OSError`` in the middle of the write (a full disk, say) leaves
+    """An ``OSError`` in the middle of the write (a full disk, say), here
+    while the second piece of ``CELL_CHUNK`` floats is formatted, leaves
     no partial file and the old file untouched; the next write replaces
     it and keeps its permission bits, and a new file gets the ones
     ``open`` gives."""
@@ -238,7 +321,7 @@ def test_write_doc_failed_write_keeps_old_file(tmp_path, monkeypatch):
     doc = {"x": np.ones(2 * C + 1, dtype=complex)}
     with pytest.raises(OSError, match="No space"):
         write_doc(path, doc)
-    assert calls == [C, C + 1]
+    assert calls == [C // 2, C // 2]
     assert _names(tmp_path) == ["report.json"]
     assert path.read_text(encoding="utf-8") == "old\n"
 
@@ -721,7 +804,7 @@ def test_load_memory_is_a_few_file_sizes(tmp_path):
 
 def test_compute_memory_is_a_few_model_sizes(tmp_path):
     """``compute_report`` on the 64 x 64 ``field2d``-style model (4,096
-    cells, 185 of them in ``supp Q``) peaks at no more than 4.5 times the
+    cells, 25 of them in ``supp Q``) peaks at no more than 4.5 times the
     bytes of the model's arrays.  The split and its derived fields keep
     about 2.5 times them; the rest is transient.  Before the singular-side
     checks were cut to ``supp Q`` the peak was 5.1 times them."""
@@ -743,3 +826,110 @@ def test_compute_memory_is_a_few_model_sizes(tmp_path):
         tracemalloc.stop()
     assert report["warnings"] == []
     assert peak <= 4.5 * arrays
+
+
+def test_compute_report_keeps_no_full_grid_field(tmp_path):
+    """The report of ``compute_report`` holds its eight coefficient fields
+    as ``supp Q`` deltas of the model's own arrays: on the 64 x 64
+    ``field2d``-style model (25 of 4,096 cells in ``supp Q``) it keeps
+    less than a quarter of the bytes of the model's four coefficient
+    fields, where eight full-grid fields would take twice them."""
+    from regpart.pipeline import compute_report
+    model = load_model(_field_model_file(tmp_path)[0])
+    coeffs = model.coeffs
+    inputs = (coeffs.C_field, coeffs.b_field, coeffs.d_field,
+              coeffs.c0_field)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        report = compute_report(model)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    support = np.flatnonzero(np.any(model.q_field != 0, axis=(1, 2)))
+    assert len(support) == 25
+    for side in ("regular", "singular"):
+        for key, field in zip(("C", "b", "d", "c0"), inputs):
+            leaf = report[side][key]
+            assert isinstance(leaf, DeltaField) and leaf.shape == field.shape
+            assert np.array_equal(leaf.cells, support)
+    assert report["regular"]["C"].base is coeffs.C_field
+    assert kept < 0.25 * sum(f.nbytes for f in inputs)
+
+
+def _large_field_model_text(cells):
+    """The text of a ``cells x cells`` random 2-D model with ``Q`` dense
+    and two bump functions, which hold no payload."""
+    rng = np.random.default_rng(cells)
+    grid = GridSpec(dim=2, box=((0.0, 1.0), (0.0, 1.0)),
+                    cells_per_axis=(cells, cells))
+    coeffs = random_coefficients(rng, grid)
+    q = random_projection_field(rng, 2, grid.n_cells)
+    specs = [{"name": "bump%d" % k, "kind": "bump", "center": [0.5, 0.5],
+              "width": [0.2 + 0.1 * k]} for k in range(2)]
+    return dumps_canonical(make_model_doc(coeffs, q_matrix_spec(q),
+                                          specs)).encode("utf-8")
+
+
+def test_payload_reads_make_no_payload_sized_copy(monkeypatch):
+    """Each payload of a 128 x 128 model is read in pieces: above the
+    array it fills, a read holds less than a quarter of the payload's
+    text, where a slice of the payload would take all of it."""
+    import regpart.modelio as modelio
+    text = _large_field_model_text(128)
+    real, reads = modelio._Payload.read, []
+
+    def traced(payload, shape, what):
+        size = payload.end - payload.start
+        current = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        arr = real(payload, shape, what)
+        reads.append((what, tracemalloc.get_traced_memory()[1] - current
+                      - arr.nbytes, size))
+        return arr
+
+    monkeypatch.setattr(modelio._Payload, "read", traced)
+    tracemalloc.start()
+    try:
+        model = parse_model(text)
+    finally:
+        tracemalloc.stop()
+    assert model.grid.n_cells == 128 * 128
+    assert [what for what, _, _ in reads] == [
+        "coefficients.C", "coefficients.b", "coefficients.d",
+        "coefficients.c0", "Q.matrix"]
+    for what, held, size in reads:
+        assert held < 0.25 * size, what
+
+
+def test_model_text_freed_before_functions_expand(tmp_path, monkeypatch):
+    """``load_model`` keeps no reference to the file's text, and a payload
+    drops it once read: when the functions are expanded, which read no
+    payload here, the memory held above the start is the model's arrays,
+    not the text."""
+    import regpart.modelio as modelio
+    path = tmp_path / "model.json"
+    path.write_bytes(_large_field_model_text(96))
+    size = path.stat().st_size
+    real, held = modelio._fill_family, []
+
+    def traced(func_specs, funcs):
+        held.append(tracemalloc.get_traced_memory()[0] - start)
+        return real(func_specs, funcs)
+
+    monkeypatch.setattr(modelio, "_fill_family", traced)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        model = load_model(path)
+    finally:
+        tracemalloc.stop()
+    coeffs, family = model.coeffs, model.family
+    arrays = sum(a.nbytes for a in (
+        coeffs.C_field, coeffs.b_field, coeffs.d_field, coeffs.c0_field,
+        model.q_field, family.cell_values, family.cell_gradient))
+    assert len(held) == 1
+    assert held[0] < arrays + 0.25 * size < size

@@ -254,13 +254,16 @@ def test_pure_second_order_consistency(rng):
         reg = assemble_regular(coeffs, derived, s)
         pure = pure_second_order_parts(reg)
         direct = _assemble_zeroed_companion(coeffs, derived, s)
+        assert pure.support is reg.support
         for name in ("C_reg", "C_s", "b_s", "d_s", "c0_s"):
-            assert getattr(pure, name).tobytes() == \
-                getattr(direct, name).tobytes()
+            assert np.asarray(getattr(pure, name)).tobytes() == \
+                np.asarray(getattr(direct, name)).tobytes()
         for name in ("b_reg", "d_reg", "c0_reg"):
-            assert np.array_equal(getattr(pure, name), getattr(direct, name))
-            assert not np.any(getattr(pure, name))
-        assert np.array_equal(pure.C_reg, reg.C_reg)
+            field = np.asarray(getattr(pure, name))
+            assert np.array_equal(field, getattr(direct, name))
+            assert not np.any(field)
+        assert pure.C_reg.values is reg.C_reg.values
+        assert pure.C_reg.base is coeffs.C_field
 
 
 def test_grid_mismatch_guard(rng):
@@ -344,7 +347,9 @@ def _off_support_cases():
 
 def test_split_is_exact_off_supp_q():
     """Where ``Q = 0`` the regular part is the form itself: the regular
-    fields are the input bit for bit and the singular fields are 0."""
+    fields are the input bit for bit and the singular fields are 0.  The
+    split keeps nothing there: its stacks hold one row per cell of
+    ``supp Q``, and its regular fields read the input itself."""
     seen_rank = set()
     for coeffs, derived, q in _off_support_cases():
         s = build_singular_structure(q, derived)
@@ -355,8 +360,13 @@ def test_split_is_exact_off_supp_q():
         if np.max(commutator_norms(s, derived)) < 1e-9:
             splits.append(assemble_regular_commuting(coeffs, derived, s))
         for reg in splits:
-            for name in ("C", "b", "d", "c0"):
+            assert np.array_equal(reg.support, s.support)
+            for k, name in enumerate(("C", "b", "d", "c0")):
                 field = getattr(coeffs, name + "_field")
+                assert getattr(reg, name + "_reg").base is field
+                for part in (reg.regular[k], reg.singular[k]):
+                    assert part.values.shape == \
+                        (len(s.support),) + field.shape[1:]
                 assert np.array_equal(getattr(reg, name + "_reg")[off],
                                       field[off])
                 assert np.all(getattr(reg, name + "_s")[off] == 0.0)
