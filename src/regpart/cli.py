@@ -6,6 +6,7 @@ message names the offending cell where known), 3 parse failure.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -49,7 +50,11 @@ def _parse_dims(text):
     return dims
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: each
+    ``parse_args`` fills a new namespace from the options' defaults, so
+    one call leaves nothing behind for the next."""
     parser = argparse.ArgumentParser(
         prog="regpart",
         description="Split sectorial sesquilinear forms into regular and "

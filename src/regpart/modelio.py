@@ -833,10 +833,14 @@ def doc_to_model(doc, validate=True):
     coeffs = CoefficientSet(grid=grid, C_field=c_field, b_field=b_field,
                             d_field=d_field, c0_field=c0_field,
                             theta=theta, K_bound=k_bound)
-    if validate:
-        coeffs.validate()
+    # Q is read before the coefficients are validated: unless a function
+    # holds a payload, its payload is the last to be read, so the file's
+    # text is freed before validation peaks; a malformed Q is a parse
+    # error (exit 3) even when the sector is violated too
     q_spec = _get(doc, "Q", dict, "model")
     q_field = expand_q_spec(q_spec, grid)
+    if validate:
+        coeffs.validate()
     func_specs = _get(doc, "functions", list, "model")
     # the model's family is made unfilled, then expanded into row by row
     shape = (len(func_specs), n)

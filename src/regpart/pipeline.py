@@ -4,7 +4,9 @@
 identity checks, the abstract cross-check and diagnostics, and returns the
 report document; it and ``oracle_crosscheck`` build the split and the
 oracle's V subspace once, in one shared prelude, and hand both to every
-check.  ``run_verification`` drives the randomized suites.
+check.  ``run_verification`` drives the randomized suites; it screens
+the identity draws one fixed block at a time, keeping only running
+maxima, so ``verify`` holds the same memory at any ``--trials``.
 ``cantor_model_doc`` emits the canonical worked-example model file, and
 ``run_probe`` exposes the plane-wave growth probe on a loaded model.
 """
@@ -20,7 +22,7 @@ from .errors import ValidationError
 from .model import derive_fields
 from .modelio import (SCHEMA_VERSION, complex_pair, grid_to_doc,
                       make_model_doc, q_indicator_spec)
-from .randomized import random_oracle_case, random_qz_draws
+from .randomized import random_oracle_case, random_qz_blocks
 from .regularize import (assemble_regular, build_singular_structure,
                          identity_residuals, identity_suite)
 
@@ -28,7 +30,6 @@ __all__ = [
     "IDENTITY_TOL",
     "ORACLE_RTOL",
     "MULT_TOL",
-    "VERIFY_MEMORY_BUDGET",
     "compute_report",
     "multiplication_residuals",
     "oracle_crosscheck",
@@ -43,10 +44,6 @@ IDENTITY_TOL = 1e-10
 ORACLE_RTOL = 1e-8
 #: Residual allowed for the pi1/T multiplication formulas on basis vectors.
 MULT_TOL = 1e-9
-#: Bytes that the identity draws of one ``run_verification`` may take: a
-#: run whose estimate (:func:`_draw_bytes`) is larger is refused before
-#: its first draw.
-VERIFY_MEMORY_BUDGET = 2 ** 30
 
 
 # ---------------------------------------------------------------------------
@@ -255,46 +252,28 @@ def oracle_crosscheck(case):
     return {"oracle_rel": worst, "pi1_res": pi1_res, "t_res": t_res}
 
 
-def _draw_bytes(trials, d):
-    """Estimated peak bytes of the identity suite on ``trials`` draws of
-    dimension ``d``.  Drawing the pairs ``(Q, Z)`` peaks below 80 bytes
-    per matrix entry and 48 per draw (the kept pair takes 32 bytes per
-    entry), the six per-draw norms take 48 bytes a draw, and the suite's
-    other temporaries are set by its block, not by ``trials``."""
-    return trials * (80 * d * d + 96)
-
-
 def run_verification(seed=0, trials=1000, dims=(1, 2, 3)):
     """Randomized identity + oracle-equivalence suites; returns a summary.
 
     The summary's ``code`` follows the command-line convention: 0 when all
-    thresholds hold, 1 on a breach (the reproducing seed is printed).  A
-    ``trials`` whose draws would take more than ``VERIFY_MEMORY_BUDGET``
-    bytes at the largest of ``dims`` raises :class:`ValidationError`
-    before any draw.
+    thresholds hold, 1 on a breach (the reproducing seed is printed).  The
+    identity draws come one block at a time
+    (:func:`~regpart.randomized.random_qz_blocks`), and each block's
+    residuals are folded into running maxima before the next is drawn, so
+    the memory the suite takes does not grow with ``trials``.
     """
     summary = {"code": 0, "identity_worst": {}, "oracle_worst": 0.0,
                "pi1_worst": 0.0, "t_worst": 0.0, "models": 0}
     if trials <= 0:
         print("warning: trials=0; verification is vacuous")
         return summary
-    d_max = max(map(int, dims), default=0)
-    need = _draw_bytes(trials, d_max)
-    if need > VERIFY_MEMORY_BUDGET:
-        raise ValidationError(
-            "--trials %d: the identity draws of dimension %d would take "
-            "about %.0f MB, above the %.0f MB budget"
-            % (trials, d_max, need / 2 ** 20, VERIFY_MEMORY_BUDGET / 2 ** 20))
 
     rng = np.random.default_rng(seed)
     worst = {}
     for d in dims:
-        q, z = random_qz_draws(rng, int(d), trials)
-        report = identity_residuals(q, z)
-        # free these draws before the next dimension draws its own
-        del q, z
-        for name, value in report.residuals.items():
-            worst[name] = max(worst.get(name, 0.0), float(value))
+        for q, z in random_qz_blocks(rng, int(d), trials):
+            for name, value in identity_residuals(q, z).residuals.items():
+                worst[name] = max(worst.get(name, 0.0), float(value))
     summary["identity_worst"] = worst
     for name in sorted(worst):
         print("identity %-24s worst residual %.3e" % (name, worst[name]))

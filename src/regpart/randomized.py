@@ -13,8 +13,15 @@ Two flavours of singular-direction fields are produced: projections built
 from eigenvectors of ``Z`` (exactly commuting) and constant projections
 with a guaranteed commutator lower bound (robustly non-commuting), so
 consistency checks can rely on a margin instead of luck.
+
+The identity suite's raw pairs ``(Q, Z)`` come either as one stack
+(:func:`random_qz_draws`) or as a stream of blocks of ``QZ_BLOCK`` pairs
+(:func:`random_qz_blocks`) holding the same bits; both turn their normals
+and ranks into pairs with one kernel, and leave the generator in the same
+state.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,20 +44,45 @@ __all__ = [
     "random_grid",
     "random_oracle_case",
     "random_qz_draws",
+    "random_qz_blocks",
 ]
 
 #: Required lower bound on ``||Q Z (I-Q)||_F`` for non-commuting draws.
 NONCOMMUTING_MARGIN = 0.05
+#: Pairs per block of :func:`random_qz_blocks`.
+QZ_BLOCK = 1024
 
 
-def random_unitaries(rng, d, n):
-    """Stack of Haar-ish unitaries from QR of complex Gaussian matrices."""
-    m = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
-    q, r = np.linalg.qr(m)
+def _unitaries(re, im):
+    """Haar-ish unitaries from QR of the complex Gaussian stack
+    ``re + i im``."""
+    q, r = np.linalg.qr(re + 1j * im)
     # Fix the phase so the factorization is unique and well-spread.
     diag = np.einsum("nkk->nk", r)
     phase = diag / np.abs(diag)
     return q * phase[:, None, :]
+
+
+def _projections(u, ranks):
+    """Orthogonal projections onto the first ``ranks[n]`` columns of each
+    unitary ``u[n]``."""
+    cols = np.arange(u.shape[-1])[None, :] < ranks[:, None]
+    return np.einsum("nik,nk,njk->nij", u, cols.astype(float), np.conj(u))
+
+
+def _hermitian(re, im, bound):
+    """Hermitian parts of the stack ``re + i im``, rescaled to spectral
+    norm <= ``bound``."""
+    h = herm_part(re + 1j * im)
+    norms = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
+    scale = bound / np.maximum(norms, 1e-12)
+    return h * np.minimum(scale, 1.0)[:, None, None]
+
+
+def random_unitaries(rng, d, n):
+    """Stack of Haar-ish unitaries from QR of complex Gaussian matrices."""
+    return _unitaries(rng.standard_normal((n, d, d)),
+                      rng.standard_normal((n, d, d)))
 
 
 def random_psd_field(rng, d, n, deficient_frac=0.4):
@@ -74,20 +106,15 @@ def random_psd_field(rng, d, n, deficient_frac=0.4):
 
 def random_hermitian_field(rng, d, n, bound=1.0):
     """Random Hermitian matrices rescaled to spectral norm <= ``bound``."""
-    m = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
-    h = herm_part(m)
-    norms = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
-    scale = bound / np.maximum(norms, 1e-12)
-    return h * np.minimum(scale, 1.0)[:, None, None]
+    return _hermitian(rng.standard_normal((n, d, d)),
+                      rng.standard_normal((n, d, d)), bound)
 
 
 def random_projection_field(rng, d, n):
     """Random orthogonal projections; per-cell rank uniform over
     ``0..d``."""
     u = random_unitaries(rng, d, n)
-    ranks = rng.integers(0, d + 1, size=n)
-    cols = np.arange(d)[None, :] < ranks[:, None]
-    return np.einsum("nik,nk,njk->nij", u, cols.astype(float), np.conj(u))
+    return _projections(u, rng.integers(0, d + 1, size=n))
 
 
 def commuting_projection_field(rng, derived):
@@ -262,8 +289,56 @@ def random_oracle_case(rng, dim=None, commuting=None):
         "no valid oracle case after 20 attempts")
 
 
+def _qz_segments(d):
+    """The five draws that make ``n`` pairs ``(Q, Z)`` of dimension ``d``,
+    as ``draw(rng, n)`` callables in the order they take from ``rng``:
+    the real and imaginary normals of the unitaries, the ranks, and the
+    real and imaginary normals of ``Z``.  Each draws ``n`` pairs' worth
+    as the next ``n`` of one call for all the pairs would."""
+    def normals(rng, n):
+        return rng.standard_normal((n, d, d))
+
+    def ranks(rng, n):
+        return rng.integers(0, d + 1, size=n)
+
+    return normals, normals, ranks, normals, normals
+
+
+def _qz_pairs(u_re, u_im, ranks, z_re, z_im):
+    """The pairs ``(Q, Z)`` made from the five segments' draws: ``Q``
+    projects onto the first ``ranks`` columns of a unitary, ``Z`` is
+    Hermitian with spectral norm <= 2."""
+    return (_projections(_unitaries(u_re, u_im), ranks),
+            _hermitian(z_re, z_im, bound=2.0))
+
+
 def random_qz_draws(rng, d, trials):
     """Stacked raw ``(Q, Z)`` draws for the identity suite."""
-    q = random_projection_field(rng, d, trials)
-    z = random_hermitian_field(rng, d, trials, bound=2.0)
-    return q, z
+    return _qz_pairs(*(draw(rng, trials) for draw in _qz_segments(d)))
+
+
+def random_qz_blocks(rng, d, trials):
+    """The draws of :func:`random_qz_draws` as an iterator of blocks of
+    ``QZ_BLOCK`` pairs (the last may be shorter), each bit for bit the
+    matching slice of ``random_qz_draws(rng, d, trials)``.
+
+    A first pass, made here, draws and discards every segment block by
+    block, keeping a copy of ``rng`` where each segment starts; ``rng`` is
+    then left where ``random_qz_draws`` leaves it.  Each block is drawn
+    from the five copies as it is asked for, so at most one block of
+    draws exists at a time, whatever ``trials`` is."""
+    segments = _qz_segments(d)
+    starts = range(0, trials, QZ_BLOCK)
+    cursors = []
+    for draw in segments:
+        cursors.append(copy.deepcopy(rng))
+        for start in starts:
+            draw(rng, min(QZ_BLOCK, trials - start))
+
+    def blocks():
+        for start in starts:
+            n = min(QZ_BLOCK, trials - start)
+            yield _qz_pairs(*(draw(cursor, n)
+                              for draw, cursor in zip(segments, cursors)))
+
+    return blocks()

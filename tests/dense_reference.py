@@ -270,3 +270,23 @@ def one_pass_identity_norms(q, w, p, z):
     }
     return {name: np.sqrt(np.sum(np.abs(val) ** 2, axis=(-2, -1)))
             for name, val in exprs.items()}
+
+
+def one_shot_qz_draws(rng, d, trials):
+    """``trials`` raw ``(Q, Z)`` pairs drawn as one stack, as the identity
+    suite drew them before its draws came in blocks: Haar-ish unitaries
+    from QR of complex normals, projections of uniform rank onto their
+    first columns, then Hermitian ``Z`` rescaled to spectral norm <= 2."""
+    m = rng.standard_normal((trials, d, d)) \
+        + 1j * rng.standard_normal((trials, d, d))
+    u, r = np.linalg.qr(m)
+    diag = np.einsum("nkk->nk", r)
+    u = u * (diag / np.abs(diag))[:, None, :]
+    ranks = rng.integers(0, d + 1, size=trials)
+    cols = np.arange(d)[None, :] < ranks[:, None]
+    q = np.einsum("nik,nk,njk->nij", u, cols.astype(float), np.conj(u))
+    h = herm_part(rng.standard_normal((trials, d, d))
+                  + 1j * rng.standard_normal((trials, d, d)))
+    norms = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
+    scale = 2.0 / np.maximum(norms, 1e-12)
+    return q, h * np.minimum(scale, 1.0)[:, None, None]

@@ -12,8 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dense_reference import one_shot_qz_draws
 from regpart.cli import main
-from regpart.diagnostics import MAX_CANTOR_STAGE
+from regpart.diagnostics import MAX_CANTOR_STAGE, PROBE_LAMBDAS
 from regpart.errors import DominationViolation, NotPSD, SectorViolation
 from regpart.grid import CELL_CHUNK, GridSpec, TestFunction
 from regpart.model import CoefficientSet, derive_fields
@@ -22,7 +23,7 @@ from regpart.modelio import (LoadedModel, complex_to_json, dumps_canonical,
                              q_matrix_spec, write_doc)
 from regpart.pipeline import (IDENTITY_TOL, ORACLE_RTOL, cantor_model_doc,
                               compute_report, oracle_crosscheck, run_probe)
-from regpart.randomized import random_oracle_case
+from regpart.randomized import QZ_BLOCK, random_oracle_case
 
 
 REPO_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -150,6 +151,21 @@ def test_compute_rejects_sector_violation(cantor_file, tmp_path, capsys):
     assert main(["compute", "--model", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "validation error:" in err and "cell 5" in err
+
+
+@pytest.mark.parametrize("q_spec", [
+    {"bogus": 1}, {"matrix": [[[[0.0, 0.0]]]]}])
+def test_malformed_q_is_read_before_validation(q_spec, cantor_file,
+                                               tmp_path, capsys):
+    """``Q`` is read before the coefficients are validated, so a model
+    with a malformed ``Q`` and a sector violation is a parse error."""
+    doc = load_doc(cantor_file)
+    doc["coefficients"]["C"][5] = [[[-2.0, 0.0]]]
+    doc["Q"] = q_spec
+    bad = tmp_path / "badcq.json"
+    write_doc(bad, doc)
+    assert main(["compute", "--model", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith("parse error: Q")
 
 
 @pytest.mark.parametrize("key, value, code", [
@@ -751,60 +767,89 @@ def test_verify_dims_arguments(capsys):
     capsys.readouterr()
 
 
-def test_verify_refuses_trials_over_budget(monkeypatch, capsys):
-    """A ``--trials`` whose draws at the largest ``--dims`` entry would
-    pass the memory budget exits 2 before any draw; the same trials at a
-    smaller dimension run."""
+def _one_shot_blocks(rng, d, trials):
+    """The identity draws as the one block of the one-shot reference."""
+    return iter([one_shot_qz_draws(rng, d, trials)])
+
+
+def test_verify_summary_is_the_one_shot_run(monkeypatch, capsys):
+    """Drawn and screened in blocks, ``run_verification`` gives the summary
+    and output of a run that draws each dimension's pairs in one stack and
+    screens them at once, oracle models included (their seeds follow the
+    draws)."""
     import regpart.pipeline as pipeline
-    real = pipeline.random_qz_draws
-
-    def no_draw(rng, d, trials):
-        raise AssertionError("drew before refusing")
-
-    monkeypatch.setattr(pipeline, "VERIFY_MEMORY_BUDGET", 20_000)
-    monkeypatch.setattr(pipeline, "random_qz_draws", no_draw)
-    assert main(["verify", "--trials", "60", "--dims", "3,1"]) == 2
-    err = capsys.readouterr().err
-    assert "validation error: --trials 60" in err and "dimension 3" in err
-    monkeypatch.setattr(pipeline, "random_qz_draws", real)
-    assert main(["verify", "--trials", "60", "--dims", "1"]) == 0
-    capsys.readouterr()
+    kwargs = {"seed": 4, "trials": 2 * QZ_BLOCK + 5, "dims": range(1, 7)}
+    got = pipeline.run_verification(**kwargs)
+    got_out = capsys.readouterr().out
+    monkeypatch.setattr(pipeline, "random_qz_blocks", _one_shot_blocks)
+    assert pipeline.run_verification(**kwargs) == got
+    assert capsys.readouterr().out == got_out
+    assert got["code"] == 0 and len(got["identity_worst"]) == 6
 
 
-def test_verify_budget_bounds_the_draws():
-    """The estimate bounds what the draws and their norms take, and the
-    default budget admits ``verify --trials 10000`` up to dimension 6."""
+def _identity_phase_peak(monkeypatch, trials, d=3):
+    """Peak bytes ``run_verification`` takes on ``trials`` draws of
+    dimension ``d``, with the oracle models stubbed out."""
     import gc
-    from regpart.pipeline import VERIFY_MEMORY_BUDGET, _draw_bytes
-    from regpart.randomized import random_qz_draws
-    for d in range(1, 7):
-        random_qz_draws(np.random.default_rng(0), d, 10)  # lazy set-up
+    import regpart.pipeline as pipeline
+    monkeypatch.setattr(pipeline, "random_oracle_case", lambda rng: None)
+    monkeypatch.setattr(pipeline, "oracle_crosscheck", lambda case: {
+        "oracle_rel": 0.0, "pi1_res": 0.0, "t_res": 0.0})
+    with contextlib.redirect_stdout(io.StringIO()):
+        pipeline.run_verification(trials=8, dims=(d,))  # lazy set-up
         gc.collect()
         tracemalloc.start()
         try:
-            random_qz_draws(np.random.default_rng(d), d, 2000)
-            peak = tracemalloc.get_traced_memory()[1]
+            pipeline.run_verification(trials=trials, dims=(d,))
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak + 48 * 2000 <= _draw_bytes(2000, d)
-    assert _draw_bytes(10_000, 6) <= VERIFY_MEMORY_BUDGET
+
+
+def test_verify_memory_does_not_grow_with_trials(monkeypatch):
+    """Eight times the trials leave the identity phase's peak nearly where
+    it was: one block of draws is held at a time."""
+    assert _identity_phase_peak(monkeypatch, 16 * QZ_BLOCK) <= \
+        1.3 * _identity_phase_peak(monkeypatch, 2 * QZ_BLOCK)
 
 
 def test_verify_detects_broken_identities(monkeypatch, capsys):
     """Negative control: corrupting the projection draws must flip the
     exit code to 1 and name the reproducing seed."""
     import regpart.pipeline as pipeline
-    real = pipeline.random_qz_draws
+    real = pipeline.random_qz_blocks
 
     def corrupted(rng, d, trials):
-        q, z = real(rng, d, trials)
-        return q + 0.25, z
+        return ((q + 0.25, z) for q, z in real(rng, d, trials))
 
-    monkeypatch.setattr(pipeline, "random_qz_draws", corrupted)
+    monkeypatch.setattr(pipeline, "random_qz_blocks", corrupted)
     assert main(["verify", "--trials", "20", "--dims", "1",
                  "--seed", "11"]) == 1
     out = capsys.readouterr().out
     assert "FAIL identity" in out and "seed 11" in out
+
+
+def test_main_calls_leave_no_options_behind(cantor_file, monkeypatch,
+                                            capsys):
+    """The parser is built once, and an option given to one ``main`` call
+    is not seen by the next: each falls back to its default."""
+    import regpart.cli as cli
+    seen = []
+    monkeypatch.setattr(cli, "compute_report", lambda model, lambdas, seed:
+                        seen.append((lambdas, seed)) or {"kind": "report"})
+    monkeypatch.setattr(cli, "run_verification", lambda seed, trials, dims:
+                        seen.append((seed, trials, dims)) or {"code": 0})
+    assert cli.build_parser() is cli.build_parser()
+    model = str(cantor_file)
+    assert main(["compute", "--model", model, "--lambda-list", "1,2",
+                 "--seed", "3"]) == 0
+    assert main(["compute", "--model", model]) == 0
+    assert main(["verify", "--seed", "5", "--trials", "7",
+                 "--dims", "2"]) == 0
+    assert main(["verify"]) == 0
+    capsys.readouterr()
+    assert seen == [((1.0, 2.0), 3), (PROBE_LAMBDAS, 0),
+                    (5, 7, (2,)), (0, 1000, (1, 2, 3))]
 
 
 def test_console_script_installed(tmp_path):

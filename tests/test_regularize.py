@@ -9,17 +9,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dense_reference import (one_pass_identity_norms, one_pass_kernel,
-                             structure_fields)
+                             one_shot_qz_draws, structure_fields)
 from regpart.diagnostics import regular_sector_tangent
 from regpart.errors import GridMismatch, NotCommuting, ProjectionInvalid
 from regpart.grid import CELL_CHUNK, GridSpec, cell_chunks
 from regpart.model import CoefficientSet, derive_fields, eval_form
 from regpart.pointwise import (PSD_TOL, adjoint, frobenius, herm_part,
                                imag_part, pinv_sqrt, sector_pencils)
-from regpart.randomized import (commuting_projection_field,
+from regpart.randomized import (QZ_BLOCK, commuting_projection_field,
                                 random_coefficients, random_grid,
                                 random_node_functions,
-                                random_projection_field, random_qz_draws)
+                                random_projection_field, random_qz_blocks,
+                                random_qz_draws)
 from regpart.regularize import (_commuting_fields, _identity_report,
                                 _package, _regular_fields, assemble_regular,
                                 assemble_regular_commuting,
@@ -430,6 +431,29 @@ def test_identity_residuals_blocks_match_one_pass(d):
             assert report.per_cell[name].tobytes() == val[:n].tobytes()
             assert report.residuals[name] == float(np.max(val[:n],
                                                           initial=0.0))
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_qz_blocks_are_the_one_shot_draws(d):
+    """The blocks of the stream, joined, are the one-shot reference draws
+    bit for bit, at each draw count around the block boundaries, and both
+    the stream and ``random_qz_draws`` leave the generator where the
+    reference leaves it."""
+    b = QZ_BLOCK
+    for trials in (0, 1, b - 1, b, b + 1, 3 * b + 5):
+        ref_rng = np.random.default_rng(40 + d)
+        want = one_shot_qz_draws(ref_rng, d, trials)
+        rng = np.random.default_rng(40 + d)
+        blocks = list(random_qz_blocks(rng, d, trials))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert [len(q) for q, _ in blocks] == \
+            [min(b, trials - s) for s in range(0, trials, b)]
+        for k, got in enumerate(zip(*blocks)):
+            assert np.concatenate(got).tobytes() == want[k].tobytes()
+        rng = np.random.default_rng(40 + d)
+        got = random_qz_draws(rng, d, trials)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def _suite_peak(n, d=3):
