@@ -66,8 +66,8 @@ reg = assemble_regular(coeffs, derived, structure)
 vs = build_v_subspace(coeffs, derived, q_field, funcs)
 formula = eval_form(reg.regular_set(coeffs.theta, coeffs.K_bound), funcs,
                     funcs).value
-diag = check_equivalences(vs, compute_operators(vs), reg, structure, funcs,
-                          formula, xi=(0.0, 1.0))
+diag = check_equivalences(vs, compute_operators(vs), reg, structure, formula,
+                          xi=(0.0, 1.0))
 print("   commutator max |QZ - ZQ| = %.3f" % diag.commutator_max)
 for name, verdict in diag.verdicts.items():
     print("   %-24s %-5s (%s)"

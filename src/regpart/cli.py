@@ -149,6 +149,9 @@ def _dispatch(args):
     if args.command == "verify":
         if args.seed < 0:
             raise ValidationError("--seed must be >= 0, got %d" % args.seed)
+        if args.trials < 0:
+            raise ValidationError("--trials must be >= 0, got %d"
+                                  % args.trials)
         summary = run_verification(seed=args.seed, trials=args.trials,
                                    dims=_parse_dims(args.dims))
         return summary["code"]

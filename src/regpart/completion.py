@@ -254,10 +254,6 @@ class VSubspace:
         return self.n_funcs + self.n_singular
 
     @property
-    def v1_slice(self):
-        return slice(self.n_funcs, self.dim)
-
-    @property
     def gram_a(self):
         """Dense ambient Gram matrix (a view for inspection)."""
         return self.ambient_blocks.dense(self.groups)

@@ -14,10 +14,10 @@ growth on the tested family is consistency, not proof.  Verdict entries
 therefore carry a ``mode`` of ``"certified-false"`` or ``"consistent-true"``
 for (i)/(v), while (ii)-(iv) are plainly decided by residuals.
 
-The module also houses the worked fat-Cantor example generator: a
-stage-``n`` Smith-Volterra-Cantor set drives an indicator-coefficient model
-whose regular part is a pure multiplication form and whose singular part has
-strictly negative vertex on a plateau function.
+The module also houses the worked fat-Cantor example, defined once as a
+model document: a stage-``n`` Smith-Volterra-Cantor set drives an
+indicator-coefficient model whose regular part is a pure multiplication
+form and whose singular part has strictly negative vertex on a plateau.
 """
 
 from dataclasses import dataclass
@@ -28,11 +28,11 @@ import numpy as np
 from .completion import (ProbeReport, _qz_iq_asqrt, compute_operators,
                          oracle_regular_part, singular_field, t_pi2_probe)
 from .errors import ResolutionTooCoarse, ValidationError
-from .grid import MAX_CELLS, GridSpec, TestFunction, cell_chunks
+from .grid import MAX_CELLS, GridSpec, cell_chunks
 from .model import CoefficientSet, eval_form, vertex_search
+from .modelio import doc_to_model, make_model_doc, q_indicator_spec
 from .pointwise import SectorParams, frobenius, herm_part, imag_part, pinv_sqrt
-from .regularize import (_commutators, _commuting_fields,
-                         indicator_projection, interval_mask)
+from .regularize import _commutators, _commuting_fields, interval_mask
 
 __all__ = [
     "DiagnosticsReport",
@@ -42,6 +42,7 @@ __all__ = [
     "check_realpart_commutation",
     "singular_vertex",
     "regular_sector_tangent",
+    "cantor_model_doc",
     "generate_cantor_example",
     "generate_noncommuting_example",
     "default_cantor_grid",
@@ -164,16 +165,16 @@ def regular_sector_tangent(reg, derived, s):
     return top
 
 
-def oracle_pairs(reg_set, funcs, vs, ops):
-    """The regular part on every pair of embedded functions, two ways:
-    ``formula[i, j] = eval_form(reg_set, u_i, u_j)`` from the assembled
-    fields and the table ``oracle = oracle_regular_part(ops, vs)`` from the
-    Gram-matrix construction."""
-    return (eval_form(reg_set, funcs, funcs).value,
+def oracle_pairs(reg_set, vs, ops):
+    """The regular part on every pair of embedded functions ``vs.funcs``,
+    two ways: ``formula[i, j] = eval_form(reg_set, u_i, u_j)`` from the
+    assembled fields and the table ``oracle = oracle_regular_part(ops, vs)``
+    from the Gram-matrix construction."""
+    return (eval_form(reg_set, vs.funcs, vs.funcs).value,
             oracle_regular_part(ops, vs))
 
 
-def check_realpart_commutation(coeffs, derived, s, vs, formula):
+def check_realpart_commutation(s, vs, formula):
     """Pointwise criterion for ``Re`` and regularization to commute:
     ``QZ = ZQ`` and ``(I+iZ) Q X = (I-iZ) Q Y`` per cell, both read on the
     cells of ``supp Q`` (elsewhere both sides vanish).
@@ -185,8 +186,7 @@ def check_realpart_commutation(coeffs, derived, s, vs, formula):
     on the Hermitian form Gram) over all function pairs; the maximum
     absolute gap is reported.
     """
-    cells = s.support
-    q = s.Q
+    cells, q, derived = s.support, s.Q, vs.derived
     z, x, y = (f[cells] for f in (derived.Z_field, derived.X_field,
                                   derived.Y_field))
     comm = float(np.max(_commutators(s, derived), initial=0.0))
@@ -204,25 +204,25 @@ def check_realpart_commutation(coeffs, derived, s, vs, formula):
                           xy_residual=xy_res, oracle_max_diff=oracle_gap)
 
 
-def check_equivalences(vs, ops, reg, s, funcs, formula, xi=None,
+def check_equivalences(vs, ops, reg, s, formula, xi=None,
                        lambdas=PROBE_LAMBDAS):
     """Decide the five-way equivalence on one model and report residuals.
 
-    ``vs`` is the oracle's subspace built on the non-empty family ``funcs``
+    ``vs`` is the oracle's subspace built on a non-empty family ``funcs``
     (a :class:`~regpart.grid.TestFunction` with one leading axis),
     ``ops`` its operators, ``reg`` the assembled regular part, ``formula``
     its table ``eval_form(reg_set, funcs, funcs).value`` and ``s`` the
-    singular structure; the coefficients, the derived fields and the form
-    and L2 Grams of ``funcs`` are read off ``vs``.  ``funcs`` drives the
-    kernel-image check, the growth probe (``funcs[0]`` modulated along
-    ``xi``, by default the all-ones direction) and the three vertex
+    singular structure; the family, the coefficients, the derived fields
+    and the form and L2 Grams of ``funcs`` are read off ``vs``.  ``funcs``
+    drives the kernel-image check, the growth probe (``funcs[0]`` modulated
+    along ``xi``, by default the all-ones direction) and the three vertex
     searches: the form's on ``vs.form_blocks.ff``, the other two on one
     ``eval_form`` of the singular part, whose ``second_order`` part is
     exactly the pure second-order companion's Gram (same ``C_s``).  The
     singular part's fields are exactly 0 off ``supp Q``, so its Gram sums
     over the cells of ``s.support`` only.
     """
-    coeffs, derived = vs.coeffs, vs.derived
+    coeffs, derived, funcs = vs.coeffs, vs.derived, vs.funcs
 
     field_gap = _relative_field_gap(reg, _commuting_fields(coeffs, derived,
                                                            s))
@@ -232,8 +232,7 @@ def check_equivalences(vs, ops, reg, s, funcs, formula, xi=None,
         xi = np.ones(coeffs.dim) / np.sqrt(coeffs.dim)
     probe = t_pi2_probe(vs, ops, funcs[0], xi, lambdas)
 
-    realpart = check_realpart_commutation(coeffs, derived, s, vs=vs,
-                                          formula=formula)
+    realpart = check_realpart_commutation(s, vs, formula)
     comm = realpart.commutator_residual
 
     probe_positive = not probe.skipped and probe.slope > PROBE_POSITIVE
@@ -291,13 +290,10 @@ def svc_measure(stage):
     return Fraction(1) - (Fraction(1) - Fraction(1, 2 ** stage)) / 2
 
 
-def default_cantor_grid(stage, m=2):
-    """Aligned 1-D grid on ``[-1, 2]``: ``m * 4^stage`` cells per unit with
-    ``m`` even, so every set endpoint (denominator ``2^(2n+1)``) lands on a
-    cell edge."""
-    if m < 2 or m % 2:
-        raise ValidationError("cells-per-unit multiplier m must be even")
-    cpu = (4 ** int(stage)) * int(m)
+def default_cantor_grid(stage):
+    """Aligned 1-D grid on ``[-1, 2]``: ``2 * 4^stage`` cells per unit, so
+    every set endpoint (denominator ``2^(2n+1)``) lands on a cell edge."""
+    cpu = 2 * 4 ** int(stage)
     return GridSpec(dim=1, box=((-1.0, 2.0),), cells_per_axis=(3 * cpu,))
 
 
@@ -321,57 +317,43 @@ def cantor_mask(stage, grid):
     return interval_mask(grid, svc_intervals(stage))
 
 
-def _cantor_coefficients(stage, include_c0=True):
-    """The coefficients of :func:`generate_cantor_example` and the mask of
-    its set, without ``Q`` or the test functions."""
+def cantor_model_doc(stage):
+    """Model document of the fat-Cantor worked example, its one definition.
+
+    On the set: unit second-order coefficient, first-order coefficients
+    ``+1`` (gradient slot) and ``-1`` (function slot), and zeroth-order
+    ``+1``.  Off the set everything vanishes.  The singular directions are
+    the set itself (``Q = indicator``), the sector half-angle is ``pi/4``
+    and the domination constant ``1`` — all boundary-tight.  The functions
+    are a plateau equal to one across ``[0, 1]`` and bumps, one of which
+    lives entirely in the first removed gap.  Only the coefficients are
+    built; ``Q`` and the functions go into the document as specs.
+    """
     stage = int(stage)
     if not 0 <= stage <= MAX_CANTOR_STAGE:
         raise ValidationError("stage must lie in 0..%d, got %d"
                               % (MAX_CANTOR_STAGE, stage))
     grid = default_cantor_grid(stage)
-    mask = cantor_mask(stage, grid)
-    ind = mask.astype(complex)
-
-    n = grid.n_cells
-    coeffs = CoefficientSet(
-        grid=grid,
-        C_field=ind[:, None, None] * np.ones((n, 1, 1)),
-        b_field=ind[:, None].copy(),
-        d_field=-ind[:, None],
-        c0_field=ind.copy() if include_c0 else np.zeros(n, dtype=complex),
-        theta=np.pi / 4,
-        K_bound=1.0,
-    )
-    return coeffs, mask
+    ind = cantor_mask(stage, grid).astype(complex)
+    coeffs = CoefficientSet(grid=grid, C_field=ind[:, None, None],
+                            b_field=ind[:, None], d_field=-ind[:, None],
+                            c0_field=ind, theta=np.pi / 4, K_bound=1.0)
+    bumps = {"bump_gap": (0.5, 0.1), "bump_left": (0.125, 0.1),
+             "bump_right": (0.875, 0.1), "bump_wide": (0.5, 0.45),
+             "bump_outside": (1.5, 0.3)}  # name: (center, width)
+    func_specs = [{"name": "plateau", "kind": "plateau", "flat": [0.0, 1.0]}]
+    func_specs += [{"name": name, "kind": "bump", "center": [c],
+                    "width": [w]} for name, (c, w) in bumps.items()]
+    return make_model_doc(coeffs, q_indicator_spec(svc_intervals(stage)),
+                          func_specs)
 
 
-def generate_cantor_example(stage, include_c0=True):
-    """Indicator-coefficient model on a fat Cantor set.
-
-    On the set: unit second-order coefficient, first-order coefficients
-    ``+1`` (gradient slot) and ``-1`` (function slot), and zeroth-order
-    ``+1`` (dropped when ``include_c0`` is false).  Off the set everything
-    vanishes.  The singular directions are the set itself
-    (``Q = indicator``), the sector half-angle is ``pi/4`` and the
-    domination constant ``1`` — all boundary-tight.
-
-    Returns ``(coeffs, q_field, funcs)`` where ``funcs`` maps names to test
-    functions: a plateau equal to one across ``[0, 1]`` and a family of
-    bumps, one of which lives entirely in the first removed gap.
-    """
-    coeffs, mask = _cantor_coefficients(stage, include_c0)
-    grid = coeffs.grid
-    q_field = indicator_projection(grid, mask)
-
-    funcs = {
-        "plateau": TestFunction.plateau_1d(grid, 0.0, 1.0),
-        "bump_gap": TestFunction.bump(grid, center=[0.5], width=[0.1]),
-        "bump_left": TestFunction.bump(grid, center=[0.125], width=[0.1]),
-        "bump_right": TestFunction.bump(grid, center=[0.875], width=[0.1]),
-        "bump_wide": TestFunction.bump(grid, center=[0.5], width=[0.45]),
-        "bump_outside": TestFunction.bump(grid, center=[1.5], width=[0.3]),
-    }
-    return coeffs, q_field, funcs
+def generate_cantor_example(stage):
+    """The worked example of :func:`cantor_model_doc`, loaded: returns
+    ``(coeffs, q_field, funcs)`` where ``funcs`` maps the function names
+    to test functions."""
+    model = doc_to_model(cantor_model_doc(stage))
+    return model.coeffs, model.q_field, model.funcs
 
 
 def generate_noncommuting_example(coupling=0.5):

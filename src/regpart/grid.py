@@ -265,7 +265,7 @@ class TestFunction:
                    cell_gradient=grads.reshape(len(funcs), n, d))
 
     @classmethod
-    def from_node_values(cls, grid, node_values, require_support=True):
+    def from_node_values(cls, grid, node_values):
         """Build from values on the ``prod(n_i + 1)`` grid nodes.
 
         Within each cell the function is the multilinear interpolant of its
@@ -273,24 +273,22 @@ class TestFunction:
         the cell (mean of the corners) and the stored gradient is the
         interpolant's mean gradient (pairwise corner differences / spacing).
 
-        With ``require_support`` the node values on the boundary faces must
-        vanish exactly, so the profile is compactly supported inside the
-        box.
+        The node values on the boundary faces must vanish exactly, so the
+        profile is compactly supported inside the box.
         """
         node_values = np.asarray(node_values, dtype=complex)
         if node_values.shape != grid.node_shape:
             raise GridMismatch(
                 "node_values must have shape %r, got %r"
                 % (grid.node_shape, node_values.shape))
-        if require_support:
-            for ax in range(grid.dim):
-                first = np.take(node_values, 0, axis=ax)
-                last = np.take(node_values, -1, axis=ax)
-                bound = max(np.max(np.abs(first)), np.max(np.abs(last)))
-                if bound > 0.0:
-                    raise ValidationError(
-                        "node values must vanish on the boundary (axis %d "
-                        "has magnitude %.3e)" % (ax, float(bound)))
+        for ax in range(grid.dim):
+            first = np.take(node_values, 0, axis=ax)
+            last = np.take(node_values, -1, axis=ax)
+            bound = max(np.max(np.abs(first)), np.max(np.abs(last)))
+            if bound > 0.0:
+                raise ValidationError(
+                    "node values must vanish on the boundary (axis %d has "
+                    "magnitude %.3e)" % (ax, float(bound)))
 
         values, grads = cell_data_from_nodes(grid, node_values)
         return cls(grid=grid, cell_values=values, cell_gradient=grads)

@@ -58,13 +58,11 @@ surface as :class:`ValidationError` subclasses from the model layer.
 """
 
 import functools
-import gc
 import json
 import math
 import os
 import re
 import stat
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -84,7 +82,6 @@ __all__ = [
     "dumps_canonical",
     "write_canonical",
     "write_doc",
-    "load_doc",
     "parse_model",
     "load_model",
     "doc_to_model",
@@ -620,40 +617,12 @@ def _reject_constant(token):
     raise ParseError("non-finite literal %r is not allowed" % token)
 
 
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector.  A parsed document is made of
-    acyclic lists and dicts, hundreds of thousands of them for a large
-    report, and the collector's passes over them while it is built would
-    double the parse time."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def loads_doc(text):
-    """Parse JSON text, with the cyclic collector paused."""
-    with _gc_paused():
-        try:
-            return json.loads(text, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
-            raise ParseError("invalid JSON: %s" % exc) from None
-
-
 def _read_file(path):
     try:
         with open(path, "rb") as handle:
             return handle.read()
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from None
-
-
-def load_doc(path):
-    return loads_doc(_read_file(path).decode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +786,7 @@ def _fill_family(func_specs, funcs):
         del func  # before the next one is expanded
 
 
-def doc_to_model(doc, validate=True):
+def doc_to_model(doc):
     version = _get(doc, "schema_version", int, "model")
     if version != SCHEMA_VERSION:
         raise ParseError("unsupported schema_version %r" % version)
@@ -839,8 +808,7 @@ def doc_to_model(doc, validate=True):
     # error (exit 3) even when the sector is violated too
     q_spec = _get(doc, "Q", dict, "model")
     q_field = expand_q_spec(q_spec, grid)
-    if validate:
-        coeffs.validate()
+    coeffs.validate()
     func_specs = _get(doc, "functions", list, "model")
     # the model's family is made unfilled, then expanded into row by row
     shape = (len(func_specs), n)

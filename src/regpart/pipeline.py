@@ -7,8 +7,9 @@ oracle's V subspace once, in one shared prelude, and hand both to every
 check.  ``run_verification`` drives the randomized suites; it screens
 the identity draws one fixed block at a time, keeping only running
 maxima, so ``verify`` holds the same memory at any ``--trials``.
-``cantor_model_doc`` emits the canonical worked-example model file, and
-``run_probe`` exposes the plane-wave growth probe on a loaded model.
+``run_probe`` exposes the plane-wave growth probe on a loaded model.  The
+worked-example document ``cantor_model_doc`` is defined in
+:mod:`~regpart.diagnostics` and importable from here.
 """
 
 import numpy as np
@@ -16,12 +17,11 @@ import numpy as np
 from .completion import (build_v_subspace, compute_operators,
                          pi1_multiplication, singular_field, t_multiplication,
                          t_pi2_probe)
-from .diagnostics import (PROBE_LAMBDAS, _cantor_coefficients,
-                          check_equivalences, oracle_pairs, svc_intervals)
+from .diagnostics import (PROBE_LAMBDAS, cantor_model_doc, check_equivalences,
+                          oracle_pairs)
 from .errors import ValidationError
 from .model import derive_fields
-from .modelio import (SCHEMA_VERSION, complex_pair, grid_to_doc,
-                      make_model_doc, q_indicator_spec)
+from .modelio import SCHEMA_VERSION, complex_pair, grid_to_doc
 from .randomized import random_oracle_case, random_qz_blocks
 from .regularize import (assemble_regular, build_singular_structure,
                          identity_residuals, identity_suite)
@@ -153,8 +153,8 @@ def compute_report(model, lambdas=PROBE_LAMBDAS, seed=0):
     vertex_doc = {"form": None, "singular": None, "pure_singular": None}
     if names:
         formula, oracle = oracle_pairs(
-            reg.regular_set(coeffs.theta, coeffs.K_bound), funcs, vs, ops)
-        diag = check_equivalences(vs, ops, reg, structure, funcs, formula,
+            reg.regular_set(coeffs.theta, coeffs.K_bound), vs, ops)
+        diag = check_equivalences(vs, ops, reg, structure, formula,
                                   lambdas=lambdas)
         diag_doc = _diag_doc(diag)
         vertex_doc = {"form": _sector_doc(diag.form_vertex.params),
@@ -246,7 +246,7 @@ def oracle_crosscheck(case):
     _, _, reg, vs, ops = _prelude(coeffs, case.q_field, case.funcs,
                                   derived=case.derived)
     formula, oracle = oracle_pairs(
-        reg.regular_set(coeffs.theta, coeffs.K_bound), case.funcs, vs, ops)
+        reg.regular_set(coeffs.theta, coeffs.K_bound), vs, ops)
     worst = float(np.max(np.abs(formula - oracle) / (1.0 + np.abs(formula))))
     pi1_res, t_res = multiplication_residuals(vs, ops)
     return {"oracle_rel": worst, "pi1_res": pi1_res, "t_res": t_res}
@@ -310,7 +310,7 @@ def run_verification(seed=0, trials=1000, dims=(1, 2, 3)):
 
 
 # ---------------------------------------------------------------------------
-# probe and worked example
+# probe
 
 
 def run_probe(model, lambdas=PROBE_LAMBDAS):
@@ -330,26 +330,3 @@ def run_probe(model, lambdas=PROBE_LAMBDAS):
         "xi": [float(x) for x in xi],
     })
     return doc
-
-
-def cantor_model_doc(stage):
-    """Canonical model document for the fat-Cantor worked example; it
-    builds the coefficients only, since ``Q`` and the functions go into
-    the document as specs."""
-    coeffs, _ = _cantor_coefficients(stage)
-    q_spec = q_indicator_spec(
-        [(float(a), float(b)) for a, b in svc_intervals(stage)])
-    func_specs = [
-        {"name": "plateau", "kind": "plateau", "flat": [0.0, 1.0]},
-        {"name": "bump_gap", "kind": "bump", "center": [0.5],
-         "width": [0.1]},
-        {"name": "bump_left", "kind": "bump", "center": [0.125],
-         "width": [0.1]},
-        {"name": "bump_right", "kind": "bump", "center": [0.875],
-         "width": [0.1]},
-        {"name": "bump_wide", "kind": "bump", "center": [0.5],
-         "width": [0.45]},
-        {"name": "bump_outside", "kind": "bump", "center": [1.5],
-         "width": [0.3]},
-    ]
-    return make_model_doc(coeffs, q_spec, func_specs)

@@ -46,6 +46,9 @@ HERMITIAN_RTOL = 1e-12
 #: Default slack, relative to the matrix scale, for semidefiniteness checks.
 PSD_TOL = 1e-10
 
+#: The tangent :func:`pencil_tangent` reports when no finite one works.
+TANGENT_CAP = 1e12
+
 
 def adjoint(m):
     """Conjugate transpose along the last two axes."""
@@ -189,10 +192,6 @@ class SectorParams:
                 "sector half-angle must lie in [0, pi/2), got %r"
                 % (self.theta,))
 
-    @property
-    def tan_theta(self):
-        return float(np.tan(self.theta))
-
 
 def sector_pencils(c, theta):
     """Sector condition of a stack ``C`` as three pencils: ``xi* C xi`` lies
@@ -207,7 +206,7 @@ def sector_pencils(c, theta):
                               for p in pencils])
 
 
-def pencil_tangent(re_m, im_m, t_cap=1e12):
+def pencil_tangent(re_m, im_m):
     """Smallest ``t >= 0`` such that ``t * re_m + im_m`` and ``t * re_m -
     im_m`` are both psd, in closed form.
 
@@ -221,7 +220,7 @@ def pencil_tangent(re_m, im_m, t_cap=1e12):
     the slack of zero gives ``t = 0``.
 
     Returns ``(t, certified)``; ``certified`` is False, with
-    ``t == t_cap``, when no ``t <= t_cap`` works.
+    ``t == TANGENT_CAP``, when no ``t <= TANGENT_CAP`` works.
     """
     re_m = herm_part(np.asarray(re_m, dtype=complex))
     im_m = herm_part(np.asarray(im_m, dtype=complex))
@@ -232,8 +231,8 @@ def pencil_tangent(re_m, im_m, t_cap=1e12):
     w, u = np.linalg.eigh(re_m)
     live = w > DEFAULT_RANK_EPS * max(float(w[-1]), 0.0)
     if float(frobenius(im_m @ u[:, ~live])) > slack:
-        return t_cap, False
+        return TANGENT_CAP, False
     scaled = u[:, live] / np.sqrt(w[live])
     t = float(np.max(np.abs(np.linalg.eigvalsh(adjoint(scaled) @ im_m
                                                @ scaled))))
-    return (t, True) if t <= t_cap else (t_cap, False)
+    return (t, True) if t <= TANGENT_CAP else (TANGENT_CAP, False)

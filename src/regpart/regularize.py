@@ -492,15 +492,14 @@ def pure_second_order_parts(reg):
 
 # -- Q constructors --------------------------------------------------------
 
-def indicator_projection(grid, mask, dim=None):
+def indicator_projection(grid, mask):
     """Per-cell ``Q = 1_cell * I``: full projection on masked cells, zero
     elsewhere.  ``mask`` is a boolean array over cells."""
     mask = np.asarray(mask, dtype=bool).reshape(-1)
     if mask.shape != (grid.n_cells,):
         raise GridMismatch("mask must have one entry per cell")
-    d = grid.dim if dim is None else int(dim)
-    q = np.zeros((grid.n_cells, d, d), dtype=complex)
-    q[mask] = np.eye(d)
+    q = np.zeros((grid.n_cells, grid.dim, grid.dim), dtype=complex)
+    q[mask] = np.eye(grid.dim)
     return q
 
 

@@ -138,7 +138,7 @@ def dense_kernel_image(vs, t_full, pi2):
 
 def dense_probe_ratios(vs, gram_a, gram_form, tau, xi, lambdas):
     """The growth probe's ratios from dense ``m x m`` solves."""
-    jj = vs.v1_slice
+    jj = slice(vs.n_funcs, vs.dim)
     gram_jj = gram_a[jj, jj]
     hh_jj = herm_part(gram_form)[jj, jj]
     vol = vs.coeffs.grid.cell_volume

@@ -6,6 +6,7 @@ randomized criteria share a single cached 100-model sweep.
 """
 
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -130,7 +131,8 @@ def test_stage5_regular_fields_collapse():
 
 
 def test_stage5_variant_without_zeroth_order():
-    coeffs, q_field, _ = generate_cantor_example(5, include_c0=False)
+    coeffs, q_field, _ = generate_cantor_example(5)
+    coeffs = replace(coeffs, c0_field=np.zeros_like(coeffs.c0_field))
     derived = derive_fields(coeffs)
     reg = assemble_regular(coeffs, derived,
                            build_singular_structure(q_field, derived))
@@ -225,8 +227,7 @@ def test_equivalence_verdicts_consistent():
         formula = eval_form(reg.regular_set(case.coeffs.theta,
                                             case.coeffs.K_bound),
                             case.funcs, case.funcs).value
-        report = check_equivalences(vs, ops, reg, s, case.funcs, formula,
-                                    xi=case.xi)
+        report = check_equivalences(vs, ops, reg, s, formula, xi=case.xi)
         v = {k: d["value"] for k, d in report.verdicts.items()}
         graph_ok = (v["commuting"] == v["simplified_formula"]
                     == v["kernel_image_formula"]

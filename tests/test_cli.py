@@ -19,8 +19,8 @@ from regpart.errors import DominationViolation, NotPSD, SectorViolation
 from regpart.grid import CELL_CHUNK, GridSpec, TestFunction
 from regpart.model import CoefficientSet, derive_fields
 from regpart.modelio import (LoadedModel, complex_to_json, dumps_canonical,
-                             load_doc, make_model_doc, q_indicator_spec,
-                             q_matrix_spec, write_doc)
+                             make_model_doc, q_indicator_spec, q_matrix_spec,
+                             write_doc)
 from regpart.pipeline import (IDENTITY_TOL, ORACLE_RTOL, cantor_model_doc,
                               compute_report, oracle_crosscheck, run_probe)
 from regpart.randomized import QZ_BLOCK, random_oracle_case
@@ -48,7 +48,7 @@ def cantor_file(tmp_path):
 
 
 def test_example_writes_model(cantor_file):
-    doc = load_doc(cantor_file)
+    doc = json.loads(cantor_file.read_text())
     assert doc["schema_version"] == 1
     assert doc["grid"]["cells_per_axis"] == [24]
     assert {f["name"] for f in doc["functions"]} == {
@@ -60,7 +60,7 @@ def test_cantor_doc_builds_coefficients_only(monkeypatch):
     """The worked-example document builds its coefficients and nothing
     else: ``Q`` and the functions go into it as specs, so it needs neither
     the indicator projection nor a test function."""
-    import regpart.diagnostics
+    import regpart.modelio
 
     want = dumps_canonical(cantor_model_doc(3))
 
@@ -68,7 +68,7 @@ def test_cantor_doc_builds_coefficients_only(monkeypatch):
         raise AssertionError("built data the document does not read")
     monkeypatch.setattr(TestFunction, "bump", refuse)
     monkeypatch.setattr(TestFunction, "plateau_1d", refuse)
-    monkeypatch.setattr(regpart.diagnostics, "indicator_projection", refuse)
+    monkeypatch.setattr(regpart.modelio, "indicator_projection", refuse)
     assert dumps_canonical(cantor_model_doc(3)) == want
 
 
@@ -82,7 +82,7 @@ def test_compute_report_flow(cantor_file, tmp_path):
     out = tmp_path / "report.json"
     assert main(["compute", "--model", str(cantor_file), "--seed", "7",
                  "--out", str(out)]) == 0
-    report = load_doc(out)
+    report = json.loads(out.read_text())
     assert report["kind"] == "report" and report["seed"] == 7
     assert report["identity_suite"]["max_residual"] <= IDENTITY_TOL
     assert len(report["oracle_table"]) == 36
@@ -133,7 +133,7 @@ def test_missing_model_file(tmp_path, capsys):
 
 
 def test_compute_rejects_non_projection_q(cantor_file, tmp_path, capsys):
-    doc = load_doc(cantor_file)
+    doc = json.loads(cantor_file.read_text())
     n = doc["grid"]["cells_per_axis"][0]
     doc["Q"] = q_matrix_spec(np.full((n, 1, 1), 0.5, dtype=complex))
     bad = tmp_path / "badq.json"
@@ -144,7 +144,7 @@ def test_compute_rejects_non_projection_q(cantor_file, tmp_path, capsys):
 
 
 def test_compute_rejects_sector_violation(cantor_file, tmp_path, capsys):
-    doc = load_doc(cantor_file)
+    doc = json.loads(cantor_file.read_text())
     doc["coefficients"]["C"][5] = [[[-2.0, 0.0]]]
     bad = tmp_path / "badc.json"
     write_doc(bad, doc)
@@ -159,7 +159,7 @@ def test_malformed_q_is_read_before_validation(q_spec, cantor_file,
                                                tmp_path, capsys):
     """``Q`` is read before the coefficients are validated, so a model
     with a malformed ``Q`` and a sector violation is a parse error."""
-    doc = load_doc(cantor_file)
+    doc = json.loads(cantor_file.read_text())
     doc["coefficients"]["C"][5] = [[[-2.0, 0.0]]]
     doc["Q"] = q_spec
     bad = tmp_path / "badcq.json"
@@ -496,7 +496,7 @@ def test_compute_empty_function_list(tmp_path, rng):
     write_doc(path, make_model_doc(coeffs, q_matrix_spec(q), []))
     out = tmp_path / "report.json"
     assert main(["compute", "--model", str(path), "--out", str(out)]) == 0
-    report = load_doc(out)
+    report = json.loads(out.read_text())
     assert report["oracle_table"] == []
     assert report["diagnostics"] is None
     assert any("function list empty" in w for w in report["warnings"])
@@ -511,7 +511,7 @@ def test_compute_empty_indicator_set(tmp_path):
     write_doc(path, doc)
     out = tmp_path / "report.json"
     assert main(["compute", "--model", str(path), "--out", str(out)]) == 0
-    c_s = np.asarray(load_doc(out)["singular"]["C"], dtype=float)
+    c_s = np.asarray(json.loads(out.read_text())["singular"]["C"], dtype=float)
     assert c_s.size and np.all(c_s == 0.0)
 
 
@@ -569,6 +569,7 @@ def test_non_finite_lambda_list_named(command, lambdas, bad, tmp_path,
     (["example", "cantor", "--stage", "-1", "--out", "{out}"], "stage"),
     (["example", "cantor", "--stage", str(MAX_CANTOR_STAGE + 1), "--out",
       "{out}"], "stage"),
+    (["verify", "--trials", "-5"], "--trials must be >= 0, got -5"),
 ])
 def test_argument_errors_exit_2(argv, named, cantor_file, tmp_path, capsys):
     """An out-of-range argument or an ``--out`` path that cannot be written
@@ -636,8 +637,8 @@ def test_out_in_an_unwritable_directory(command, cantor_file, tmp_path,
     assert main(argv + [str(old)]) == 0
     assert old.stat().st_ino == inode
     assert got == [old.read_bytes()]
-    assert load_doc(old)["kind"] == {"compute": "report"}.get(command,
-                                                               command)
+    kind = {"compute": "report"}.get(command, command)
+    assert json.loads(old.read_text())["kind"] == kind
     capsys.readouterr()
 
     entered = []
@@ -1018,7 +1019,7 @@ def test_module_entry_point(tmp_path):
                           "cantor", "--stage", "1", "--out", str(model)],
                          capture_output=True, text=True, env=_src_env())
     assert run.returncode == 0, run.stderr
-    assert load_doc(model)["grid"]["cells_per_axis"] == [24]
+    assert json.loads(model.read_text())["grid"]["cells_per_axis"] == [24]
 
 
 def test_dumps_canonical_used_for_reports(cantor_file, tmp_path):

@@ -168,7 +168,7 @@ def test_gram_a_is_shifted_hermitian_part(rng):
 
 def test_singular_block_is_scaled_identity(rng):
     _, _, _, _, vs = random_setup(rng, 3)
-    jj = vs.v1_slice
+    jj = slice(vs.n_funcs, vs.dim)
     vol = vs.coeffs.grid.cell_volume
     eye = vol * np.eye(vs.n_singular)
     assert_allclose(vs.gram_a[jj, jj], eye, atol=1e-13)
@@ -181,7 +181,7 @@ def test_singular_block_is_scaled_identity(rng):
 def test_kernel_projection_normal_equations(rng):
     _, _, _, _, vs = random_setup(rng, 2)
     ops = dense_ops(vs, compute_operators(vs))
-    jj = vs.v1_slice
+    jj = slice(vs.n_funcs, vs.dim)
     scale = float(np.max(np.abs(vs.gram_a)))
     # pi2 x is a-orthogonal to every singular basis vector
     assert np.max(np.abs((vs.gram_a @ ops.pi2)[jj, :])) < 1e-10 * scale
@@ -192,7 +192,7 @@ def test_kernel_projection_normal_equations(rng):
 def test_t_defining_relation(rng):
     _, _, _, _, vs = random_setup(rng, 2)
     ops = dense_ops(vs, compute_operators(vs))
-    jj = vs.v1_slice
+    jj = slice(vs.n_funcs, vs.dim)
     hh = herm_part(vs.gram_form)
     him = imag_part(vs.gram_form)
     assert_allclose((hh @ ops.T)[jj, :], him[jj, :], atol=1e-12)
@@ -206,7 +206,7 @@ def test_correction_operator_equation(rng):
     defining linear system."""
     _, _, _, _, vs = random_setup(rng, 3)
     ops = dense_ops(vs, compute_operators(vs))
-    jj = vs.v1_slice
+    jj = slice(vs.n_funcs, vs.dim)
     lhs = (np.eye(vs.n_singular) + 1j * ops.T11) @ (ops.pi2 - ops.Pi)[jj, :]
     rhs = 1j * (ops.T @ ops.pi2)[jj, :]
     assert_allclose(lhs, rhs, atol=1e-11)

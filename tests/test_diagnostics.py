@@ -1,5 +1,6 @@
 """Verdict logic, vertex searches and the fat-Cantor worked example."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from regpart.diagnostics import (COMMUTE_TOL, PROBE_POSITIVE, cantor_mask,
-                                 check_equivalences,
+                                 cantor_model_doc, check_equivalences,
                                  check_realpart_commutation,
                                  default_cantor_grid, generate_cantor_example,
                                  generate_noncommuting_example,
@@ -18,6 +19,7 @@ from regpart.errors import (DegenerateBasis, ResolutionTooCoarse,
 from regpart.grid import GridSpec, TestFunction
 from regpart.completion import _qz_iq_asqrt
 from regpart.model import CoefficientSet, derive_fields, eval_form, form_gram
+from regpart.modelio import dumps_canonical
 from regpart.pipeline import _prelude
 from regpart.pointwise import frobenius
 from regpart.randomized import random_node_functions, random_oracle_case
@@ -67,8 +69,6 @@ def test_default_cantor_grid():
     grid = default_cantor_grid(2)
     assert grid.box == ((-1.0, 2.0),)
     assert grid.cells_per_axis == (96,)
-    with pytest.raises(ValidationError):
-        default_cantor_grid(2, m=3)
 
 
 def test_cantor_mask_exact_alignment():
@@ -88,6 +88,27 @@ def test_cantor_mask_resolution_errors():
     off_box = GridSpec(dim=1, box=((0.0, 1.0),), cells_per_axis=(96,))
     with pytest.raises(ValidationError):
         cantor_mask(1, off_box)
+
+
+#: SHA-256 of the canonical text of the worked example's model document,
+#: stages 0 to 5.
+CANTOR_DOC_SHA256 = (
+    "2d9f076995662626bf56bc518aab71142714bef8ccdfb11012ceb376a8fdf793",
+    "b41f3c0a46e1d9887354ca85bee58be6648bb9acbe2cf93f3068a49f8527d987",
+    "01c52fdc41812572ba217d1c7ff592664b59664e3cd8f8ffa07d14adfec1e687",
+    "77e7ef64a8f77c6db26ad402ce99dcb390c8729c29e3fa79097a300414c33dd5",
+    "467c4e957b345a4f9327feff7509b4466c09684cdef09a6b002cacc12c9cf34e",
+    "5123c6fc759932463b88f606a172932d1ba73846ad2b6d8fa4811e1ad968859b",
+)
+
+
+def test_cantor_model_doc_bytes_are_pinned():
+    """The worked example's document, its one definition, keeps its bytes
+    at every stage: a change to its coefficients, ``Q``, functions or the
+    canonical writer shows here."""
+    for stage, want in enumerate(CANTOR_DOC_SHA256):
+        text = dumps_canonical(cantor_model_doc(stage))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want, stage
 
 
 def test_generated_examples_validate():
@@ -153,9 +174,9 @@ def test_realpart_pointwise_criterion(rng):
     funcs = random_node_functions(rng, coeffs.grid, 3)
     reports = []
     for q_field in (q, np.zeros_like(q)):
-        derived, s, reg, vs, _ = _prelude(coeffs, q_field, funcs)
+        _, s, reg, vs, _ = _prelude(coeffs, q_field, funcs)
         reports.append(check_realpart_commutation(
-            coeffs, derived, s, vs, regular_table(coeffs, reg, funcs)))
+            s, vs, regular_table(coeffs, reg, funcs)))
     report, report0 = reports
     assert not report.ok
     assert report.commutator_residual > 0.5
@@ -176,7 +197,7 @@ def regular_table(coeffs, reg, funcs):
 
 def run_diagnostics(case):
     _, s, reg, vs, ops = _prelude(case.coeffs, case.q_field, case.funcs)
-    return check_equivalences(vs, ops, reg, s, case.funcs,
+    return check_equivalences(vs, ops, reg, s,
                               regular_table(case.coeffs, reg, case.funcs),
                               xi=case.xi)
 
@@ -233,7 +254,7 @@ def model_cases(rng, cantor3):
 def diagnose(coeffs, q, funcs):
     """The split, the subspace and the diagnostics report of one model."""
     _, s, reg, vs, ops = _prelude(coeffs, q, funcs)
-    return reg, vs, check_equivalences(vs, ops, reg, s, funcs,
+    return reg, vs, check_equivalences(vs, ops, reg, s,
                                        regular_table(coeffs, reg, funcs))
 
 
@@ -296,7 +317,7 @@ def test_cantor_diagnostics(cantor3):
     funcs = TestFunction.stack(cantor3["coeffs"].grid,
                                cantor3["funcs"].values())
     _, s, reg, vs, ops = _prelude(cantor3["coeffs"], cantor3["q_field"], funcs)
-    report = check_equivalences(vs, ops, reg, s, funcs,
+    report = check_equivalences(vs, ops, reg, s,
                                 regular_table(cantor3["coeffs"], reg, funcs))
 
     # indicator coefficients have Z = 0: everything commutes

@@ -58,16 +58,14 @@ def test_node_interpolant_linear_exactness():
     g = unit_grid(2, (5, 7))
     xs = np.linspace(0, 1, 6)[:, None]
     ys = np.linspace(0, 1, 8)[None, :]
-    nodes = (0.25 + 2.0 * xs + 3.0 * ys) * xs * 0  # placeholder shape
     nodes = 2.0 * xs + 3.0 * ys - 2.3
-    # force zero boundary off: use interior support check bypass
-    u = TestFunction.from_node_values(g, nodes, require_support=False)
+    # the node kernel itself: from_node_values refuses a nonzero boundary
+    values, grads = cell_data_from_nodes(g, nodes)
     centers = g.cell_centers()
-    assert_allclose(u.cell_values,
-                    2.0 * centers[:, 0] + 3.0 * centers[:, 1] - 2.3,
+    assert_allclose(values, 2.0 * centers[:, 0] + 3.0 * centers[:, 1] - 2.3,
                     atol=1e-13)
-    assert_allclose(u.cell_gradient[:, 0], 2.0, atol=1e-12)
-    assert_allclose(u.cell_gradient[:, 1], 3.0, atol=1e-12)
+    assert_allclose(grads[:, 0], 2.0, atol=1e-12)
+    assert_allclose(grads[:, 1], 3.0, atol=1e-12)
 
 
 def test_node_family_matches_its_functions(rng):
@@ -76,12 +74,15 @@ def test_node_family_matches_its_functions(rng):
     of a loop over from_node_values."""
     for dim in (1, 2, 3):
         grid = random_grid(rng, dim)
-        stack = (rng.standard_normal((3,) + grid.node_shape)
-                 + 1j * rng.standard_normal((3,) + grid.node_shape))
+        # zero on the boundary, as from_node_values requires
+        stack = np.zeros((3,) + grid.node_shape, dtype=complex)
+        inner = (slice(None),) + (slice(1, -1),) * dim
+        shape = stack[inner].shape
+        stack[inner] = (rng.standard_normal(shape)
+                        + 1j * rng.standard_normal(shape))
         values, grads = cell_data_from_nodes(grid, stack)
         for k in range(3):
-            u = TestFunction.from_node_values(grid, stack[k],
-                                              require_support=False)
+            u = TestFunction.from_node_values(grid, stack[k])
             assert np.array_equal(values[k], u.cell_values)
             assert np.array_equal(grads[k], u.cell_gradient)
 

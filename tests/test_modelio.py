@@ -23,10 +23,9 @@ from regpart.modelio import (SCHEMA_VERSION, _canonical_pieces, complex_pair,
                              complex_to_json,
                              doc_to_grid, doc_to_model, dumps_canonical,
                              expand_function_spec, expand_q_spec,
-                             grid_to_doc, json_to_complex, load_doc,
-                             load_model, loads_doc, make_model_doc,
-                             model_to_doc, parse_model, q_indicator_spec,
-                             q_matrix_spec, write_doc)
+                             grid_to_doc, json_to_complex, load_model,
+                             make_model_doc, model_to_doc, parse_model,
+                             q_indicator_spec, q_matrix_spec, write_doc)
 from regpart.randomized import (random_coefficients, random_grid,
                                 random_projection_field)
 from regpart.regularize import indicator_projection
@@ -138,28 +137,13 @@ def test_dumps_canonical_rejects_other_objects():
         dumps_canonical({"x": object()})
 
 
-@pytest.mark.parametrize("start_enabled", [True, False])
-@pytest.mark.parametrize("text", ['{"a": [[1.0, 2.0]]}', "{not json"])
-def test_loads_doc_restores_gc_state(start_enabled, text):
-    was = gc.isenabled()
-    try:
-        (gc.enable if start_enabled else gc.disable)()
-        try:
-            loads_doc(text)
-        except ParseError:
-            pass
-        assert gc.isenabled() is start_enabled
-    finally:
-        (gc.enable if was else gc.disable)()
-
-
-def test_loads_doc_rejects_bad_text():
-    with pytest.raises(ParseError):
-        loads_doc("{not json")
-    with pytest.raises(ParseError):
-        loads_doc('{"x": NaN}')
-    with pytest.raises(ParseError):
-        load_doc("/nonexistent/path/model.json")
+def test_model_loader_rejects_bad_text():
+    with pytest.raises(ParseError, match="invalid JSON"):
+        parse_model("{not json")
+    with pytest.raises(ParseError, match="non-finite literal 'NaN'"):
+        parse_model('{"x": NaN}')
+    with pytest.raises(ParseError, match="cannot read"):
+        load_model("/nonexistent/path/model.json")
 
 
 # -- streaming, atomic writer -----------------------------------------------
@@ -599,8 +583,6 @@ def test_model_validation_gate(rng):
     bad["coefficients"]["C"][0] = [[[-1.0, 0.0]]]
     with pytest.raises(ValidationError):
         doc_to_model(bad)
-    model = doc_to_model(bad, validate=False)
-    assert model.coeffs.C_field[0, 0, 0] == -1.0
 
 
 def test_write_and_load_file(rng, tmp_path):
@@ -676,9 +658,9 @@ def _read(text, key, shape, via_payloads):
         if via_payloads:
             doc, payloads = modelio._loads_model(text.encode("utf-8"))
         else:
-            doc, payloads = loads_doc(text), []
+            doc, payloads = json.loads(text), []
         arr = modelio._complex_field(doc, key, shape, "x")
-    except ParseError:
+    except (ParseError, json.JSONDecodeError):
         return "refused"
     return arr, len(payloads)
 

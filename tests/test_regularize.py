@@ -282,9 +282,10 @@ def test_grid_mismatch_guard(rng):
 
 def test_indicator_projection():
     from regpart.grid import GridSpec
-    grid = GridSpec(dim=1, box=((0.0, 1.0),), cells_per_axis=(4,))
+    grid = GridSpec(dim=2, box=((0.0, 1.0), (0.0, 1.0)),
+                    cells_per_axis=(2, 2))
     mask = np.array([True, False, True, False])
-    q = indicator_projection(grid, mask, dim=2)
+    q = indicator_projection(grid, mask)
     assert q.shape == (4, 2, 2)
     assert_allclose(q[0], np.eye(2), atol=0)
     assert_allclose(q[1], 0, atol=0)
