@@ -22,17 +22,19 @@ form and whose singular part has strictly negative vertex on a plateau.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
 from .completion import (ProbeReport, _qz_iq_asqrt, compute_operators,
                          oracle_regular_part, singular_field, t_pi2_probe)
 from .errors import ResolutionTooCoarse, ValidationError
-from .grid import MAX_CELLS, GridSpec, cell_chunks
+from .grid import MAX_CELLS, GridSpec, chunked
 from .model import CoefficientSet, eval_form, vertex_search
 from .modelio import doc_to_model, make_model_doc, q_indicator_spec
 from .pointwise import SectorParams, frobenius, herm_part, imag_part, pinv_sqrt
-from .regularize import _commutators, _commuting_fields, interval_mask
+from .regularize import (_commutators, _commuting_fields, _package,
+                         interval_mask)
 
 __all__ = [
     "DiagnosticsReport",
@@ -100,21 +102,27 @@ class DiagnosticsReport:
     verdicts: dict
 
 
-def _relative_field_gap(reg, fields):
+def _relative_field_gap(reg, simple):
     """Largest per-cell difference between the assembly ``reg`` and the
-    simplified one, whose four fields on ``supp Q`` are ``fields``,
-    relative to the field scale.  Off ``supp Q`` both keep the input, so
-    the difference is read on ``supp Q`` only; the scale is
-    ``max(1, max|reg|, max|fields|)``, as over the whole grid, with
-    ``max|reg|`` taken chunk by chunk."""
+    simplified one ``simple``, relative to the field scale.  Off
+    ``supp Q`` both keep the input, so the difference is read on their
+    ``supp Q`` stacks only; the scale is ``max(1, max|reg|, max|simple|)``,
+    as over the whole grid, with ``max|reg|`` taken cell by cell."""
     gaps = []
-    for fa, fb in zip(reg.regular, fields):
-        diff = float(np.max(np.abs(fa.values - fb), initial=0.0))
-        scale = max(1.0, *(float(np.max(np.abs(fa[cells])))
-                           for cells in cell_chunks(len(fa))),
-                    float(np.max(np.abs(fb), initial=0.0)))
+    for fa, fb in zip(reg.regular, simple.regular):
+        diff = float(np.max(np.abs(fa.values - fb.values), initial=0.0))
+        top, = chunked(lambda rows: (_row_max_abs(fa[rows]),), len(fa))
+        scale = max(1.0, float(np.max(top)),
+                    float(np.max(np.abs(fb.values), initial=0.0)))
         gaps.append(diff / scale)
     return max(gaps)
+
+
+def _row_max_abs(stack):
+    """Largest modulus of each row of a stack, taken entry by entry across
+    the rows: numpy's own reduction over a short row costs several times
+    as much."""
+    return reduce(np.maximum, np.abs(stack).reshape(len(stack), -1).T)
 
 
 def _kernel_image_residual(vs, ops):
@@ -150,19 +158,17 @@ def regular_sector_tangent(reg, derived, s):
 
     Off ``supp Q`` the regular field is the input ``C``, whose ``g Im(C) g``
     is the ``Z`` of ``derived``; the roots are taken on the regular stack of
-    ``s.support`` only, and ``Z`` is read chunk by chunk on the other cells.
+    ``s.support`` only, and the spectral norms of ``Z``, taken chunk by
+    chunk, count on the other cells.
     """
     c = reg.C_reg.values
     g = pinv_sqrt(herm_part(c))
     zr = herm_part(np.einsum("nij,njk,nkl->nil", g, imag_part(c), g))
     top = float(np.max(np.abs(np.linalg.eigvalsh(zr)), initial=0.0))
-    off = np.ones(derived.n_cells, dtype=bool)
-    off[s.support] = False
-    for cells in cell_chunks(derived.n_cells):
-        z_off = derived.Z_field[cells][off[cells]]
-        top = max(top, float(np.max(np.abs(np.linalg.eigvalsh(z_off)),
-                                    initial=0.0)))
-    return top
+    tangent, = chunked(lambda rows: (_row_max_abs(
+        np.linalg.eigvalsh(derived.Z_field[rows])),), derived.n_cells)
+    tangent[s.support] = 0.0
+    return max(top, float(np.max(tangent)))
 
 
 def oracle_pairs(reg_set, vs, ops):
@@ -224,8 +230,8 @@ def check_equivalences(vs, ops, reg, s, formula, xi=None,
     """
     coeffs, derived, funcs = vs.coeffs, vs.derived, vs.funcs
 
-    field_gap = _relative_field_gap(reg, _commuting_fields(coeffs, derived,
-                                                           s))
+    field_gap = _relative_field_gap(reg, _package(coeffs, derived, s,
+                                                  _commuting_fields))
     kernel_res = _kernel_image_residual(vs, ops)
 
     if xi is None:

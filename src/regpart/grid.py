@@ -26,7 +26,7 @@ import numpy as np
 from .errors import GridMismatch, ValidationError
 
 __all__ = ["GridSpec", "TestFunction", "DeltaField", "MAX_CELLS",
-           "CELL_CHUNK", "cell_chunks", "cell_data_from_nodes"]
+           "CELL_CHUNK", "cell_chunks", "chunked", "cell_data_from_nodes"]
 
 #: Refuse to allocate grids with more cells than this.
 MAX_CELLS = 10**7
@@ -41,18 +41,44 @@ def cell_chunks(n):
     """Consecutive slices that cover ``range(n)``: one when
     ``n <= 2 * CELL_CHUNK - 1``, none when ``n == 0``, and otherwise
     ``CELL_CHUNK`` cells each, the last one taking the remainder too.
-
-    No chunk of a grid larger than ``CELL_CHUNK`` is smaller than it.  A
-    per-cell kernel run chunk by chunk then gives the bits of one pass over
-    the whole stack: numpy lays out some temporaries (those it reuses in
-    place, from 256 KiB up) by their size, and an ``einsum`` over a
-    matrix stack sums in an order set by that layout; a stack of
-    ``CELL_CHUNK`` matrices of dimension 2 or more is already past that
-    size, like the whole one."""
+    :func:`chunked` runs a per-cell kernel over them."""
     bounds = list(range(0, n, CELL_CHUNK)) + [n]
     if len(bounds) > 2 and n - bounds[-2] < CELL_CHUNK:
         del bounds[-2]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def chunked(kernel, n):
+    """Run a per-cell ``kernel`` over the chunks of ``range(n)`` and gather
+    its outputs.
+
+    ``kernel(rows)`` takes one slice of :func:`cell_chunks` (one empty
+    slice when ``n == 0``, so that the outputs still get their shapes) and
+    returns a sequence of arrays with one row per cell of ``rows``.  Each
+    output is allocated once, with the first chunk's dtype and trailing
+    shape, and filled chunk by chunk in place; the outputs come back as a
+    tuple, in the kernel's order.  A pass holds its temporaries for one
+    chunk at a time, whatever ``n``; a check has its kernel return a few
+    floats per cell and picks the worst cell from them afterwards, by its
+    index in ``range(n)``.
+
+    The layout rule: no chunk of more than ``CELL_CHUNK`` cells is smaller
+    than ``CELL_CHUNK``, so a kernel gives the bits of one pass over the
+    whole stack.  numpy lays out some temporaries (those it reuses in
+    place, from 256 KiB up) by their size, and an ``einsum`` over a matrix
+    stack sums in an order set by that layout; a stack of ``CELL_CHUNK``
+    matrices of dimension 2 or more is already past that size, like the
+    whole one.
+    """
+    outs = None
+    for rows in cell_chunks(n) or [slice(0, 0)]:
+        parts = kernel(rows)
+        if outs is None:
+            outs = tuple(np.empty((n,) + part.shape[1:], dtype=part.dtype)
+                         for part in parts)
+        for out, part in zip(outs, parts):
+            out[rows] = part
+    return outs
 
 
 class DeltaField:

@@ -25,12 +25,11 @@ chunk on the way and not kept: no stage reads them.
 families (:class:`~regpart.grid.TestFunction` either way);
 ``vertex_search`` reads the Gram pair ``(B, M)`` of ``form_gram``.
 
-``CoefficientSet.validate``, ``derive_fields`` and the sums over cells of
-``eval_form`` and ``form_gram`` run over chunks of cells
-(:func:`~regpart.grid.cell_chunks`), so their temporaries are set by the
-chunk size, not the grid size.  A check keeps one or a few floats per
-cell, picks the worst cell over the whole grid and names it by its global
-index.
+``CoefficientSet.validate`` and ``derive_fields`` run chunk by chunk
+through :func:`~regpart.grid.chunked` (which states how the chunks keep
+the bits of one pass), and ``eval_form`` and ``form_gram`` add up partial
+sums over the same chunks, so their temporaries are set by the chunk
+size, not the grid size.
 """
 
 from dataclasses import dataclass
@@ -39,7 +38,7 @@ import numpy as np
 
 from .errors import (DegenerateBasis, DominationViolation, GridMismatch,
                      NotPSD, SectorViolation, ValidationError)
-from .grid import DeltaField, GridSpec, cell_chunks
+from .grid import DeltaField, GridSpec, cell_chunks, chunked
 from .pointwise import (PSD_TOL, SectorParams, adjoint, frobenius,
                         herm_part, imag_part, pencil_tangent, psd_roots,
                         sector_pencils)
@@ -61,11 +60,6 @@ VERTEX_COND_CAP = 1e12
 #: Relative tolerance on the reconstruction residuals checked by
 #: :func:`derive_fields`.
 DERIVE_RTOL = 1e-9
-
-
-def _worst_cell(values):
-    """Index of the largest entry of a per-cell scalar array."""
-    return int(np.argmax(values))
 
 
 def _norm_scale(m):
@@ -151,39 +145,32 @@ class CoefficientSet:
         if not (np.isfinite(self.K_bound) and self.K_bound > 0):
             raise ValidationError("K_bound must be a positive real")
 
-        # one pass keeps a few floats per cell and its temporaries per
-        # chunk; the checks then run in order, each naming the worst cell
-        # of the whole grid (the first, for an overflow)
-        n = self.n_cells
-        # a product, unlike ``**``, overflows to inf instead of raising
+        # one pass keeps a few floats per cell; the checks then run in
+        # order, each naming the worst cell of the whole grid (the first,
+        # for an overflow).  A product, unlike ``**``, overflows to inf
+        # instead of raising.
         ksq = self.K_bound * self.K_bound
-        margin = np.empty((3, n))
-        dominated = {"b_field": (np.empty(n), np.empty(n)),
-                     "d_field": (np.empty(n), np.empty(n))}
-        overflow = {}
-        for cells in cell_chunks(n):
-            c, b, d = (f[cells] for f in (self.C_field, self.b_field,
-                                          self.d_field))
+
+        def margins(rows):
+            c, b, d = (f[rows] for f in (self.C_field, self.b_field,
+                                         self.d_field))
             pencils, mins = sector_pencils(c, self.theta)
-            margin[:, cells] = mins + PSD_TOL * _norm_scale(c)
-            if not np.isfinite(ksq):
-                continue
-            # overflowing data leaves non-finite pencils for the check below
+            out = [(mins + PSD_TOL * _norm_scale(c)).T]
+            # overflowing data leaves non-finite pencils, which are flagged
+            # and zeroed for the eigensolver
             with np.errstate(over="ignore", invalid="ignore"):
                 ka = ksq * pencils[0]
-                chunk = {
-                    "b_field": ka - np.einsum("nk,nl->nkl", np.conj(b), b),
-                    "d_field": ka - np.einsum("nk,nl->nkl", d, np.conj(d))}
-            for name, pencil in chunk.items():
+                dominated = (ka - np.einsum("nk,nl->nkl", np.conj(b), b),
+                             ka - np.einsum("nk,nl->nkl", d, np.conj(d)))
+            for pencil in dominated:
                 finite = np.isfinite(pencil).all(axis=(-2, -1))
-                if not np.all(finite):
-                    overflow.setdefault(name,
-                                        cells.start + int(np.argmin(finite)))
-                    continue
-                pmin, pscale = dominated[name]
-                pmin[cells] = np.linalg.eigvalsh(pencil)[..., 0]
-                pscale[cells] = _norm_scale(pencil)
+                pencil[~finite] = 0.0
+                out += [finite, np.linalg.eigvalsh(pencil)[..., 0],
+                        _norm_scale(pencil)]
+            return out
 
+        margin, *dominated = chunked(margins, self.n_cells)
+        margin = margin.T
         if np.any(margin < 0.0):
             which, cell = np.unravel_index(int(np.argmin(margin)),
                                            margin.shape)
@@ -197,15 +184,16 @@ class CoefficientSet:
         if not np.isfinite(ksq):
             raise ValidationError("K_bound = %.3e: K_bound**2 overflows"
                                   % self.K_bound)
-        for name, (pmin, pscale) in dominated.items():
-            if name in overflow:
-                cell = overflow[name]
+        for k, name in enumerate(("b_field", "d_field")):
+            finite, pmin, pscale = dominated[3 * k:3 * k + 3]
+            if not np.all(finite):
+                cell = int(np.argmin(finite))
                 raise DominationViolation(
                     "cell %d: K_bound**2 * A - outer(%s) overflows"
                     % (cell, name), cell=cell)
             bad = pmin < -PSD_TOL * pscale
             if np.any(bad):
-                cell = _worst_cell(-(pmin / pscale))
+                cell = int(np.argmax(-(pmin / pscale)))
                 raise DominationViolation(
                     "cell %d: %s is not dominated by K_bound * A^{1/2} "
                     "(pencil eigenvalue %.3e)"
@@ -260,39 +248,35 @@ def derive_fields(coeffs):
     ``A`` and ``g`` live for one chunk of cells; the result keeps
     ``Asqrt``, ``Z``, ``X`` and ``Y`` only.
     """
-    n, d = coeffs.n_cells, coeffs.dim
-    asqrt, z = (np.empty((n, d, d), dtype=complex) for _ in range(2))
-    x, y = np.empty((n, d), dtype=complex), np.empty((n, d), dtype=complex)
-    # per cell and check: reconstruction residual and data scale
-    res, scale = np.empty((3, n)), np.empty((3, n))
-    eye = np.eye(d)
-    for cells in cell_chunks(n):
-        # the chunk's own stacks feed each einsum (see cell_chunks)
-        c, b, dd = (f[cells] for f in (coeffs.C_field, coeffs.b_field,
-                                       coeffs.d_field))
+    eye = np.eye(coeffs.dim)
+
+    def factor(rows):
+        c, b, dd = (f[rows] for f in (coeffs.C_field, coeffs.b_field,
+                                      coeffs.d_field))
         try:
             sq, gc = psd_roots(herm_part(c))
         except NotPSD as exc:
-            cell = cells.start + exc.cell
+            cell = rows.start + exc.cell
             raise NotPSD("cell %d: %s" % (cell, exc), cell=cell) from None
-        asqrt[cells] = sq
-        z[cells] = zc = herm_part(np.einsum("nij,njk,nkl->nil", gc,
-                                            imag_part(c), gc))
+        z = herm_part(np.einsum("nij,njk,nkl->nil", gc, imag_part(c), gc))
         bbar = np.conj(b)
-        x[cells] = xc = np.einsum("nij,nj->ni", gc, bbar)
-        y[cells] = yc = np.einsum("nij,nj->ni", gc, dd)
-
-        recon = np.einsum("nij,njk,nkl->nil", sq, eye + 1j * zc, sq)
-        res[0, cells] = frobenius(recon - c)
-        scale[0, cells] = np.maximum(1.0, frobenius(c))
-        for k, vec, target in ((1, xc, bbar), (2, yc, dd)):
+        x = np.einsum("nij,nj->ni", gc, bbar)
+        y = np.einsum("nij,nj->ni", gc, dd)
+        # per cell and check: reconstruction residual and data scale
+        recon = np.einsum("nij,njk,nkl->nil", sq, eye + 1j * z, sq)
+        res, scale = [frobenius(recon - c)], [np.maximum(1.0, frobenius(c))]
+        for vec, target in ((x, bbar), (y, dd)):
             back = np.einsum("nij,nj->ni", sq, vec)
-            res[k, cells] = np.linalg.norm(back - target, axis=-1)
-            scale[k, cells] = np.maximum(1.0, np.linalg.norm(target, axis=-1))
+            res.append(np.linalg.norm(back - target, axis=-1))
+            scale.append(np.maximum(1.0, np.linalg.norm(target, axis=-1)))
+        return (sq, z, x, y, np.stack(res, axis=-1),
+                np.stack(scale, axis=-1))
 
+    asqrt, z, x, y, res, scale = chunked(factor, coeffs.n_cells)
+    res, scale = res.T, scale.T
     bad = res > DERIVE_RTOL * scale
     if np.any(bad[0]):
-        cell = _worst_cell(res[0] / scale[0])
+        cell = int(np.argmax(res[0] / scale[0]))
         one = slice(cell, cell + 1)
         diff = (np.einsum("nij,njk,nkl->nil", asqrt[one], eye + 1j * z[one],
                           asqrt[one])[0] - coeffs.C_field[cell])
@@ -303,7 +287,7 @@ def derive_fields(coeffs):
             cell=cell, witness=vecs[:, -1].copy())
     for k, name in ((1, "b_field"), (2, "d_field")):
         if np.any(bad[k]):
-            cell = _worst_cell(res[k] / scale[k])
+            cell = int(np.argmax(res[k] / scale[k]))
             raise DominationViolation(
                 "cell %d: %s is not carried by range(A^{1/2}) "
                 "(residual %.3e)" % (cell, name, float(res[k, cell])),

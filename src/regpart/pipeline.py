@@ -260,8 +260,12 @@ def run_verification(seed=0, trials=1000, dims=(1, 2, 3)):
     identity draws come one block at a time
     (:func:`~regpart.randomized.random_qz_blocks`), and each block's
     residuals are folded into running maxima before the next is drawn, so
-    the memory the suite takes does not grow with ``trials``.
+    the memory the suite takes does not grow with ``trials``.  A negative
+    ``seed`` or ``trials`` raises :class:`ValidationError`.
     """
+    for name, value in (("seed", seed), ("trials", trials)):
+        if value < 0:
+            raise ValidationError("%s must be >= 0, got %d" % (name, value))
     summary = {"code": 0, "identity_worst": {}, "oracle_worst": 0.0,
                "pi1_worst": 0.0, "t_worst": 0.0, "models": 0}
     if trials <= 0:

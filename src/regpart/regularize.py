@@ -26,16 +26,12 @@ and the identity suite run on the ``supp Q`` cells only: the singular
 structure keeps ``Q`` and ``W`` as stacks over those cells, with their
 indices, the split keeps its fields as stacks over them too (a ``supp Q``
 delta of the input, :class:`RegularizedCoefficients`), and the identity
-suite keeps its norms for them alone.  The structure and the assembly run
-block by block over those cells (:func:`~regpart.grid.cell_chunks`), so
-their temporaries are set by the block.
-
-The identity suite forms one identity at a time and reduces it to its
-per-matrix Frobenius norm before forming the next, and it runs block by
-block (:func:`~regpart.grid.cell_chunks`).  Its kernel uses only
-``matmul``, ``solve`` and per-matrix norms, so each norm has the bits of
-one pass over the whole stack, and its temporaries are set by the block,
-not by the stack.
+suite keeps its norms for them alone.  The structure, both assemblies and
+the identity suite run block by block over those cells through
+:func:`~regpart.grid.chunked`, which keeps the bits of one pass, so their
+temporaries are set by the block, not by the support.  The identity suite
+forms one identity at a time and reduces it to its per-matrix Frobenius
+norm before forming the next.
 
 A note on ``Q``: it is caller-supplied data, not derived from the
 coefficients.  Helpers below build the two common shapes — an indicator set
@@ -48,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, NotCommuting, ProjectionInvalid, SolveFailure
-from .grid import DeltaField, cell_chunks
+from .grid import DeltaField, chunked
 from .model import CoefficientSet
 from .pointwise import adjoint, frobenius, herm_part, projection_residuals
 
@@ -74,6 +70,11 @@ STRUCTURE_TOL = 1e-10
 #: :func:`assemble_regular_commuting` refuses a cell.
 COMMUTING_TOL = 1e-9
 
+#: The identities of :func:`identity_suite`, in the order they are formed.
+IDENTITIES = ("resolvent_commutation", "double_contraction",
+              "mixed_first_order", "second_order_reduction",
+              "adjoint_first_order", "zeroth_order_reduction")
+
 
 def _eye_like(field):
     n, d = field.shape[0], field.shape[-1]
@@ -83,13 +84,6 @@ def _eye_like(field):
 def _support(q):
     """Indices of the cells where some entry of ``Q`` is nonzero."""
     return np.flatnonzero(np.any(q != 0, axis=(-2, -1)))
-
-
-def _scatter(values, cells, n):
-    """Full-grid array equal to ``values`` on ``cells`` and 0 elsewhere."""
-    out = np.zeros((n,) + values.shape[1:], dtype=values.dtype)
-    out[cells] = values
-    return out
 
 
 @dataclass
@@ -117,12 +111,9 @@ def _resolvent(q, z):
 def _kernel_relations(q, w, z):
     """Per-matrix Frobenius residuals of the two relations that define
     ``W`` given ``Q``, ``Z``: ``WZQ = i(W - Q)`` and ``2 W*W = W* + W``,
-    as ``(name, norms)`` pairs, the second formed after the first is
-    reduced."""
-    yield ("resolvent_commutation",
-           frobenius(np.matmul(np.matmul(w, z), q) - 1j * (w - q)))
-    yield ("double_contraction",
-           frobenius(2.0 * np.matmul(adjoint(w), w) - (adjoint(w) + w)))
+    the second formed after the first is reduced."""
+    yield frobenius(np.matmul(np.matmul(w, z), q) - 1j * (w - q))
+    yield frobenius(2.0 * np.matmul(adjoint(w), w) - (adjoint(w) + w))
 
 
 def build_singular_structure(q_field, derived):
@@ -134,8 +125,8 @@ def build_singular_structure(q_field, derived):
     :class:`SolveFailure` rather than a validation error.  Cells with
     ``Q = 0`` are projections with ``W = 0``; only the others are checked,
     solved and kept.  The check and the solve run block by block over
-    them (:func:`~regpart.grid.cell_chunks`), so only ``Q`` and ``W`` grow
-    with ``supp Q``.
+    them (:func:`~regpart.grid.chunked`), so only ``Q``, ``W`` and a few
+    floats per cell grow with ``supp Q``.
 
     Raises
     ------
@@ -150,48 +141,44 @@ def build_singular_structure(q_field, derived):
 
     cells = _support(q)
     qs = q[cells]
-    blocks = cell_chunks(len(cells))
-    _check_projections(qs, cells, blocks)
+    _check_projections(qs, cells)
 
-    ws = np.empty_like(qs)
-    worst = scale = 0.0
-    for block in blocks:
-        qb, z = qs[block], derived.Z_field[cells[block]]
+    def solve(rows):
+        qb, z = qs[rows], derived.Z_field[cells[rows]]
         lhs, wtilde = _resolvent(qb, z)
-        ws[block] = wb = np.matmul(qb, wtilde)
-        worst = max(worst, *(float(np.max(norms)) for norms in (
-            frobenius(np.matmul(lhs, wtilde) - qb),
-            *(norms for _, norms in _kernel_relations(qb, wb, z)))))
-        scale = max(scale, float(np.max(frobenius(lhs))))
-    if worst > max(STRUCTURE_TOL, 1e-12 * scale) * 10:
+        wb = np.matmul(qb, wtilde)
+        res = frobenius(np.matmul(lhs, wtilde) - qb)
+        for norms in _kernel_relations(qb, wb, z):
+            res = np.maximum(res, norms)
+        return wb, res, frobenius(lhs)
+
+    ws, res, scale = chunked(solve, len(cells))
+    worst = float(np.max(res, initial=0.0))
+    if worst > max(STRUCTURE_TOL,
+                   1e-12 * float(np.max(scale, initial=0.0))) * 10:
         raise SolveFailure(
             "resolvent kernel residuals out of budget (%.3e)" % worst)
 
     return SingularStructure(grid=derived.grid, support=cells, Q=qs, W=ws)
 
 
-def _check_projections(qs, cells, blocks):
+def _check_projections(qs, cells):
     """Raise :class:`ProjectionInvalid` if some matrix of the stack ``qs``
     over ``cells`` is not an orthogonal projection.  The stack is checked
     block by block, and the error names the cell with the largest residual
     of the whole stack: the first such, a NaN counting as largest."""
-    worst = None
-    for block in blocks:
-        # an infinite entry gives NaN residuals, which count as bad
-        with np.errstate(invalid="ignore"):
-            res = np.stack(projection_residuals(qs[block]))
-        if np.all(res <= STRUCTURE_TOL):
-            continue
-        top = np.maximum(*res)
+    # an infinite entry gives NaN residuals, which count as bad
+    with np.errstate(invalid="ignore"):
+        res_h, res_i = chunked(lambda rows: projection_residuals(qs[rows]),
+                               len(qs))
+    top = np.maximum(res_h, res_i)
+    if not np.all(top <= STRUCTURE_TOL):
         k = int(np.argmax(top))
-        if worst is None or not (np.isnan(worst[0]) or top[k] <= worst[0]):
-            worst = (top[k], int(cells[block.start + k]), res[:, k])
-    if worst is not None:
-        _, cell, (res_h, res_i) = worst
+        cell = int(cells[k])
         raise ProjectionInvalid(
             "cell %d: Q is not an orthogonal projection "
             "(hermitian residual %.3e, idempotence residual %.3e)"
-            % (cell, float(res_h), float(res_i)), cell=cell)
+            % (cell, float(res_h[k]), float(res_i[k])), cell=cell)
 
 
 @dataclass
@@ -204,12 +191,6 @@ class IdentityReport:
     residuals: dict
     per_cell: dict
     cells: np.ndarray = None
-
-    @classmethod
-    def from_per_cell(cls, per_cell, cells=None):
-        return cls(residuals={name: float(np.max(val, initial=0.0))
-                              for name, val in per_cell.items()},
-                   per_cell=per_cell, cells=cells)
 
     @property
     def max_residual(self):
@@ -241,24 +222,23 @@ def identity_residuals(q_field, z_field):
 
 
 def _identity_report(q, z, w=None, cells=None):
-    """The six identities' per-matrix norms over stacks ``q``, ``z`` and
-    the kernel ``w``, block by block; a ``w`` of ``None`` is solved from
-    each block's ``(q, z)``.  The norms belong to ``cells`` (see
-    :class:`IdentityReport`)."""
-    per_cell = {}
-    # an empty stack runs as one empty block, which names the identities
-    for block in cell_chunks(len(q)) or [slice(0, 0)]:
-        qb, zb = q[block], z[block]
-        wb = np.matmul(qb, _resolvent(qb, zb)[1]) if w is None else w[block]
-        for name, norms in _identity_norms(qb, wb, zb):
-            if name not in per_cell:
-                per_cell[name] = np.empty(len(q))
-            per_cell[name][block] = norms
-    return IdentityReport.from_per_cell(per_cell, cells=cells)
+    """The per-matrix norms of the :data:`IDENTITIES` over stacks ``q``,
+    ``z`` and the kernel ``w``, block by block; a ``w`` of ``None`` is
+    solved from each block's ``(q, z)``.  The norms belong to ``cells``
+    (see :class:`IdentityReport`)."""
+    def norms(rows):
+        qb, zb = q[rows], z[rows]
+        wb = np.matmul(qb, _resolvent(qb, zb)[1]) if w is None else w[rows]
+        return tuple(_identity_norms(qb, wb, zb))
+
+    per_cell = dict(zip(IDENTITIES, chunked(norms, len(q))))
+    return IdentityReport(residuals={name: float(np.max(val, initial=0.0))
+                                     for name, val in per_cell.items()},
+                          per_cell=per_cell, cells=cells)
 
 
 def _identity_norms(q, w, z):
-    """The six identities of one block as ``(name, norms)`` pairs; each is
+    """The norms of the :data:`IDENTITIES` on one block; each identity is
     formed and reduced to its per-matrix Frobenius norm before the next
     is formed."""
     yield from _kernel_relations(q, w, z)
@@ -266,19 +246,17 @@ def _identity_norms(q, w, z):
     p = eye - q
     iz = eye + 1j * z
     miwz = eye - 1j * np.matmul(w, z)
-    yield ("mixed_first_order",
-           frobenius(np.matmul(np.matmul(q, np.matmul(iz, miwz)), p)))
-    yield ("second_order_reduction", frobenius(
+    yield frobenius(np.matmul(np.matmul(q, np.matmul(iz, miwz)), p))
+    yield frobenius(
         np.matmul(np.matmul(
             p, np.matmul(eye + 1j * np.matmul(z, adjoint(w)),
                          np.matmul(iz, miwz))), p)
-        - np.matmul(np.matmul(p, iz + np.matmul(np.matmul(z, w), z)), p)))
-    yield ("adjoint_first_order", frobenius(
+        - np.matmul(np.matmul(p, iz + np.matmul(np.matmul(z, w), z)), p))
+    yield frobenius(
         np.matmul(np.matmul(-adjoint(w), np.matmul(eye - 1j * z, miwz))
                   + miwz, p)
-        - np.matmul(eye + 1j * np.matmul(adjoint(w), z), p)))
-    yield ("zeroth_order_reduction",
-           frobenius(np.matmul(q, np.matmul(iz, w)) - q))
+        - np.matmul(eye + 1j * np.matmul(adjoint(w), z), p))
+    yield frobenius(np.matmul(q, np.matmul(iz, w)) - q)
 
 
 def _field(side, k):
@@ -342,15 +320,11 @@ def _package(coeffs, derived, s, fields):
     ``supp Q``, take the values ``fields(coeffs, derived, s, block)``
     assembles on them; off ``supp Q`` it keeps nothing (see
     :class:`RegularizedCoefficients`)."""
-    cells = s.support
     inputs = (coeffs.C_field, coeffs.b_field, coeffs.d_field,
               coeffs.c0_field)
-    regular = [np.empty((len(cells),) + full.shape[1:], dtype=complex)
-               for full in inputs]
-    for block in cell_chunks(len(cells)):
-        for out, local in zip(regular, fields(coeffs, derived, s, block)):
-            out[block] = local
-    return _split(coeffs.grid, cells, inputs, regular)
+    regular = chunked(lambda rows: fields(coeffs, derived, s, rows),
+                      len(s.support))
+    return _split(coeffs.grid, s.support, inputs, regular)
 
 
 def _first_order_fields(m_b, m_d, x, y):
@@ -378,7 +352,7 @@ def assemble_regular(coeffs, derived, s):
     """Assemble the regular-part coefficient fields from the full kernel.
 
     See the module docstring for the per-cell formulas, which run on
-    ``supp Q`` block by block (:func:`~regpart.grid.cell_chunks`); the
+    ``supp Q`` block by block (:func:`~regpart.grid.chunked`); the
     other cells keep the input.  The output's ``*_s`` fields are the exact
     complements.
     """
@@ -423,7 +397,9 @@ def _commutators(s, derived):
 
 def commutator_norms(s, derived):
     """Per-cell Frobenius norms of ``Q Z - Z Q`` (0 off ``supp Q``)."""
-    return _scatter(_commutators(s, derived), s.support, derived.n_cells)
+    out = np.zeros(derived.n_cells)
+    out[s.support] = _commutators(s, derived)
+    return out
 
 
 def assemble_regular_commuting(coeffs, derived, s):
@@ -436,26 +412,25 @@ def assemble_regular_commuting(coeffs, derived, s):
     agrees with :func:`assemble_regular` cell by cell.
 
     Raises :class:`NotCommuting` when ``max_c ||QZ - ZQ||_F`` exceeds
-    ``COMMUTING_TOL`` relative to the cell scale.  Like
-    :func:`assemble_regular`, it works on ``supp Q`` and keeps the input
-    elsewhere.
+    ``COMMUTING_TOL`` relative to the cell scale, naming the cell of the
+    largest ratio.  Like :func:`assemble_regular`, it works on ``supp Q``
+    (the commutator vanishes off it) and keeps the input elsewhere.
     """
     _check_grids(coeffs, derived, s)
-    comm = commutator_norms(s, derived)
-    scale = np.maximum(1.0, frobenius(derived.Z_field))
+    comm = _commutators(s, derived)
+    scale = np.maximum(1.0, frobenius(derived.Z_field[s.support]))
     if np.any(comm > COMMUTING_TOL * scale):
-        cell = int(np.argmax(comm / scale))
+        k = int(np.argmax(comm / scale))
         raise NotCommuting(
             "cell %d: ||QZ - ZQ||_F = %.3e exceeds the commuting tolerance"
-            % (cell, float(comm[cell])))
+            % (s.support[k], float(comm[k])))
     return _package(coeffs, derived, s, _commuting_fields)
 
 
-def _commuting_fields(coeffs, derived, s, block=slice(None)):
+def _commuting_fields(coeffs, derived, s, block):
     """The four fields of the simplified assembly on the cells
-    ``s.support[block]`` (all of ``supp Q`` by default),
-    ``(C_reg, b_reg, d_reg, c0_reg)`` in their order; no commutation
-    check."""
+    ``s.support[block]``, ``(C_reg, b_reg, d_reg, c0_reg)`` in their
+    order; no commutation check."""
     z, asqrt, x, y, c0, q = _support_data(coeffs, derived, s, block)
     eye = _eye_like(z)
     p = eye - q

@@ -15,7 +15,8 @@ import pytest
 from dense_reference import one_shot_qz_draws
 from regpart.cli import main
 from regpart.diagnostics import MAX_CANTOR_STAGE, PROBE_LAMBDAS
-from regpart.errors import DominationViolation, NotPSD, SectorViolation
+from regpart.errors import (DominationViolation, NotPSD, SectorViolation,
+                            ValidationError)
 from regpart.grid import CELL_CHUNK, GridSpec, TestFunction
 from regpart.model import CoefficientSet, derive_fields
 from regpart.modelio import (LoadedModel, complex_to_json, dumps_canonical,
@@ -786,6 +787,19 @@ def test_verify_summary_is_the_one_shot_run(monkeypatch, capsys):
     assert pipeline.run_verification(**kwargs) == got
     assert capsys.readouterr().out == got_out
     assert got["code"] == 0 and len(got["identity_worst"]) == 6
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"trials": -5}, "trials must be >= 0, got -5"),
+    ({"seed": -1}, "seed must be >= 0, got -1")])
+def test_verification_refuses_negative_arguments(kwargs, message, capsys):
+    """Called as a library, ``run_verification`` refuses a negative trial
+    count or seed with a :class:`ValidationError` naming the value, and
+    prints nothing."""
+    import regpart.pipeline as pipeline
+    with pytest.raises(ValidationError, match="^%s$" % message):
+        pipeline.run_verification(**kwargs)
+    assert capsys.readouterr() == ("", "")
 
 
 def _identity_phase_peak(monkeypatch, trials, d=3):

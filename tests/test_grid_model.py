@@ -11,8 +11,8 @@ from numpy.testing import assert_allclose
 from regpart.diagnostics import PROBE_LAMBDAS
 from regpart.errors import (DegenerateBasis, DominationViolation,
                             GridMismatch, SectorViolation, ValidationError)
-from regpart.grid import (DeltaField, GridSpec, TestFunction,
-                          cell_data_from_nodes)
+from regpart.grid import (CELL_CHUNK, DeltaField, GridSpec, TestFunction,
+                          cell_chunks, cell_data_from_nodes, chunked)
 from regpart.model import (CoefficientSet, derive_fields,
                            estimate_vertex_angle, eval_form, form_gram,
                            vertex_search)
@@ -443,7 +443,6 @@ def test_chunked_derive_fields_is_one_pass(cells):
     """On grids of two or three chunks, in dimensions 1 to 3, the chunked
     ``derive_fields`` gives every field bit for bit as one pass over the
     whole stack does."""
-    from regpart.grid import cell_chunks
     coeffs = random_coefficients(np.random.default_rng(len(cells)),
                                  unit_grid(len(cells), cells))
     assert len(cell_chunks(coeffs.n_cells)) >= 2
@@ -452,6 +451,41 @@ def test_chunked_derive_fields_is_one_pass(cells):
                           derived.X_field, derived.Y_field),
                          one_pass_fields(coeffs)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [0, 1, CELL_CHUNK, 2 * CELL_CHUNK - 1,
+                               2 * CELL_CHUNK, 5 * CELL_CHUNK + 7])
+def test_chunked_kernel_is_one_pass(n):
+    """``chunked`` runs a per-cell kernel once per chunk of
+    ``cell_chunks(n)`` and fills each output with the bits of one pass over
+    the whole stack, in the dtype and trailing shape of the kernel's
+    outputs; at ``n = 0`` the kernel runs once, on an empty slice, and the
+    outputs are empty."""
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
+    v = rng.standard_normal((n, 3))
+    seen = []
+
+    def kernel(rows):
+        seen.append(rows)
+        a = m[rows]
+        return (np.einsum("nij,njk,nkl->nil", a, adjoint(a), a),
+                np.einsum("nij,nj->ni", a.real, v[rows]),
+                np.linalg.eigvalsh(herm_part(a))[..., 0],
+                np.abs(a[:, 0, 0]) > 1.0)
+
+    got = chunked(kernel, n)
+    assert seen == (cell_chunks(n) or [slice(0, 0)])
+    want = kernel(slice(None))
+    assert isinstance(got, tuple) and len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+    if n == 0:
+        assert len(seen) == 2  # the empty chunk, then the one pass
+        assert [(g.shape, g.dtype) for g in got] == [
+            ((0, 3, 3), complex), ((0, 3), float), ((0,), float),
+            ((0,), bool)]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -188,3 +188,40 @@ def test_every_keyword_option_has_a_setter():
 
     unset = sorted(opt[0] for opt in options if opt[0] not in done)
     assert unset == [], "keyword options no call sets:\n" + "\n".join(unset)
+
+
+
+def _owners_of(tree, name):
+    """Where ``tree`` references ``name``: the outermost function that holds
+    each reference (``Class.method`` for a method), or ``None`` outside
+    every function."""
+    out = []
+
+    def visit(node, owner, cls):
+        for child in ast.iter_child_nodes(node):
+            if owner is None and isinstance(child, ast.ClassDef):
+                visit(child, None, child.name)
+            elif owner is None and isinstance(child, ast.FunctionDef):
+                visit(child, ".".join(filter(None, (cls, child.name))), None)
+            else:
+                if _name(child) == name:
+                    out.append(owner)
+                visit(child, owner, cls)
+
+    visit(tree, None, None)
+    return out
+
+
+def test_only_the_partial_sums_loop_over_cell_chunks():
+    """Outside ``grid.py`` a per-cell pass fills its outputs through
+    ``grid.chunked``; the only code that reads ``cell_chunks`` itself is
+    the two partial-sum loops ``model.eval_form`` and ``model.form_gram``."""
+    top = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    found = set()
+    for path, tree in _parse_all(top).items():
+        module = os.path.relpath(path, os.path.join(top, "src", "regpart"))
+        if module.startswith(os.pardir) or module == "grid.py":
+            continue
+        found.update("%s.%s" % (module[:-3], owner)
+                     for owner in _owners_of(tree, "cell_chunks"))
+    assert sorted(found) == ["model.eval_form", "model.form_gram"]

@@ -195,11 +195,42 @@ def test_commuting_assembly_agrees(rng):
     assert_allclose(simple.c0_reg, full.c0_reg, atol=1e-11)
 
 
+def _worst_commutator_cell(s, derived):
+    """The cell of the largest full-grid ratio ``||QZ - ZQ||_F`` over
+    ``max(1, ||Z||_F)``."""
+    return int(np.argmax(commutator_norms(s, derived)
+                         / np.maximum(1.0, frobenius(derived.Z_field))))
+
+
 def test_commuting_assembly_guard(rng):
+    """The simplified assembly refuses a non-commuting model and names the
+    cell of the largest relative commutator over the whole grid: here one
+    in the second chunk of ``supp Q``, which starts at cell 10, with milder
+    offenders before and after it."""
+    n, swap = 2 * CELL_CHUNK + 16, np.array([[0.0, 1.0], [1.0, 0.0]])
+    grid = GridSpec(dim=2, box=((0.0, 1.0), (0.0, 1.0)),
+                    cells_per_axis=(2, CELL_CHUNK + 8))
+    t = np.zeros(n)
+    t[[20, CELL_CHUNK + 20, 2 * CELL_CHUNK + 3]] = (0.1, 0.3, 0.2)
+    zeros = np.zeros((n, 2), dtype=complex)
+    coeffs = CoefficientSet(
+        grid=grid, C_field=np.eye(2) + 1j * t[:, None, None] * swap,
+        b_field=zeros, d_field=zeros, c0_field=np.zeros(n), theta=0.5,
+        K_bound=1.0)
+    derived = derive_fields(coeffs)
+    q = np.zeros((n, 2, 2), dtype=complex)
+    q[10:, 0, 0] = 1.0
+    s = build_singular_structure(q, derived)
+    assert len(cell_chunks(len(s.support))) == 2
+    assert _worst_commutator_cell(s, derived) == CELL_CHUNK + 20
+    with pytest.raises(NotCommuting, match="^cell %d: " % (CELL_CHUNK + 20)):
+        assemble_regular_commuting(coeffs, derived, s)
+
     coeffs, derived, s = make_case(rng, 3, commuting=False)
     if np.max(commutator_norms(s, derived)) < 1e-6:
         pytest.skip("draw happened to commute")
-    with pytest.raises(NotCommuting):
+    with pytest.raises(NotCommuting, match="^cell %d: "
+                       % _worst_commutator_cell(s, derived)):
         assemble_regular_commuting(coeffs, derived, s)
 
 
