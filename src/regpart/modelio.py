@@ -15,14 +15,17 @@ newline.  Re-encoding a parsed canonical file reproduces it byte for
 byte; the ``Q`` and ``functions`` sub-documents are passed through
 verbatim while the numeric payload is re-encoded from the arrays.
 
-A document may carry complex arrays as leaves: ndarrays, or the
-:class:`~regpart.grid.DeltaField` s of a split, as the reports do for
-their coefficient fields.  :func:`dumps_canonical` writes such a leaf as
+A document may carry complex arrays as leaves: ndarrays, as the model
+documents of :func:`make_model_doc` do for their coefficient, ``Q`` and
+``samples`` fields, or the :class:`~regpart.grid.DeltaField` s of a
+split, as the reports do.  :func:`dumps_canonical` writes such a leaf as
 the nested ``[re, im]`` lists that :func:`complex_to_json` would give,
 byte for byte, without building those lists: the leaf is written in
 pieces of whole rows that hold at most ``CELL_CHUNK`` floats, every
 distinct float of a piece is formatted once and the piece's text is
-filled in one step.  :func:`write_doc` and :func:`write_canonical` write
+filled in one step.  A run of rows equal bit for bit is formatted once,
+its first row, and written as that row's text repeated (see
+:func:`_array_pieces`).  :func:`write_doc` and :func:`write_canonical` write
 the same text piece by piece and never join it; every leaf is checked to
 be finite before the first byte goes out.  :func:`write_doc` writes a
 new or replaceable file into a temporary file beside it and renames that
@@ -49,8 +52,8 @@ position in the file.  A payload drops the text once it is read, and the
 loader keeps no other reference to it, so the text is freed when the last
 payload is read.  The loaded model keeps the arrays in its ``Q`` and
 ``functions`` sub-documents, not lists.  In-memory documents given to
-:func:`doc_to_model` may hold nested lists wherever a file holds a
-payload.
+:func:`doc_to_model` may hold complex array leaves or nested lists
+wherever a file holds a payload.
 
 Structural problems (bad JSON, missing keys, wrong shapes) raise
 :class:`ParseError`; semantic problems (sector violations, bad grids)
@@ -188,12 +191,19 @@ def _number(doc, key, what):
 
 def _complex_field(doc, key, shape, what):
     """The complex array of ``shape`` under ``doc[key]``: a payload cut
-    out of a model file, or nested lists of an in-memory document."""
-    value = _get(doc, key, (list, _Payload), what)
+    out of a model file, or an array leaf or nested lists of an in-memory
+    document."""
+    value = _get(doc, key, (list, _Payload, np.ndarray), what)
     where = "%s.%s" % (what, key)
     if isinstance(value, _Payload):
         return value.read(shape, where)
-    arr = json_to_complex(value, len(shape), where)
+    if isinstance(value, np.ndarray):
+        try:
+            arr = np.asarray(value, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise ParseError("%s: %s" % (where, exc)) from None
+    else:
+        arr = json_to_complex(value, len(shape), where)
     if arr.shape != shape:
         raise ParseError("%s: expected shape %s, got %s"
                          % (where, shape, arr.shape))
@@ -442,62 +452,142 @@ def _non_finite(reason="Out of range float values are not JSON compliant"):
     return ValidationError("non-finite value in document: %s" % reason)
 
 
-def _array_text(arr):
+def _array_text(arr, template=None):
     """``json.dumps(complex_to_json(arr))`` with tight separators, written
     from a finite array: each distinct float bit pattern is formatted once
     with ``float.__repr__`` (so ``-0.0`` and ``0.0`` stay apart) and one
     ``%`` fill puts them into the nested-list template of the array's
-    shape."""
+    shape, or into ``template``, which holds a ``%s`` for each float."""
     a = np.asarray(arr, dtype=complex, order="C")
-    bits, inverse = np.unique(a.reshape(-1).view(float).view(np.uint64),
-                              return_inverse=True)
-    words = np.array(list(map(float.__repr__, bits.view(float).tolist())),
+    flat = a.reshape(-1).view(np.uint64)
+    order = flat.argsort()
+    bits = flat[order]
+    first = np.empty(len(bits), dtype=bool)  # of each distinct pattern
+    first[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    inverse = np.empty(len(bits), dtype=np.intp)
+    inverse[order] = first.cumsum() - 1
+    words = np.array(list(map(float.__repr__,
+                              bits[first].view(float).tolist())),
                      dtype=object)
-    return _template(a.shape) % tuple(words.take(inverse).tolist())
+    if template is None:
+        template = _template(a.shape)
+    return template % tuple(words.take(inverse).tolist())
 
 
 @functools.lru_cache(maxsize=16)
 def _template(shape):
     """The nested-list text of a complex array of ``shape`` with ``%s`` in
     place of each float.  The pieces of one leaf share their shape but for
-    the last, and a piece holds at most ``CELL_CHUNK`` floats, so a few
-    small templates are kept."""
+    the last, the heads of runs take the template of one row, and a piece
+    holds at most ``CELL_CHUNK`` floats, so a few small templates are
+    kept."""
     template = "[%s,%s]"
     for size in reversed(shape):
         template = "[" + ",".join([template] * size) + "]"
     return template
 
 
-def _row_pieces(arr):
-    """Slices of the leading axis of an array leaf that cover it in order,
-    each of as many rows as hold at most ``CELL_CHUNK`` floats, and of one
-    row when a row alone holds more (a 0-d array is the one piece
-    ``()``)."""
-    if arr.ndim == 0:
-        return [()]
-    step = max(1, CELL_CHUNK // max(1, 2 * math.prod(arr.shape[1:])))
-    return [slice(lo, lo + step) for lo in range(0, len(arr), step)]
+@functools.lru_cache(maxsize=64)
+def _row_pieces(shape):
+    """Slices of the leading axis of an array leaf of ``shape`` that cover
+    it in order, each of as many rows as hold at most ``CELL_CHUNK``
+    floats, and of one row when a row alone holds more (a 0-d array is the
+    one piece ``()``)."""
+    if not shape:
+        return ((),)
+    step = max(1, CELL_CHUNK // max(1, 2 * math.prod(shape[1:])))
+    return tuple(slice(lo, lo + step) for lo in range(0, shape[0], step))
 
 
 def _array_pieces(arr):
     """The text of :func:`_array_text` for an array leaf, an ndarray or a
-    :class:`~regpart.grid.DeltaField`, in pieces that each format at most
-    ``CELL_CHUNK`` floats: the rows of :func:`_row_pieces`, and a row that
-    alone holds more in pieces of its own.  No piece holds the whole array,
-    and a delta leaf is made one piece of rows at a time."""
+    :class:`~regpart.grid.DeltaField`, in pieces of the rows of one
+    :func:`_row_pieces` slice each; a row that alone holds more than
+    ``CELL_CHUNK`` floats is written in pieces of its own.  No piece holds
+    the whole array, and a delta leaf is made one slice of rows at a time.
+
+    The run rule: rows equal bit for bit to the row before them (their
+    ``uint64`` views, so a ``-0.0`` row and a ``0.0`` row differ) repeat
+    its text, across slices too.  The first row of every run that starts
+    in a slice is formatted, all of them in one :func:`_array_text` fill;
+    a slice in which no row repeats the one before is that one fill of
+    its rows."""
     if arr.ndim == 0:
         yield _array_text(arr)
         return
-    wide = 2 * math.prod(arr.shape[1:]) > CELL_CHUNK
-    yield "["
-    for k, rows in enumerate(_row_pieces(arr)):
-        if k:
-            yield ","
-        if wide:
+    if 2 * math.prod(arr.shape[1:]) > CELL_CHUNK:
+        yield "["
+        for k, rows in enumerate(_row_pieces(arr.shape)):
+            if k:
+                yield ","
             yield from _array_pieces(arr[rows][0])
+        yield "]"
+        return
+    # a row's text ends in ``]`` once per axis, and only a row's does
+    cut = "]" * arr.ndim + ","
+    pieces = _row_pieces(arr.shape)
+    last = None  # the bits of the last row written
+    for k, rows in enumerate(pieces):
+        block = np.asarray(arr[rows], dtype=complex, order="C")
+        bits = block.view(np.uint64).reshape(len(block), -1)
+        new = np.empty(len(block), dtype=bool)
+        new[0] = last is None or (bits[0] != last).any()
+        np.logical_or.reduce(bits[1:] != bits[:-1], axis=1, out=new[1:])
+        last = bits[-1]
+        starts = new.nonzero()[0]
+        if len(starts) == len(block):
+            body = _array_text(block)[1:-1]
         else:
-            yield _array_text(arr[rows])[1:-1]
-    yield "]"
+            body = _runs_text(block, starts, cut, body if k else None)
+        yield ("," if k else "[") + body + (
+            "]" if k == len(pieces) - 1 else "")
+    if not pieces:
+        yield "[]"
+
+
+def _runs_text(block, starts, cut, before):
+    """The text of the rows of ``block``, less its brackets, where each run
+    of equal rows starts at one of ``starts``, and the rows ahead of the
+    first repeat the last row of ``before``, the text of the piece before.
+    One fill formats the first row of each run, with a NUL after each
+    that repeats; the fill is cut at the NULs and a repeat is written as
+    the text of the row before it."""
+    lead = starts[0] if len(starts) else len(block)
+    texts = []
+    if lead:
+        row = before.rpartition(cut)[2]
+        texts += (row, ("," + row) * (lead - 1))
+    if not len(starts):
+        return "".join(texts)
+    counts = np.empty(len(starts), dtype=np.intp)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = len(block) - starts[-1]
+    repeats = (counts > 1).nonzero()[0]
+    heads = [_template(block.shape[1:])] * len(starts)
+    for j in repeats.tolist():
+        heads[j] += "\0"
+    parts = _array_text(block[starts], ",".join(heads)).split("\0")
+    if lead:
+        texts.append(",")
+    for part, count in zip(parts, counts[repeats].tolist()):
+        row = part.rpartition(cut)[2].lstrip(",")
+        texts += (part, ("," + row) * (count - 1))
+    texts.append(parts[-1])
+    return "".join(texts)
+
+
+def _finite(arr):
+    """Whether every entry of the array leaf ``arr`` is finite, checked one
+    :func:`_row_pieces` slice at a time.  A delta field is checked in its
+    base and its patched rows, and row by row only when they are not
+    finite."""
+    parts = (arr.base, arr.values) if isinstance(arr, DeltaField) else (arr,)
+    if all(np.isfinite(np.asarray(part[rows], dtype=complex)).all()
+           for part in parts for rows in _row_pieces(part.shape)):
+        return True
+    return isinstance(arr, DeltaField) and all(
+        np.isfinite(arr[rows]).all() for rows in _row_pieces(arr.shape))
 
 
 def _encode(doc, marker):
@@ -543,10 +633,8 @@ def _canonical_pieces(doc):
         if len(parts) == len(arrays) + 1:
             break
         k *= 2
-    for arr in arrays:
-        if not all(np.isfinite(np.asarray(arr[rows], dtype=complex)).all()
-                   for rows in _row_pieces(arr)):
-            raise _non_finite()
+    if not all(map(_finite, arrays)):
+        raise _non_finite()
     yield parts[0]
     for arr, part in zip(arrays, parts[1:]):
         yield from _array_pieces(arr)
@@ -657,7 +745,7 @@ def doc_to_grid(doc):
 
 
 def q_matrix_spec(q_field):
-    return {"matrix": complex_to_json(q_field)}
+    return {"matrix": np.array(q_field, dtype=complex)}
 
 
 def q_indicator_spec(intervals):
@@ -847,17 +935,18 @@ def _model(doc, payloads):
 def make_model_doc(coeffs, q_spec, func_specs):
     """Assemble the canonical document for a coefficient set.
 
-    ``q_spec``/``func_specs`` are schema sub-documents (see
+    The coefficient fields go in as array leaves, copies of the set's
+    fields.  ``q_spec``/``func_specs`` are schema sub-documents (see
     :func:`q_matrix_spec`, :func:`q_indicator_spec`).
     """
     return {
         "schema_version": SCHEMA_VERSION,
         "grid": grid_to_doc(coeffs.grid),
         "coefficients": {
-            "C": complex_to_json(coeffs.C_field),
-            "b": complex_to_json(coeffs.b_field),
-            "d": complex_to_json(coeffs.d_field),
-            "c0": complex_to_json(coeffs.c0_field),
+            "C": np.array(coeffs.C_field, dtype=complex),
+            "b": np.array(coeffs.b_field, dtype=complex),
+            "d": np.array(coeffs.d_field, dtype=complex),
+            "c0": np.array(coeffs.c0_field, dtype=complex),
         },
         "theta": float(coeffs.theta),
         "K_bound": float(coeffs.K_bound),
@@ -874,8 +963,8 @@ def model_to_doc(model):
     if func_specs is None:
         func_specs = [
             {"name": name, "kind": "samples",
-             "cell_values": complex_to_json(f.cell_values),
-             "cell_gradient": complex_to_json(f.cell_gradient)}
+             "cell_values": np.array(f.cell_values, dtype=complex),
+             "cell_gradient": np.array(f.cell_gradient, dtype=complex)}
             for name, f in model.funcs.items()
         ]
     return make_model_doc(model.coeffs, q_spec, func_specs)

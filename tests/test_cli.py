@@ -219,7 +219,7 @@ def test_overflowing_first_order_entry_exits_2(field, cell, tmp_path,
     domination check in its cell, off the set (``A = 0``, cell 0) and on
     it (cell 50) alike."""
     doc = cantor_model_doc(2)
-    doc["coefficients"][field][cell] = [[1e308, 0.0]]
+    doc["coefficients"][field][cell] = 1e308
     path = tmp_path / "big.json"
     write_doc(path, doc)
     assert main(["compute", "--model", str(path)]) == 2
@@ -234,7 +234,7 @@ def test_huge_negative_c_entry_names_its_cell(value, tmp_path, capsys):
     """The sector check's slack scales with the cell's norm, computed
     without overflow, so a huge negative ``C`` entry fails it by cell."""
     doc = cantor_model_doc(2)
-    doc["coefficients"]["C"][50] = [[[value, 0.0]]]
+    doc["coefficients"]["C"][50] = value
     path = tmp_path / "negc.json"
     write_doc(path, doc)
     assert main(["compute", "--model", str(path)]) == 2
@@ -348,10 +348,13 @@ SENTINEL = 123.456789012345
 
 def _spliced(doc, where, spelling):
     """Canonical text of ``doc`` with the entry at ``where`` written as
-    ``spelling``."""
+    ``spelling``; an array leaf on the way is entered as its ``[re, im]``
+    float view."""
     node = doc
     for key in where[:-1]:
         node = node[key]
+        if isinstance(node, np.ndarray) and node.dtype == complex:
+            node = node.view(float).reshape(node.shape + (2,))
     node[where[-1]] = SENTINEL
     text = dumps_canonical(doc)
     assert text.count(repr(SENTINEL)) == 1

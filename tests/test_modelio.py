@@ -160,9 +160,9 @@ def _piece_sizes(monkeypatch):
     import regpart.modelio as modelio
     real, sizes = modelio._array_text, []
 
-    def recording(arr):
+    def recording(arr, *template):
         sizes.append(2 * np.size(arr))
-        return real(arr)
+        return real(arr, *template)
 
     monkeypatch.setattr(modelio, "_array_text", recording)
     return sizes
@@ -261,8 +261,89 @@ def test_writer_memory_is_set_by_the_piece(delta, tmp_path):
     assert _writer_peak(8 * C, delta, tmp_path) <= 1.5 * small
 
 
+def _as_lists(leaf):
+    """The canonical text of ``{"x": leaf}`` written from nested lists."""
+    return json.dumps({"x": complex_to_json(np.asarray(leaf))},
+                      separators=(",", ":")) + "\n"
+
+
+def _run_leaves(rank):
+    """Leaves of rank ``rank`` made of runs of equal rows: one run over the
+    whole leaf, runs across one and two piece boundaries, alternating rows,
+    rows apart only by the sign of a zero, and lengths 0 and 1."""
+    row_shape = (2,) * (rank - 1)
+    p = C // 2 ** rank  # rows in one piece
+    a, b = (np.full(row_shape, z) for z in (1.5 - 2j, 0.25 + 1j))
+    zero, negzero = np.zeros(row_shape, complex), np.zeros(row_shape, complex)
+    negzero.real = -0.0
+    yield np.broadcast_to(a, (3 * p + 5,) + row_shape).copy()
+    for ends in ((p - 3, p + 4), (p - 1, 2 * p + 1), (1, 3 * p - 1)):
+        leaf = np.broadcast_to(b, (3 * p + 2,) + row_shape).copy()
+        leaf[ends[0]:ends[1]] = a
+        yield leaf
+    yield np.stack([a, b] * (p + 3))
+    yield np.stack([zero, negzero, negzero, zero] * (p // 2 + 1))
+    yield np.empty((0,) + row_shape, complex)
+    yield a[None]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_writer_runs_of_equal_rows(rank, monkeypatch):
+    """A run of rows equal bit for bit is formatted once, its first row,
+    and written as that row's text repeated, across piece boundaries too;
+    the text is that of the nested lists, for an ndarray and for a delta
+    field over a broadcast zero, and no piece holds more than one piece
+    of rows."""
+    sizes = _piece_sizes(monkeypatch)
+    import regpart.modelio as modelio
+    for leaf in _run_leaves(rank):
+        cells = np.arange(0, len(leaf), 3)
+        zeros = np.broadcast_to(np.zeros((), complex), leaf.shape)
+        for field in (leaf, DeltaField(zeros, cells, leaf[cells])):
+            assert dumps_canonical({"x": field}) == _as_lists(field)
+        row_text = len(json.dumps(complex_to_json(leaf[:1]))) - 1
+        assert max(map(len, modelio._array_pieces(leaf))) \
+            <= (C // 2 ** rank) * row_text + 1
+    whole = next(_run_leaves(rank))
+    sizes.clear()
+    dumps_canonical({"x": whole})
+    assert sizes == [2 ** rank]
+
+
+_distinct_rows = st.integers(1, 3).flatmap(
+    lambda rank: st.tuples(_complex_arrays((3,) + (2,) * (rank - 1)),
+                           st.lists(st.integers(0, 2), max_size=40)))
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(_distinct_rows, st.integers(1, 400))
+def test_writer_rows_from_a_few_distinct(drawn, repeat):
+    """Any leaf made of a few distinct rows, each index repeated
+    ``repeat`` times, is written as its nested lists."""
+    rows, picks = drawn
+    leaf = rows[np.repeat(np.array(picks, dtype=int), repeat)]
+    assert dumps_canonical({"x": leaf}) == _as_lists(leaf)
+
+
 def _names(directory):
     return sorted(p.name for p in directory.iterdir())
+
+
+def test_model_document_write_memory(tmp_path):
+    """The Cantor stage-7 model document holds its coefficient fields as
+    array leaves, not nested lists: building and writing it peaks at 1.5
+    times the four fields' bytes (14 times while they went in as nested
+    lists)."""
+    from regpart.pipeline import cantor_model_doc
+    gc.collect()
+    tracemalloc.start()
+    try:
+        write_doc(tmp_path / "cantor7.json", cantor_model_doc(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = default_cantor_grid(7).n_cells
+    assert peak < 2.5 * 4 * n * np.dtype(complex).itemsize
 
 
 def test_write_doc_refused_leaf_writes_nothing(tmp_path):
@@ -295,14 +376,15 @@ def test_write_doc_failed_write_keeps_old_file(tmp_path, monkeypatch):
     path.chmod(0o640)
     real, calls = modelio._array_text, []
 
-    def failing(arr):
+    def failing(arr, *template):
         calls.append(len(arr))
         if len(calls) == 2:
             raise OSError(errno.ENOSPC, "No space left on device")
-        return real(arr)
+        return real(arr, *template)
 
     monkeypatch.setattr(modelio, "_array_text", failing)
-    doc = {"x": np.ones(2 * C + 1, dtype=complex)}
+    # distinct rows: a run of equal rows would be formatted once
+    doc = {"x": np.arange(2 * C + 1, dtype=complex)}
     with pytest.raises(OSError, match="No space"):
         write_doc(path, doc)
     assert calls == [C // 2, C // 2]
@@ -551,7 +633,7 @@ def test_cantor_doc_round_trip_bytes():
 
 def test_model_doc_with_signed_zeros(rng):
     doc, _, _ = model_doc(rng)
-    doc["coefficients"]["c0"][0] = [-0.0, -0.0]
+    doc["coefficients"]["c0"][0] = complex(-0.0, -0.0)
     text = dumps_canonical(doc)
     assert dumps_canonical(model_to_doc(parse_model(text))) == text
 

@@ -225,3 +225,32 @@ def test_only_the_partial_sums_loop_over_cell_chunks():
         found.update("%s.%s" % (module[:-3], owner)
                      for owner in _owners_of(tree, "cell_chunks"))
     assert sorted(found) == ["model.eval_form", "model.form_gram"]
+
+
+#: Names under which the package holds coefficient, ``Q`` and function
+#: fields.
+FIELD_NAMES = {"C_field", "b_field", "d_field", "c0_field", "q_field",
+               "cell_values", "cell_gradient"}
+
+
+def test_no_field_goes_into_a_document_as_lists():
+    """Documents hold fields as array leaves, which the writer streams: no
+    function of the package turns a coefficient, ``Q`` or function field
+    into nested lists with ``complex_to_json``."""
+    top = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    found = []
+    for path, tree in _parse_all(top).items():
+        if os.sep + "src" + os.sep not in path:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "complex_to_json" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                names = {getattr(sub, "id", getattr(sub, "attr", None))
+                         for arg in node.args + [k.value for k in
+                                                 node.keywords]
+                         for sub in ast.walk(arg)}
+                if names & FIELD_NAMES:
+                    found.append("%s:%d" % (os.path.basename(path),
+                                            node.lineno))
+    assert found == []
