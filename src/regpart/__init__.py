@@ -29,7 +29,7 @@ from .pipeline import (cantor_model_doc, compute_report, oracle_crosscheck,
                        run_probe, run_verification)
 from .pointwise import (SectorParams, adjoint, herm_eig, herm_part,
                         imag_part, pencil_tangent, pinv_sqrt,
-                        projection_residuals, psd_sqrt, sector_pencils)
+                        projection_residuals, psd_sqrt)
 from .regularize import (IdentityReport, RegularizedCoefficients,
                          SingularStructure, assemble_regular,
                          assemble_regular_commuting, build_singular_structure,
@@ -61,7 +61,6 @@ __all__ = [
     "run_verification",
     "SectorParams", "adjoint", "herm_eig", "herm_part", "imag_part",
     "pencil_tangent", "pinv_sqrt", "projection_residuals", "psd_sqrt",
-    "sector_pencils",
     "IdentityReport", "RegularizedCoefficients", "SingularStructure",
     "assemble_regular", "assemble_regular_commuting",
     "build_singular_structure", "commutator_norms", "identity_residuals",

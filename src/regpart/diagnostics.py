@@ -33,8 +33,7 @@ from .grid import MAX_CELLS, GridSpec, chunked
 from .model import CoefficientSet, eval_form, vertex_search
 from .modelio import doc_to_model, make_model_doc, q_indicator_spec
 from .pointwise import SectorParams, frobenius, herm_part, imag_part, pinv_sqrt
-from .regularize import (_commutators, _commuting_fields, _package,
-                         interval_mask)
+from .regularize import _commutators, _commuting_fields, interval_mask
 
 __all__ = [
     "DiagnosticsReport",
@@ -104,16 +103,17 @@ class DiagnosticsReport:
 
 def _relative_field_gap(reg, simple):
     """Largest per-cell difference between the assembly ``reg`` and the
-    simplified one ``simple``, relative to the field scale.  Off
-    ``supp Q`` both keep the input, so the difference is read on their
-    ``supp Q`` stacks only; the scale is ``max(1, max|reg|, max|simple|)``,
-    as over the whole grid, with ``max|reg|`` taken cell by cell."""
+    simplified one, whose four regular stacks on ``supp Q`` are
+    ``simple``, relative to the field scale.  Off ``supp Q`` both keep the
+    input, so the difference is read on the ``supp Q`` stacks only; the
+    scale is ``max(1, max|reg|, max|simple|)``, as over the whole grid,
+    with ``max|reg|`` taken cell by cell."""
     gaps = []
-    for fa, fb in zip(reg.regular, simple.regular):
-        diff = float(np.max(np.abs(fa.values - fb.values), initial=0.0))
+    for fa, fb in zip(reg.regular, simple):
+        diff = float(np.max(np.abs(fa.values - fb), initial=0.0))
         top, = chunked(lambda rows: (_row_max_abs(fa[rows]),), len(fa))
         scale = max(1.0, float(np.max(top)),
-                    float(np.max(np.abs(fb.values), initial=0.0)))
+                    float(np.max(np.abs(fb), initial=0.0)))
         gaps.append(diff / scale)
     return max(gaps)
 
@@ -230,8 +230,9 @@ def check_equivalences(vs, ops, reg, s, formula, xi=None,
     """
     coeffs, derived, funcs = vs.coeffs, vs.derived, vs.funcs
 
-    field_gap = _relative_field_gap(reg, _package(coeffs, derived, s,
-                                                  _commuting_fields))
+    field_gap = _relative_field_gap(reg, chunked(
+        lambda rows: _commuting_fields(coeffs, derived, s, rows),
+        len(s.support)))
     kernel_res = _kernel_image_residual(vs, ops)
 
     if xi is None:

@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
 ``ValidationError`` subclasses signal bad user input (a model that violates a
-documented invariant); the command line maps them to exit code 2.
+documented invariant); the command line maps them to exit code 2.  The
+sector and domination gate, :func:`~regpart.model.derive_fields`, raises
+``SectorViolation`` (also for an ``A`` with a negative eigenvalue) and
+``DominationViolation``; ``NotPSD`` comes from ``psd_sqrt``/``pinv_sqrt``.
 ``ParseError`` signals unreadable input files (exit code 3).  ``SolveFailure``
 indicates an internal dense solve went wrong on data that passed validation,
 which should never happen for well-formed inputs.

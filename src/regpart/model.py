@@ -16,17 +16,21 @@ first-order fields contract bilinearly against their own slot's gradient.
 ``derive_fields`` factors the model through the Hermitian part ``A`` of
 ``C``: it returns the psd square root ``A^{1/2}`` and the bounded fields
 ``Z`` (Hermitian, ``A^{1/2}(I+iZ)A^{1/2} = C``), ``X``
-(``A^{1/2} X = conj(b)``) and ``Y`` (``A^{1/2} Y = d``).  These exist
-precisely because the model passes its sector and domination validation.
-``A`` itself and its pseudo-inverse square root ``g`` are formed chunk by
-chunk on the way and not kept: no stage reads them.
+(``A^{1/2} X = conj(b)``) and ``Y`` (``A^{1/2} Y = d``).  It is also the
+model's one sector and domination gate: the factorization exists, with
+``||Z||_2 <= tan(theta)`` and ``||X||, ||Y|| <= K_bound``, exactly when
+the model meets those conditions, and every measure it checks is
+relative to the cell's own data.  ``CoefficientSet.validate`` checks only
+what needs no factorization.  ``A`` itself and its pseudo-inverse square
+root ``g`` are formed chunk by chunk on the way and not kept: no stage
+reads them.
 
 ``eval_form`` evaluates the form on two test functions or two function
 families (:class:`~regpart.grid.TestFunction` either way);
 ``vertex_search`` reads the Gram pair ``(B, M)`` of ``form_gram``.
 
-``CoefficientSet.validate`` and ``derive_fields`` run chunk by chunk
-through :func:`~regpart.grid.chunked` (which states how the chunks keep
+``derive_fields`` runs chunk by chunk through
+:func:`~regpart.grid.chunked` (which states how the chunks keep
 the bits of one pass), and ``eval_form`` and ``form_gram`` add up partial
 sums over the same chunks, so their temporaries are set by the chunk
 size, not the grid size.
@@ -37,11 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateBasis, DominationViolation, GridMismatch,
-                     NotPSD, SectorViolation, ValidationError)
+                     SectorViolation, ValidationError)
 from .grid import DeltaField, GridSpec, cell_chunks, chunked
-from .pointwise import (PSD_TOL, SectorParams, adjoint, frobenius,
-                        herm_part, imag_part, pencil_tangent, psd_roots,
-                        sector_pencils)
+from .pointwise import (PSD_TOL, SectorParams, adjoint, herm_part,
+                        imag_part, pencil_tangent, psd_roots)
 
 __all__ = [
     "CoefficientSet",
@@ -62,25 +65,16 @@ VERTEX_COND_CAP = 1e12
 DERIVE_RTOL = 1e-9
 
 
-def _norm_scale(m):
-    """``max(1, ||M||_F)`` per matrix of a finite stack; each matrix is
-    divided by its largest modulus first, so entries past ``1e154`` cannot
-    overflow when squared."""
-    top = np.max(np.abs(m), axis=(-2, -1))
-    unit = np.where(top > 0.0, top, 1.0)[..., None, None]
-    return np.maximum(1.0, top * frobenius(m / unit))
-
-
 @dataclass
 class CoefficientSet:
     """Per-cell coefficients of the form, plus its declared sector data.
 
     ``theta`` is the sector half-angle every cell's ``C_field`` matrix must
     respect, and ``K_bound`` the declared domination constant for the
-    first-order fields.  Both are inputs that :meth:`validate` checks, not
-    quantities the model estimates.  Each field is a complex array, or a
-    :class:`~regpart.grid.DeltaField` (a part of a split), which the
-    per-cell passes read chunk by chunk.
+    first-order fields.  Both are inputs that :func:`derive_fields` checks
+    the fields against, not quantities the model estimates.  Each field is
+    a complex array, or a :class:`~regpart.grid.DeltaField` (a part of a
+    split), which the per-cell passes read chunk by chunk.
     """
 
     grid: GridSpec
@@ -120,23 +114,11 @@ class CoefficientSet:
         return self.grid.n_cells
 
     def validate(self):
-        """Check finiteness, the per-cell sector condition, and the per-cell
-        domination pencils.
-
-        Raises
-        ------
-        SectorViolation
-            Some cell's ``C`` matrix has numerical range outside the sector
-            of half-angle ``theta``; carries the cell index and a violating
-            direction.
-        DominationViolation
-            ``K_bound**2 * A - outer(conj(b), b)`` or
-            ``K_bound**2 * A - outer(d, conj(d))`` fails to be psd, or
-            overflows, in some cell.
-        ValidationError
-            Non-finite data, ``theta`` outside ``[0, pi/2)``,
-            ``K_bound <= 0``, or a ``K_bound`` whose square overflows.
-        """
+        """Check what needs no factorization, raising
+        :class:`ValidationError` on non-finite fields, ``theta`` outside
+        ``[0, pi/2)``, or a ``K_bound`` that is not positive or whose
+        square overflows.  The sector and domination gate is
+        :func:`derive_fields`."""
         for name in ("C_field", "b_field", "d_field", "c0_field"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValidationError("%s contains non-finite entries" % name)
@@ -144,60 +126,10 @@ class CoefficientSet:
             raise ValidationError("theta must lie in [0, pi/2)")
         if not (np.isfinite(self.K_bound) and self.K_bound > 0):
             raise ValidationError("K_bound must be a positive real")
-
-        # one pass keeps a few floats per cell; the checks then run in
-        # order, each naming the worst cell of the whole grid (the first,
-        # for an overflow).  A product, unlike ``**``, overflows to inf
-        # instead of raising.
-        ksq = self.K_bound * self.K_bound
-
-        def margins(rows):
-            c, b, d = (f[rows] for f in (self.C_field, self.b_field,
-                                         self.d_field))
-            pencils, mins = sector_pencils(c, self.theta)
-            out = [(mins + PSD_TOL * _norm_scale(c)).T]
-            # overflowing data leaves non-finite pencils, which are flagged
-            # and zeroed for the eigensolver
-            with np.errstate(over="ignore", invalid="ignore"):
-                ka = ksq * pencils[0]
-                dominated = (ka - np.einsum("nk,nl->nkl", np.conj(b), b),
-                             ka - np.einsum("nk,nl->nkl", d, np.conj(d)))
-            for pencil in dominated:
-                finite = np.isfinite(pencil).all(axis=(-2, -1))
-                pencil[~finite] = 0.0
-                out += [finite, np.linalg.eigvalsh(pencil)[..., 0],
-                        _norm_scale(pencil)]
-            return out
-
-        margin, *dominated = chunked(margins, self.n_cells)
-        margin = margin.T
-        if np.any(margin < 0.0):
-            which, cell = np.unravel_index(int(np.argmin(margin)),
-                                           margin.shape)
-            pencils, mins = sector_pencils(self.C_field[cell], self.theta)
-            _, vecs = np.linalg.eigh(pencils[which])
-            raise SectorViolation(
-                "cell %d leaves the sector of half-angle %.6g "
-                "(pencil eigenvalue %.3e)" % (cell, self.theta,
-                                              float(mins[which])),
-                cell=int(cell), witness=vecs[:, 0].copy())
-        if not np.isfinite(ksq):
+        # a product, unlike ``**``, overflows to inf instead of raising
+        if not np.isfinite(self.K_bound * self.K_bound):
             raise ValidationError("K_bound = %.3e: K_bound**2 overflows"
                                   % self.K_bound)
-        for k, name in enumerate(("b_field", "d_field")):
-            finite, pmin, pscale = dominated[3 * k:3 * k + 3]
-            if not np.all(finite):
-                cell = int(np.argmin(finite))
-                raise DominationViolation(
-                    "cell %d: K_bound**2 * A - outer(%s) overflows"
-                    % (cell, name), cell=cell)
-            bad = pmin < -PSD_TOL * pscale
-            if np.any(bad):
-                cell = int(np.argmax(-(pmin / pscale)))
-                raise DominationViolation(
-                    "cell %d: %s is not dominated by K_bound * A^{1/2} "
-                    "(pencil eigenvalue %.3e)"
-                    % (cell, name, float(pmin[cell])), cell=cell)
         return self
 
 
@@ -223,75 +155,114 @@ class DerivedFields:
         return self.grid.n_cells
 
 
+def _relative_residual(got, want, axes):
+    """Per cell ``||got - want|| / ||want||`` over ``axes`` (the residual
+    where ``want`` is 0), each side divided by the largest modulus of
+    ``want`` first, so that no square overflows."""
+    size = np.abs(want)
+    top = np.max(size, axis=axes, keepdims=True)
+    unit = np.where(top > 0.0, top, 1.0)
+    res = np.sqrt(np.sum((np.abs(got - want) / unit) ** 2, axis=axes))
+    scale = np.sqrt(np.sum((size / unit) ** 2, axis=axes))
+    return np.divide(res, scale, out=res, where=scale > 0.0)
+
+
+def _worst(metric, limit):
+    """The cell of the largest ``metric`` when some cell's is above
+    ``limit`` or NaN (a NaN counts as the largest), else ``None``."""
+    if np.all(metric <= limit):
+        return None
+    return int(np.argmax(np.where(np.isnan(metric), np.inf, metric)))
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def derive_fields(coeffs):
-    """Factor a validated :class:`CoefficientSet` through ``A = herm(C)``.
+    """Factor a :class:`CoefficientSet` through ``A = herm(C)``: the one
+    gate on its sector and domination conditions.
 
     Per cell: ``A``, then ``Asqrt = psd_sqrt(A)`` and ``g = pinv_sqrt(A)``
     from one eigendecomposition (:func:`~regpart.pointwise.psd_roots`), then
+    ``Z = g @ imag_part(C) @ g`` (re-Hermitized), ``X = g @ conj(b)`` and
+    ``Y = g @ d``.  Where the skew data lie in ``range(A)`` the
+    factorization reproduces ``C``, ``conj(b)`` and ``d``, and then ``C``
+    lies in the sector of half-angle ``theta`` exactly when
+    ``||Z||_2 <= tan(theta)``, and the first-order fields are dominated
+    exactly when ``||X||, ||Y|| <= K_bound``.  Each cell records the
+    eigenvalue of ``A`` below the rank rule's negative floor, its three
+    reconstruction residuals relative to its own data, ``||Z||_2`` and
+    ``||X||``, ``||Y||`` over ``K_bound``; all are free of the data's
+    units.  After the pass the first failing check raises, naming its
+    worst cell; data that overflow leave NaN or inf measures, which fail
+    their checks without a warning (a NaN counts as the worst):
 
-    * ``Z = g @ imag_part(C) @ g`` (re-Hermitized),
-    * ``X = g @ conj(b)``, ``Y = g @ d``.
-
-    The factorization is exact only when the skew data lives in the range of
-    ``A``; that containment is exactly what the sector and domination
-    conditions guarantee, and it is re-checked here on the reconstructions:
-
-    * ``Asqrt @ (I + i Z) @ Asqrt == C``  (else :class:`SectorViolation`),
-    * ``Asqrt @ X == conj(b)`` and ``Asqrt @ Y == d``
-      (else :class:`DominationViolation`),
-
-    all to ``DERIVE_RTOL`` relative to the cell's data scale.  An ``A``
-    with an eigenvalue below the floor of ``psd_roots`` raises
-    :class:`~regpart.errors.NotPSD` naming its cell: the one with the
-    lowest such eigenvalue in the first chunk that holds one.
+    * :class:`SectorViolation`, for a negative eigenvalue of ``A`` (the
+      witness is its eigenvector), then for a ``C`` not reproduced to
+      ``DERIVE_RTOL`` or a ``||Z||_2`` over ``tan(theta) + PSD_TOL`` (the
+      witness is ``g v``, ``v`` the top eigenvector of ``Z``);
+    * :class:`DominationViolation`, for ``conj(b)`` or ``d`` not
+      reproduced to ``DERIVE_RTOL``, or ``||X||`` or ``||Y||`` over
+      ``K_bound (1 + PSD_TOL)``, ``b`` first.
 
     ``A`` and ``g`` live for one chunk of cells; the result keeps
     ``Asqrt``, ``Z``, ``X`` and ``Y`` only.
     """
     eye = np.eye(coeffs.dim)
+    tangent, k_bound = float(np.tan(coeffs.theta)), coeffs.K_bound
 
     def factor(rows):
         c, b, dd = (f[rows] for f in (coeffs.C_field, coeffs.b_field,
                                       coeffs.d_field))
-        try:
-            sq, gc = psd_roots(herm_part(c))
-        except NotPSD as exc:
-            cell = rows.start + exc.cell
-            raise NotPSD("cell %d: %s" % (cell, exc), cell=cell) from None
+        sq, gc, low = psd_roots(herm_part(c))
         z = herm_part(np.einsum("nij,njk,nkl->nil", gc, imag_part(c), gc))
         bbar = np.conj(b)
         x = np.einsum("nij,nj->ni", gc, bbar)
         y = np.einsum("nij,nj->ni", gc, dd)
-        # per cell and check: reconstruction residual and data scale
         recon = np.einsum("nij,njk,nkl->nil", sq, eye + 1j * z, sq)
-        res, scale = [frobenius(recon - c)], [np.maximum(1.0, frobenius(c))]
+        margins = [low, _relative_residual(recon, c, (-2, -1)),
+                   np.max(np.abs(np.linalg.eigvalsh(z)), axis=-1) - tangent]
         for vec, target in ((x, bbar), (y, dd)):
-            back = np.einsum("nij,nj->ni", sq, vec)
-            res.append(np.linalg.norm(back - target, axis=-1))
-            scale.append(np.maximum(1.0, np.linalg.norm(target, axis=-1)))
-        return (sq, z, x, y, np.stack(res, axis=-1),
-                np.stack(scale, axis=-1))
+            margins += [_relative_residual(np.einsum("nij,nj->ni", sq, vec),
+                                           target, (-1,)),
+                        np.linalg.norm(vec / k_bound, axis=-1) - 1.0]
+        return sq, z, x, y, np.stack(margins, axis=-1)
 
-    asqrt, z, x, y, res, scale = chunked(factor, coeffs.n_cells)
-    res, scale = res.T, scale.T
-    bad = res > DERIVE_RTOL * scale
-    if np.any(bad[0]):
-        cell = int(np.argmax(res[0] / scale[0]))
-        one = slice(cell, cell + 1)
-        diff = (np.einsum("nij,njk,nkl->nil", asqrt[one], eye + 1j * z[one],
-                          asqrt[one])[0] - coeffs.C_field[cell])
-        _, vecs = np.linalg.eigh(adjoint(diff) @ diff)
+    asqrt, z, x, y, margins = chunked(factor, coeffs.n_cells)
+    low, c_res, z_over, *first_order = margins.T
+    if np.any(low < np.inf):
+        cell = int(np.argmin(low))
+        _, vecs = np.linalg.eigh(herm_part(coeffs.C_field[cell]))
         raise SectorViolation(
-            "cell %d: skew part of C is not carried by range(A) "
-            "(reconstruction residual %.3e)" % (cell, float(res[0, cell])),
-            cell=cell, witness=vecs[:, -1].copy())
-    for k, name in ((1, "b_field"), (2, "d_field")):
-        if np.any(bad[k]):
-            cell = int(np.argmax(res[k] / scale[k]))
+            "cell %d leaves the sector of half-angle %.6g (A has the "
+            "eigenvalue %.3e)" % (cell, coeffs.theta, float(low[cell])),
+            cell=cell, witness=vecs[:, 0].copy())
+    for metric, limit, what in (
+            (c_res, DERIVE_RTOL, "cell %(cell)d: skew part of C is not "
+             "carried by range(A) (relative residual %(value).3e)"),
+            (z_over, PSD_TOL, "cell %(cell)d leaves the sector of "
+             "half-angle %(theta).6g (||Z|| exceeds tan(theta) by "
+             "%(value).3e)")):
+        cell = _worst(metric, limit)
+        if cell is not None:
+            w, vecs = np.linalg.eigh(z[cell])
+            g = psd_roots(herm_part(coeffs.C_field[cell]))[1]
+            raise SectorViolation(
+                what % dict(cell=cell, theta=coeffs.theta,
+                            value=float(metric[cell])),
+                cell=cell, witness=g @ vecs[:, np.argmax(np.abs(w))])
+    for name, bound, (res, over) in (
+            ("b_field", "X", first_order[:2]),
+            ("d_field", "Y", first_order[2:])):
+        cell = _worst(res, DERIVE_RTOL)
+        if cell is not None:
             raise DominationViolation(
-                "cell %d: %s is not carried by range(A^{1/2}) "
-                "(residual %.3e)" % (cell, name, float(res[k, cell])),
-                cell=cell)
+                "cell %d: %s is not carried by range(A^{1/2}) (relative "
+                "residual %.3e)" % (cell, name, float(res[cell])), cell=cell)
+        cell = _worst(over, PSD_TOL)
+        if cell is not None:
+            raise DominationViolation(
+                "cell %d: %s is not dominated by K_bound * A^{1/2} "
+                "(||%s|| / K_bound - 1 = %.3e)"
+                % (cell, name, bound, float(over[cell])), cell=cell)
 
     return DerivedFields(grid=coeffs.grid, Asqrt_field=asqrt, Z_field=z,
                          X_field=x, Y_field=y)

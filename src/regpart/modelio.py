@@ -56,8 +56,10 @@ payload is read.  The loaded model keeps the arrays in its ``Q`` and
 wherever a file holds a payload.
 
 Structural problems (bad JSON, missing keys, wrong shapes) raise
-:class:`ParseError`; semantic problems (sector violations, bad grids)
-surface as :class:`ValidationError` subclasses from the model layer.
+:class:`ParseError`; semantic problems (non-finite data, bad grids)
+surface as :class:`ValidationError` subclasses from the model layer.  The
+sector gate (:func:`~regpart.model.derive_fields`) runs where the model
+is factored, in ``compute`` and ``probe``, not at load.
 """
 
 import functools
@@ -825,7 +827,8 @@ def expand_function_spec(spec, grid):
 
 @dataclass
 class LoadedModel:
-    """A parsed, validated, fully expanded model file.
+    """A parsed, fully expanded model file whose fields passed
+    :meth:`~regpart.model.CoefficientSet.validate` (not the sector gate).
 
     ``family`` holds the model's functions as one stacked
     :class:`~regpart.grid.TestFunction` whose rows are named by ``names``,
@@ -890,10 +893,8 @@ def doc_to_model(doc):
     coeffs = CoefficientSet(grid=grid, C_field=c_field, b_field=b_field,
                             d_field=d_field, c0_field=c0_field,
                             theta=theta, K_bound=k_bound)
-    # Q is read before the coefficients are validated: unless a function
-    # holds a payload, its payload is the last to be read, so the file's
-    # text is freed before validation peaks; a malformed Q is a parse
-    # error (exit 3) even when the sector is violated too
+    # unless a function holds a payload, Q's payload is the last to be
+    # read, so the file's text is freed before the model is expanded
     q_spec = _get(doc, "Q", dict, "model")
     q_field = expand_q_spec(q_spec, grid)
     coeffs.validate()

@@ -33,7 +33,6 @@ __all__ = [
     "pinv_sqrt",
     "psd_roots",
     "projection_residuals",
-    "sector_pencils",
     "pencil_tangent",
 ]
 
@@ -109,25 +108,27 @@ def herm_eig(m):
     return np.linalg.eigh(herm_part(m))
 
 
-def _clamped_psd_eig(a, what):
-    """Eigendecomposition of a psd matrix with the rank rule applied.
-
-    Eigenvalues below ``DEFAULT_RANK_EPS * lam_max`` are clamped to zero;
-    eigenvalues below ``-DEFAULT_RANK_EPS * lam_max`` raise ``NotPSD``,
-    which names the matrix of a stack with the lowest such eigenvalue.
-    """
+def _psd_eig(a):
+    """``(w, u, low)``: each matrix's eigendecomposition with the rank rule
+    applied (eigenvalues below ``DEFAULT_RANK_EPS * lam_max`` read 0), and
+    its lowest eigenvalue if below ``-DEFAULT_RANK_EPS * lam_max``, or
+    ``inf``."""
     w, u = herm_eig(a)
-    top = np.maximum(w[..., -1], 0.0)
-    floor = DEFAULT_RANK_EPS * top[..., None]
-    bad = np.any(w < -floor, axis=-1)
-    if np.any(bad):
-        low = np.where(bad, w[..., 0], np.inf)
+    floor = DEFAULT_RANK_EPS * np.maximum(w[..., -1:], 0.0)
+    low = np.where(np.any(w < -floor, axis=-1), w[..., 0], np.inf)
+    return np.where(w < floor, 0.0, w), u, low
+
+
+def _clamped_psd_eig(a, what):
+    """``(w, u)`` of :func:`_psd_eig`; a ``low`` eigenvalue raises
+    ``NotPSD``, naming the matrix of a stack with the lowest one."""
+    w, u, low = _psd_eig(a)
+    if np.any(low < np.inf):
         index = int(np.argmin(low))
         raise NotPSD(
             "%s has a negative eigenvalue %.3e below the -%.1e * lam_max floor"
             % (what, float(low.flat[index]), DEFAULT_RANK_EPS),
             cell=index if low.ndim else None)
-    w = np.where(w < floor, 0.0, w)
     return w, u
 
 
@@ -164,10 +165,11 @@ def pinv_sqrt(a):
 
 
 def psd_roots(a):
-    """``(psd_sqrt(a), pinv_sqrt(a))`` from one eigendecomposition of ``a``,
-    bitwise equal to the two separate calls."""
-    w, u = _clamped_psd_eig(np.asarray(a, dtype=complex), "psd_sqrt input")
-    return _assemble(u, np.sqrt(w)), _assemble(u, _inv_sqrt(w))
+    """``(psd_sqrt(a), pinv_sqrt(a), low)`` from one eigendecomposition of
+    ``a``, the roots bitwise equal to the two separate calls; instead of
+    raising, it reports the ``low`` eigenvalues of :func:`_psd_eig`."""
+    w, u, low = _psd_eig(np.asarray(a, dtype=complex))
+    return _assemble(u, np.sqrt(w)), _assemble(u, _inv_sqrt(w)), low
 
 
 def projection_residuals(q):
@@ -191,19 +193,6 @@ class SectorParams:
             raise ValidationError(
                 "sector half-angle must lie in [0, pi/2), got %r"
                 % (self.theta,))
-
-
-def sector_pencils(c, theta):
-    """Sector condition of a stack ``C`` as three pencils: ``xi* C xi`` lies
-    in the closed sector of half-angle ``theta`` exactly when ``A = herm(C)``
-    and ``tan(theta) A +/- imag(C)`` are psd.  Returns the pencils and their
-    smallest eigenvalues, shape ``(3,) + c.shape[:-2]``."""
-    a = herm_part(c)
-    b = imag_part(c)
-    t = float(np.tan(theta))
-    pencils = (a, t * a + b, t * a - b)
-    return pencils, np.stack([np.linalg.eigvalsh(p)[..., 0]
-                              for p in pencils])
 
 
 def pencil_tangent(re_m, im_m):

@@ -234,11 +234,12 @@ def random_oracle_case(rng, dim=None, commuting=None):
     """Draw a model + projections + functions ready for the oracle.
 
     The basis is pre-validated (ambient + subspace build) so callers never
-    see a degenerate draw; commuting cases take ``Q`` from eigenspaces of
-    ``Z``, non-commuting cases use a constant pair with a commutator
-    margin and also pick the probe direction ``xi`` that maximally excites
-    ``Q Z (I-Q) A^{1/2}``.  The case carries the derived fields its basis
-    was validated with.
+    see a degenerate draw; a family with more functions than the grid has
+    interior nodes is redrawn without a build.  Commuting cases take ``Q``
+    from eigenspaces of ``Z``, non-commuting cases use a constant pair
+    with a commutator margin and also pick the probe direction ``xi`` that
+    maximally excites ``Q Z (I-Q) A^{1/2}``.  The case carries the derived
+    fields its basis was validated with.
     """
     for _ in range(20):
         d = int(dim) if dim else int(rng.integers(1, 4))
@@ -279,6 +280,8 @@ def random_oracle_case(rng, dim=None, commuting=None):
                                          np.full(d, 0.4))
                 funcs.cell_values[0] = bump.cell_values
                 funcs.cell_gradient[0] = bump.cell_gradient
+            if n_funcs > np.prod(np.subtract(grid.cells_per_axis, 1)):
+                continue  # dependent: the bump, too, lives on interior nodes
             build_v_subspace(coeffs, derived, q, funcs)
         except (DegenerateBasis, KernelMismatch):
             continue

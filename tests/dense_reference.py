@@ -14,8 +14,10 @@ import numpy as np
 
 from regpart.completion import (GRAM_COND_CAP, PROJECTION_RANK_TOL,
                                 build_ambient, phi_vector, singular_field)
-from regpart.errors import ProjectionInvalid
-from regpart.pointwise import adjoint, herm_part, imag_part, psd_roots
+from regpart.errors import (DominationViolation, ProjectionInvalid,
+                            SectorViolation)
+from regpart.pointwise import (PSD_TOL, adjoint, frobenius, herm_part,
+                               imag_part, psd_roots)
 
 
 def ambient_weights(coeffs, derived, gamma):
@@ -215,7 +217,7 @@ def one_pass_fields(coeffs):
     """``(A^{1/2}, Z, X, Y)`` of ``derive_fields`` in one pass over the
     whole stack, as it was computed before the cell passes were
     chunked."""
-    asqrt, g = psd_roots(herm_part(coeffs.C_field))
+    asqrt, g, _ = psd_roots(herm_part(coeffs.C_field))
     z = herm_part(np.einsum("nij,njk,nkl->nil", g,
                             imag_part(coeffs.C_field), g))
     return (asqrt, z, np.einsum("nij,nj->ni", g, np.conj(coeffs.b_field)),
@@ -290,3 +292,44 @@ def one_shot_qz_draws(rng, d, trials):
     norms = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
     scale = 2.0 / np.maximum(norms, 1e-12)
     return q, h * np.minimum(scale, 1.0)[:, None, None]
+
+
+def sector_pencils(c, theta):
+    """Sector condition of a stack ``C`` as three pencils: ``xi* C xi`` lies
+    in the closed sector of half-angle ``theta`` exactly when ``A = herm(C)``
+    and ``tan(theta) A +/- imag(C)`` are psd.  Returns the pencils and their
+    smallest eigenvalues, shape ``(3,) + c.shape[:-2]``."""
+    a = herm_part(c)
+    b = imag_part(c)
+    t = float(np.tan(theta))
+    pencils = (a, t * a + b, t * a - b)
+    return pencils, np.stack([np.linalg.eigvalsh(p)[..., 0]
+                              for p in pencils])
+
+
+def _norm_scale(m):
+    """``max(1, ||M||_F)`` per matrix of a finite stack, overflow-safe."""
+    top = np.max(np.abs(m), axis=(-2, -1))
+    unit = np.where(top > 0.0, top, 1.0)[..., None, None]
+    return np.maximum(1.0, top * frobenius(m / unit))
+
+
+def pencil_gate(coeffs):
+    """The sector and domination gate on eigenvalue pencils, as the model
+    was validated before ``derive_fields`` decided it: five ``eigvalsh``
+    per cell, with slacks ``PSD_TOL * max(1, ||.||_F)``.  Returns the
+    error class and cell of its first refusal (the sector pencils first,
+    then ``K^2 A - outer(conj(b), b)``, then ``K^2 A - outer(d, conj(d))``),
+    or ``None`` when it accepts."""
+    c, b, d = coeffs.C_field, coeffs.b_field, coeffs.d_field
+    pencils, mins = sector_pencils(c, coeffs.theta)
+    margin = mins + PSD_TOL * _norm_scale(c)
+    if np.any(margin < 0.0):
+        return SectorViolation, int(np.argmin(margin) % len(c))
+    ka = coeffs.K_bound ** 2 * pencils[0]
+    for pencil in (ka - np.einsum("nk,nl->nkl", np.conj(b), b),
+                   ka - np.einsum("nk,nl->nkl", d, np.conj(d))):
+        ratio = np.linalg.eigvalsh(pencil)[..., 0] / _norm_scale(pencil)
+        if np.any(ratio < -PSD_TOL):
+            return DominationViolation, int(np.argmin(ratio))
+    return None

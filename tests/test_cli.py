@@ -14,8 +14,9 @@ import pytest
 
 from dense_reference import one_shot_qz_draws
 from regpart.cli import main
-from regpart.diagnostics import MAX_CANTOR_STAGE, PROBE_LAMBDAS
-from regpart.errors import (DominationViolation, NotPSD, SectorViolation,
+from regpart.diagnostics import (MAX_CANTOR_STAGE, PROBE_LAMBDAS,
+                                 generate_cantor_example)
+from regpart.errors import (DominationViolation, SectorViolation,
                             ValidationError)
 from regpart.grid import CELL_CHUNK, GridSpec, TestFunction
 from regpart.model import CoefficientSet, derive_fields
@@ -158,8 +159,9 @@ def test_compute_rejects_sector_violation(cantor_file, tmp_path, capsys):
     {"bogus": 1}, {"matrix": [[[[0.0, 0.0]]]]}])
 def test_malformed_q_is_read_before_validation(q_spec, cantor_file,
                                                tmp_path, capsys):
-    """``Q`` is read before the coefficients are validated, so a model
-    with a malformed ``Q`` and a sector violation is a parse error."""
+    """``Q`` is read at load and the sector gate runs in ``compute``, so
+    a model with a malformed ``Q`` and a sector violation is a parse
+    error."""
     doc = json.loads(cantor_file.read_text())
     doc["coefficients"]["C"][5] = [[[-2.0, 0.0]]]
     doc["Q"] = q_spec
@@ -167,6 +169,21 @@ def test_malformed_q_is_read_before_validation(q_spec, cantor_file,
     write_doc(bad, doc)
     assert main(["compute", "--model", str(bad)]) == 3
     assert capsys.readouterr().err.startswith("parse error: Q")
+
+
+def test_bad_function_spec_is_read_before_the_sector_gate(tmp_path,
+                                                         capsys):
+    """Function specs are read at load and the sector gate runs in
+    ``compute``, so a model with a malformed function spec and a sector
+    violation is a parse error."""
+    doc = cantor_model_doc(2)
+    doc["coefficients"]["C"][5] = -2.0
+    doc["functions"][1]["amplitude"] = "2"
+    bad = tmp_path / "badfc.json"
+    write_doc(bad, doc)
+    assert main(["compute", "--model", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and "amplitude" in err
 
 
 @pytest.mark.parametrize("key, value, code", [
@@ -215,9 +232,8 @@ def test_huge_k_bound_exits_2(k_bound, tmp_path, capsys):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_first_order_entry_exits_2(field, cell, tmp_path,
                                                capsys):
-    """A first-order entry whose outer product overflows fails the
-    domination check in its cell, off the set (``A = 0``, cell 0) and on
-    it (cell 50) alike."""
+    """A first-order entry of ``1e308`` fails the domination check in its
+    cell, where ``A = 0`` (cells 0 and 50), without an overflow."""
     doc = cantor_model_doc(2)
     doc["coefficients"][field][cell] = 1e308
     path = tmp_path / "big.json"
@@ -225,7 +241,7 @@ def test_overflowing_first_order_entry_exits_2(field, cell, tmp_path,
     assert main(["compute", "--model", str(path)]) == 2
     err = capsys.readouterr().err
     assert "validation error: cell %d:" % cell in err
-    assert "outer(%s_field) overflows" % field in err
+    assert "%s_field is not carried by range(A^{1/2})" % field in err
 
 
 @pytest.mark.parametrize("value", [-1e160, -1e200])
@@ -679,10 +695,10 @@ def _second_chunk_model(kind):
     elif kind == "overflow":
         b[cell] = [1e200, 0.0]
     elif kind == "psd":
-        # within validate's slack, below the psd floor of derive_fields
+        # below the psd floor of the rank rule
         c[cell] = np.diag([1.0, -1e-11])
     elif kind == "skew":
-        # within validate's slack, but Im C leaves range(A) = span e_0
+        # Im C leaves range(A) = span e_0
         c[cell] = [[1.0, 1j * tiny], [1j * tiny, 0.0]]
     else:
         c[cell] = np.diag([1.0, 0.0])
@@ -693,21 +709,22 @@ def _second_chunk_model(kind):
                           K_bound=1.0), cell
 
 
-@pytest.mark.parametrize("kind, error", [
+SECOND_CHUNK_KINDS = (
     ("sector", SectorViolation), ("domination", DominationViolation),
-    ("overflow", DominationViolation), ("psd", NotPSD),
-    ("skew", SectorViolation), ("range", DominationViolation)])
+    ("overflow", DominationViolation), ("psd", SectorViolation),
+    ("skew", SectorViolation), ("range", DominationViolation))
+
+
+@pytest.mark.parametrize("kind, error", SECOND_CHUNK_KINDS)
 def test_second_chunk_violation_names_global_cell(kind, error, tmp_path,
                                                   capsys):
     """A sector or domination violation, or an ``A`` below the psd floor,
-    in the second chunk of cells is named by its global cell index, by
-    ``validate`` for the first three kinds (the third overflows its
-    pencil) and by ``derive_fields`` for the others, and ``compute``
-    exits 2 with that index."""
+    in the second chunk of cells passes ``validate`` and is named by
+    ``derive_fields`` by its global cell index, and ``compute`` exits 2
+    with that index."""
     coeffs, cell = _second_chunk_model(kind)
+    assert coeffs.validate() is coeffs
     with pytest.raises(error) as raised:
-        coeffs.validate()
-        assert kind in ("psd", "skew", "range")
         derive_fields(coeffs)
     assert raised.value.cell == cell
     assert "cell %d" % cell in str(raised.value)
@@ -716,6 +733,46 @@ def test_second_chunk_violation_names_global_cell(kind, error, tmp_path,
         np.zeros_like(coeffs.C_field)), []))
     assert main(["compute", "--model", str(path)]) == 2
     assert "validation error: cell %d" % cell in capsys.readouterr().err
+
+
+def _in_units(coeffs, k):
+    """The model in other units: ``C``, ``b``, ``d`` and ``c0`` times
+    ``s = 4^k`` and ``K_bound`` times ``2^k = sqrt(s)``, both exact."""
+    s = 4.0 ** k
+    return CoefficientSet(
+        grid=coeffs.grid, C_field=s * coeffs.C_field,
+        b_field=s * coeffs.b_field, d_field=s * coeffs.d_field,
+        c0_field=s * coeffs.c0_field, theta=coeffs.theta,
+        K_bound=2.0 ** k * coeffs.K_bound)
+
+
+def _gate_verdict(coeffs):
+    """``None`` when the model passes ``validate`` and ``derive_fields``,
+    else the error class and the cell it names."""
+    try:
+        derive_fields(coeffs.validate())
+    except ValidationError as exc:
+        return type(exc), exc.cell
+    return None
+
+
+@pytest.mark.parametrize("kind", [None, "cantor"]
+                         + [kind for kind, _ in SECOND_CHUNK_KINDS])
+def test_gate_verdict_is_free_of_units(kind):
+    """The same model in other units, ``s = 4^k`` for ``|k| <= 100``, gets
+    the same verdict, error class and named cell: at ``s = 2^-40`` the
+    skew part of ``C`` outside ``range(A)`` is still seen."""
+    if kind is None:
+        coeffs = random_oracle_case(np.random.default_rng(3), dim=3,
+                                    commuting=True).coeffs
+    elif kind == "cantor":
+        coeffs = generate_cantor_example(2)[0]
+    else:
+        coeffs = _second_chunk_model(kind)[0]
+    want = _gate_verdict(coeffs)
+    assert (want is None) == (kind in (None, "cantor"))
+    for k in (-100, -20, -1, 1, 20, 100):
+        assert _gate_verdict(_in_units(coeffs, k)) == want, k
 
 
 def test_stage_help_states_the_range(capsys):
@@ -1047,3 +1104,22 @@ def test_dumps_canonical_used_for_reports(cantor_file, tmp_path):
                  str(out)]) == 0
     text = out.read_text(encoding="utf-8")
     assert dumps_canonical(json.loads(text)) == text
+
+
+def test_verify_builds_no_over_drawn_family(monkeypatch, capsys):
+    """A family with more functions than its grid has interior nodes is
+    linearly dependent, so ``random_oracle_case`` redraws it without
+    building its V space."""
+    import regpart.randomized
+    build = regpart.randomized.build_v_subspace
+    sizes = []
+
+    def counted(coeffs, derived, q_field, funcs, **kwargs):
+        nodes = np.prod(np.subtract(coeffs.grid.cells_per_axis, 1))
+        sizes.append((len(funcs), int(nodes)))
+        return build(coeffs, derived, q_field, funcs, **kwargs)
+
+    monkeypatch.setattr(regpart.randomized, "build_v_subspace", counted)
+    assert main(["verify", "--trials", "400", "--seed", "1"]) == 0
+    assert sizes
+    assert [pair for pair in sizes if pair[0] > pair[1]] == []

@@ -242,8 +242,9 @@ def test_sector_violation_names_cell(rng):
     coeffs = CoefficientSet(grid=grid, C_field=c, b_field=zeros,
                             d_field=zeros, c0_field=np.zeros(4, dtype=complex),
                             theta=np.pi / 4, K_bound=1.0)
+    assert coeffs.validate() is coeffs
     with pytest.raises(SectorViolation) as err:
-        coeffs.validate()
+        derive_fields(coeffs)
     assert err.value.cell == 2
     assert err.value.witness is not None
 
@@ -257,8 +258,9 @@ def test_domination_violation_names_cell():
                             d_field=np.zeros((3, 1), dtype=complex),
                             c0_field=np.zeros(3, dtype=complex),
                             theta=0.1, K_bound=1.0)
+    assert coeffs.validate() is coeffs
     with pytest.raises(DominationViolation) as err:
-        coeffs.validate()
+        derive_fields(coeffs)
     assert err.value.cell == 1
 
 

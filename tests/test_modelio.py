@@ -17,8 +17,9 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from regpart.diagnostics import cantor_mask, default_cantor_grid, svc_intervals
-from regpart.errors import ParseError, ValidationError
+from regpart.errors import ParseError, SectorViolation, ValidationError
 from regpart.grid import CELL_CHUNK, DeltaField, GridSpec, TestFunction
+from regpart.model import derive_fields
 from regpart.modelio import (SCHEMA_VERSION, _canonical_pieces, complex_pair,
                              complex_to_json,
                              doc_to_grid, doc_to_model, dumps_canonical,
@@ -659,12 +660,18 @@ def test_model_schema_errors(rng):
 
 
 def test_model_validation_gate(rng):
+    """Loading checks only what needs no factorization; the sector gate
+    refuses the loaded model where it is factored."""
     doc, _, _ = model_doc(rng)
     bad = json.loads(dumps_canonical(doc))
     # a negative second-order block violates the sector condition in cell 0
     bad["coefficients"]["C"][0] = [[[-1.0, 0.0]]]
+    model = doc_to_model(bad)
+    with pytest.raises(SectorViolation) as err:
+        derive_fields(model.coeffs)
+    assert err.value.cell == 0
     with pytest.raises(ValidationError):
-        doc_to_model(bad)
+        doc_to_model(dict(bad, theta=np.pi / 2))
 
 
 def test_write_and_load_file(rng, tmp_path):
@@ -832,7 +839,6 @@ def test_model_text_not_utf8(text):
 def _field_model_file(tmp_path):
     """A 64 x 64 random 2-D model file, built as the benchmark's ``field2d``
     model is, and its grid."""
-    from regpart.model import derive_fields
     from regpart.randomized import commuting_projection_field
     rng = np.random.default_rng(1)
     grid = GridSpec(dim=2, box=((0.0, 1.0), (0.0, 1.0)),

@@ -1,17 +1,20 @@
-"""Pointwise matrix calculus: square roots, sector pencils, projections."""
+"""Pointwise matrix calculus: square roots, sector checks, projections."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from regpart.errors import (NotHermitian, NotPSD, SectorViolation,
-                            ValidationError)
+from dense_reference import pencil_gate, sector_pencils
+from regpart.errors import (DominationViolation, NotHermitian, NotPSD,
+                            SectorViolation, ValidationError)
 from regpart.grid import GridSpec
-from regpart.model import CoefficientSet
+from regpart.model import CoefficientSet, derive_fields
 from regpart.pointwise import (PSD_TOL, TANGENT_CAP, SectorParams, adjoint,
                                frobenius, herm_eig, herm_part, imag_part,
                                pencil_tangent, pinv_sqrt, projection_residuals,
-                               psd_roots, psd_sqrt, sector_pencils)
+                               psd_roots, psd_sqrt)
 
 
 def random_psd(rng, d, n=1, rank=None):
@@ -60,9 +63,23 @@ def test_pinv_sqrt_gives_range_projection(rng):
 def test_psd_roots_is_both_roots_bitwise(rng):
     for rank in (1, 3, 4):
         a = random_psd(rng, 4, n=6, rank=rank)
-        root, inv_root = psd_roots(a)
+        root, inv_root, low = psd_roots(a)
         assert np.array_equal(root, psd_sqrt(a))
         assert np.array_equal(inv_root, pinv_sqrt(a))
+        assert np.all(low == np.inf)
+
+
+def test_psd_roots_reports_instead_of_raising():
+    """``psd_roots`` names, per matrix, the eigenvalue below the rank
+    rule's negative floor that ``psd_sqrt`` raises on; the others read
+    ``inf``."""
+    a = np.stack([np.diag([1.0, -1e-11]), np.diag([1.0, -1e-13]),
+                  np.diag([-0.5, -2.0]), np.eye(2)]).astype(complex)
+    low = psd_roots(a)[2]
+    assert low.tolist() == [-1e-11, np.inf, -2.0, np.inf]
+    with pytest.raises(NotPSD) as err:
+        psd_sqrt(a)
+    assert err.value.cell == 2
 
 
 def test_psd_sqrt_rejects_indefinite():
@@ -88,8 +105,8 @@ def test_herm_eig_unitary_invariance(rng):
 
 
 def in_sector(c, theta):
-    """Per-matrix verdict of the three sector pencils, with the slack
-    ``CoefficientSet.validate`` allows."""
+    """Per-matrix verdict of the three sector pencils of the reference
+    gate, with its slack."""
     _, mins = sector_pencils(c, theta)
     return np.all(mins >= -PSD_TOL * np.maximum(1.0, frobenius(c)), axis=0)
 
@@ -123,9 +140,9 @@ def test_sector_check_accepts_and_refuses(rng):
         return CoefficientSet(grid=grid, C_field=c, b_field=zero,
                               d_field=zero, c0_field=np.zeros(4),
                               theta=theta, K_bound=1.0)
-    coeffs(theta).validate()
+    derive_fields(coeffs(theta))
     with pytest.raises(SectorViolation) as err:
-        coeffs(np.arctan(0.1)).validate()
+        derive_fields(coeffs(np.arctan(0.1)))
     # the witness leaves the narrow sector
     xi = err.value.witness
     val = np.vdot(xi, c[err.value.cell] @ xi)
@@ -141,6 +158,63 @@ def test_sector_check_monotone_in_theta(rng):
     passed = [bool(in_sector(c, t)) for t in thetas]
     first = next((k for k, ok in enumerate(passed) if ok), len(thetas))
     assert all(passed[first:])
+
+
+#: Multiples of the bound at which the factored cells put ``||Z||`` and
+#: ``||X|| / K``, ``||Y|| / K``: each is 1e-3 or more from the boundary.
+BOUND_FACTORS = (0.5, 0.999, 1.001, 2.0)
+
+
+def _factored_cell(d, rank, theta, factors, seed):
+    """One cell built from its factorization: ``A`` of rank ``rank`` with
+    eigenvalues in ``[0.5, 2]``, ``Z``, ``X`` and ``Y`` on ``range(A)``
+    with ``||Z||_2 = factors[0] tan(theta)``, ``||X|| = factors[1] K`` and
+    ``||Y|| = factors[2] K``."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d))
+                        + 1j * rng.standard_normal((d, d)))
+    live = u[:, :rank]
+    asqrt = (live * np.sqrt(rng.uniform(0.5, 2.0, rank))) @ adjoint(live)
+    h = herm_part(rng.standard_normal((rank, rank))
+                  + 1j * rng.standard_normal((rank, rank)))
+    h *= factors[0] * np.tan(theta) / np.max(np.abs(np.linalg.eigvalsh(h)))
+    k_bound = float(rng.uniform(0.5, 2.0))
+
+    def ranged(factor):
+        v = live @ (rng.standard_normal(rank)
+                    + 1j * rng.standard_normal(rank))
+        return asqrt @ (v * factor * k_bound / np.linalg.norm(v))
+
+    c = asqrt @ (np.eye(d) + 1j * live @ h @ adjoint(live)) @ asqrt
+    b, dd = np.conj(ranged(factors[1])), ranged(factors[2])
+    grid = GridSpec(dim=d, box=((0.0, 1.0),) * d, cells_per_axis=(1,) * d)
+    return CoefficientSet(grid=grid, C_field=c[None], b_field=b[None],
+                          d_field=dd[None], c0_field=np.zeros(1),
+                          theta=theta, K_bound=k_bound)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+           st.just(d), st.integers(1, d))),
+       st.floats(0.05, 1.5),
+       st.tuples(*[st.sampled_from(BOUND_FACTORS)] * 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_factored_gate_decides_as_the_pencils(shape, theta, factors, seed):
+    """On single cells away from the boundary, with ``A`` of any rank,
+    ``derive_fields`` accepts and refuses as the pencil reference gate
+    does, with the same error class; a sector witness leaves the
+    sector."""
+    coeffs = _factored_cell(*shape, theta, factors, seed)
+    try:
+        derive_fields(coeffs.validate())
+        got = None
+    except (SectorViolation, DominationViolation) as exc:
+        got = type(exc), exc.cell
+        if isinstance(exc, SectorViolation):
+            val = np.vdot(exc.witness, coeffs.C_field[0] @ exc.witness)
+            assert abs(val.imag) > np.tan(theta) * val.real
+    assert got == pencil_gate(coeffs)
+    assert (got is None) == (max(factors) < 1.0)
 
 
 def test_sector_params_validation():

@@ -9,13 +9,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dense_reference import (one_pass_identity_norms, one_pass_kernel,
-                             one_shot_qz_draws, structure_fields)
+                             one_shot_qz_draws, sector_pencils,
+                             structure_fields)
 from regpart.diagnostics import regular_sector_tangent
 from regpart.errors import GridMismatch, NotCommuting, ProjectionInvalid
 from regpart.grid import CELL_CHUNK, GridSpec, cell_chunks
 from regpart.model import CoefficientSet, derive_fields, eval_form
 from regpart.pointwise import (PSD_TOL, adjoint, frobenius, herm_part,
-                               imag_part, pinv_sqrt, sector_pencils)
+                               imag_part, pinv_sqrt)
 from regpart.randomized import (QZ_BLOCK, commuting_projection_field,
                                 random_coefficients, random_grid,
                                 random_node_functions,

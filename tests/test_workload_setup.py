@@ -53,3 +53,24 @@ def test_workload_models_compute_and_probe(workload, tmp_path):
             _read_json(path), _read_json(tmp_path / "report.json"),
             cantor=manifest["cantor"]) == []
         assert CHECKS.check_probe(_read_json(tmp_path / "probe.json")) == []
+
+
+def test_validate_runs_no_eigensolver(monkeypatch):
+    """Loading a model checks only what needs no factorization: with every
+    eigensolver raising, ``doc_to_model`` and ``validate`` still pass on
+    Cantor stage 5 and the benchmark's ``field2d`` model."""
+    import numpy as np
+
+    from regpart.modelio import doc_to_model
+    from regpart.pipeline import cantor_model_doc
+
+    docs = [cantor_model_doc(5), WORKLOADS.field2d_doc(1, 160)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver ran")
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for doc in docs:
+        coeffs = doc_to_model(doc).coeffs
+        assert coeffs.validate() is coeffs
