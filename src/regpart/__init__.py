@@ -17,9 +17,9 @@ from .diagnostics import (DiagnosticsReport, RealPartReport, VertexReport,
                           generate_noncommuting_example, singular_vertex,
                           svc_intervals, svc_measure)
 from .errors import (DegenerateBasis, DominationViolation, GridMismatch,
-                     KernelMismatch, NotCommuting, NotHermitian, NotPSD,
-                     ParseError, ProjectionInvalid, ResolutionTooCoarse,
-                     SectorViolation, SolveFailure, ValidationError)
+                     KernelMismatch, NotCommuting, NotHermitian, ParseError,
+                     ProjectionInvalid, ResolutionTooCoarse, SectorViolation,
+                     SolveFailure, ValidationError)
 from .grid import GridSpec, TestFunction
 from .model import (CoefficientSet, DerivedFields, FormValue, derive_fields,
                     estimate_vertex_angle, eval_form, form_gram)
@@ -28,8 +28,7 @@ from .modelio import (LoadedModel, doc_to_model, dumps_canonical, load_model,
 from .pipeline import (cantor_model_doc, compute_report, oracle_crosscheck,
                        run_probe, run_verification)
 from .pointwise import (SectorParams, adjoint, herm_eig, herm_part,
-                        imag_part, pencil_tangent, pinv_sqrt,
-                        projection_residuals, psd_sqrt)
+                        imag_part, projection_residuals, sector_tangent)
 from .regularize import (IdentityReport, RegularizedCoefficients,
                          SingularStructure, assemble_regular,
                          assemble_regular_commuting, build_singular_structure,
@@ -49,7 +48,7 @@ __all__ = [
     "generate_noncommuting_example", "singular_vertex", "svc_intervals",
     "svc_measure",
     "DegenerateBasis", "DominationViolation", "GridMismatch",
-    "KernelMismatch", "NotCommuting", "NotHermitian", "NotPSD", "ParseError",
+    "KernelMismatch", "NotCommuting", "NotHermitian", "ParseError",
     "ProjectionInvalid", "ResolutionTooCoarse", "SectorViolation",
     "SolveFailure", "ValidationError",
     "GridSpec", "TestFunction",
@@ -60,7 +59,7 @@ __all__ = [
     "cantor_model_doc", "compute_report", "oracle_crosscheck", "run_probe",
     "run_verification",
     "SectorParams", "adjoint", "herm_eig", "herm_part", "imag_part",
-    "pencil_tangent", "pinv_sqrt", "projection_residuals", "psd_sqrt",
+    "projection_residuals", "sector_tangent",
     "IdentityReport", "RegularizedCoefficients", "SingularStructure",
     "assemble_regular", "assemble_regular_commuting",
     "build_singular_structure", "commutator_norms", "identity_residuals",

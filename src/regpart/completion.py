@@ -104,9 +104,12 @@ def _ambient_min_eig(ws, vxy_norm_sq):
     2x2 reduction ``[[ws, |v|/2], [|v|/2, 1]]`` has roots with product
     ``ws - |v|^2/4`` and larger root
     ``((ws+1) + sqrt((ws-1)^2 + |v|^2)) / 2 >= 1``.  The smaller root is
-    their quotient, which keeps it accurate when ``ws`` is large.
+    their quotient, which keeps it accurate when ``ws`` is large.  The
+    larger root is halved term by term and its square root is a
+    ``hypot``, so a ``ws`` near the largest float does not overflow.
     """
-    large = 0.5 * ((ws + 1.0) + np.sqrt((ws - 1.0) ** 2 + vxy_norm_sq))
+    large = 0.5 * (ws + 1.0) + 0.5 * np.hypot(ws - 1.0,
+                                              np.sqrt(vxy_norm_sq))
     small = (ws - 0.25 * vxy_norm_sq) / large
     return np.minimum(small, 1.0)
 

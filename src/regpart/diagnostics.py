@@ -32,7 +32,8 @@ from .errors import ResolutionTooCoarse, ValidationError
 from .grid import MAX_CELLS, GridSpec, chunked
 from .model import CoefficientSet, eval_form, vertex_search
 from .modelio import doc_to_model, make_model_doc, q_indicator_spec
-from .pointwise import SectorParams, frobenius, herm_part, imag_part, pinv_sqrt
+from .pointwise import (SectorParams, frobenius, herm_part, imag_part,
+                        sector_tangent)
 from .regularize import _commutators, _commuting_fields, interval_mask
 
 __all__ = [
@@ -154,17 +155,17 @@ def singular_vertex(bmat, mmat):
 
 def regular_sector_tangent(reg, derived, s):
     """Largest per-cell sector tangent of the regular second-order field,
-    computed as the spectral norm of ``g(A') Im(C') g(A')``.
+    the spectral norm of ``g(A') Im(C') g(A')``.
 
-    Off ``supp Q`` the regular field is the input ``C``, whose ``g Im(C) g``
-    is the ``Z`` of ``derived``; the roots are taken on the regular stack of
-    ``s.support`` only, and the spectral norms of ``Z``, taken chunk by
-    chunk, count on the other cells.
+    On ``supp Q`` it is :func:`~regpart.pointwise.sector_tangent` of the
+    regular stack of ``s.support``; a cell whose ``Im(C')`` couples into
+    ``ker A'`` reads ``TANGENT_CAP``.  Off ``supp Q`` the regular field is
+    the input ``C``, whose ``g Im(C) g`` is the ``Z`` of ``derived``, and
+    the spectral norms of ``Z``, taken chunk by chunk, count there.
     """
     c = reg.C_reg.values
-    g = pinv_sqrt(herm_part(c))
-    zr = herm_part(np.einsum("nij,njk,nkl->nil", g, imag_part(c), g))
-    top = float(np.max(np.abs(np.linalg.eigvalsh(zr)), initial=0.0))
+    top = float(np.max(sector_tangent(herm_part(c), imag_part(c))[0],
+                       initial=0.0))
     tangent, = chunked(lambda rows: (_row_max_abs(
         np.linalg.eigvalsh(derived.Z_field[rows])),), derived.n_cells)
     tangent[s.support] = 0.0

@@ -4,7 +4,7 @@
 documented invariant); the command line maps them to exit code 2.  The
 sector and domination gate, :func:`~regpart.model.derive_fields`, raises
 ``SectorViolation`` (also for an ``A`` with a negative eigenvalue) and
-``DominationViolation``; ``NotPSD`` comes from ``psd_sqrt``/``pinv_sqrt``.
+``DominationViolation``.
 ``ParseError`` signals unreadable input files (exit code 3).  ``SolveFailure``
 indicates an internal dense solve went wrong on data that passed validation,
 which should never happen for well-formed inputs.
@@ -21,15 +21,6 @@ class ParseError(Exception):
 
 class NotHermitian(ValidationError):
     """Input matrix is not Hermitian within tolerance."""
-
-
-class NotPSD(ValidationError):
-    """Input matrix has a genuinely negative eigenvalue; ``cell`` is the
-    flat index of the offending matrix of a stack, where known."""
-
-    def __init__(self, message, cell=None):
-        super().__init__(message)
-        self.cell = cell
 
 
 class SectorViolation(ValidationError):

@@ -43,8 +43,8 @@ import numpy as np
 from .errors import (DegenerateBasis, DominationViolation, GridMismatch,
                      SectorViolation, ValidationError)
 from .grid import DeltaField, GridSpec, cell_chunks, chunked
-from .pointwise import (PSD_TOL, SectorParams, adjoint, herm_part,
-                        imag_part, pencil_tangent, psd_roots)
+from .pointwise import (PSD_TOL, SectorParams, _sandwich, adjoint,
+                        herm_part, imag_part, psd_roots, sector_tangent)
 
 __all__ = [
     "CoefficientSet",
@@ -180,9 +180,11 @@ def derive_fields(coeffs):
     """Factor a :class:`CoefficientSet` through ``A = herm(C)``: the one
     gate on its sector and domination conditions.
 
-    Per cell: ``A``, then ``Asqrt = psd_sqrt(A)`` and ``g = pinv_sqrt(A)``
-    from one eigendecomposition (:func:`~regpart.pointwise.psd_roots`), then
-    ``Z = g @ imag_part(C) @ g`` (re-Hermitized), ``X = g @ conj(b)`` and
+    Per cell: ``A``, then ``Asqrt = A^{1/2}`` and the spectral inverse
+    square root ``g`` from one eigendecomposition
+    (:func:`~regpart.pointwise.psd_roots`), then ``Z = g @ imag_part(C) @
+    g`` (re-Hermitized) and ``||Z||_2`` by the code of
+    :func:`~regpart.pointwise.sector_tangent`, ``X = g @ conj(b)`` and
     ``Y = g @ d``.  Where the skew data lie in ``range(A)`` the
     factorization reproduces ``C``, ``conj(b)`` and ``d``, and then ``C``
     lies in the sector of half-angle ``theta`` exactly when
@@ -213,13 +215,13 @@ def derive_fields(coeffs):
         c, b, dd = (f[rows] for f in (coeffs.C_field, coeffs.b_field,
                                       coeffs.d_field))
         sq, gc, low = psd_roots(herm_part(c))
-        z = herm_part(np.einsum("nij,njk,nkl->nil", gc, imag_part(c), gc))
+        z, z_norm = _sandwich(gc, imag_part(c))
         bbar = np.conj(b)
         x = np.einsum("nij,nj->ni", gc, bbar)
         y = np.einsum("nij,nj->ni", gc, dd)
         recon = np.einsum("nij,njk,nkl->nil", sq, eye + 1j * z, sq)
         margins = [low, _relative_residual(recon, c, (-2, -1)),
-                   np.max(np.abs(np.linalg.eigvalsh(z)), axis=-1) - tangent]
+                   z_norm - tangent]
         for vec, target in ((x, bbar), (y, dd)):
             margins += [_relative_residual(np.einsum("nij,nj->ni", sq, vec),
                                            target, (-1,)),
@@ -360,10 +362,12 @@ def vertex_search(bmat, mmat):
 
     ``gamma`` is the smallest generalized eigenvalue of ``(Re B, M)`` on the
     basis Gram pair of :func:`form_gram`, the witness its ``M``-normalized
-    eigenvector, and the tangent :func:`~regpart.pointwise.pencil_tangent`
-    of ``(Re B - gamma M, Im B)``; a form wider than any finite tangent
-    comes back uncertified at the cap.  This certifies the span only: the
-    true vertex can be lower and the angle wider outside it.  One
+    eigenvector, and the tangent :func:`~regpart.pointwise.sector_tangent`
+    of ``(Re B - gamma M, Im B)``, whose slack is relative to the pair's
+    own norms, so the tangent and its verdict do not depend on the units
+    of ``B``; a form wider than any finite tangent comes back uncertified
+    at the cap.  This certifies the span only: the true vertex can be
+    lower and the angle wider outside it.  One
     eigendecomposition of ``M`` serves both the condition gate and the
     reduction of the pencil to a Hermitian eigenproblem.
 
@@ -383,9 +387,9 @@ def vertex_search(bmat, mmat):
     re_b = herm_part(bmat)
     w, vecs = np.linalg.eigh(herm_part(adjoint(whiten) @ re_b @ whiten))
     gamma = float(w[0])
-    t, certified = pencil_tangent(re_b - gamma * mh, imag_part(bmat))
+    t, certified = sector_tangent(re_b - gamma * mh, imag_part(bmat))
     return (SectorParams(theta=float(np.arctan(t)), gamma=gamma),
-            whiten @ vecs[:, 0], certified)
+            whiten @ vecs[:, 0], bool(certified))
 
 
 def estimate_vertex_angle(coeffs, basis):

@@ -1,7 +1,10 @@
 """Exact-contract kernels for complex square matrices.
 
 All routines accept a single ``(d, d)`` matrix or a stack ``(..., d, d)`` and
-operate matrix by matrix.  They are pure functions with no shared state, so
+operate matrix by matrix.  :func:`psd_roots` gives both square roots of a
+psd matrix from one eigendecomposition, and :func:`sector_tangent` is the
+one sector-tangent kernel: the report's regular tangent and every vertex
+search read it.  They are pure functions with no shared state, so
 results do not depend on evaluation order.
 
 Conventions
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, NotPSD, ValidationError
+from .errors import NotHermitian, ValidationError
 
 __all__ = [
     "DEFAULT_RANK_EPS",
@@ -29,11 +32,9 @@ __all__ = [
     "imag_part",
     "frobenius",
     "herm_eig",
-    "psd_sqrt",
-    "pinv_sqrt",
     "psd_roots",
     "projection_residuals",
-    "pencil_tangent",
+    "sector_tangent",
 ]
 
 #: Relative eigenvalue threshold below which spectra are truncated to zero.
@@ -45,7 +46,7 @@ HERMITIAN_RTOL = 1e-12
 #: Default slack, relative to the matrix scale, for semidefiniteness checks.
 PSD_TOL = 1e-10
 
-#: The tangent :func:`pencil_tangent` reports when no finite one works.
+#: The tangent :func:`sector_tangent` reports when no finite one works.
 TANGENT_CAP = 1e12
 
 
@@ -108,28 +109,14 @@ def herm_eig(m):
     return np.linalg.eigh(herm_part(m))
 
 
-def _psd_eig(a):
-    """``(w, u, low)``: each matrix's eigendecomposition with the rank rule
-    applied (eigenvalues below ``DEFAULT_RANK_EPS * lam_max`` read 0), and
-    its lowest eigenvalue if below ``-DEFAULT_RANK_EPS * lam_max``, or
-    ``inf``."""
-    w, u = herm_eig(a)
+def _rank_rule(w):
+    """``(w, low)``: each matrix's ascending eigenvalues ``w`` with the rank
+    rule applied (those below ``DEFAULT_RANK_EPS * max(lam_max, 0)`` read
+    0), and its lowest eigenvalue if below ``-DEFAULT_RANK_EPS *
+    lam_max``, or ``inf``."""
     floor = DEFAULT_RANK_EPS * np.maximum(w[..., -1:], 0.0)
     low = np.where(np.any(w < -floor, axis=-1), w[..., 0], np.inf)
-    return np.where(w < floor, 0.0, w), u, low
-
-
-def _clamped_psd_eig(a, what):
-    """``(w, u)`` of :func:`_psd_eig`; a ``low`` eigenvalue raises
-    ``NotPSD``, naming the matrix of a stack with the lowest one."""
-    w, u, low = _psd_eig(a)
-    if np.any(low < np.inf):
-        index = int(np.argmin(low))
-        raise NotPSD(
-            "%s has a negative eigenvalue %.3e below the -%.1e * lam_max floor"
-            % (what, float(low.flat[index]), DEFAULT_RANK_EPS),
-            cell=index if low.ndim else None)
-    return w, u
+    return np.where(w < floor, 0.0, w), low
 
 
 def _assemble(u, w):
@@ -143,32 +130,13 @@ def _inv_sqrt(w):
     return np.where(w > 0.0, 1.0 / np.sqrt(np.where(w > 0.0, w, 1.0)), 0.0)
 
 
-def psd_sqrt(a):
-    """Unique positive-semidefinite square root of a psd matrix.
-
-    The spectrum is clamped by the rank rule before taking square roots, so
-    the result of a rank-deficient input is again rank deficient.
-    """
-    w, u = _clamped_psd_eig(np.asarray(a, dtype=complex), "psd_sqrt input")
-    return _assemble(u, np.sqrt(w))
-
-
-def pinv_sqrt(a):
-    """Spectral inverse square root: ``lam -> lam**-0.5`` on the positive part
-    of the spectrum and ``0`` on the (numerical) kernel.
-
-    ``pinv_sqrt(a) @ psd_sqrt(a)`` is the orthogonal projection onto the
-    numerical range of ``a``.
-    """
-    w, u = _clamped_psd_eig(np.asarray(a, dtype=complex), "pinv_sqrt input")
-    return _assemble(u, _inv_sqrt(w))
-
-
 def psd_roots(a):
-    """``(psd_sqrt(a), pinv_sqrt(a), low)`` from one eigendecomposition of
-    ``a``, the roots bitwise equal to the two separate calls; instead of
-    raising, it reports the ``low`` eigenvalues of :func:`_psd_eig`."""
-    w, u, low = _psd_eig(np.asarray(a, dtype=complex))
+    """``(a^{1/2}, g, low)`` from one eigendecomposition of a psd ``a``, on
+    its spectrum clamped by :func:`_rank_rule`, whose ``low`` it returns:
+    ``g`` is ``lam -> lam**-0.5`` on the positive part of the spectrum and
+    0 on the kernel, so ``g a g`` projects onto the range of ``a``."""
+    w, u = herm_eig(a)
+    w, low = _rank_rule(w)
     return _assemble(u, np.sqrt(w)), _assemble(u, _inv_sqrt(w)), low
 
 
@@ -195,33 +163,40 @@ class SectorParams:
                 % (self.theta,))
 
 
-def pencil_tangent(re_m, im_m):
-    """Smallest ``t >= 0`` such that ``t * re_m + im_m`` and ``t * re_m -
-    im_m`` are both psd, in closed form.
+def _sandwich(g, im):
+    """``Z = herm(g im g)`` of each matrix of two ``(n, d, d)`` stacks, and
+    its spectral norm ``||Z||_2``."""
+    z = herm_part(np.einsum("nij,njk,nkl->nil", g, im, g))
+    return z, np.max(np.abs(np.linalg.eigvalsh(z)), axis=-1)
 
-    ``re_m = U diag(w) U*`` (expected psd up to noise) is split by the rank
-    rule (``w > DEFAULT_RANK_EPS * w_max``) into range and kernel.  If
-    ``im_m`` couples into the kernel by more than the slack
-    ``PSD_TOL * scale``, no ``t`` exists; otherwise ``t`` is the spectral
-    radius of ``diag(w)^{-1/2} U* im_m U diag(w)^{-1/2}`` on the range.
+
+def sector_tangent(re, im):
+    """Smallest ``t >= 0`` such that ``t re + im`` and ``t re - im`` are
+    both psd, per matrix of two Hermitian stacks ``(..., d, d)``.
+
+    ``re = U diag(w) U*`` is split by the rank rule (``w`` below
+    ``DEFAULT_RANK_EPS * max(w_max, 0)`` is 0) into range and kernel, and
+    ``t`` is ``||g im g||_2`` with ``g = U diag(w^{-1/2}) U*`` on the
+    range.  Each pair has the slack ``PSD_TOL * max(||re||_F, ||im||_F)``,
+    relative to its own norms, so the answer is free of the data's units:
+    an ``im`` within the slack of zero gives ``t = 0``, and an ``im``
+    coupling into the kernel by more than the slack has no finite ``t``.
     Deciding the kernel by the rank rule, not by a psd test at a slack,
-    keeps the verdict stable under rounding of ``re_m``.  An ``im_m`` within
-    the slack of zero gives ``t = 0``.
+    keeps the verdict stable under rounding of ``re``.
 
-    Returns ``(t, certified)``; ``certified`` is False, with
-    ``t == TANGENT_CAP``, when no ``t <= TANGENT_CAP`` works.
+    Returns arrays ``(t, certified)`` of shape ``(...)``; ``certified`` is
+    False, with ``t == TANGENT_CAP``, where no ``t <= TANGENT_CAP`` works.
     """
-    re_m = herm_part(np.asarray(re_m, dtype=complex))
-    im_m = herm_part(np.asarray(im_m, dtype=complex))
-    slack = PSD_TOL * max(1.0, float(frobenius(re_m)),
-                          float(frobenius(im_m)))
-    if float(np.max(np.abs(np.linalg.eigvalsh(im_m)))) <= slack:
-        return 0.0, True
-    w, u = np.linalg.eigh(re_m)
-    live = w > DEFAULT_RANK_EPS * max(float(w[-1]), 0.0)
-    if float(frobenius(im_m @ u[:, ~live])) > slack:
-        return TANGENT_CAP, False
-    scaled = u[:, live] / np.sqrt(w[live])
-    t = float(np.max(np.abs(np.linalg.eigvalsh(adjoint(scaled) @ im_m
-                                               @ scaled))))
-    return (t, True) if t <= TANGENT_CAP else (TANGENT_CAP, False)
+    re, im = np.asarray(re), np.asarray(im)
+    shape, d = re.shape[:-2], re.shape[-1]
+    re, im = re.reshape(-1, d, d), im.reshape(-1, d, d)
+    w, u = np.linalg.eigh(re)
+    w = _rank_rule(w)[0]
+    t = _sandwich(_assemble(u, _inv_sqrt(w)), im)[1]
+    im_norm = frobenius(im)
+    slack = PSD_TOL * np.maximum(frobenius(re), im_norm)
+    zero = im_norm <= slack
+    coupled = frobenius(im @ (u * (w == 0.0)[:, None, :])) > slack
+    certified = zero | (~coupled & (t <= TANGENT_CAP))
+    t = np.where(zero, 0.0, np.where(certified, t, TANGENT_CAP))
+    return t.reshape(shape), certified.reshape(shape)

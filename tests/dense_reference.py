@@ -5,7 +5,10 @@ the operators come from dense ``m x m`` solves, exactly as written before
 the algebra went cell-local.  The ambient product is written out pairwise
 from its per-cell weights, and coordinate vectors are realized as H'-pairs.
 Cost is cubic in the number of singular vectors, so it is only for small
-models in the tests.
+models in the tests.  The separate psd roots, ``psd_sqrt`` and
+``pinv_sqrt``, and the single-matrix ``pencil_tangent`` are kept here too,
+as the references that ``psd_roots`` and ``sector_tangent`` are checked
+against.
 """
 
 from types import SimpleNamespace
@@ -15,8 +18,9 @@ import numpy as np
 from regpart.completion import (GRAM_COND_CAP, PROJECTION_RANK_TOL,
                                 build_ambient, phi_vector, singular_field)
 from regpart.errors import (DominationViolation, ProjectionInvalid,
-                            SectorViolation)
-from regpart.pointwise import (PSD_TOL, adjoint, frobenius, herm_part,
+                            SectorViolation, ValidationError)
+from regpart.pointwise import (DEFAULT_RANK_EPS, PSD_TOL, TANGENT_CAP,
+                               adjoint, frobenius, herm_eig, herm_part,
                                imag_part, psd_roots)
 
 
@@ -333,3 +337,77 @@ def pencil_gate(coeffs):
         if np.any(ratio < -PSD_TOL):
             return DominationViolation, int(np.argmin(ratio))
     return None
+
+
+class NotPSD(ValidationError):
+    """Input matrix has a genuinely negative eigenvalue; ``cell`` is the
+    flat index of the offending matrix of a stack, where known."""
+
+    def __init__(self, message, cell=None):
+        super().__init__(message)
+        self.cell = cell
+
+
+def _clamped_psd_eig(a, what):
+    """``(w, u)`` with the rank rule applied (eigenvalues below
+    ``DEFAULT_RANK_EPS * lam_max`` read 0); an eigenvalue below
+    ``-DEFAULT_RANK_EPS * lam_max`` raises ``NotPSD``, naming the matrix
+    of a stack with the lowest one."""
+    w, u = herm_eig(a)
+    floor = DEFAULT_RANK_EPS * np.maximum(w[..., -1:], 0.0)
+    low = np.where(np.any(w < -floor, axis=-1), w[..., 0], np.inf)
+    if np.any(low < np.inf):
+        index = int(np.argmin(low))
+        raise NotPSD(
+            "%s has a negative eigenvalue %.3e below the -%.1e * lam_max floor"
+            % (what, float(low.flat[index]), DEFAULT_RANK_EPS),
+            cell=index if low.ndim else None)
+    return np.where(w < floor, 0.0, w), u
+
+
+def _assemble(u, w):
+    """``U diag(w) U*``, re-Hermitized."""
+    return herm_part(np.einsum("...ik,...k,...jk->...ij", u, w, np.conj(u)))
+
+
+def psd_sqrt(a):
+    """The psd square root of each matrix of a stack, on its spectrum
+    clamped by the rank rule; raises ``NotPSD`` on a negative eigenvalue,
+    as the package computed it before :func:`psd_roots` took both roots
+    from one eigendecomposition."""
+    w, u = _clamped_psd_eig(np.asarray(a, dtype=complex), "psd_sqrt input")
+    return _assemble(u, np.sqrt(w))
+
+
+def pinv_sqrt(a):
+    """The spectral inverse square root: ``lam -> lam**-0.5`` on the
+    positive part of the clamped spectrum and ``0`` on the kernel, as
+    :func:`psd_sqrt` computes it."""
+    w, u = _clamped_psd_eig(np.asarray(a, dtype=complex), "pinv_sqrt input")
+    pos = w > 0.0
+    return _assemble(u, np.where(pos, 1.0 / np.sqrt(np.where(pos, w, 1.0)),
+                                 0.0))
+
+
+def pencil_tangent(re_m, im_m):
+    """The sector tangent of one pair, as the vertex search computed it
+    before :func:`~regpart.pointwise.sector_tangent`: the smallest
+    ``t >= 0`` with ``t re_m +/- im_m`` psd, from the range of ``re_m``
+    under the rank rule, with the absolute-at-unit-scale slack
+    ``PSD_TOL * max(1, ||re_m||_F, ||im_m||_F)``.  Returns
+    ``(t, certified)``; ``(TANGENT_CAP, False)`` when no finite ``t``
+    works."""
+    re_m = herm_part(np.asarray(re_m, dtype=complex))
+    im_m = herm_part(np.asarray(im_m, dtype=complex))
+    slack = PSD_TOL * max(1.0, float(frobenius(re_m)),
+                          float(frobenius(im_m)))
+    if float(np.max(np.abs(np.linalg.eigvalsh(im_m)))) <= slack:
+        return 0.0, True
+    w, u = np.linalg.eigh(re_m)
+    live = w > DEFAULT_RANK_EPS * max(float(w[-1]), 0.0)
+    if float(frobenius(im_m @ u[:, ~live])) > slack:
+        return TANGENT_CAP, False
+    scaled = u[:, live] / np.sqrt(w[live])
+    t = float(np.max(np.abs(np.linalg.eigvalsh(adjoint(scaled) @ im_m
+                                               @ scaled))))
+    return (t, True) if t <= TANGENT_CAP else (TANGENT_CAP, False)

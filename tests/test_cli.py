@@ -244,6 +244,20 @@ def test_overflowing_first_order_entry_exits_2(field, cell, tmp_path,
     assert "%s_field is not carried by range(A^{1/2})" % field in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_c0_near_the_largest_float_exits_2_quietly(tmp_path, capsys):
+    """A ``c0`` entry of ``1.7e308`` makes the ambient shift's eigenvalue
+    test work near the largest float without an overflow; the run then
+    ends at the V basis's condition gate."""
+    doc = cantor_model_doc(2)
+    doc["coefficients"]["c0"][50] = 1.7e308
+    path = tmp_path / "big.json"
+    write_doc(path, doc)
+    assert main(["compute", "--model", str(path)]) == 2
+    assert "V-basis Gram matrix is numerically singular" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [-1e160, -1e200])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_huge_negative_c_entry_names_its_cell(value, tmp_path, capsys):

@@ -101,6 +101,16 @@ def test_ambient_min_eig_without_cancellation():
                         min(det / large, 1.0), rtol=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ambient_min_eig_near_the_largest_float():
+    """A weight near the largest float neither overflows nor loses the
+    small root: ``ws - |v|^2/4`` over a larger root of about ``ws``."""
+    ws = np.array([1.7e308, 1.7e308, 1e308])
+    v_sq = np.array([0.0, 4.0, 1e308])
+    assert_allclose(_ambient_min_eig(ws, v_sq), [1.0, 1.0, 0.75],
+                    rtol=1e-12)
+
+
 def test_ambient_inner_is_an_inner_product(rng):
     coeffs = random_coefficients(rng, random_grid(rng, 2))
     derived = derive_fields(coeffs)

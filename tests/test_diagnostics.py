@@ -280,6 +280,33 @@ def test_pure_vertex_is_the_companions_own(rng, cantor3):
                             singular_vertex(*form_gram(coeffs, funcs)))
 
 
+@pytest.mark.parametrize("stage", [2, 4])
+def test_vertex_verdicts_are_free_of_units(stage):
+    """The Cantor model in other units, ``C``, ``b``, ``d`` and ``c0``
+    times ``s`` and ``K_bound`` times ``sqrt(s)`` (all exact), keeps the
+    unit-scale ``certified`` flag and ``theta`` to 1e-12 of its form,
+    singular and pure-singular vertices, down to ``s = 2^-500``."""
+    coeffs, q, funcs = generate_cantor_example(stage)
+    funcs = TestFunction.stack(coeffs.grid, funcs.values())
+
+    def vertices(s):
+        scaled = CoefficientSet(
+            grid=coeffs.grid, C_field=s * coeffs.C_field,
+            b_field=s * coeffs.b_field, d_field=s * coeffs.d_field,
+            c0_field=s * coeffs.c0_field, theta=coeffs.theta,
+            K_bound=np.sqrt(s) * coeffs.K_bound)
+        report = diagnose(scaled, q, funcs)[2]
+        found = (report.form_vertex, report.as_vertex, report.aps_vertex)
+        return ([v.certified for v in found],
+                np.array([v.params.theta for v in found]))
+
+    want_certified, want_theta = vertices(1.0)
+    for s in (2.0 ** -500, 2.0 ** -40):
+        certified, theta = vertices(s)
+        assert certified == want_certified, s
+        assert_allclose(theta, want_theta, rtol=0.0, atol=1e-12)
+
+
 def test_coupling_field_matches_full_grid_formula(rng, cantor3):
     """``Q Z (I-Q) A^{1/2}`` computed on ``supp Q`` equals the full-grid
     product there, and the full-grid product is zero elsewhere; the probe

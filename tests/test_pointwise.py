@@ -1,4 +1,5 @@
-"""Pointwise matrix calculus: square roots, sector checks, projections."""
+"""Pointwise matrix calculus: square roots, sector checks, sector
+tangents, projections."""
 
 import numpy as np
 import pytest
@@ -6,15 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dense_reference import pencil_gate, sector_pencils
-from regpart.errors import (DominationViolation, NotHermitian, NotPSD,
+from dense_reference import (NotPSD, pencil_gate, pencil_tangent,
+                             pinv_sqrt, psd_sqrt, sector_pencils)
+from regpart.errors import (DominationViolation, NotHermitian,
                             SectorViolation, ValidationError)
 from regpart.grid import GridSpec
 from regpart.model import CoefficientSet, derive_fields
 from regpart.pointwise import (PSD_TOL, TANGENT_CAP, SectorParams, adjoint,
                                frobenius, herm_eig, herm_part, imag_part,
-                               pencil_tangent, pinv_sqrt, projection_residuals,
-                               psd_roots, psd_sqrt)
+                               projection_residuals, psd_roots,
+                               sector_tangent)
 
 
 def random_psd(rng, d, n=1, rank=None):
@@ -71,8 +73,8 @@ def test_psd_roots_is_both_roots_bitwise(rng):
 
 def test_psd_roots_reports_instead_of_raising():
     """``psd_roots`` names, per matrix, the eigenvalue below the rank
-    rule's negative floor that ``psd_sqrt`` raises on; the others read
-    ``inf``."""
+    rule's negative floor that the reference ``psd_sqrt`` raises on; the
+    others read ``inf``."""
     a = np.stack([np.diag([1.0, -1e-11]), np.diag([1.0, -1e-13]),
                   np.diag([-0.5, -2.0]), np.eye(2)]).astype(complex)
     low = psd_roots(a)[2]
@@ -229,7 +231,7 @@ def test_pencil_tangent_known_value():
     """For A = I, B = diag(b): smallest t with t*I +/- B psd is max|b|."""
     re_m = np.eye(3)
     im_m = np.diag([0.3, -0.7, 0.2])
-    t, certified = pencil_tangent(re_m, im_m)
+    t, certified = sector_tangent(re_m, im_m)
     assert certified
     assert_allclose(t, 0.7, rtol=1e-6)
 
@@ -239,11 +241,73 @@ def test_pencil_tangent_kernel_coupling_is_rounding_stable(eps):
     """Imaginary coupling into a numerical kernel of the real part has no
     finite tangent, whatever the sign of the rounding in that kernel."""
     im_m = np.array([[0.0, 0.5], [0.5, 0.0]])
-    assert pencil_tangent(np.diag([1.0, eps]), im_m) == (TANGENT_CAP, False)
+    assert sector_tangent(np.diag([1.0, eps]), im_m) == (TANGENT_CAP, False)
 
 
 def test_pencil_tangent_degenerate_direction():
     """Imaginary mass outside range(A) can never be dominated."""
     re_m = np.diag([1.0, 0.0])
     im_m = np.array([[0.0, 0.0], [0.0, 0.5]])
-    assert pencil_tangent(re_m, im_m) == (TANGENT_CAP, False)
+    assert sector_tangent(re_m, im_m) == (TANGENT_CAP, False)
+
+
+def _tangent_pair(d, rank, im_scale, coupled, seed):
+    """One Hermitian pair ``(re, im)``: ``re`` of rank ``rank`` with
+    eigenvalues in ``[0.5, 2]``, and ``im`` of Frobenius norm
+    ``im_scale`` (or 0) inside ``range(re)``, plus, if ``coupled`` and
+    ``re`` has a kernel, a unit coupling from the kernel into the range."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d))
+                        + 1j * rng.standard_normal((d, d)))
+    live, dead = u[:, :rank], u[:, rank:]
+    re = herm_part((live * rng.uniform(0.5, 2.0, rank)) @ adjoint(live))
+    h = herm_part(rng.standard_normal((rank, rank))
+                  + 1j * rng.standard_normal((rank, rank)))
+    im = live @ (h * im_scale / frobenius(h)) @ adjoint(live)
+    if coupled and rank < d:
+        m = rng.standard_normal((d - rank, rank)) \
+            + 1j * rng.standard_normal((d - rank, rank))
+        m = dead @ (m / frobenius(m)) @ adjoint(live)
+        im = im + m + adjoint(m)
+    return re, herm_part(im)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+           st.just(d), st.integers(1, d))),
+       st.sampled_from([0.0, 1e-14, 1e-2, 1.0, 1e2]),
+       st.booleans(),
+       st.integers(-100, 100),
+       st.integers(-500, 500),
+       st.integers(0, 2 ** 32 - 1))
+def test_sector_tangent_is_free_of_units(shape, im_scale, coupled, k, big,
+                                         seed):
+    """On pairs with a rank-deficient ``re`` and an ``im`` inside or
+    coupling out of ``range(re)``, each a factor 1e3 or more from the
+    slack: scaling both by ``2^k`` changes no bit (the roots of ``w`` scale
+    exactly by ``2^(k/2)`` for even ``k``, so an odd ``k`` is compared
+    with the pair times 2); scaling by ``2^big``, ``|big| <= 500``, where
+    LAPACK rescales, keeps ``certified`` and ``t`` to 1e-12; a stack
+    gives the one-at-a-time results bit for bit; and the result is the
+    reference ``pencil_tangent``'s to 1e-12."""
+    re, im = _tangent_pair(*shape, im_scale, coupled, seed)
+    t, certified = sector_tangent(re, im)
+    parity = 2.0 ** (k % 2)
+    assert sector_tangent(2.0 ** k * re, 2.0 ** k * im) == \
+        sector_tangent(parity * re, parity * im)
+    t_big, certified_big = sector_tangent(2.0 ** big * re, 2.0 ** big * im)
+    assert certified_big == certified
+    assert_allclose(t_big, t, rtol=1e-12, atol=0.0)
+
+    other = _tangent_pair(*shape, 1.0, not coupled, seed + 1)
+    stack = sector_tangent(np.stack([re, other[0], 2.0 * re]),
+                           np.stack([im, other[1], 2.0 * im]))
+    singles = [sector_tangent(*pair) for pair in
+               ((re, im), other, (2.0 * re, 2.0 * im))]
+    assert stack[0].tolist() == [float(s[0]) for s in singles]
+    assert stack[1].tolist() == [bool(s[1]) for s in singles]
+
+    want_t, want_certified = pencil_tangent(re, im)
+    assert bool(certified) == want_certified
+    assert_allclose(t, want_t, rtol=1e-12, atol=0.0)
+    assert bool(certified) == (not coupled or shape[0] == shape[1])
